@@ -37,18 +37,18 @@ func TestKeyAndRepSeedPinned(t *testing.T) {
 	}{
 		{
 			Cell{K: 4, Rho: 0.7, MuI: 2, MuE: 1, Policy: "IF"},
-			"exp1|k=4 rho=0.7 muI=2 muE=1 policy=IF|reps=2|seed=7|warmup=100|jobs=1000|auto=false|batches=0",
-			"0d5dd4442fb4fa81", 2917704610814949436, 5240475585674092860,
+			"exp2|k=4 rho=0.7 muI=2 muE=1 policy=IF|reps=2|seed=7|warmup=100|jobs=1000|auto=false|batches=0",
+			"8366008bb4d3084c", 2917704610814949436, 5240475585674092860,
 		},
 		{
 			Cell{K: 8, Rho: 0.9, Scenario: "mapreduce", Policy: "EF"},
-			"exp1|scenario=mapreduce k=8 rho=0.9 policy=EF|reps=2|seed=7|warmup=100|jobs=1000|auto=false|batches=0",
-			"f737267f7af5dacf", 7263033840379087353, 4116425416877151070,
+			"exp2|scenario=mapreduce k=8 rho=0.9 policy=EF|reps=2|seed=7|warmup=100|jobs=1000|auto=false|batches=0",
+			"52b58cdc4c336a68", 7263033840379087353, 4116425416877151070,
 		},
 		{
 			Cell{K: 8, Rho: 0.5, Mix: "threeclass", Policy: "LFF"},
-			"exp1|mix=threeclass k=8 rho=0.5 policy=LFF|reps=2|seed=7|warmup=100|jobs=1000|auto=false|batches=0",
-			"7a6563300a728456", 13083668052069352814, 2653965135885897409,
+			"exp2|mix=threeclass k=8 rho=0.5 policy=LFF|reps=2|seed=7|warmup=100|jobs=1000|auto=false|batches=0",
+			"bfa31b31638621eb", 13083668052069352814, 2653965135885897409,
 		},
 	}
 	for _, tc := range cases {
@@ -92,24 +92,11 @@ func TestKeyAndRepSeedPinned(t *testing.T) {
 	if got, want := tailed.keyString(cases[0].cell), cases[0].keyString+"|tail=1"; got != want {
 		t.Errorf("Tail keyString = %q, want %q", got, want)
 	}
-	// Same rule for the quantile set (appended after the tail component)
-	// and the stepping engine: only the non-default spellings are keyed.
+	// Same rule for the quantile set, appended after the tail component.
 	quantiled := tailed
 	quantiled.TailQuantiles = []float64{0.5, 0.95, 0.999}
 	if got, want := quantiled.keyString(cases[0].cell), cases[0].keyString+"|tail=1|tailq=0.5,0.95,0.999"; got != want {
 		t.Errorf("TailQuantiles keyString = %q, want %q", got, want)
-	}
-	for _, spelling := range []string{"", "rebuild"} {
-		def := sw
-		def.Engine = spelling
-		if got := def.keyString(cases[0].cell); got != cases[0].keyString {
-			t.Errorf("Engine=%q keyString = %q, want the unchanged %q", spelling, got, cases[0].keyString)
-		}
-	}
-	inc := sw
-	inc.Engine = "incremental"
-	if got, want := inc.keyString(cases[0].cell), cases[0].keyString+"|engine=incremental"; got != want {
-		t.Errorf("incremental keyString = %q, want %q", got, want)
 	}
 }
 

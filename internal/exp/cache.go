@@ -87,8 +87,8 @@ func jsonSize(key string, v any) int64 {
 // outcome, see PutOutcome) per line, appended and flushed as each finishes,
 // so an interrupted sweep loses at most the in-flight entries. A corrupt
 // line (e.g. truncated by a hard kill mid-append) is skipped on load and
-// counted (Corrupt): cached entries are only an optimization, never the
-// source of truth.
+// counted (Corrupt), and the next append starts on a fresh line: cached
+// entries are only an optimization, never the source of truth.
 //
 // Concurrency contract: within one process the cache is safe for any
 // number of goroutines. Across processes, the file is opened O_APPEND and
@@ -106,6 +106,11 @@ type FileCache struct {
 	mem     map[string]CellResult
 	outMem  map[string]Outcome
 	corrupt int
+	// tornTail is set when the file existed but did not end in a newline
+	// (a record torn by a hard kill); the first append then starts with a
+	// newline so the new record lands on its own line instead of being
+	// glued onto the torn one.
+	tornTail bool
 }
 
 // fileCacheRecord is one line of the file: a cell record sets Result, a
@@ -151,6 +156,12 @@ func OpenFileCache(path string) (*FileCache, error) {
 	}
 	if err := sc.Err(); err != nil {
 		return nil, fmt.Errorf("exp: reading cache %s: %w", path, err)
+	}
+	if st, err := f.Stat(); err == nil && st.Size() > 0 {
+		tail := make([]byte, 1)
+		if _, err := f.ReadAt(tail, st.Size()-1); err == nil && tail[0] != '\n' {
+			fc.tornTail = true
+		}
 	}
 	return fc, nil
 }
@@ -205,6 +216,9 @@ func (c *FileCache) appendRecord(rec fileCacheRecord) error {
 	line = append(line, '\n')
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	if c.tornTail {
+		line = append([]byte{'\n'}, line...)
+	}
 	if c.f == nil {
 		f, err := os.OpenFile(c.path, os.O_APPEND|os.O_CREATE|os.O_WRONLY, 0o644)
 		if err != nil {
@@ -215,6 +229,7 @@ func (c *FileCache) appendRecord(rec fileCacheRecord) error {
 	if _, err := c.f.Write(line); err != nil {
 		return fmt.Errorf("exp: appending cache record: %w", err)
 	}
+	c.tornTail = false
 	if err := c.f.Sync(); err != nil {
 		return fmt.Errorf("exp: syncing cache: %w", err)
 	}

@@ -1,12 +1,12 @@
 package exp
 
-// Sweep-level coverage for the stepping-engine knob and the configurable
-// tail-quantile set. TestEngineSweepEquivalence is the engine-equivalence
-// CI gate (scripts/ci.sh): a small sweep run under both engines must agree
-// on every count exactly and on every statistic to 1e-9 relative — the
-// engines round floating point differently by construction (each is
-// individually bit-frozen by its own golden set in internal/sim), so the
-// gate pins agreement, not byte identity.
+// Sweep-level coverage for the engine's differential oracle and the
+// configurable tail-quantile set. TestEngineSweepEquivalence is the
+// engine-equivalence CI gate (scripts/ci.sh): a small sweep run on the
+// engine's fast paths and again on its dense fallback (SIM_FORCE_DENSE)
+// must agree on every count exactly and on every statistic to 1e-9
+// relative — the two paths round floating point differently, so the gate
+// pins agreement, not byte identity.
 
 import (
 	"context"
@@ -77,13 +77,12 @@ func diffResultSets(t *testing.T, aName, bName string, ra, rb *ResultSet) {
 	}
 }
 
-// TestEngineSweepEquivalence runs the gate sweep under both engines and
-// diffs the ResultSets: identical completion counts, statistics within
-// 1e-9. A second leg covers a class-mix grid so capped and partially
-// elastic classes cross the gate too, and a third leg re-runs the
-// incremental sweep with SIM_FORCE_DENSE set — the sparse fast paths
-// (EQUI's class shares, SRPT's indexed heap, the write-set protocol) must
-// be invisible at sweep level compared to the dense fallback.
+// TestEngineSweepEquivalence runs the gate sweep and re-runs it with
+// SIM_FORCE_DENSE set, then diffs the ResultSets: identical completion
+// counts, statistics within 1e-9 — the sparse fast paths (EQUI's class
+// shares, SRPT's indexed heap, the write-set protocol) must be invisible at
+// sweep level compared to the dense fallback. A second grid covers a
+// class mix so capped and partially elastic classes cross the gate too.
 func TestEngineSweepEquivalence(t *testing.T) {
 	grids := []Grid{
 		engineGateSweep().Grid,
@@ -93,34 +92,17 @@ func TestEngineSweepEquivalence(t *testing.T) {
 	for _, grid := range grids {
 		sw := engineGateSweep()
 		sw.Grid = grid
-		inc := sw
-		inc.Engine = "incremental"
-		rsReb, err := Run(context.Background(), sw, Options{})
+		rsFast, err := Run(context.Background(), sw, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		rsInc, err := Run(context.Background(), inc, Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		diffResultSets(t, "rebuild", "incremental", rsReb, rsInc)
 		t.Setenv("SIM_FORCE_DENSE", "1")
-		rsDense, err := Run(context.Background(), inc, Options{})
+		rsDense, err := Run(context.Background(), sw, Options{})
 		t.Setenv("SIM_FORCE_DENSE", "")
 		if err != nil {
 			t.Fatal(err)
 		}
-		diffResultSets(t, "incremental", "incremental/dense", rsInc, rsDense)
-	}
-}
-
-// TestEngineValidation rejects unknown engine spellings at sweep
-// validation time, not inside a worker.
-func TestEngineValidation(t *testing.T) {
-	sw := engineGateSweep()
-	sw.Engine = "warpdrive"
-	if _, err := Run(context.Background(), sw, Options{}); err == nil || !strings.Contains(err.Error(), "warpdrive") {
-		t.Fatalf("bad engine not rejected: %v", err)
+		diffResultSets(t, "sparse", "dense", rsFast, rsDense)
 	}
 }
 

@@ -287,12 +287,6 @@ type Sweep struct {
 	// |tailq=... component to the cache key, so the keys of plain-Tail and
 	// non-Tail sweeps are unchanged.
 	TailQuantiles []float64 `json:"tailQuantiles,omitempty"`
-	// Engine selects the sim stepping engine for every replication:
-	// "" or "rebuild" (the default, bit-frozen by the goldens) or
-	// "incremental" (O(changed·log n) stepping for high-occupancy
-	// sweeps; see sim.Engine). Only the non-default engine is keyed
-	// (|engine=incremental), so all pre-existing cache keys stay valid.
-	Engine string `json:"engine,omitempty"`
 }
 
 func (sw Sweep) reps() int {
@@ -325,9 +319,6 @@ func (sw Sweep) validate() error {
 	}
 	if sw.Batches < 0 || sw.Batches == 1 {
 		return fmt.Errorf("exp: sweep %q: Batches must be 0 (off) or >= 2 (got %d)", sw.Name, sw.Batches)
-	}
-	if _, err := sim.ParseEngine(sw.Engine); err != nil {
-		return fmt.Errorf("exp: sweep %q: %w", sw.Name, err)
 	}
 	if len(sw.TailQuantiles) > 0 && !sw.Tail {
 		return fmt.Errorf("exp: sweep %q sets TailQuantiles without Tail", sw.Name)
@@ -370,11 +361,13 @@ func (sw Sweep) keyString(c Cell) string {
 	if sw.AutoWarmup {
 		warmup = 0 // the fixed budget is ignored in AutoWarmup mode
 	}
-	s := fmt.Sprintf("exp1|%s|reps=%d|seed=%d|warmup=%d|jobs=%d|auto=%t|batches=%d",
+	// The exp2 version prefix marks results computed by the incremental
+	// stepping engine; exp1 keys named rebuild-engine results and must not be
+	// served in their place.
+	s := fmt.Sprintf("exp2|%s|reps=%d|seed=%d|warmup=%d|jobs=%d|auto=%t|batches=%d",
 		c, sw.reps(), sw.seed(), warmup, sw.Jobs, sw.AutoWarmup, sw.Batches)
-	// The tail, quantile-set and engine components are appended only when
-	// enabled so that every pre-existing cache key stays valid (PR 4's
-	// "unchanged cache keys" contract).
+	// The tail and quantile-set components are appended only when enabled,
+	// so enabling neither leaves the key at its base form.
 	if sw.Tail {
 		s += "|tail=1"
 	}
@@ -386,9 +379,6 @@ func (sw Sweep) keyString(c Cell) string {
 			}
 			s += fmt.Sprintf("%g", q)
 		}
-	}
-	if eng, err := sim.ParseEngine(sw.Engine); err == nil && eng != sim.EngineRebuild {
-		s += "|engine=" + eng.String()
 	}
 	return s
 }

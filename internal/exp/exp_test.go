@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -348,6 +349,58 @@ func TestFileCachePersistentAppendHandle(t *testing.T) {
 	}
 	if back.Len() != 2 {
 		t.Fatalf("cache holds %d entries after close/reopen-append, want 2", back.Len())
+	}
+}
+
+// TestFileCacheTornTailRepair: a hard kill mid-append leaves a record torn
+// without its newline. The next Put must land on its own line instead of
+// being glued onto the stump, so a reload keeps it and counts only the
+// torn record as corrupt.
+func TestFileCacheTornTailRepair(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "cache.jsonl")
+	fc, err := OpenFileCache(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range []string{"k1", "k2"} {
+		if err := fc.Put(k, CellResult{ET: 1}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := fc.Close(); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Cut the file in the middle of the second record.
+	cut := bytes.IndexByte(data, '\n') + 10
+	if err := os.WriteFile(path, data[:cut], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	torn, err := OpenFileCache(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := torn.Put("k3", CellResult{ET: 3}); err != nil {
+		t.Fatal(err)
+	}
+	if err := torn.Close(); err != nil {
+		t.Fatal(err)
+	}
+	back, err := OpenFileCache(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cr, ok := back.Get("k3"); !ok || cr.ET != 3 {
+		t.Fatalf("record appended after a torn tail lost on reload: %+v, %v", cr, ok)
+	}
+	if _, ok := back.Get("k1"); !ok {
+		t.Fatal("intact record before the torn tail lost on reload")
+	}
+	if got := back.Corrupt(); got != 1 {
+		t.Fatalf("reload reports %d corrupt lines, want 1 (the torn record)", got)
 	}
 }
 

@@ -75,12 +75,8 @@ func (sw Sweep) runReplication(c Cell, rep int) (r Replication, err error) {
 	if sw.AutoWarmup {
 		warmup = 0
 	}
-	engine, err := sim.ParseEngine(sw.Engine)
-	if err != nil {
-		return r, err
-	}
 	cfg := sim.RunConfig{K: c.K, Policy: pol, Source: src, Classes: specs,
-		WarmupJobs: warmup, MaxJobs: sw.Jobs, Engine: engine}
+		WarmupJobs: warmup, MaxJobs: sw.Jobs}
 	r = Replication{Rep: rep, Seed: seed}
 
 	numClasses := 2

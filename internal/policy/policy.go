@@ -35,7 +35,7 @@
 // water-filled per-class share vector and the engine tracks whole classes
 // on virtual-time coordinates. SRPT-k must read settled remaining sizes, so
 // it is marked sim.RemainingOrderedPolicy and the engine executes its rule
-// natively on an indexed heap. The cross-engine equivalence suite in
+// natively on an indexed heap. The sparse-vs-dense equivalence suite in
 // internal/sim holds every policy's faces together, and the dense faces
 // stay reachable forever through sim.Options.ForceDense / SIM_FORCE_DENSE.
 package policy
@@ -570,8 +570,8 @@ func (Equi) Allocate(st *sim.State, alloc *sim.Allocation) {
 // decision as Allocate, reported as one per-class share instead of n
 // per-job entries. The arithmetic below mirrors Allocate line for line —
 // same operations in the same order on the same values — so both faces
-// produce bit-identical shares; the cross-engine equivalence suite holds
-// them together.
+// produce bit-identical shares; the sparse-vs-dense equivalence suite
+// holds them together.
 func (Equi) ClassShares(st *sim.State, shares []float64) {
 	n := 0
 	for _, q := range st.Queues {
@@ -863,6 +863,6 @@ func (p *SRPTK) Allocate(st *sim.State, alloc *sim.Allocation) {
 // RemainingOrdered implements sim.RemainingOrderedPolicy: Allocate above is
 // exactly the ascending-remaining walk (the stable insertion sort over
 // class-then-FCFS enumeration breaks ties by lower class, then lower ID)
-// handing each job min(cap, leftover), so the incremental engine may
+// handing each job min(cap, leftover), so the engine may
 // execute the rule natively on its indexed heap.
 func (*SRPTK) RemainingOrdered() {}

@@ -360,9 +360,14 @@ func TestAdmission(t *testing.T) {
 	if rr := post(s, "/v1/sweep", []byte("{not json")); rr.Code != http.StatusBadRequest {
 		t.Fatalf("malformed spec: status %d, want 400", rr.Code)
 	}
-	if rr := post(s, "/v1/sweep", []byte(`{"jbos": 100}`)); rr.Code != http.StatusBadRequest ||
-		!strings.Contains(rr.Body.String(), "jbos") {
-		t.Fatalf("unknown field: status %d body %q, want 400 naming the field", rr.Code, rr.Body)
+	// "engine" was a Sweep field while a second stepping engine existed; an
+	// old client still sending it must get a clear 400, not a silent ignore.
+	for _, field := range []string{"jbos", "engine"} {
+		body := []byte(`{"` + field + `": "rebuild"}`)
+		if rr := post(s, "/v1/sweep", body); rr.Code != http.StatusBadRequest ||
+			!strings.Contains(rr.Body.String(), field) {
+			t.Fatalf("unknown field %q: status %d body %q, want 400 naming the field", field, rr.Code, rr.Body)
+		}
 	}
 	if rr := post(s, "/v1/sweep", bytes.Repeat([]byte("x"), 2<<10)); rr.Code != http.StatusRequestEntityTooLarge {
 		t.Fatalf("oversized body: status %d, want 413", rr.Code)

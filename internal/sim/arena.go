@@ -18,12 +18,11 @@ package sim
 // chasing pointers across the GC heap.
 //
 // Aliasing safety: a recycled slot can never inherit an event from its
-// previous life. The incremental engine's indexed future-event list
-// (eventq.IndexedQueue) holds at most one entry per handle and the engines
-// pop or remove a job's entry before releasing its slot; the rebuild
-// engine refills its event list from the live job set at every event. So
-// by the time a handle re-enters circulation, no queue anywhere references
-// it. TestArenaRecycleNoAlias pins this.
+// previous life. The engine's indexed future-event list
+// (eventq.IndexedQueue) holds at most one entry per handle and the engine
+// pops or removes a job's entry before releasing its slot. So by the time a
+// handle re-enters circulation, no queue anywhere references it.
+// TestArenaRecycleNoAlias pins this.
 
 // jobHandle is a dense index into a jobArena: chunk in the high bits, slot
 // within the chunk in the low bits.

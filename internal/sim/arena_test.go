@@ -213,7 +213,7 @@ func TestArenaRecycleNoAlias(t *testing.T) {
 		{"classshare", arenaEquiPolicy{}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			sys := NewClassSystemOpts(3, TwoClassSpecs(), tc.pol, Options{Engine: EngineIncremental})
+			sys := NewClassSystem(3, TwoClassSpecs(), tc.pol)
 			if tc.name == "sparse" && sys.sparse == nil {
 				t.Fatal("sparse fast path did not engage")
 			}

@@ -33,7 +33,7 @@ import (
 // allocation is uniform within each class (every class-c job receives the
 // same share). ClassShares must write class c's per-job share into
 // shares[c] for every nonempty class — exactly the value Allocate would
-// write into each alloc.Classes[c][i]; the cross-engine equivalence suite
+// write into each alloc.Classes[c][i]; the sparse-vs-dense equivalence suite
 // holds the two faces together. The engine zeroes the slice beforehand;
 // entries for empty classes are ignored. Implementations must be
 // size-blind, like Allocate itself.
@@ -292,8 +292,7 @@ func (cs *classShareState) peekNext(s *System) (*Job, float64) {
 // share vector could complete it at the current instant (vtarget already
 // reached, or near enough that clock + remaining/rate could round to
 // clock): then the refresh must run now so the completion lands inside the
-// current AdvanceTo, exactly as the eager engine and the rebuild engine
-// would have it.
+// current AdvanceTo, exactly as an eager refresh would have it.
 func (cs *classShareState) deferSafe(s *System) bool {
 	ulp := math.Nextafter(s.clock, math.Inf(1)) - s.clock
 	for c := range cs.vq {
@@ -391,7 +390,7 @@ func (cs *classShareState) refresh(s *System) {
 }
 
 // complete finishes head job j: pop it, settle its floating-point residual
-// into Remaining (completeInc folds it out of the work aggregate), and
+// into Remaining (complete folds it out of the work aggregate), and
 // shrink the class aggregates by one job's worth.
 func (cs *classShareState) complete(s *System, j *Job) {
 	c := j.Class

@@ -1,14 +1,13 @@
 package sim_test
 
-// Cross-engine equivalence suite: the rebuild and incremental engines must
-// make identical scheduling decisions on identical traces. Completion
-// sequences (job IDs and classes, in completion order) are diffed exactly;
-// completion times and aggregate statistics are compared to 1e-9 relative —
-// the engines round differently by construction (the rebuild engine
-// re-derives every completion time at every event; the incremental engine
-// anchors it at the last rate change), so bit-equality across engines is
-// not attainable without re-introducing the O(n) scan. Each engine is
-// individually bit-frozen by its own golden set.
+// Differential equivalence suite: the engine's structure-specific fast
+// paths (sparse write-sets, EQUI's class shares, SRPT's indexed heap) must
+// make the same scheduling decisions as its dense settle-all fallback
+// (Options.ForceDense) on identical traces. Completion sequences (job IDs
+// and classes, in completion order) are diffed exactly; completion times
+// and aggregate statistics are compared to 1e-9 relative. The retired
+// rebuild engine's frozen output (golden_test.go) is held to the same
+// tolerance.
 
 import (
 	"fmt"
@@ -27,7 +26,7 @@ import (
 	"repro/internal/xrand"
 )
 
-// equivTol is the relative tolerance for cross-engine float comparisons.
+// equivTol is the relative tolerance for cross-path float comparisons.
 const equivTol = 1e-9
 
 func closeRel(a, b float64) bool {
@@ -150,22 +149,15 @@ func diffTraces(aName string, a []sim.Completion, aSys *sim.System, bName string
 	return nil
 }
 
-// diffEngines runs three engine configurations on one trace and reports the
-// first divergence, if any: the rebuild engine, the incremental engine on
-// its structure-specific fast paths (sparse write-sets, EQUI's class
-// shares, SRPT's indexed heap), and the incremental engine pinned to its
-// dense fallback via Options.ForceDense. The third run is the differential
-// oracle of the sparse paths: every fast path must reproduce the dense
-// fallback's decisions exactly, not just the rebuild engine's.
+// diffEngines runs the engine on its structure-specific fast paths and
+// pinned to its dense fallback via Options.ForceDense, on one trace, and
+// reports the first divergence, if any. The dense run is the differential
+// oracle of the fast paths.
 func diffEngines(t testing.TB, k int, classes []sim.ClassSpec, polName string, trace []sim.Arrival) error {
 	t.Helper()
-	reb, rebSys := engineTrace(t, sim.Options{Engine: sim.EngineRebuild}, k, classes, polName, trace)
-	inc, incSys := engineTrace(t, sim.Options{Engine: sim.EngineIncremental}, k, classes, polName, trace)
-	if err := diffTraces("rebuild", reb, rebSys, "incremental", inc, incSys, k); err != nil {
-		return err
-	}
-	dense, denseSys := engineTrace(t, sim.Options{Engine: sim.EngineIncremental, ForceDense: true}, k, classes, polName, trace)
-	return diffTraces("incremental", inc, incSys, "incremental/dense", dense, denseSys, k)
+	fast, fastSys := engineTrace(t, sim.Options{}, k, classes, polName, trace)
+	dense, denseSys := engineTrace(t, sim.Options{ForceDense: true}, k, classes, polName, trace)
+	return diffTraces("sparse", fast, fastSys, "dense", dense, denseSys, k)
 }
 
 // TestEngineEquivalenceMatrix is the acceptance matrix: every preset
@@ -185,8 +177,8 @@ func TestEngineEquivalenceMatrix(t *testing.T) {
 
 // TestEngineEquivalenceQuick is the testing/quick harness of the satellite:
 // random (seed, k, rho, preset, policy) configurations drive random
-// arrival/size streams through both engines; any divergence in the
-// completion sequence fails. The rand source is fixed so the run is
+// arrival/size streams through the fast and dense paths; any divergence in
+// the completion sequence fails. The rand source is fixed so the run is
 // reproducible.
 func TestEngineEquivalenceQuick(t *testing.T) {
 	if testing.Short() {
@@ -211,10 +203,10 @@ func TestEngineEquivalenceQuick(t *testing.T) {
 	}
 }
 
-// TestSteadyStateAllocsIncremental pins the incremental engine's hot path
-// at <= 1 heap allocation per event — same gate as the rebuild engine
-// (alloc_test.go), covering the sparse write-set protocol (IF, EF, LFF,
-// FCFS), EQUI's class-share path and SRPT's indexed-heap path.
+// TestSteadyStateAllocsIncremental pins the engine's hot path at <= 1 heap
+// allocation per event — the alloc_test.go gate at higher load — covering
+// the sparse write-set protocol (IF, EF, LFF, FCFS), EQUI's class-share
+// path and SRPT's indexed-heap path.
 func TestSteadyStateAllocsIncremental(t *testing.T) {
 	measure := func(t *testing.T, sys *sim.System, src sim.ArrivalSource) float64 {
 		t.Helper()
@@ -245,7 +237,7 @@ func TestSteadyStateAllocsIncremental(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			model := workload.ModelForLoad(4, 0.8, 1.5, 1.0)
-			sys := sim.NewClassSystemOpts(model.K, sim.TwoClassSpecs(), tc.pol, sim.Options{Engine: sim.EngineIncremental})
+			sys := sim.NewClassSystem(model.K, sim.TwoClassSpecs(), tc.pol)
 			if got := measure(t, sys, model.Source(3)); got > 1 {
 				t.Fatalf("incremental steady-state stepping allocates %.3f/event under %s, want <= 1", got, tc.pol.Name())
 			}
@@ -253,7 +245,7 @@ func TestSteadyStateAllocsIncremental(t *testing.T) {
 	}
 	t.Run("LFF-mix", func(t *testing.T) {
 		mix := workload.ThreeClassCaps(8, 0.7)
-		sys := sim.NewClassSystemOpts(8, mix.Classes, &policy.LeastFlexibleFirst{}, sim.Options{Engine: sim.EngineIncremental})
+		sys := sim.NewClassSystem(8, mix.Classes, &policy.LeastFlexibleFirst{})
 		if got := measure(t, sys, mix.Source(3)); got > 1 {
 			t.Fatalf("incremental multi-class stepping allocates %.3f/event, want <= 1", got)
 		}
@@ -274,7 +266,7 @@ func TestSteadyStateAllocsIncremental(t *testing.T) {
 			{"SRPT", &policy.SRPTK{}},
 		} {
 			t.Run(fmt.Sprintf("arena-n%d-%s", n, tc.name), func(t *testing.T) {
-				sys := sim.NewClassSystemOpts(4, sim.TwoClassSpecs(), tc.pol, sim.Options{Engine: sim.EngineIncremental})
+				sys := sim.NewClassSystem(4, sim.TwoClassSpecs(), tc.pol)
 				rng := xrand.NewStream(7, 1)
 				for i := 0; i < n; i++ {
 					sys.Arrive(sim.Arrival{Time: 0, Class: sim.Inelastic, Size: rng.Exp(1)})
@@ -300,7 +292,7 @@ func TestSteadyStateAllocsIncremental(t *testing.T) {
 	}
 }
 
-// TestSteadyStateBytesIncremental pins the incremental engine's steady-state
+// TestSteadyStateBytesIncremental pins the engine's steady-state
 // byte rate, not just its allocation count: TestSteadyStateAllocsIncremental
 // would not notice a single allocation silently growing from 4 bytes to 4
 // kilobytes. The bound is deliberately loose (64 B/event, versus ~4 B/event
@@ -319,7 +311,7 @@ func TestSteadyStateBytesIncremental(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			model := workload.ModelForLoad(4, 0.8, 1.5, 1.0)
-			sys := sim.NewClassSystemOpts(model.K, sim.TwoClassSpecs(), tc.pol, sim.Options{Engine: sim.EngineIncremental})
+			sys := sim.NewClassSystem(model.K, sim.TwoClassSpecs(), tc.pol)
 			src := model.Source(3)
 			step := func() {
 				a, _ := src.Next()
@@ -361,7 +353,7 @@ func TestSteadyStateBytesIncremental(t *testing.T) {
 			{"EQUI", policy.Equi{}, 320},
 		} {
 			t.Run(fmt.Sprintf("arena-n%d-%s", n, tc.name), func(t *testing.T) {
-				sys := sim.NewClassSystemOpts(4, sim.TwoClassSpecs(), tc.pol, sim.Options{Engine: sim.EngineIncremental})
+				sys := sim.NewClassSystem(4, sim.TwoClassSpecs(), tc.pol)
 				rng := xrand.NewStream(7, 1)
 				for i := 0; i < n; i++ {
 					sys.Arrive(sim.Arrival{Time: 0, Class: sim.Inelastic, Size: rng.Exp(1)})
@@ -391,14 +383,13 @@ func TestSteadyStateBytesIncremental(t *testing.T) {
 	}
 }
 
-// benchOccupancy measures one engine's per-event cost with the occupancy
+// benchOccupancy measures the engine's per-event cost with the occupancy
 // held at exactly n: the system is preloaded with n inelastic jobs on k=4
 // servers, then every iteration completes one job and admits a replacement
-// at the completion instant. Under the rebuild engine each event rebuilds
-// the n-entry future-event list and depletes all n jobs (O(n)); under the
-// incremental engine only the changed jobs settle (O(changed · log n)).
-func benchOccupancy(b *testing.B, n int, pol sim.Policy, engine sim.Engine) {
-	sys := sim.NewClassSystemOpts(4, sim.TwoClassSpecs(), pol, sim.Options{Engine: engine})
+// at the completion instant. Only the changed jobs settle, so the cost is
+// O(changed · log n), not O(n).
+func benchOccupancy(b *testing.B, n int, pol sim.Policy) {
+	sys := sim.NewClassSystem(4, sim.TwoClassSpecs(), pol)
 	rng := xrand.NewStream(7, 1)
 	for i := 0; i < n; i++ {
 		sys.Arrive(sim.Arrival{Time: 0, Class: sim.Inelastic, Size: rng.Exp(1)})
@@ -421,27 +412,20 @@ func benchOccupancy(b *testing.B, n int, pol sim.Policy, engine sim.Engine) {
 	}
 }
 
-// benchEngines runs the occupancy benchmark for both engines under IF (the
-// historical series — the bare rebuild/incremental names must keep their
-// meaning so BENCH_engine.json stays comparable across entries) and under
-// the two policies with structure-specific fast paths: EQUI (class-share
-// water-filling) and SRPT (indexed heap). The EQUI and SRPT rebuild
-// variants price what the fast paths replace — under SRPT the rebuild
-// engine re-sorts all n jobs every event, so expect O(n^2)-ish ns/op.
+// benchEngines runs the occupancy benchmark under IF and under the two
+// policies with structure-specific fast paths: EQUI (class-share
+// water-filling) and SRPT (indexed heap). The sub-benchmark names predate
+// the retirement of the rebuild engine and are kept so BENCH_engine.json
+// stays comparable across entries.
 func benchEngines(b *testing.B, n int) {
-	b.Run("rebuild", func(b *testing.B) { benchOccupancy(b, n, policy.InelasticFirst{}, sim.EngineRebuild) })
-	b.Run("incremental", func(b *testing.B) { benchOccupancy(b, n, policy.InelasticFirst{}, sim.EngineIncremental) })
-	b.Run("rebuild-EQUI", func(b *testing.B) { benchOccupancy(b, n, policy.Equi{}, sim.EngineRebuild) })
-	b.Run("incremental-EQUI", func(b *testing.B) { benchOccupancy(b, n, policy.Equi{}, sim.EngineIncremental) })
-	b.Run("rebuild-SRPT", func(b *testing.B) { benchOccupancy(b, n, &policy.SRPTK{}, sim.EngineRebuild) })
-	b.Run("incremental-SRPT", func(b *testing.B) { benchOccupancy(b, n, &policy.SRPTK{}, sim.EngineIncremental) })
+	b.Run("incremental", func(b *testing.B) { benchOccupancy(b, n, policy.InelasticFirst{}) })
+	b.Run("incremental-EQUI", func(b *testing.B) { benchOccupancy(b, n, policy.Equi{}) })
+	b.Run("incremental-SRPT", func(b *testing.B) { benchOccupancy(b, n, &policy.SRPTK{}) })
 }
 
-// BenchmarkEngineEventN* pin the engines' per-event scaling in the resident
+// BenchmarkEngineEventN* pin the engine's per-event scaling in the resident
 // job count — the numbers recorded in BENCH_engine.json by scripts/bench.sh
-// and gated by `benchlog -check` in CI. The acceptance bar for this PR:
-// incremental >= 10x fewer ns/op than rebuild at n = 10k for EQUI and SRPT,
-// with 0 allocs/op in steady state.
+// and gated by `benchlog -check` in CI, at 0 allocs/op in steady state.
 func BenchmarkEngineEventN10(b *testing.B)  { benchEngines(b, 10) }
 func BenchmarkEngineEventN100(b *testing.B) { benchEngines(b, 100) }
 func BenchmarkEngineEventN1k(b *testing.B)  { benchEngines(b, 1000) }

@@ -207,9 +207,7 @@ func checkShareInvariants(t *testing.T, label string, sys *System) {
 	// to the next call when provably safe). Settle the pending refresh —
 	// exactly what the next stepping call would do first — so the checker
 	// reads the allocation the engine will actually integrate with.
-	if sys.engine == EngineIncremental {
-		sys.refreshAllocationInc()
-	}
+	sys.refreshAllocation()
 	k := float64(sys.k)
 	total := 0.0
 	if cs := sys.cs; cs != nil {
@@ -257,8 +255,8 @@ func checkShareInvariants(t *testing.T, label string, sys *System) {
 func runSparseShareFuzz(t *testing.T, mk func() Policy, data []byte) {
 	const k = 3
 	specs := TwoClassSpecs()
-	sparse := NewClassSystemOpts(k, specs, mk(), Options{Engine: EngineIncremental})
-	dense := NewClassSystemOpts(k, specs, mk(), Options{Engine: EngineIncremental, ForceDense: true})
+	sparse := NewClassSystem(k, specs, mk())
+	dense := NewClassSystemOpts(k, specs, mk(), Options{ForceDense: true})
 	if dense.cs != nil || dense.srpt != nil || dense.sparse != nil {
 		t.Fatal("ForceDense system still selected a fast path")
 	}
@@ -287,7 +285,7 @@ func runSparseShareFuzz(t *testing.T, mk func() Policy, data []byte) {
 			dense.Arrive(a)
 			arrived += size
 			n++
-			// The engines refresh allocations lazily; force the refresh so
+			// The engine refreshes allocations lazily; force the refresh so
 			// the invariant check below sees this arrival's share.
 			sparse.AdvanceTo(clock)
 			dense.AdvanceTo(clock)

@@ -1,14 +1,14 @@
 package sim
 
-// The incremental stepping engine (Options.Engine = EngineIncremental):
-// per-event cost O(changed jobs · log n) instead of the rebuild engine's
-// O(n), built from three pieces.
+// The incremental stepping engine: per-event cost O(changed jobs · log n)
+// instead of the O(n) of depleting every job and rebuilding the event list
+// at each event, built from three pieces.
 //
 //  1. Lazy work depletion. Each job carries its current rate and the time
-//     its Remaining was last settled (Job.updated); the rebuild engine's
-//     full advanceWork scan disappears. Remaining is settled only when the
-//     job's rate changes, when it completes, or when a dense (non-sparse)
-//     policy is about to run and may read it.
+//     its Remaining was last settled (Job.updated); there is no per-event
+//     scan over resident jobs. Remaining is settled only when the job's
+//     rate changes, when it completes, or when a dense (non-sparse) policy
+//     is about to run and may read it.
 //  2. An indexed future-event list (eventq.IndexedQueue), keyed by arena
 //     handle. A rate change reschedules the job's one entry in place; a
 //     preemption to zero removes it — the heap holds exactly the jobs with
@@ -30,9 +30,9 @@ package sim
 //     none of these facets — and every policy under Options.ForceDense or
 //     SIM_FORCE_DENSE — fall back to a dense path: settle every job, run
 //     Allocate on zeroed buffers, diff every entry. That is O(n) per event
-//     but produces identical decisions, so every policy is correct under
-//     either engine; the dense fallback doubles as the oracle the
-//     differential test harness diffs all fast paths against.
+//     but produces identical decisions, so every policy is correct on it;
+//     the dense fallback doubles as the oracle the differential test
+//     harness diffs all fast paths against.
 //
 // Per-class aggregates (incRate, incWork, incTotal) replace the metrics
 // integrator's per-job scans; they are renormalized to exact zero whenever
@@ -40,12 +40,12 @@ package sim
 // periods.
 //
 // Determinism: the engine is exactly reproducible (its golden set pins it
-// bit for bit), but it is NOT bit-identical to the rebuild engine. The
-// rebuild engine re-derives every completion time from freshly depleted
-// remaining work at every event; reproducing those roundings requires the
-// very O(n) scan this engine removes. The two engines agree to ~1e-12
-// relative — the cross-engine equivalence suite pins identical completion
-// ID sequences and statistics to 1e-9.
+// bit for bit), but it is NOT bit-identical to the retired rebuild engine,
+// which re-derived every completion time from freshly depleted remaining
+// work at every event; reproducing those roundings requires the very O(n)
+// scan this engine removes. The rebuild engine's frozen traces are kept as
+// an independent reference, matched with identical completion ID sequences
+// and statistics to 1e-9 relative.
 
 import (
 	"fmt"
@@ -109,9 +109,9 @@ func (ws *ShareSet) reset(numClasses int) {
 	ws.served = ws.served[:numClasses]
 }
 
-// SparsePolicy is an optional Policy extension consumed by the incremental
-// engine. AllocateSparse must report exactly the jobs that Allocate would
-// give a nonzero share, with the same shares — the cross-engine equivalence
+// SparsePolicy is an optional Policy extension consumed by the engine.
+// AllocateSparse must report exactly the jobs that Allocate would give a
+// nonzero share, with the same shares — the sparse-vs-dense equivalence
 // suite holds the two faces of every policy together. Implementations must
 // be size-blind: Job.Remaining is NOT settled before AllocateSparse runs.
 // Policies whose decision depends on n jobs at once should implement one of
@@ -193,8 +193,7 @@ func (s *System) setShare(j *Job, a float64) {
 	switch {
 	case j.Remaining <= 0:
 		// Fully depleted but not yet removed (an allocation change landed
-		// exactly on the finish time): completes immediately, like the
-		// rebuild engine's zero-remaining Append.
+		// exactly on the finish time): completes immediately.
 		s.ievq.Set(s.clock, j.handle)
 	case rate > 0:
 		s.ievq.Set(s.clock+j.Remaining/rate, j.handle)
@@ -205,11 +204,11 @@ func (s *System) setShare(j *Job, a float64) {
 	}
 }
 
-// refreshAllocationInc re-runs the policy if the job set changed, through
+// refreshAllocation re-runs the policy if the job set changed, through
 // the fastest protocol the policy supports: the class-share path, the
 // engine-native remaining-size path, the sparse write-set protocol, or the
 // dense diff fallback.
-func (s *System) refreshAllocationInc() {
+func (s *System) refreshAllocation() {
 	if !s.allocDirty {
 		return
 	}
@@ -302,7 +301,7 @@ func (s *System) applySparse() {
 	s.incPrevValid = true
 }
 
-// applyDense diffs a fully materialized Allocation (the rebuild-style
+// applyDense diffs a fully materialized Allocation (the dense per-job
 // buffer) against every job's previous share — O(n), the correctness
 // fallback for policies without a SparsePolicy facet.
 func (s *System) applyDense() {
@@ -344,13 +343,13 @@ func (s *System) popEvent() {
 	}
 }
 
-// advanceTimeInc integrates metrics and the per-class aggregates up to t
+// advanceTime integrates metrics and the per-class aggregates up to t
 // with no completion in between — O(#classes), no per-job work. The metric
 // integrals and the aggregate depletion run fused in one per-class pass
 // (the per-class terms are independent, so the fusion is bit-invisible);
-// the integrals are the same segment formulas the rebuild engine computes
-// from per-job scans, here read off the maintained aggregates.
-func (s *System) advanceTimeInc(t float64) {
+// the integrals are the exact per-segment formulas, read off the maintained
+// aggregates instead of per-job scans.
+func (s *System) advanceTime(t float64) {
 	dt := t - s.clock
 	if dt <= 0 {
 		return
@@ -395,10 +394,10 @@ func (s *System) arriveInc(j *Job) {
 	}
 }
 
-// completeInc finishes j at the current clock: settle, remove, record,
+// complete finishes j at the current clock: settle, remove, record,
 // recycle. The caller has already popped (or never armed) the job's event
 // entry, so its handle leaves the engine with no event referencing it.
-func (s *System) completeInc(j *Job) {
+func (s *System) complete(j *Job) {
 	if s.sparse != nil {
 		// Warm the about-to-be-promoted jobs: the refresh that follows this
 		// completion walks the first unserved job of some class (profiling
@@ -485,86 +484,20 @@ func (s *System) completeInc(j *Job) {
 	}
 }
 
-// advanceToInc is AdvanceTo under the incremental engine: identical event
-// semantics (completions in (clock, t], including ones landing exactly on
-// the clock or on t), different bookkeeping.
-func (s *System) advanceToInc(t float64) []Completion {
-	s.records = s.records[:0]
-	for {
-		s.refreshAllocationInc()
-		j, tc := s.peekLive()
-		if j != nil && tc <= t {
-			s.popEvent()
-			s.advanceTimeInc(tc)
-			s.completeInc(j)
-			// Batch simultaneous completions: rates cannot change until the
-			// policy re-runs, so every other live event at exactly tc is
-			// already decided — complete them all now and re-invoke the
-			// policy once for the whole timestamp instead of once per event.
-			// Exact-time ties are what batch/fork-join workloads produce.
-			for {
-				j2, tc2 := s.peekLive()
-				if j2 == nil || tc2 != tc {
-					break
-				}
-				s.popEvent()
-				s.completeInc(j2)
-			}
-			// Class-share refresh deferral: when the advance ends exactly at
-			// this batch's timestamp and every surviving class head is
-			// provably clear of the completion coordinate, the policy re-run
-			// cannot produce another completion inside this AdvanceTo — so
-			// it waits for the next stepping call, where it merges with the
-			// refresh that call performs anyway (allocDirty stays set). For
-			// the completion-then-arrival-at-the-same-instant shape of
-			// lockstep drivers this halves the policy work per event.
-			if s.cs != nil && tc == t && s.cs.deferSafe(s) {
-				break
-			}
-			continue
-		}
-		if s.clock < t {
-			s.advanceTimeInc(t)
-		}
-		break
-	}
-	// Clamp accumulated floating error so coupled runs stay aligned.
-	s.clock = t
-	return s.materializeCompletions()
-}
-
-// advanceClockOnlyInc mirrors advanceClockOnly: integrate up to t assuming
-// no completion strictly before t; completions exactly at t wait for the
-// next AdvanceTo, after the arrival at t has joined the queue.
-func (s *System) advanceClockOnlyInc(t float64) {
+// advanceClockOnly integrates up to t assuming no completion strictly
+// before t; completions exactly at t wait for the next AdvanceTo, after the
+// arrival at t has joined the queue.
+func (s *System) advanceClockOnly(t float64) {
 	for s.clock < t {
-		s.refreshAllocationInc()
+		s.refreshAllocation()
 		j, tc := s.peekLive()
 		if j == nil || tc >= t {
-			s.advanceTimeInc(t)
+			s.advanceTime(t)
 			break
 		}
 		s.popEvent()
-		s.advanceTimeInc(tc)
-		s.completeInc(j)
+		s.advanceTime(tc)
+		s.complete(j)
 	}
 	s.clock = t
-}
-
-// drainInc mirrors Drain under the incremental engine.
-func (s *System) drainInc(horizon float64) []Completion {
-	s.records = s.records[:0]
-	for s.NumJobs() > 0 && s.clock < horizon {
-		s.refreshAllocationInc()
-		j, tc := s.peekLive()
-		if j == nil || tc > horizon {
-			s.advanceTimeInc(horizon)
-			s.clock = horizon
-			break
-		}
-		s.popEvent()
-		s.advanceTimeInc(tc)
-		s.completeInc(j)
-	}
-	return append([]Completion(nil), s.materializeCompletions()...)
 }

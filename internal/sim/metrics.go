@@ -96,9 +96,8 @@ func (m *Metrics) Clone() Metrics {
 	return out
 }
 
-// The incremental engine's metric integrator lives fused inside
-// System.advanceTimeInc (one pass with the aggregate depletion), like the
-// rebuild engine's lives fused inside System.advanceWork.
+// The metric integrator lives fused inside System.advanceTime (one pass
+// with the aggregate depletion).
 
 func (m *Metrics) recordCompletion(j *Job, now float64) {
 	resp := now - j.Arrival

@@ -3,8 +3,8 @@ package sim_test
 // Multi-class engine tests, ported from the former internal/mcsim package:
 // the unified N-class engine must cover everything the specialized
 // multi-class simulator did — arbitrary class counts, caps, renormalization
-// identities and the Section 6 priority orderings — on top of being
-// bit-identical to the two-class engine (golden_test.go).
+// identities and the Section 6 priority orderings — on top of reproducing
+// the two-class engine's frozen traces (golden_test.go).
 
 import (
 	"math"

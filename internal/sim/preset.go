@@ -6,7 +6,8 @@ import "strconv"
 // engine: class 0 is the inelastic class (speedup min(a, 1)) and class 1 is
 // the elastic class (linear speedup). Every historical two-class entry point
 // (NewSystem, NumInelastic, WorkElastic, ...) delegates to the generalized
-// engine and is bit-identical to the pre-unification two-class simulator —
+// engine, which reproduces the pre-unification two-class simulator's frozen
+// traces (identical completion sequences, times and statistics to 1e-9) —
 // pinned by the golden tests in golden_test.go.
 
 const (

@@ -50,10 +50,6 @@ type RunConfig struct {
 	Horizon float64
 	// TrackOccupancy enables the time-weighted (i, j) state histogram.
 	TrackOccupancy bool
-	// Engine selects the stepping engine; the zero value is the default
-	// rebuild engine (bit-frozen goldens). EngineIncremental opts into
-	// O(changed · log n) stepping for high-occupancy runs.
-	Engine Engine
 }
 
 func (cfg RunConfig) classes() []ClassSpec {
@@ -97,7 +93,7 @@ func Run(cfg RunConfig) Result {
 	if cfg.MaxJobs <= 0 {
 		panic("sim: RunConfig.MaxJobs must be positive")
 	}
-	sys := NewClassSystemOpts(cfg.K, cfg.classes(), cfg.Policy, Options{Engine: cfg.Engine})
+	sys := NewClassSystem(cfg.K, cfg.classes(), cfg.Policy)
 	sys.Metrics().TrackOccupancy = cfg.TrackOccupancy
 	sys.ResetMetrics()
 	horizon := cfg.Horizon
@@ -168,7 +164,7 @@ func RunObserved(cfg RunConfig, observe func(Completion)) Result {
 	if cfg.MaxJobs <= 0 {
 		panic("sim: RunConfig.MaxJobs must be positive")
 	}
-	sys := NewClassSystemOpts(cfg.K, cfg.classes(), cfg.Policy, Options{Engine: cfg.Engine})
+	sys := NewClassSystem(cfg.K, cfg.classes(), cfg.Policy)
 	sys.Metrics().TrackOccupancy = cfg.TrackOccupancy
 	sys.ResetMetrics()
 	horizon := cfg.Horizon
@@ -202,12 +198,7 @@ func RunObserved(cfg RunConfig, observe func(Completion)) Result {
 // completion under the current allocation, or +Inf when nothing is running.
 // The coupled drivers use it to build the union event grid of two systems.
 func (s *System) NextEventTime() float64 {
-	if s.engine == EngineIncremental {
-		s.refreshAllocationInc()
-		_, t := s.peekLive()
-		return t
-	}
 	s.refreshAllocation()
-	_, t := s.nextCompletion()
+	_, t := s.peekLive()
 	return t
 }

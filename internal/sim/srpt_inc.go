@@ -20,10 +20,9 @@ package sim
 // RemainingOrderedPolicy marks policies whose allocation rule is exactly:
 // walk jobs by ascending settled remaining size (ties to the lower class,
 // FCFS within a class), giving each job up to its class cap until the
-// servers run out. The incremental engine executes the rule natively with
-// an indexed heap instead of calling Allocate; the dense face must make
-// the identical decision — the cross-engine equivalence suite holds the
-// two together.
+// servers run out. The engine executes the rule natively with an indexed
+// heap instead of calling Allocate; the dense face must make the identical
+// decision — the sparse-vs-dense equivalence suite holds the two together.
 type RemainingOrderedPolicy interface {
 	Policy
 	RemainingOrdered()

@@ -20,9 +20,10 @@ func FuzzFrameCodec(f *testing.F) {
 	f.Add([]byte("-1\n{}\n"))
 	f.Add([]byte("99999999999\n{}\n"))
 	f.Add([]byte("4\nnull\n2\n{}\n"))
-	f.Add([]byte("2\n{}"))        // missing trailing newline
-	f.Add([]byte("67108864\nx"))  // announces MaxFrame, delivers one byte
-	f.Add([]byte("banana\n{}\n")) // non-numeric length
+	f.Add([]byte("2\n{}"))                 // missing trailing newline
+	f.Add([]byte("67108864\nx"))           // announces MaxFrame, delivers one byte
+	f.Add([]byte("banana\n{}\n"))          // non-numeric length
+	f.Add([]byte("13\n{\"00&0000\":0}\n")) // json.Marshal re-encodes & as \u0026
 	f.Fuzz(func(t *testing.T, data []byte) {
 		br := bufio.NewReader(bytes.NewReader(data))
 		for frames := 0; frames < 64; frames++ {
@@ -58,10 +59,15 @@ func FuzzFrameCodec(f *testing.F) {
 	})
 }
 
+// compact normalizes JSON for comparison: compacted, with <, >, & and
+// U+2028/U+2029 inside strings escaped the way json.Marshal (and so
+// WriteFrame) escapes them — the same value either way.
 func compact(raw json.RawMessage) ([]byte, error) {
 	var buf bytes.Buffer
 	if err := json.Compact(&buf, raw); err != nil {
 		return nil, err
 	}
-	return buf.Bytes(), nil
+	var out bytes.Buffer
+	json.HTMLEscape(&out, buf.Bytes())
+	return out.Bytes(), nil
 }

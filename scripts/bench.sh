@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Engine benchmark harness: runs the hot-path benchmarks (two-class and
-# multi-class stepping, the rebuild-vs-incremental occupancy scaling at
+# multi-class stepping, the occupancy scaling under IF, EQUI and SRPT at
 # n in {10, 100, 1k, 10k}, the end-to-end simulator throughput, and the
 # internal/serve loopback serving path — cache-hit and coalesced req/sec) and
 # APPENDS one dated entry to BENCH_engine.json via cmd/benchlog, so the
@@ -16,12 +16,10 @@
 #        scripts/bench.sh profile [benchtime]    (profile mode)
 #
 # Profile mode appends nothing: it reruns the occupancy-scaling hot path
-# (the incremental-engine legs of BenchmarkEngineEventN10k — the constant
-# being attacked; the rebuild legs are O(n)/O(n^2) by design and would
-# drown the profile) under the CPU, allocation and mutex profilers and
-# drops flamegraph-ready BENCH_cpu.prof / BENCH_mem.prof / BENCH_mutex.prof
-# (plus the test binary BENCH_bench.test for symbolizing) next to
-# BENCH_engine.json. Inspect with e.g.
+# (BenchmarkEngineEventN10k, the constant being attacked) under the CPU,
+# allocation and mutex profilers and drops flamegraph-ready BENCH_cpu.prof /
+# BENCH_mem.prof / BENCH_mutex.prof (plus the test binary BENCH_bench.test
+# for symbolizing) next to BENCH_engine.json. Inspect with e.g.
 #   go tool pprof -http=: BENCH_bench.test BENCH_cpu.prof
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -31,8 +29,8 @@ OUT="BENCH_engine.json"
 
 if [ "${1:-}" = "profile" ]; then
   BENCHTIME="${2:-1s}"
-  echo "==> profiling BenchmarkEngineEventN10k/incremental* (-benchtime $BENCHTIME)"
-  go test ./internal/sim -run '^$' -bench 'BenchmarkEngineEventN10k/incremental' \
+  echo "==> profiling BenchmarkEngineEventN10k (-benchtime $BENCHTIME)"
+  go test ./internal/sim -run '^$' -bench 'BenchmarkEngineEventN10k' \
     -benchtime "$BENCHTIME" -o BENCH_bench.test \
     -cpuprofile BENCH_cpu.prof -memprofile BENCH_mem.prof -mutexprofile BENCH_mutex.prof
   # Smoke: the profiles must load and be non-trivial, or the wiring rotted.
