@@ -2,14 +2,13 @@
 // the command line: two policies are driven in lockstep over identical
 // arrival sequences and the total and inelastic work in system are compared
 // at every event epoch. Independent traces run in parallel on an
-// internal/exp dispatch backend — goroutines by default, worker
-// subprocesses with -backend proc, or a networked fabric dispatcher with
-// -backend fabric -dispatcher host:port.
+// internal/exp dispatch backend — goroutines by default, or a networked
+// fabric dispatcher with -dispatcher host:port.
 //
 // Usage:
 //
 //	dominance -k 4 -rho 0.8 -muI 1.5 -muE 1.0 -a IF -b EF -n 20000 -seeds 5
-//	dominance -k 4 -rho 0.8 -a IF -b FCFS -seeds 8 -backend proc -procs 4
+//	dominance -k 4 -rho 0.8 -a IF -b FCFS -seeds 8 -dispatcher 127.0.0.1:9071
 //	dominance -k 4 -rho 0.8 -seeds 32 -cache dominance.jsonl   # resumable
 //
 // -cache persists each finished trace as a JSONL task outcome (keyed by
@@ -29,7 +28,6 @@ import (
 )
 
 func main() {
-	exp.MaybeServeWorker() // answer the ProcBackend protocol when spawned as a worker
 	log.SetFlags(0)
 	log.SetPrefix("dominance: ")
 	var (
@@ -41,10 +39,8 @@ func main() {
 		polB     = flag.String("b", "EF", "policy B")
 		n        = flag.Int("n", 20_000, "arrivals per trace")
 		seeds    = flag.Int("seeds", 5, "number of independent traces")
-		workers  = flag.Int("workers", 0, "worker pool size (0 = GOMAXPROCS)")
-		backend  = flag.String("backend", "pool", "dispatch backend: pool (goroutines), proc (worker subprocesses) or fabric (networked dispatcher)")
-		procs    = flag.Int("procs", 0, "worker subprocess count for -backend proc (0 = GOMAXPROCS)")
-		dispatch = flag.String("dispatcher", "", "fabric dispatcher address (host:port) for -backend fabric")
+		workers  = flag.Int("workers", 0, "worker pool size when -dispatcher is unset (0 = GOMAXPROCS)")
+		dispatch = flag.String("dispatcher", "", "run on the fabric dispatcher at this address (host:port) instead of the in-process pool")
 		cache    = flag.String("cache", "", "JSONL outcome cache; finished traces are reused across runs")
 	)
 	flag.Parse()
@@ -52,17 +48,8 @@ func main() {
 		log.Fatalf("unexpected arguments: %v", flag.Args())
 	}
 	var be exp.Backend
-	switch *backend {
-	case "pool":
-	case "proc":
-		be = &exp.ProcBackend{Procs: *procs}
-	case "fabric":
-		if *dispatch == "" {
-			log.Fatal("-backend fabric requires -dispatcher host:port")
-		}
+	if *dispatch != "" {
 		be = &fabric.Backend{Addr: *dispatch, Name: "dominance"}
-	default:
-		log.Fatalf("unknown -backend %q (want pool, proc or fabric)", *backend)
 	}
 	var oc exp.OutcomeCache
 	if *cache != "" {

@@ -9,8 +9,8 @@
 //	fabricd -role worker -dispatcher 127.0.0.1:9071 -slots 8
 //
 // Sweeps are submitted either attached, from any driver with
-// `-backend fabric -dispatcher host:port` (simulate, figures, dominance),
-// or detached via cmd/psq. Workers heartbeat while connected and reconnect
+// `-dispatcher host:port` (simulate, figures, dominance, resultd), or
+// detached via cmd/psq. Workers heartbeat while connected and reconnect
 // with exponential backoff; the dispatcher re-queues the in-flight task of
 // a lost worker, so killing a worker mid-sweep changes nothing about the
 // results — every backend is bit-identical by construction.

@@ -1,9 +1,8 @@
 // Command figures regenerates every figure of the paper's evaluation
 // section as CSV (and an ASCII rendering for the heat maps), dispatching
 // each figure's parameter grid across an internal/exp backend — the
-// in-process goroutine pool by default, sharded worker subprocesses with
-// -backend proc, or a networked fabric dispatcher with -backend fabric
-// -dispatcher host:port (bit-identical output any way):
+// in-process goroutine pool by default, or a networked fabric dispatcher
+// with -dispatcher host:port (bit-identical output either way):
 //
 //	figures -fig 4            # heat maps of Figure 4a/4b/4c
 //	figures -fig 5            # curves of Figure 5a/5b/5c
@@ -12,7 +11,7 @@
 //	figures -fig ablation     # busy-period fit ablation
 //	figures -fig mix          # Section 6 class-mix sweep (N-class engine)
 //	figures -fig all          # everything, written to -outdir
-//	figures -fig mix -backend proc -procs 4
+//	figures -fig mix -dispatcher 127.0.0.1:9071
 //	figures -fig all -cache figures.jsonl    # resume an interrupted run
 //
 // -cache persists finished work as JSONL: the mix sweep at cell
@@ -60,7 +59,6 @@ func ysOf(points []exp.CurvePoint, ifPolicy bool) []float64 {
 }
 
 func main() {
-	exp.MaybeServeWorker() // answer the ProcBackend protocol when spawned as a worker
 	log.SetFlags(0)
 	log.SetPrefix("figures: ")
 	var (
@@ -68,10 +66,8 @@ func main() {
 		outdir   = flag.String("outdir", "", "write CSVs here instead of stdout")
 		quick    = flag.Bool("quick", false, "smaller grids / shorter simulations")
 		svg      = flag.Bool("svg", false, "also render SVG figures into -outdir")
-		workers  = flag.Int("workers", 0, "worker pool size (0 = GOMAXPROCS)")
-		backend  = flag.String("backend", "pool", "dispatch backend: pool (goroutines), proc (worker subprocesses) or fabric (networked dispatcher)")
-		procs    = flag.Int("procs", 0, "worker subprocess count for -backend proc (0 = GOMAXPROCS)")
-		dispatch = flag.String("dispatcher", "", "fabric dispatcher address (host:port) for -backend fabric")
+		workers  = flag.Int("workers", 0, "worker pool size when -dispatcher is unset (0 = GOMAXPROCS)")
+		dispatch = flag.String("dispatcher", "", "run on the fabric dispatcher at this address (host:port) instead of the in-process pool")
 		cache    = flag.String("cache", "", "JSONL cache; finished cells and grid points are reused across runs")
 	)
 	flag.Parse()
@@ -82,17 +78,8 @@ func main() {
 		log.Fatal("-svg requires -outdir")
 	}
 	opt := exp.Options{Workers: *workers}
-	switch *backend {
-	case "pool":
-	case "proc":
-		opt.Backend = &exp.ProcBackend{Procs: *procs}
-	case "fabric":
-		if *dispatch == "" {
-			log.Fatal("-backend fabric requires -dispatcher host:port")
-		}
+	if *dispatch != "" {
 		opt.Backend = &fabric.Backend{Addr: *dispatch, Name: "figures"}
-	default:
-		log.Fatalf("unknown -backend %q (want pool, proc or fabric)", *backend)
 	}
 	if *cache != "" {
 		fc, err := exp.OpenFileCache(*cache)

@@ -13,7 +13,7 @@
 // same flags; Ctrl-C cancels the job on the dispatcher. A -detach submit
 // returns the job id immediately and leaves the sweep running on the
 // fabric, warming the dispatcher's outcome cache — a later submission of
-// the same cells (from psq or any driver with -backend fabric) is answered
+// the same cells (from psq or any driver with -dispatcher) is answered
 // from the cache without recomputation.
 package main
 

@@ -4,8 +4,8 @@
 // for long sweeps over SSE (internal/serve).
 //
 //	resultd -listen 127.0.0.1:9080
-//	resultd -listen :0 -addr-file resultd.addr -backend fabric -dispatcher 127.0.0.1:9071
-//	resultd -backend proc -procs 4 -cache cells.jsonl
+//	resultd -listen :0 -addr-file resultd.addr -dispatcher 127.0.0.1:9071
+//	resultd -workers 4 -cache cells.jsonl
 //
 //	curl -s -X POST --data @spec.json http://127.0.0.1:9080/v1/sweep
 //	curl -sN -X POST --data @spec.json http://127.0.0.1:9080/v1/sweep/stream
@@ -39,17 +39,14 @@ import (
 )
 
 func main() {
-	exp.MaybeServeWorker() // answer the ProcBackend protocol when spawned as a worker
 	log.SetFlags(0)
 	log.SetPrefix("resultd: ")
 	var (
 		listen     = flag.String("listen", "127.0.0.1:9080", "address to listen on (\":0\" picks a free port)")
 		addrFile   = flag.String("addr-file", "", "write the actual listen address to this file (for scripts with -listen :0)")
-		backend    = flag.String("backend", "pool", "compute backend for cache misses: pool (goroutines), proc (worker subprocesses) or fabric (networked dispatcher)")
-		procs      = flag.Int("procs", 0, "worker subprocess count for -backend proc (0 = GOMAXPROCS)")
-		dispatch   = flag.String("dispatcher", "", "fabric dispatcher address (host:port) for -backend fabric")
-		redial     = flag.Duration("backend-redial", 10*time.Second, "for -backend fabric: how long a computation redials an unreachable dispatcher before the server degrades (cache hits keep serving, misses get 503 + Retry-After)")
-		workers    = flag.Int("workers", 0, "worker pool size for -backend pool (0 = GOMAXPROCS)")
+		dispatch   = flag.String("dispatcher", "", "compute cache misses on the fabric dispatcher at this address (host:port) instead of the in-process pool")
+		redial     = flag.Duration("backend-redial", 10*time.Second, "with -dispatcher: how long a computation redials an unreachable dispatcher before the server degrades (cache hits keep serving, misses get 503 + Retry-After)")
+		workers    = flag.Int("workers", 0, "worker pool size when -dispatcher is unset (0 = GOMAXPROCS)")
 		cachePath  = flag.String("cache", "", "JSONL cell cache shared with simulate -cache; persists computed cells across restarts")
 		maxEntries = flag.Int("max-entries", 0, "response cache entry cap (0 = default 16Ki)")
 		maxBytes   = flag.Int64("max-bytes", 0, "response cache byte cap (0 = default 256 MiB)")
@@ -71,22 +68,15 @@ func main() {
 		MaxInflight:  *inflight,
 		Logf:         log.Printf,
 	}
-	switch *backend {
-	case "pool":
-	case "proc":
-		opts.Exp.Backend = &exp.ProcBackend{Procs: *procs}
-	case "fabric":
-		if *dispatch == "" {
-			log.Fatal("-backend fabric requires -dispatcher host:port")
-		}
+	backend := "pool"
+	if *dispatch != "" {
 		// A deliberately short redial budget: resultd degrades fast (serving
 		// cache hits, 503ing misses with a Retry-After) instead of letting
 		// every miss hang through a long dispatcher outage. The fabric
 		// client re-attaches by job ref, so a dispatcher restart inside the
 		// budget is a stall, not a failure.
 		opts.Exp.Backend = &fabric.Backend{Addr: *dispatch, Name: "resultd", RedialBudget: *redial}
-	default:
-		log.Fatalf("unknown -backend %q (want pool, proc or fabric)", *backend)
+		backend = "fabric " + *dispatch
 	}
 	if *cachePath != "" {
 		fc, err := exp.OpenFileCache(*cachePath)
@@ -105,7 +95,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	log.Printf("serving on http://%s (backend %s)", ln.Addr(), *backend)
+	log.Printf("serving on http://%s (backend %s)", ln.Addr(), backend)
 	if *addrFile != "" {
 		if err := os.WriteFile(*addrFile, []byte(ln.Addr().String()+"\n"), 0o644); err != nil {
 			log.Fatal(err)

@@ -12,14 +12,13 @@
 //	simulate -k 8 -rho 0.7 -scenario mapreduce,mlplatform -policy IF,EF
 //	simulate -k 8 -rho 0.5,0.7 -mix threeclass,partialelastic -policy LFF,EQUI,EF
 //	simulate -k 4 -rho 0.9 -muI 1 -muE 1 -policy IF -cache sweep.jsonl -csv out.csv
-//	simulate -k 4 -rho 0.7,0.9 -mix threeclass -policy LFF,EQUI -tail -backend proc -procs 4
+//	simulate -k 4 -rho 0.7,0.9 -mix threeclass -policy LFF,EQUI -tail -dispatcher 127.0.0.1:9071
 //	simulate -k 16 -rho 0.98 -muI 1 -muE 1 -policy IF -jobs 2000000
 //	simulate -k 4 -rho 0.9 -mix threeclass -policy LFF -quantiles 0.5,0.95,0.99,0.999
 //
-// -backend proc shards the (cell, replication) tasks across worker
-// subprocesses (exp.ProcBackend); -backend fabric -dispatcher host:port
-// submits them to a networked fabric dispatcher (cmd/fabricd) instead.
-// Results are bit-identical to the default goroutine pool either way.
+// -dispatcher host:port submits the (cell, replication) tasks to a
+// networked fabric dispatcher (cmd/fabricd) instead of the default
+// goroutine pool; results are bit-identical either way.
 // -tail adds reservoir-sampled p99 response times, overall
 // and per class; -quantiles widens that to any quantile set. Stepping costs
 // O(changed·log n) per event, so near-saturation sweeps with many resident
@@ -79,7 +78,6 @@ func parseList(s string) []string {
 }
 
 func main() {
-	exp.MaybeServeWorker() // answer the ProcBackend protocol when spawned as a worker
 	log.SetFlags(0)
 	log.SetPrefix("simulate: ")
 	var (
@@ -96,10 +94,8 @@ func main() {
 		batches  = flag.Int("batches", 0, "per-replication batch-means CI with this many batches (0 = off, else >= 2)")
 		seed     = flag.Uint64("seed", 1, "base RNG seed")
 		reps     = flag.Int("reps", 1, "independent replications per cell")
-		workers  = flag.Int("workers", 0, "worker pool size (0 = GOMAXPROCS)")
-		backend  = flag.String("backend", "pool", "dispatch backend: pool (goroutines), proc (worker subprocesses) or fabric (networked dispatcher)")
-		procs    = flag.Int("procs", 0, "worker subprocess count for -backend proc (0 = GOMAXPROCS)")
-		dispatch = flag.String("dispatcher", "", "fabric dispatcher address (host:port) for -backend fabric")
+		workers  = flag.Int("workers", 0, "worker pool size when -dispatcher is unset (0 = GOMAXPROCS)")
+		dispatch = flag.String("dispatcher", "", "run on the fabric dispatcher at this address (host:port) instead of the in-process pool")
 		tail     = flag.Bool("tail", false, "also report p99 response times, overall and per class")
 		quants   = flag.String("quantiles", "", "tail quantiles in (0,1), e.g. 0.5,0.95,0.99,0.999 (implies -tail)")
 		cache    = flag.String("cache", "", "JSONL result cache; completed cells are reused across runs")
@@ -166,17 +162,8 @@ func main() {
 	}
 
 	opt := exp.Options{Workers: *workers}
-	switch *backend {
-	case "pool":
-	case "proc":
-		opt.Backend = &exp.ProcBackend{Procs: *procs}
-	case "fabric":
-		if *dispatch == "" {
-			log.Fatal("-backend fabric requires -dispatcher host:port")
-		}
+	if *dispatch != "" {
 		opt.Backend = &fabric.Backend{Addr: *dispatch, Name: "simulate"}
-	default:
-		log.Fatalf("unknown -backend %q (want pool, proc or fabric)", *backend)
 	}
 	if *cache != "" {
 		fc, err := exp.OpenFileCache(*cache)

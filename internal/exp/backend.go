@@ -5,8 +5,8 @@ package exp
 // Everything a task needs is carried in plain JSON-round-trippable values —
 // cells, policies, mixes and speedup functions are referenced by name and
 // reconstructed on the executing side — so the same task runs bit-identically
-// on a goroutine of this process (PoolBackend), in a worker subprocess
-// (ProcBackend), or, eventually, on another host.
+// on a goroutine of this process (PoolBackend) or on a networked fabric
+// worker on another host (internal/fabric).
 
 import (
 	"context"
@@ -169,7 +169,7 @@ func specKey(kind string, spec any) (string, bool) {
 
 // Outcome is the result of one Task; the field matching the task kind is
 // set. Like Task it round-trips JSON exactly (float64 values marshal with
-// shortest-round-trip precision), which is what makes ProcBackend
+// shortest-round-trip precision), which is what makes the networked fabric
 // bit-identical to PoolBackend.
 type Outcome struct {
 	Rep       *Replication       `json:"rep,omitempty"`
@@ -180,7 +180,7 @@ type Outcome struct {
 }
 
 // Env is the per-submission context shared by all tasks of one Submit call.
-// It is serialized once per worker in ProcBackend's handshake.
+// Out-of-process backends ship it alongside every task they hand out.
 type Env struct {
 	// Sweep is required by Sim tasks (replication budget, seeds, keys);
 	// nil for submissions of analysis-only tasks.
@@ -220,7 +220,7 @@ type PoolBackend struct {
 // Submit implements Backend.
 func (p PoolBackend) Submit(ctx context.Context, env Env, tasks []Task, emit func(TaskResult) error) error {
 	_, err := Map(ctx, p.Workers, len(tasks), func(i int) (struct{}, error) {
-		out, err := runTask(env, tasks[i])
+		out, err := ExecuteTask(env, tasks[i])
 		if err != nil {
 			return struct{}{}, err
 		}
@@ -229,18 +229,12 @@ func (p PoolBackend) Submit(ctx context.Context, env Env, tasks []Task, emit fun
 	return err
 }
 
-// ExecuteTask runs one task in this process. It is the exported face of
-// runTask for out-of-package transports — internal/fabric's worker daemons
-// execute every assignment through it, which is what keeps a networked run
-// byte-identical to PoolBackend: all backends run the same executor.
-func ExecuteTask(env Env, t Task) (Outcome, error) { return runTask(env, t) }
-
-// runTask executes one task locally. It is the single executor shared by
-// every backend — PoolBackend calls it on a goroutine, ProcBackend's worker
-// subprocess calls it behind the wire protocol, fabric workers call it via
-// ExecuteTask — so all backends run byte-identical code. A panic anywhere
-// inside the task surfaces as this task's error.
-func runTask(env Env, t Task) (out Outcome, err error) {
+// ExecuteTask runs one task in this process. It is the single executor
+// shared by every backend — PoolBackend calls it on a goroutine,
+// internal/fabric's worker daemons call it for every assignment — so all
+// backends run byte-identical code. A panic anywhere inside the task
+// surfaces as this task's error.
+func ExecuteTask(env Env, t Task) (out Outcome, err error) {
 	defer func() {
 		if p := recover(); p != nil {
 			err = fmt.Errorf("exp: %s panicked: %v", t.Label(), p)

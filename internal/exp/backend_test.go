@@ -1,23 +1,18 @@
 package exp
 
-// Tests for the dispatch-backend seam: the serialization contract
-// (cells, keys and seeds must survive the process boundary bit-exactly),
-// PoolBackend/ProcBackend equivalence on both sweeps and the frozen figure
-// goldens, and ProcBackend's fault model (worker death retry, deterministic
-// task errors, cancellation). The proc tests re-execute this test binary as
-// the worker via TestMain + MaybeServeWorker.
+// Tests for the dispatch-backend seam: the serialization contract (cells,
+// keys and seeds must survive the process boundary bit-exactly) and the
+// shared executor's guarantees (error identity, the seed/key drift
+// tripwire, JSON-encodable outcomes). Pool-vs-fabric equivalence on every
+// task kind lives in internal/fabric.
 
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"math"
 	"reflect"
 	"strings"
 	"testing"
-	"time"
-
-	"repro/internal/core"
 )
 
 // TestKeyAndRepSeedPinned freezes the cache-key and seeding contract as
@@ -25,7 +20,7 @@ import (
 // every replication's random stream, so they must never drift — a change
 // here silently invalidates caches and reshuffles all published numbers.
 // The same values must re-derive after a JSON round-trip of the cell,
-// because ProcBackend ships cells across process boundaries as JSON.
+// because the fabric ships cells across process boundaries as JSON.
 func TestKeyAndRepSeedPinned(t *testing.T) {
 	sw := Sweep{Name: "pin", Reps: 2, BaseSeed: 7, Warmup: 100, Jobs: 1000}
 	cases := []struct {
@@ -118,240 +113,48 @@ func TestPoolBackendMatchesLegacyRun(t *testing.T) {
 	}
 }
 
-// procSweep is a small but multi-cell sweep for the subprocess tests.
-func procSweep() Sweep {
-	return Sweep{
-		Name: "proc",
-		Grid: Grid{
-			K:        []int{2},
-			Rho:      []float64{0.5, 0.7},
-			MuI:      []float64{1, 2},
-			MuE:      []float64{1},
-			Policies: []string{"IF", "EF"},
-		},
-		Reps:   2,
-		Warmup: 200,
-		Jobs:   1_500,
-	}
-}
-
-// TestProcBackendBitIdenticalToPool is the PR's correctness bar for sweeps:
-// the same Sweep through 2+ worker subprocesses must produce a ResultSet
-// whose JSON serialization is byte-for-byte the pool's.
-func TestProcBackendBitIdenticalToPool(t *testing.T) {
-	sw := procSweep()
-	pool, err := Run(context.Background(), sw, Options{Workers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	pb := &ProcBackend{Procs: 2}
-	proc, err := Run(context.Background(), sw, Options{Backend: pb})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var a, b strings.Builder
-	if err := pool.WriteJSON(&a); err != nil {
-		t.Fatal(err)
-	}
-	if err := proc.WriteJSON(&b); err != nil {
-		t.Fatal(err)
-	}
-	if a.String() != b.String() {
-		t.Fatal("ProcBackend ResultSet JSON differs from PoolBackend")
-	}
-	if pb.Restarts() != 0 {
-		t.Fatalf("healthy run restarted workers %d times", pb.Restarts())
-	}
-}
-
-// TestProcBackendTailBitIdentical covers the serialization of the new tail
-// fields: p99 values ride inside Replication across the wire.
-func TestProcBackendTailBitIdentical(t *testing.T) {
-	sw := procSweep()
-	sw.Tail = true
-	sw.Grid.Rho = []float64{0.6}
-	pool, err := Run(context.Background(), sw, Options{Workers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	proc, err := Run(context.Background(), sw, Options{Backend: &ProcBackend{Procs: 2}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(pool.Cells, proc.Cells) {
-		t.Fatal("tail sweep differs between pool and proc backends")
-	}
-	for _, cr := range pool.Cells {
-		if cr.P99 <= 0 || len(cr.P99PerClass) != 2 {
-			t.Fatalf("cell %v: missing tail aggregates: p99=%v perClass=%v", cr.Cell, cr.P99, cr.P99PerClass)
-		}
-	}
-}
-
-// TestProcBackendWorkerDeathRetry kills every worker after two tasks (the
-// fault-injection hook in ServeWorker) and checks that the sweep still
-// completes, bit-identical to the pool, with the deaths visible in
-// Restarts.
-func TestProcBackendWorkerDeathRetry(t *testing.T) {
-	sw := procSweep()
-	pool, err := Run(context.Background(), sw, Options{Workers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Setenv(workerDieAfterEnv, "2")
-	pb := &ProcBackend{Procs: 2}
-	proc, err := Run(context.Background(), sw, Options{Backend: pb})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(pool.Cells, proc.Cells) {
-		t.Fatal("results differ after worker deaths")
-	}
-	// 16 tasks at 2 tasks per worker life: at least a handful of deaths.
-	if pb.Restarts() < 2 {
-		t.Fatalf("expected several worker restarts, got %d", pb.Restarts())
-	}
-}
-
-// TestProcBackendTaskErrorIdentity: a deterministic task failure must not
-// be retried into oblivion — it surfaces once, carrying the cell and
-// replication identity (the satellite fix: errors used to name only a task
-// index).
-func TestProcBackendTaskErrorIdentity(t *testing.T) {
+// TestTaskErrorIdentity: a deterministic task failure surfaces once,
+// carrying the cell and replication identity (errors used to name only a
+// task index). The fabric leg is TestFabricDeterministicTaskErrorNoRetry.
+func TestTaskErrorIdentity(t *testing.T) {
 	bad := Cell{K: 2, Rho: 0.5, MuI: 1, MuE: 1, Policy: "NOPE"}
 	sw := Sweep{Name: "bad", Jobs: 100}
 	tasks := []Task{{Sim: &TaskSpec{Cell: bad, Rep: 1, Seed: sw.RepSeed(bad, 1), Key: sw.Key(bad)}}}
-	for name, be := range map[string]Backend{
-		"pool": PoolBackend{Workers: 2},
-		"proc": &ProcBackend{Procs: 1},
+	err := PoolBackend{Workers: 2}.Submit(context.Background(), Env{Sweep: &sw}, tasks, func(TaskResult) error { return nil })
+	if err == nil {
+		t.Fatal("bad policy accepted")
+	}
+	for _, want := range []string{"cell", "rho=0.5", "rep 1", "NOPE"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Fatalf("error %q does not carry %q", err, want)
+		}
+	}
+}
+
+// TestSeedDriftRefused: the executor recomputes the seed and key from the
+// task's cell and refuses a task whose precomputed values do not match —
+// the tripwire for serialization drift between a submitter and a worker.
+// The check lives in the shared executor, so it fires on every backend.
+func TestSeedDriftRefused(t *testing.T) {
+	sw := smallSweep()
+	c := sw.Grid.Cells()[0]
+	for want, spec := range map[string]TaskSpec{
+		"seed drift":      {Cell: c, Rep: 0, Seed: sw.RepSeed(c, 0) + 1, Key: sw.Key(c)},
+		"cache-key drift": {Cell: c, Rep: 0, Seed: sw.RepSeed(c, 0), Key: sw.Key(c) + "x"},
 	} {
-		err := be.Submit(context.Background(), Env{Sweep: &sw}, tasks, func(TaskResult) error { return nil })
-		if err == nil {
-			t.Fatalf("%s: bad policy accepted", name)
+		tasks := []Task{{Sim: &spec}}
+		err := PoolBackend{Workers: 1}.Submit(context.Background(), Env{Sweep: &sw}, tasks, func(TaskResult) error { return nil })
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("%s not detected: %v", want, err)
 		}
-		for _, want := range []string{"cell", "rho=0.5", "rep 1", "NOPE"} {
-			if !strings.Contains(err.Error(), want) {
-				t.Fatalf("%s: error %q does not carry %q", name, err, want)
-			}
-		}
-	}
-}
-
-// TestProcBackendSeedDriftRefused: a worker recomputes the seed and key
-// from the shipped cell and refuses a task whose precomputed values do not
-// match — the tripwire for serialization drift between parent and worker.
-func TestProcBackendSeedDriftRefused(t *testing.T) {
-	sw := smallSweep()
-	c := sw.Grid.Cells()[0]
-	tasks := []Task{{Sim: &TaskSpec{Cell: c, Rep: 0, Seed: sw.RepSeed(c, 0) + 1, Key: sw.Key(c)}}}
-	err := (&ProcBackend{Procs: 1}).Submit(context.Background(), Env{Sweep: &sw}, tasks, func(TaskResult) error { return nil })
-	if err == nil || !strings.Contains(err.Error(), "seed drift") {
-		t.Fatalf("seed drift not detected: %v", err)
-	}
-}
-
-// TestProcBackendCancellation: canceling the context must kill the worker
-// set and return promptly with the context error.
-func TestProcBackendCancellation(t *testing.T) {
-	sw := figureScaleSweep(200_000) // long enough to still be running when canceled
-	ctx, cancel := context.WithCancel(context.Background())
-	go func() {
-		time.Sleep(300 * time.Millisecond)
-		cancel()
-	}()
-	start := time.Now()
-	_, err := Run(ctx, sw, Options{Backend: &ProcBackend{Procs: 2}})
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("want context.Canceled, got %v", err)
-	}
-	if elapsed := time.Since(start); elapsed > 20*time.Second {
-		t.Fatalf("cancellation took %v; workers not killed", elapsed)
-	}
-}
-
-// TestProcBackendDominance: the Theorem 3 coupled-trace experiment must
-// shard across subprocesses with identical verdicts.
-func TestProcBackendDominance(t *testing.T) {
-	cfg := DominanceConfig{
-		K: 2, Rho: 0.7, MuI: 1.5, MuE: 1.0,
-		PolicyA: "IF", PolicyB: "EF", Arrivals: 3_000, Seeds: 3,
-	}
-	pool, err := Dominance(context.Background(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.Backend = &ProcBackend{Procs: 2}
-	proc, err := Dominance(context.Background(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(pool, proc) {
-		t.Fatalf("dominance runs differ:\npool %+v\nproc %+v", pool, proc)
-	}
-}
-
-// TestProcBackendNonWorkerCommandFailsFast: pointing Command at a binary
-// that does not speak the protocol must fail with a diagnosis after a
-// couple of cold deaths — not burn MaxTaskAttempts on every task or hang.
-func TestProcBackendNonWorkerCommandFailsFast(t *testing.T) {
-	sw := smallSweep()
-	c := sw.Grid.Cells()[0]
-	tasks := []Task{{Sim: &TaskSpec{Cell: c, Rep: 0}}}
-	pb := &ProcBackend{Procs: 1, Command: []string{"/bin/true"}}
-	done := make(chan error, 1)
-	go func() {
-		done <- pb.Submit(context.Background(), Env{Sweep: &sw}, tasks, func(TaskResult) error { return nil })
-	}()
-	select {
-	case err := <-done:
-		if err == nil {
-			t.Fatal("non-worker command accepted")
-		}
-		if !strings.Contains(err.Error(), "proc backend") {
-			t.Fatalf("unexpected error: %v", err)
-		}
-	case <-time.After(30 * time.Second):
-		t.Fatal("Submit hung on a non-worker command")
-	}
-}
-
-// TestProcBackendValidateAblation closes the equivalence matrix: the
-// Validate and Ablation task kinds must also round-trip the wire
-// bit-identically (the other kinds are covered by the sweep, golden-figure
-// and dominance tests).
-func TestProcBackendValidateAblation(t *testing.T) {
-	simOpt := core.SimOptions{Seed: 3, WarmupJobs: 500, MaxJobs: 5_000}
-	poolV, err := ValidateAnalysis(context.Background(), 2, 0.6, []float64{1.0}, simOpt, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	procV, err := ValidateAnalysis(context.Background(), 2, 0.6, []float64{1.0}, simOpt,
-		Options{Backend: &ProcBackend{Procs: 2}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(poolV, procV) {
-		t.Fatalf("validation rows differ:\npool %+v\nproc %+v", poolV, procV)
-	}
-	poolA, err := BusyPeriodAblation(context.Background(), 2, 0.6, []float64{0.5, 1.5}, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	procA, err := BusyPeriodAblation(context.Background(), 2, 0.6, []float64{0.5, 1.5},
-		Options{Backend: &ProcBackend{Procs: 2}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(poolA, procA) {
-		t.Fatalf("ablation rows differ:\npool %+v\nproc %+v", poolA, procA)
 	}
 }
 
 // TestDegenerateCellBackendParity: a measured window so short that one
-// class completes nothing used to yield NaN means — which PoolBackend
-// passed through but the ProcBackend wire could not encode, failing the
-// sweep under proc only. The 0 marker (zeroNaN) must keep both backends
-// succeeding with identical results.
+// class completes nothing used to yield NaN means, which no out-of-process
+// backend can carry (JSON has no NaN) and no FileCache can store. The 0
+// marker (zeroNaN) keeps the cell encodable; the fabric leg of the parity
+// check is the degenerate case of TestFabricTaskKindsMatchPool.
 func TestDegenerateCellBackendParity(t *testing.T) {
 	sw := Sweep{
 		Name: "degenerate",
@@ -362,15 +165,11 @@ func TestDegenerateCellBackendParity(t *testing.T) {
 	if err != nil {
 		t.Fatalf("pool: %v", err)
 	}
-	proc, err := Run(context.Background(), sw, Options{Backend: &ProcBackend{Procs: 1}})
-	if err != nil {
-		t.Fatalf("proc: %v", err)
-	}
-	if !reflect.DeepEqual(pool.Cells, proc.Cells) {
-		t.Fatalf("degenerate cell differs:\npool %+v\nproc %+v", pool.Cells, proc.Cells)
+	if _, err := json.Marshal(pool.Cells); err != nil {
+		t.Fatalf("degenerate cell is not JSON-encodable: %v", err)
 	}
 	// The single completion belongs to one class; the other must carry the
-	// 0 marker, not NaN (which would also poison any FileCache put).
+	// 0 marker, not NaN.
 	r := pool.Cells[0].Reps[0]
 	if math.IsNaN(r.MeanTI) || math.IsNaN(r.MeanTE) {
 		t.Fatalf("NaN leaked into replication: %+v", r)

@@ -75,18 +75,3 @@ func TestParallelSpeedup(t *testing.T) {
 		t.Fatalf("8-worker speedup only %.2fx", speedup)
 	}
 }
-
-// BenchmarkFigureSweepProc2 is the subprocess counterpart of the worker
-// benchmarks above: the same figure-scale sweep sharded over two worker
-// processes, measuring the wire protocol's overhead against in-process
-// dispatch (compare with BenchmarkFigureSweepWorkers2).
-func BenchmarkFigureSweepProc2(b *testing.B) {
-	sw := figureScaleSweep(10_000)
-	be := &ProcBackend{Procs: 2}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := Run(context.Background(), sw, Options{Backend: be}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}

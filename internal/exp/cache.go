@@ -96,7 +96,7 @@ func jsonSize(key string, v any) int64 {
 // (POSIX) filesystem never interleave records — but each process only sees
 // the entries that existed when it opened the cache, and duplicate keys
 // resolve last-line-wins on the next load. The supported arrangement is
-// one writer per sweep: exp.ProcBackend keeps it that way by design, since
+// one writer per sweep: every backend keeps it that way by design, since
 // only the submitting process touches the cache and workers never see its
 // path. Do not share a cache file over NFS.
 type FileCache struct {
@@ -106,8 +106,9 @@ type FileCache struct {
 	mem     map[string]CellResult
 	outMem  map[string]Outcome
 	corrupt int
-	// tornTail is set when the file existed but did not end in a newline
-	// (a record torn by a hard kill); the first append then starts with a
+	// tornTail is set when the file may not end in a newline — it existed
+	// with a record torn by a hard kill, or the last append failed — and
+	// cleared by a successful append; while set, appends start with a
 	// newline so the new record lands on its own line instead of being
 	// glued onto the torn one.
 	tornTail bool
@@ -227,6 +228,7 @@ func (c *FileCache) appendRecord(rec fileCacheRecord) error {
 		c.f = f
 	}
 	if _, err := c.f.Write(line); err != nil {
+		c.tornTail = true // a partial write leaves a stump
 		return fmt.Errorf("exp: appending cache record: %w", err)
 	}
 	c.tornTail = false

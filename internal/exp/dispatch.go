@@ -100,8 +100,8 @@ type Options struct {
 	// Cache, when non-nil, is consulted before running a cell and updated
 	// the moment a cell's last replication finishes — so a canceled sweep
 	// still banks its completed cells and a re-run is incremental. The
-	// cache is only ever touched by the submitting process, never by
-	// ProcBackend workers.
+	// cache is only ever touched by the submitting process, never by a
+	// backend's workers.
 	Cache Cache
 	// TaskCache, when non-nil, memoizes individual task outcomes keyed by
 	// TaskKey. It is consulted by the point drivers (figures, validation,
@@ -111,8 +111,8 @@ type Options struct {
 	// submitting process.
 	TaskCache OutcomeCache
 	// Backend executes the tasks; nil means PoolBackend{Workers: Workers}
-	// (goroutines of this process). Use &ProcBackend{...} to shard tasks
-	// across worker subprocesses.
+	// (goroutines of this process). Use a fabric.Backend to run them on a
+	// networked dispatcher's workers.
 	Backend Backend
 }
 

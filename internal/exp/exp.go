@@ -13,13 +13,12 @@
 //     internal/workload) plus a per-replication simulation budget;
 //   - running it: Run turns every cell × replication pair into a
 //     serializable task and submits the batch to a pluggable Backend — the
-//     in-process goroutine pool (PoolBackend, the default) or sharded
-//     worker subprocesses speaking a length-delimited JSONL protocol
-//     (ProcBackend, cmd/expworker) — with deterministic per-task seeding
-//     via internal/xrand-compatible hashing, panic isolation, and context
-//     cancellation; results are bit-identical for any worker count and any
-//     backend, because seeds and cache keys derive from task identity
-//     alone and every backend executes the same runTask code;
+//     in-process goroutine pool (PoolBackend, the default) or the
+//     networked fabric of internal/fabric — with deterministic per-task
+//     seeding via internal/xrand-compatible hashing, panic isolation, and
+//     context cancellation; results are bit-identical for any worker count
+//     and any backend, because seeds and cache keys derive from task
+//     identity alone and every backend executes the same ExecuteTask code;
 //   - collecting results: replications aggregate through internal/stats
 //     (replication CIs, within-replication batch-means CIs, MSER
 //     autocorrelation-aware warmup trimming), and completed cells are cached

@@ -13,7 +13,7 @@ import (
 // This file holds the paper's figure and table drivers, ported from their
 // original serial loops onto the dispatch backends: each grid point is one
 // serializable task submitted to opt's Backend (the in-process goroutine
-// pool by default, worker subprocesses under ProcBackend), so a
+// pool by default, or a networked fabric dispatcher), so a
 // figure-scale sweep scales with the hardware while producing exactly the
 // same points in the same order. Options.Cache (cell granularity) does not
 // apply to these drivers — their tasks belong to no Sweep cell — but

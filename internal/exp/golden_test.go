@@ -14,7 +14,6 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
-	"reflect"
 	"strconv"
 	"testing"
 )
@@ -30,15 +29,11 @@ type goldenFigures struct {
 }
 
 func computeGoldenFigures(t *testing.T) goldenFigures {
-	return computeGoldenFiguresWith(t, Options{})
-}
-
-func computeGoldenFiguresWith(t *testing.T, opt Options) goldenFigures {
 	t.Helper()
 	ctx := context.Background()
 	var g goldenFigures
 	grid := []float64{0.5, 1.0, 2.0}
-	f4, err := Figure4(ctx, 4, 0.7, grid, opt)
+	f4, err := Figure4(ctx, 4, 0.7, grid, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,14 +41,14 @@ func computeGoldenFiguresWith(t *testing.T, opt Options) goldenFigures {
 		key := hexf(p.MuI) + "|" + hexf(p.MuE)
 		g.Figure4 = append(g.Figure4, [3]string{key, hexf(p.TIF), hexf(p.TEF)})
 	}
-	f5, err := Figure5(ctx, 4, 0.7, grid, opt)
+	f5, err := Figure5(ctx, 4, 0.7, grid, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, p := range f5 {
 		g.Figure5 = append(g.Figure5, [3]string{hexf(p.MuI), hexf(p.TIF), hexf(p.TEF)})
 	}
-	f6, err := Figure6(ctx, 0.8, 0.5, 1.0, []int{2, 4}, opt)
+	f6, err := Figure6(ctx, 0.8, 0.5, 1.0, []int{2, 4}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,27 +96,4 @@ func TestGoldenFigureCells(t *testing.T) {
 	check("figure4", got.Figure4, want.Figure4)
 	check("figure5", got.Figure5, want.Figure5)
 	check("figure6", got.Figure6, want.Figure6)
-}
-
-// TestGoldenFigureCellsProcBackend is the PR 4 correctness bar: the golden
-// figure sweep recomputed through 2+ worker subprocesses (ProcBackend) must
-// be bit-identical to the frozen goldens — i.e. to PoolBackend — down to
-// the hex float encoding. scripts/ci.sh runs this as part of the
-// dispatch-backend equivalence gate.
-func TestGoldenFigureCellsProcBackend(t *testing.T) {
-	if *update {
-		t.Skip("goldens are regenerated by TestGoldenFigureCells")
-	}
-	got := computeGoldenFiguresWith(t, Options{Backend: &ProcBackend{Procs: 2}})
-	data, err := os.ReadFile(filepath.Join("testdata", "golden_figures.json"))
-	if err != nil {
-		t.Fatalf("missing golden (generate with -update): %v", err)
-	}
-	var want goldenFigures
-	if err := json.Unmarshal(data, &want); err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("ProcBackend figure sweep diverges from the frozen goldens:\ngot  %+v\nwant %+v", got, want)
-	}
 }

@@ -50,7 +50,7 @@ type Replication struct {
 
 // runReplication executes one (cell, replication) task. Panics anywhere in
 // the model, policy or simulator surface as errors for this task only; the
-// dispatching backend (runTask) prefixes every error with the cell and
+// shared executor (ExecuteTask) prefixes every error with the cell and
 // replication identity.
 func (sw Sweep) runReplication(c Cell, rep int) (r Replication, err error) {
 	defer func() {
@@ -201,7 +201,7 @@ const tailReservoirCap = 1 << 16
 
 // zeroNaN maps the recorder's NaN (class never observed) to 0 so tail
 // fields stay JSON-encodable — NaN cannot cross the FileCache or the
-// ProcBackend wire.
+// fabric wire.
 func zeroNaN(v float64) float64 {
 	if math.IsNaN(v) {
 		return 0

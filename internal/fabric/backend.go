@@ -15,7 +15,8 @@ import (
 )
 
 // Backend submits task batches to a running fabric dispatcher — the
-// exp.Backend implementation behind `-backend fabric`. The submission is
+// exp.Backend implementation behind the drivers' `-dispatcher host:port`
+// flag. The submission is
 // attached: results stream back on the same connection. When the
 // connection drops (network blip, dispatcher restart), the backend redials
 // with the workers' exponential backoff and resubmits under the same

@@ -13,12 +13,12 @@ import (
 )
 
 // OutcomeCache stores finished task outcomes keyed by task identity
-// (taskCacheKey: the cell's config hash plus the replication index). The
-// dispatcher consults it before assigning a task and fills it as results
-// arrive, so a re-submitted sweep — from any client — is answered without
-// recomputation. Because outcomes round-trip JSON exactly (the invariant
-// ProcBackend's byte-identity gate pins), a cache hit is bit-identical to a
-// fresh execution.
+// (exp.TaskKey: for sweep replications, the cell's config hash plus the
+// replication index). The dispatcher consults it before assigning a task
+// and fills it as results arrive, so a re-submitted sweep — from any
+// client — is answered without recomputation. Because outcomes round-trip
+// JSON exactly (the invariant the fabric's byte-identity gates pin), a
+// cache hit is bit-identical to a fresh execution.
 //
 // This is the dispatcher-side complement of exp.Cache: exp.Cache memoizes
 // aggregated cells in the *submitting* process, OutcomeCache memoizes raw
@@ -89,8 +89,9 @@ type FileOutcomeCache struct {
 	f       *os.File
 	mem     map[string]exp.Outcome
 	corrupt int
-	// tornTail is set when the file existed but did not end in a newline
-	// (a record torn by a hard kill); the first append then starts with a
+	// tornTail is set when the file may not end in a newline — it existed
+	// with a record torn by a hard kill, or the last append failed — and
+	// cleared by a successful append; while set, appends start with a
 	// newline so the new record lands on its own line instead of being
 	// absorbed into the torn one.
 	tornTail bool
@@ -159,7 +160,6 @@ func (c *FileOutcomeCache) Put(key string, out exp.Outcome) error {
 	defer c.mu.Unlock()
 	if c.tornTail {
 		line = append([]byte{'\n'}, line...)
-		c.tornTail = false
 	}
 	if c.f == nil {
 		f, err := os.OpenFile(c.path, os.O_APPEND|os.O_CREATE|os.O_WRONLY, 0o644)
@@ -169,8 +169,10 @@ func (c *FileOutcomeCache) Put(key string, out exp.Outcome) error {
 		c.f = f
 	}
 	if _, err := c.f.Write(line); err != nil {
+		c.tornTail = true
 		return fmt.Errorf("fabric: appending outcome record: %w", err)
 	}
+	c.tornTail = false
 	c.mem[key] = out
 	return nil
 }

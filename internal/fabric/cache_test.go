@@ -115,3 +115,50 @@ func TestFileOutcomeCacheSkipsCorruptLine(t *testing.T) {
 		t.Fatal("post-corruption append lost")
 	}
 }
+
+// TestFileOutcomeCacheFailedPutKeepsNextRecord: a Put that fails on a torn
+// file (here the path is briefly a directory, so the append cannot open it)
+// must leave the tail marked torn — the dispatcher only logs the failure and
+// carries on, and the next Put must still land on its own line.
+func TestFileOutcomeCacheFailedPutKeepsNextRecord(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "outcomes.jsonl")
+	out := sampleOutcome(t)
+	if err := os.WriteFile(path, []byte(`{"key":"torn","out":{"rep`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	c, err := OpenFileOutcomeCache(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	aside := filepath.Join(dir, "aside.jsonl")
+	if err := os.Rename(path, aside); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Mkdir(path, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Put("failed", out); err == nil {
+		t.Fatal("Put onto a directory succeeded")
+	}
+	if err := os.Remove(path); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Rename(aside, path); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Put("after", out); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	c2, err := OpenFileOutcomeCache(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := c2.Get("after"); !ok {
+		t.Fatalf("Put after a failed Put was lost (%d corrupt line(s))", c2.Corrupt())
+	}
+}

@@ -18,10 +18,10 @@ type DispatcherOptions struct {
 	// MaxTaskAttempts bounds how many times one task is attempted across
 	// worker losses before its job fails; <= 0 means 3. A task *error*
 	// (bad cell, panic) is never retried — errors are deterministic and
-	// surface immediately; only worker loss triggers a retry. This mirrors
-	// exp.ProcBackend.MaxTaskAttempts across the network. With a Journal,
-	// the budget is unified across dispatcher restarts: an interrupted
-	// grant replayed from the journal counts as a consumed attempt.
+	// surface immediately; only worker loss triggers a retry. With a
+	// Journal, the budget is unified across dispatcher restarts: an
+	// interrupted grant replayed from the journal counts as a consumed
+	// attempt.
 	MaxTaskAttempts int
 	// HeartbeatTimeout is the silence after which a connected worker is
 	// declared dead, its connection closed, and its in-flight task
@@ -335,7 +335,7 @@ func (d *Dispatcher) Drain(timeout time.Duration) error {
 }
 
 // Requeues reports how many in-flight tasks were re-queued after a worker
-// loss — the fabric's analogue of ProcBackend.Restarts.
+// loss.
 func (d *Dispatcher) Requeues() int64 { return d.requeues.Load() }
 
 // CacheHits reports how many tasks were answered from the outcome cache.
@@ -667,7 +667,7 @@ func (d *Dispatcher) nextTask(w *workerLink) (taskRef, bool) {
 				continue
 			}
 			if d.opts.Cache != nil {
-				if key, ok := taskCacheKey(ref.j.tasks[ref.idx]); ok {
+				if key, ok := exp.TaskKey(ref.j.tasks[ref.idx]); ok {
 					if out, hit := d.opts.Cache.Get(key); hit {
 						d.cacheHits.Add(1)
 						d.finishTaskLocked(ref, out)
@@ -683,9 +683,8 @@ func (d *Dispatcher) nextTask(w *workerLink) (taskRef, bool) {
 	}
 }
 
-// requeueOnLoss returns a lost worker's in-flight task to the queue —
-// the network generalization of ProcBackend's in-slot retry — failing the
-// job when the task has exhausted its attempt budget.
+// requeueOnLoss returns a lost worker's in-flight task to the queue,
+// failing the job when the task has exhausted its attempt budget.
 func (d *Dispatcher) requeueOnLoss(ref taskRef, w *workerLink, cause error) {
 	d.requeues.Add(1)
 	d.mu.Lock()
@@ -711,7 +710,7 @@ func (d *Dispatcher) requeueOnLoss(ref taskRef, w *workerLink, cause error) {
 // was the last.
 func (d *Dispatcher) finishTask(ref taskRef, out exp.Outcome, fromCache bool) {
 	if !fromCache && d.opts.Cache != nil {
-		if key, ok := taskCacheKey(ref.j.tasks[ref.idx]); ok {
+		if key, ok := exp.TaskKey(ref.j.tasks[ref.idx]); ok {
 			if err := d.opts.Cache.Put(key, out); err != nil {
 				d.opts.Logf("fabric: caching %s: %v", ref.j.tasks[ref.idx].Label(), err)
 			}

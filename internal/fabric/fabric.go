@@ -5,11 +5,10 @@
 // backend uses — so a fabric run is byte-identical to exp.PoolBackend for
 // the same submission.
 //
-// The transport reuses the repository's length-delimited JSONL framing
-// (internal/wire, "<len>\n<json>\n"), generalizing exp.ProcBackend's
-// stdin/stdout dialect to sockets, in the spirit of batch simulation-queue
-// managers split into a dispatcher, simulation daemons and a submission
-// CLI:
+// The transport is the repository's length-delimited JSONL framing
+// (internal/wire, "<len>\n<json>\n") over TCP, in the spirit of batch
+// simulation-queue managers split into a dispatcher, simulation daemons
+// and a submission CLI:
 //
 //   - workers dial the dispatcher and open with a hello frame carrying the
 //     protocol version and an Env probe — a fingerprint of the binary's
@@ -18,15 +17,14 @@
 //   - the dispatcher assigns one task at a time per worker (fast workers
 //     naturally take more of the load), re-queues the in-flight task when a
 //     worker is lost (connection drop, or heartbeat silence past the
-//     configured timeout), and bounds retries per task — generalizing
-//     ProcBackend's in-slot retry and MaxTaskAttempts to the network;
+//     configured timeout), and bounds retries per task (MaxTaskAttempts);
 //   - deterministic task errors are never retried: they surface once to the
 //     submitter, exactly like every other backend;
 //   - workers heartbeat while connected (including mid-task), so a slow
 //     task does not look like a dead worker, and reconnect with exponential
 //     backoff when the dispatcher restarts or the link drops;
-//   - clients (Backend, the exp.Backend implementation behind
-//     `-backend fabric`, and cmd/psq) submit task batches as jobs, stream
+//   - clients (Backend, the exp.Backend implementation behind the drivers'
+//     `-dispatcher` flag, and cmd/psq) submit task batches as jobs, stream
 //     results back, and can list or cancel jobs on a running dispatcher.
 //
 // Entry points: NewDispatcher + Dispatcher.Serve (cmd/fabricd -role
@@ -205,11 +203,3 @@ func EnvProbe() string {
 	c := exp.Cell{K: 4, Rho: 0.7, MuI: 2, MuE: 1, Policy: "IF"}
 	return fmt.Sprintf("v%d|%s|%016x|%016x", protoVersion, sw.Key(c), sw.RepSeed(c, 0), sw.RepSeed(c, 1))
 }
-
-// taskCacheKey derives the dispatcher-cache key of a task, delegating to
-// exp.TaskKey — the same derivation the submitting-process OutcomeCache
-// uses. Sim tasks keep the dispatcher's historical key format (the cell's
-// config hash plus the replication index), so caches filled by older
-// dispatchers stay valid; analysis points, validation rows, ablations and
-// dominance traces are deterministic given their specs and now cache too.
-func taskCacheKey(t exp.Task) (string, bool) { return exp.TaskKey(t) }

@@ -14,12 +14,14 @@ import (
 	"context"
 	"errors"
 	"net"
+	"reflect"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/exp"
 	"repro/internal/wire"
 )
@@ -144,6 +146,81 @@ func TestFabricBitIdenticalToPool(t *testing.T) {
 	}
 	if d.Handshakes() < 2 {
 		t.Fatalf("want 2 worker handshakes, got %d", d.Handshakes())
+	}
+}
+
+// TestFabricTaskKindsMatchPool runs every task kind through a dispatcher
+// and two TCP workers and requires reflect.DeepEqual with the in-process
+// pool: the Figure 4/5/6 drivers on the grids of exp's TestGoldenFigureCells,
+// the Section 5 validation table, the busy-period ablation, the Theorem 3
+// dominance traces, a tail sweep (p99 fields ride inside each replication)
+// and a one-job cell whose idle class must stay JSON-encodable on the wire.
+func TestFabricTaskKindsMatchPool(t *testing.T) {
+	_, addr := startDispatcher(t, DispatcherOptions{})
+	startWorker(t, &Worker{Dispatcher: addr, Name: "w1"})
+	startWorker(t, &Worker{Dispatcher: addr, Name: "w2"})
+
+	ctx := context.Background()
+	grid := []float64{0.5, 1.0, 2.0}
+	simOpt := core.SimOptions{Seed: 3, WarmupJobs: 500, MaxJobs: 5_000}
+	sweepCells := func(sw exp.Sweep) func(exp.Backend) (any, error) {
+		return func(be exp.Backend) (any, error) {
+			rs, err := exp.Run(ctx, sw, exp.Options{Backend: be})
+			if err != nil {
+				return nil, err
+			}
+			return rs.Cells, nil
+		}
+	}
+	tail := fabricSweep()
+	tail.Tail = true
+	tail.Grid.Rho = []float64{0.6}
+	degenerate := exp.Sweep{
+		Name: "degenerate",
+		Grid: exp.Grid{K: []int{4}, Rho: []float64{0.9}, MuI: []float64{1}, MuE: []float64{1}, Policies: []string{"EF"}},
+		Jobs: 1,
+	}
+	for _, tc := range []struct {
+		name string
+		run  func(exp.Backend) (any, error)
+	}{
+		{"figure4", func(be exp.Backend) (any, error) {
+			return exp.Figure4(ctx, 4, 0.7, grid, exp.Options{Backend: be})
+		}},
+		{"figure5", func(be exp.Backend) (any, error) {
+			return exp.Figure5(ctx, 4, 0.7, grid, exp.Options{Backend: be})
+		}},
+		{"figure6", func(be exp.Backend) (any, error) {
+			return exp.Figure6(ctx, 0.8, 0.5, 1.0, []int{2, 4}, exp.Options{Backend: be})
+		}},
+		{"validate", func(be exp.Backend) (any, error) {
+			return exp.ValidateAnalysis(ctx, 2, 0.6, []float64{1.0}, simOpt, exp.Options{Backend: be})
+		}},
+		{"ablation", func(be exp.Backend) (any, error) {
+			return exp.BusyPeriodAblation(ctx, 2, 0.6, []float64{0.5, 1.5}, exp.Options{Backend: be})
+		}},
+		{"dominance", func(be exp.Backend) (any, error) {
+			return exp.Dominance(ctx, exp.DominanceConfig{
+				K: 2, Rho: 0.7, MuI: 1.5, MuE: 1.0,
+				PolicyA: "IF", PolicyB: "EF", Arrivals: 3_000, Seeds: 3, Backend: be,
+			})
+		}},
+		{"tail", sweepCells(tail)},
+		{"degenerate", sweepCells(degenerate)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			pool, err := tc.run(exp.PoolBackend{Workers: 2})
+			if err != nil {
+				t.Fatalf("pool: %v", err)
+			}
+			fab, err := tc.run(&Backend{Addr: addr, Name: tc.name})
+			if err != nil {
+				t.Fatalf("fabric: %v", err)
+			}
+			if !reflect.DeepEqual(pool, fab) {
+				t.Fatalf("fabric differs from pool:\npool   %+v\nfabric %+v", pool, fab)
+			}
+		})
 	}
 }
 

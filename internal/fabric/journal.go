@@ -152,6 +152,9 @@ func decodeJournal(data []byte) (recs []journalRecord, corrupt int, torn bool) {
 // appendRecord appends one record through a persistent O_APPEND handle —
 // one write(2) per record, flushed by the kernel, so the most a hard kill
 // can cost is the record being written (which replay then skips as torn).
+// A failed append may leave a stump of its own, so the tail counts as torn
+// until a write succeeds: the dispatcher only logs a failed append and
+// carries on, and the next record must not be glued onto the stump.
 func (jl *Journal) appendRecord(rec journalRecord) error {
 	line, err := json.Marshal(rec)
 	if err != nil {
@@ -162,7 +165,6 @@ func (jl *Journal) appendRecord(rec journalRecord) error {
 	defer jl.mu.Unlock()
 	if jl.tornTail {
 		line = append([]byte{'\n'}, line...)
-		jl.tornTail = false
 	}
 	if jl.f == nil {
 		f, err := os.OpenFile(jl.path, os.O_APPEND|os.O_CREATE|os.O_WRONLY, 0o644)
@@ -180,11 +182,14 @@ func (jl *Journal) appendRecord(rec journalRecord) error {
 			jl.f.Write(line[:keep])
 			jl.written += keep
 		}
+		jl.tornTail = true
 		return errJournalCrash
 	}
 	if _, err := jl.f.Write(line); err != nil {
+		jl.tornTail = true
 		return fmt.Errorf("fabric: appending journal record: %w", err)
 	}
+	jl.tornTail = false
 	jl.written += int64(len(line))
 	return nil
 }

@@ -126,6 +126,55 @@ func TestJournalTornTailRepair(t *testing.T) {
 	}
 }
 
+// TestJournalFailedAppendKeepsNextRecord: the dispatcher only logs a failed
+// append and carries on, so a failure must not cost the next record. Two
+// crash points: on a torn file, a failure that writes nothing must keep the
+// stump marked torn; on a clean file, a failure that leaves a 5-byte stump
+// must mark it torn. Either way the next append lands on its own line.
+func TestJournalFailedAppendKeepsNextRecord(t *testing.T) {
+	intact := `{"grant":{"job":"j1","idx":0}}` + "\n"
+	for _, tc := range []struct {
+		name    string
+		initial string
+		keep    int64 // bytes the failing append writes
+	}{
+		{"torn-file-0-byte-failure", intact + `{"done":{"job":"j1"`, 0},
+		{"clean-file-5-byte-write", intact, 5},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			path := journalPath(t)
+			if err := os.WriteFile(path, []byte(tc.initial), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			jl, err := OpenJournal(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			jl.failAfter = tc.keep
+			if err := jl.appendRecord(journalRecord{Grant: &journalGrant{Job: "j1", Idx: 1}}); !errors.Is(err, errJournalCrash) {
+				t.Fatalf("crash point did not fire: %v", err)
+			}
+			jl.failAfter = -1
+			if err := jl.appendRecord(journalRecord{Shutdown: true}); err != nil {
+				t.Fatal(err)
+			}
+			if err := jl.Close(); err != nil {
+				t.Fatal(err)
+			}
+
+			re, err := OpenJournal(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer re.Close()
+			if re.Len() != 2 || !re.CleanShutdown() {
+				t.Fatalf("append after a failed one was lost: loaded %d records / %d corrupt (clean shutdown %v), want the grant and the shutdown",
+					re.Len(), re.Corrupt(), re.CleanShutdown())
+			}
+		})
+	}
+}
+
 // TestJournalCrashPoints tears an append at every byte offset of a full
 // journal history — the in-process stand-in for SIGKILL landing mid
 // write(2). Whatever the offset, reopening must recover exactly the

@@ -12,8 +12,8 @@
 //     parsing JSON — a cache hit is two map lookups and one write;
 //  2. exp.Options.Cache (cell granularity): a miss recomputes only the
 //     cells the underlying cache does not hold;
-//  3. the configured exp.Backend — the in-process pool, worker subprocesses,
-//     or a fabric dispatcher (`resultd -backend fabric`).
+//  3. the configured exp.Backend — the in-process pool, or a fabric
+//     dispatcher (`resultd -dispatcher host:port`).
 //
 // Concurrent identical requests are coalesced singleflight-style: N waiters
 // share 1 backend submission and all receive the same bytes; a waiter that
@@ -63,8 +63,8 @@ const (
 // with default caps.
 type Options struct {
 	// Exp configures how misses are computed: Workers, Cache (the
-	// cell-granularity layer under the response cache) and Backend (pool,
-	// proc or fabric) — exactly the knobs cmd/simulate exposes.
+	// cell-granularity layer under the response cache) and Backend (pool
+	// or fabric) — exactly the knobs cmd/simulate exposes.
 	Exp exp.Options
 	// MaxEntries and MaxBytes cap the rendered-response LRU; <= 0 picks the
 	// defaults (16Ki entries, 256 MiB). The raw-body memo in front of it is

@@ -1,11 +1,10 @@
-// Package wire implements the length-delimited JSONL frame codec shared by
-// every dispatch transport in this repository: exp.ProcBackend's
-// stdin/stdout worker pipes and the internal/fabric TCP daemons. Each frame
+// Package wire implements the length-delimited JSONL frame codec of the
+// internal/fabric TCP daemons (dispatcher, workers, clients). Each frame
 // is an ASCII decimal payload length, a newline, the JSON payload, and a
 // trailing newline — so a transcript is both unambiguous to parse (no
 // scanner line limits, binary-safe) and readable line-by-line by a human:
 //
-//	42\n{"id":3,"task":{...}}\n
+//	42\n{"seq":3,"env":{...},"task":{...}}\n
 //
 // The codec is deliberately defensive, because fabric peers are arbitrary
 // TCP clients: payload lengths are bounded (MaxFrame), the length line

@@ -54,21 +54,17 @@ go test ./internal/sim -run 'TestArena' -count=1
 echo "==> exp worker-pool race stress"
 go test -race -run 'TestWorkerPoolStressRace' -count=2 ./internal/exp
 
-echo "==> dispatch-backend equivalence gate (PoolBackend vs ProcBackend bit-identical)"
-go test ./internal/exp -run 'TestKeyAndRepSeedPinned|TestProcBackend|TestGoldenFigureCellsProcBackend' -count=1
+echo "==> dispatch-backend gate (seed/key contract and drift tripwire; pool reference run for the byte-identity diffs below)"
+go test ./internal/exp -run 'TestKeyAndRepSeedPinned|TestSeedDriftRefused|TestTaskErrorIdentity|TestDegenerateCellBackendParity' -count=1
 tmp="$(mktemp -d)"
 trap 'rm -rf "$tmp"' EXIT
 go build -o "$tmp/simulate" ./cmd/simulate
 sweep_flags="-k 2 -rho 0.5,0.7 -muI 1,2 -muE 1 -policy IF,EF -reps 2 -warmup 200 -jobs 2000 -tail"
-"$tmp/simulate" $sweep_flags -backend pool -json "$tmp/pool.json" >/dev/null
-"$tmp/simulate" $sweep_flags -backend proc -procs 2 -json "$tmp/proc.json" >/dev/null
-if ! cmp "$tmp/pool.json" "$tmp/proc.json"; then
-  echo "FAIL: ResultSets differ between -backend pool and -backend proc" >&2
-  exit 1
-fi
-echo "    pool and proc ResultSets byte-identical ($(wc -c < "$tmp/pool.json") bytes)"
+"$tmp/simulate" $sweep_flags -json "$tmp/pool.json" >/dev/null
+echo "    pool reference ResultSet recorded ($(wc -c < "$tmp/pool.json") bytes)"
 
-echo "==> networked fabric gate (fabricd dispatcher + 2 worker daemons on loopback)"
+echo "==> networked fabric gate (every task kind pool-identical in-process; fabricd dispatcher + 2 worker daemons on loopback)"
+go test ./internal/fabric -run 'TestFabricBitIdenticalToPool|TestFabricTaskKindsMatchPool' -count=1
 go build -o "$tmp/fabricd" ./cmd/fabricd
 go build -o "$tmp/psq" ./cmd/psq
 "$tmp/fabricd" -role dispatcher -listen 127.0.0.1:0 -addr-file "$tmp/fabric.addr" \
@@ -88,9 +84,9 @@ w2_pid=$!
 trap 'kill -9 "$disp_pid" "$w1_pid" "$w2_pid" 2>/dev/null || true; rm -rf "$tmp"' EXIT
 # The same sweep through the fabric must be byte-identical to the pool run
 # recorded by the dispatch-backend gate above.
-"$tmp/simulate" $sweep_flags -backend fabric -dispatcher "$addr" -json "$tmp/fabric.json" >/dev/null
+"$tmp/simulate" $sweep_flags -dispatcher "$addr" -json "$tmp/fabric.json" >/dev/null
 if ! cmp "$tmp/pool.json" "$tmp/fabric.json"; then
-  echo "FAIL: ResultSets differ between -backend pool and -backend fabric" >&2
+  echo "FAIL: ResultSets differ between the pool and the fabric" >&2
   exit 1
 fi
 echo "    pool and fabric ResultSets byte-identical ($(wc -c < "$tmp/fabric.json") bytes)"
@@ -100,9 +96,9 @@ echo "    pool and fabric ResultSets byte-identical ($(wc -c < "$tmp/fabric.json
 # must outlast the 0.3 s kill delays here and in the dispatcher-crash gate
 # (about 1.5 s on the pool on 2 cores).
 kill_flags="-k 2 -rho 0.7 -muI 1,2 -muE 1 -policy IF,EF -reps 2 -warmup 200 -jobs 600000"
-"$tmp/simulate" $kill_flags -backend pool -json "$tmp/pool_kill.json" >/dev/null
+"$tmp/simulate" $kill_flags -json "$tmp/pool_kill.json" >/dev/null
 ( sleep 0.3; kill -9 "$w1_pid" 2>/dev/null || true ) &
-"$tmp/simulate" $kill_flags -backend fabric -dispatcher "$addr" -json "$tmp/fabric_kill.json" >/dev/null
+"$tmp/simulate" $kill_flags -dispatcher "$addr" -json "$tmp/fabric_kill.json" >/dev/null
 wait %% 2>/dev/null || true
 if ! cmp "$tmp/pool_kill.json" "$tmp/fabric_kill.json"; then
   echo "FAIL: sweep through a SIGKILLed worker differs from the pool" >&2
@@ -119,8 +115,8 @@ if "$tmp/psq" -dispatcher "$addr" cancel no-such-job >/dev/null 2>&1; then
 fi
 kill "$disp_pid" "$w2_pid" 2>/dev/null || true
 
-echo "==> journal-replay unit gate (torn tails, crash points, replay, drain, deadlines, in-process failover)"
-go test ./internal/fabric -run 'TestJournal|TestRestoreRecords|TestDispatcherJournal|TestDispatcherDrain|TestFabricDispatcherCrashFailover|TestFabricWorkerDrain|TestFabricTaskDeadline' -count=1
+echo "==> journal-replay unit gate (torn tails, failed appends, crash points, replay, drain, deadlines, in-process failover)"
+go test ./internal/fabric -run 'TestJournal|TestFileOutcomeCache|TestRestoreRecords|TestDispatcherJournal|TestDispatcherDrain|TestFabricDispatcherCrashFailover|TestFabricWorkerDrain|TestFabricTaskDeadline' -count=1
 
 echo "==> dispatcher-crash gate (SIGKILL the real dispatcher mid-sweep; a restart on the same journal and address resumes; byte-identical)"
 "$tmp/fabricd" -role dispatcher -listen 127.0.0.1:0 -addr-file "$tmp/crash.addr" \
@@ -149,7 +145,7 @@ cw2_pid=$!
 ) &
 cdisp2_pid=$!
 trap 'kill -9 "$disp_pid" "$w1_pid" "$w2_pid" "$cdisp_pid" "$cdisp2_pid" "$cw1_pid" "$cw2_pid" 2>/dev/null || true; rm -rf "$tmp"' EXIT
-"$tmp/simulate" $kill_flags -backend fabric -dispatcher "$caddr" -json "$tmp/crash.json" >/dev/null
+"$tmp/simulate" $kill_flags -dispatcher "$caddr" -json "$tmp/crash.json" >/dev/null
 if ! cmp "$tmp/pool_kill.json" "$tmp/crash.json"; then
   echo "FAIL: sweep through a SIGKILLed-and-restarted dispatcher differs from the pool" >&2
   cat "$tmp/crash_disp1.log" "$tmp/crash_disp2.log" >&2
@@ -189,7 +185,7 @@ sworker_pid=$!
 # -backend-redial 1s: the degradation check below kills the fabric and
 # wants resultd to 503 misses quickly instead of redialing for the default.
 "$tmp/resultd" -listen 127.0.0.1:0 -addr-file "$tmp/resultd.addr" \
-  -backend fabric -dispatcher "$saddr" -backend-redial 1s >"$tmp/resultd.log" 2>&1 &
+  -dispatcher "$saddr" -backend-redial 1s >"$tmp/resultd.log" 2>&1 &
 resultd_pid=$!
 trap 'kill -9 "$disp_pid" "$w1_pid" "$w2_pid" "$sdisp_pid" "$sworker_pid" "$resultd_pid" 2>/dev/null || true; rm -rf "$tmp"' EXIT
 for _ in $(seq 1 100); do [ -s "$tmp/resultd.addr" ] && break; sleep 0.1; done
