@@ -84,7 +84,7 @@ func runDispatcher(listen, addrFile, cachePath, journalPath string, hbTimeout, t
 		Logf:             log.Printf,
 	}
 	if cachePath != "" {
-		fc, err := fabric.OpenFileOutcomeCache(cachePath)
+		fc, err := exp.OpenFileCache(cachePath)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -92,7 +92,7 @@ func runDispatcher(listen, addrFile, cachePath, journalPath string, hbTimeout, t
 			log.Print(msg)
 		}
 		defer fc.Close()
-		log.Printf("outcome cache %s: %d entries", cachePath, fc.Len())
+		log.Printf("outcome cache %s: %d entries", cachePath, fc.OutcomeLen())
 		opts.Cache = fc
 	}
 	if journalPath != "" {

@@ -233,12 +233,8 @@ func runStats(ctx context.Context, dispatcher string) {
 	if st.DeadlineExpiries > 0 {
 		fmt.Printf("deadline expiries %d\n", st.DeadlineExpiries)
 	}
-	if st.CacheLen > 0 || st.CacheStats != nil {
+	if st.CacheLen > 0 {
 		fmt.Printf("cache len   %d\n", st.CacheLen)
-	}
-	if cs := st.CacheStats; cs != nil {
-		fmt.Printf("cache lru   hits=%d misses=%d evictions=%d rejected=%d bytes=%d\n",
-			cs.Hits, cs.Misses, cs.Evictions, cs.Rejected, cs.Bytes)
 	}
 }
 

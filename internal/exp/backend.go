@@ -348,13 +348,28 @@ func runDominanceTrace(d DominanceTrace) (DominanceRun, error) {
 	return run, nil
 }
 
+// CachedOutcome looks t up in c by TaskKey and returns the entry only when
+// it carries the result of t's kind. Any other entry — stale, or written by
+// a drifted binary — is a miss, so the task is recomputed instead of
+// failing its consumer. Every outcome-cache reader (submitAll and the
+// fabric dispatcher) goes through it.
+func CachedOutcome(c OutcomeCache, t Task) (Outcome, bool) {
+	key, ok := TaskKey(t)
+	if !ok {
+		return Outcome{}, false
+	}
+	out, hit := c.GetOutcome(key)
+	if !hit || t.checkOutcome(out) != nil {
+		return Outcome{}, false
+	}
+	return out, true
+}
+
 // submitAll submits tasks on opt's backend and collects the outcomes in
 // task order — the convenience used by the figure drivers, which have no
 // per-task streaming needs. When Options.TaskCache is set it is consulted
-// first (keyed by TaskKey) and only the misses reach the backend; a hit is
-// kind-checked like any backend result, so a stale or mismatched cache
-// entry falls through to recomputation instead of corrupting the driver.
-// Each outcome is checked against its task's kind, so a misbehaving custom
+// first (CachedOutcome) and only the misses reach the backend. Each
+// outcome is checked against its task's kind, so a misbehaving custom
 // backend (or a drifted worker binary that answers with empty outcomes)
 // surfaces as a clear error instead of a nil dereference in the driver.
 func submitAll(ctx context.Context, opt Options, env Env, tasks []Task) ([]Outcome, error) {
@@ -363,11 +378,9 @@ func submitAll(ctx context.Context, opt Options, env Env, tasks []Task) ([]Outco
 	var sub []Task
 	for i, t := range tasks {
 		if opt.TaskCache != nil {
-			if key, ok := TaskKey(t); ok {
-				if o, hit := opt.TaskCache.GetOutcome(key); hit && t.checkOutcome(o) == nil {
-					out[i] = o
-					continue
-				}
+			if o, hit := CachedOutcome(opt.TaskCache, t); hit {
+				out[i] = o
+				continue
 			}
 		}
 		missing = append(missing, i)

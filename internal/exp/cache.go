@@ -1,13 +1,12 @@
 package exp
 
 import (
-	"bufio"
-	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
-	"os"
 	"sync"
 
+	"repro/internal/applog"
 	"repro/internal/lru"
 )
 
@@ -83,68 +82,52 @@ func jsonSize(key string, v any) int64 {
 	return int64(len(key) + len(b))
 }
 
-// FileCache persists results as JSON lines — one completed cell (or task
-// outcome, see PutOutcome) per line, appended and flushed as each finishes,
-// so an interrupted sweep loses at most the in-flight entries. A corrupt
-// line (e.g. truncated by a hard kill mid-append) is skipped on load and
-// counted (Corrupt), and the next append starts on a fresh line: cached
-// entries are only an optimization, never the source of truth.
+// FileCache persists results as JSON lines in an internal/applog file —
+// one completed cell (or task outcome, see PutOutcome) per line, appended
+// and fsynced as each finishes, so an interrupted sweep loses at most the
+// in-flight entries. A corrupt line (e.g. truncated by a hard kill
+// mid-append) is skipped on load and counted (Corrupt), and the next append
+// starts on a fresh line: cached entries are only an optimization, never
+// the source of truth.
 //
 // Concurrency contract: within one process the cache is safe for any
-// number of goroutines. Across processes, the file is opened O_APPEND and
-// every record is a single write(2), so concurrent appenders on a local
-// (POSIX) filesystem never interleave records — but each process only sees
-// the entries that existed when it opened the cache, and duplicate keys
+// number of goroutines. Across processes, every record is a single
+// appending write(2), so concurrent appenders on a local (POSIX)
+// filesystem never interleave records — but each process only sees the
+// entries that existed when it opened the cache, and duplicate keys
 // resolve last-line-wins on the next load. The supported arrangement is
-// one writer per sweep: every backend keeps it that way by design, since
-// only the submitting process touches the cache and workers never see its
+// one writer per file: only the submitting process (or the fabric
+// dispatcher, for its -cache file) touches it, and workers never see its
 // path. Do not share a cache file over NFS.
 type FileCache struct {
-	mu      sync.Mutex
-	path    string
-	f       *os.File // lazily-opened O_APPEND handle, held for the cache's lifetime
-	mem     map[string]CellResult
-	outMem  map[string]Outcome
-	corrupt int
-	// tornTail is set when the file may not end in a newline — it existed
-	// with a record torn by a hard kill, or the last append failed — and
-	// cleared by a successful append; while set, appends start with a
-	// newline so the new record lands on its own line instead of being
-	// glued onto the torn one.
-	tornTail bool
+	log    *applog.Log
+	mu     sync.Mutex
+	mem    map[string]CellResult
+	outMem map[string]Outcome
 }
 
 // fileCacheRecord is one line of the file: a cell record sets Result, a
 // task-outcome record sets Out. Cell records marshal byte-identically to
-// the pre-outcome format, so existing cache files load unchanged.
+// the pre-outcome format, so existing cache files load unchanged; outcome
+// records have the {"key","out"} shape the fabric dispatcher's outcome
+// file has always used.
 type fileCacheRecord struct {
 	Key    string      `json:"key"`
 	Result *CellResult `json:"result,omitempty"`
 	Out    *Outcome    `json:"out,omitempty"`
 }
 
+// errNoKind rejects a record that carries neither a cell nor an outcome: it
+// is as useless as an undecodable line, and counted with them.
+var errNoKind = errors.New("exp: cache record carries neither a result nor an outcome")
+
 // OpenFileCache loads (or creates on first Put) the cache at path.
 func OpenFileCache(path string) (*FileCache, error) {
-	fc := &FileCache{path: path, mem: map[string]CellResult{}, outMem: map[string]Outcome{}}
-	f, err := os.Open(path)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return fc, nil
-		}
-		return nil, fmt.Errorf("exp: opening cache: %w", err)
-	}
-	defer f.Close()
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 1<<20), 64<<20)
-	for sc.Scan() {
-		line := bytes.TrimSpace(sc.Bytes())
-		if len(line) == 0 {
-			continue
-		}
+	fc := &FileCache{mem: map[string]CellResult{}, outMem: map[string]Outcome{}}
+	log, err := applog.Open(path, func(line []byte) error {
 		var rec fileCacheRecord
 		if err := json.Unmarshal(line, &rec); err != nil {
-			fc.corrupt++ // skip but count corrupt lines; see type comment
-			continue
+			return err
 		}
 		switch {
 		case rec.Result != nil:
@@ -152,18 +135,14 @@ func OpenFileCache(path string) (*FileCache, error) {
 		case rec.Out != nil:
 			fc.outMem[rec.Key] = *rec.Out
 		default:
-			fc.corrupt++ // a record carrying neither kind is as useless as an undecodable one
+			return errNoKind
 		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("exp: reading cache %s: %w", path, err)
-	}
-	if st, err := f.Stat(); err == nil && st.Size() > 0 {
-		tail := make([]byte, 1)
-		if _, err := f.ReadAt(tail, st.Size()-1); err == nil && tail[0] != '\n' {
-			fc.tornTail = true
-		}
-	}
+	fc.log = log
 	return fc, nil
 }
 
@@ -175,9 +154,8 @@ func (c *FileCache) Get(key string) (CellResult, bool) {
 	return cr, ok
 }
 
-// Put implements Cache: the record is appended to the file — through a
-// persistent O_APPEND handle, one write(2) per record — and fsynced before
-// the in-memory index is updated.
+// Put implements Cache: the record is appended to the file and fsynced
+// before the in-memory index is updated.
 func (c *FileCache) Put(key string, cr CellResult) error {
 	if err := c.appendRecord(fileCacheRecord{Key: key, Result: &cr}); err != nil {
 		return err
@@ -208,52 +186,18 @@ func (c *FileCache) PutOutcome(key string, out Outcome) error {
 	return nil
 }
 
-// appendRecord writes one record through the persistent handle and fsyncs.
+// appendRecord appends one record and fsyncs it.
 func (c *FileCache) appendRecord(rec fileCacheRecord) error {
-	line, err := json.Marshal(rec)
-	if err != nil {
-		return fmt.Errorf("exp: encoding cache record: %w", err)
+	if err := c.log.Append(rec); err != nil {
+		return err
 	}
-	line = append(line, '\n')
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.tornTail {
-		line = append([]byte{'\n'}, line...)
-	}
-	if c.f == nil {
-		f, err := os.OpenFile(c.path, os.O_APPEND|os.O_CREATE|os.O_WRONLY, 0o644)
-		if err != nil {
-			return fmt.Errorf("exp: opening cache for append: %w", err)
-		}
-		c.f = f
-	}
-	if _, err := c.f.Write(line); err != nil {
-		c.tornTail = true // a partial write leaves a stump
-		return fmt.Errorf("exp: appending cache record: %w", err)
-	}
-	c.tornTail = false
-	if err := c.f.Sync(); err != nil {
-		return fmt.Errorf("exp: syncing cache: %w", err)
-	}
-	return nil
+	return c.log.Sync()
 }
 
 // Close releases the append handle; Get keeps serving from memory and the
 // next Put reopens the file. A zero-Put cache never created or opened the
 // file, and Close on it is a no-op.
-func (c *FileCache) Close() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.f == nil {
-		return nil
-	}
-	err := c.f.Close()
-	c.f = nil
-	if err != nil {
-		return fmt.Errorf("exp: closing cache: %w", err)
-	}
-	return nil
-}
+func (c *FileCache) Close() error { return c.log.Close() }
 
 // Len returns the number of cached cells (outcome records not included).
 func (c *FileCache) Len() int {
@@ -272,11 +216,7 @@ func (c *FileCache) OutcomeLen() int {
 // Corrupt reports how many undecodable lines the load skipped — nonzero
 // after a hard kill mid-append or a concurrent-writer interleaving, and
 // worth surfacing to the user (see CorruptWarning).
-func (c *FileCache) Corrupt() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.corrupt
-}
+func (c *FileCache) Corrupt() int { return c.log.Corrupt() }
 
 // CorruptWarning renders the standard corrupt-cache warning, or "" when the
 // load skipped nothing. Every cache-flagged cmd (simulate, figures,

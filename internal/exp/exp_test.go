@@ -404,6 +404,109 @@ func TestFileCacheTornTailRepair(t *testing.T) {
 	}
 }
 
+// TestFileCacheCrashPoints cuts a cache holding both cell and outcome
+// records at every byte offset — what a hard kill mid-append can leave —
+// and reopens it: exactly the records whose JSON survived load, a cut one
+// counts as corrupt, and a Put after the reopen survives the next open.
+func TestFileCacheCrashPoints(t *testing.T) {
+	type entry struct {
+		key  string
+		cell *CellResult
+		out  *Outcome
+	}
+	entries := []entry{
+		{key: "c1", cell: &CellResult{Cell: Cell{K: 2, Rho: 0.5, MuI: 1, MuE: 1, Policy: "IF"}, ET: 1.5}},
+		{key: "o1", out: &Outcome{Analyze: &AnalyzeOut{TIF: 1, TEF: 2}}},
+		{key: "c2", cell: &CellResult{ET: 2.5}},
+		{key: "o2", out: &Outcome{Rep: &Replication{Rep: 1, MeanT: 3.5}}},
+	}
+	dir := t.TempDir()
+	full := filepath.Join(dir, "full.jsonl")
+	fc, err := OpenFileCache(full)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		if e.cell != nil {
+			err = fc.Put(e.key, *e.cell)
+		} else {
+			err = fc.PutOutcome(e.key, *e.out)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := fc.Close(); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(full)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Record i's JSON spans data[starts[i]:ends[i]]; its newline follows.
+	starts, ends := []int{0}, []int{}
+	for i, b := range data {
+		if b == '\n' {
+			ends = append(ends, i)
+			starts = append(starts, i+1)
+		}
+	}
+	if len(ends) != len(entries) {
+		t.Fatalf("reference cache has %d lines for %d records", len(ends), len(entries))
+	}
+
+	path := filepath.Join(dir, "cut.jsonl")
+	after := CellResult{ET: 9}
+	for offset := 0; offset <= len(data); offset++ {
+		if err := os.WriteFile(path, data[:offset], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		whole, cut := 0, 0
+		for whole < len(entries) && ends[whole] <= offset {
+			whole++
+		}
+		if whole < len(entries) && offset > starts[whole] {
+			cut = 1
+		}
+		re, err := OpenFileCache(path)
+		if err != nil {
+			t.Fatalf("offset %d: reopen: %v", offset, err)
+		}
+		if re.Corrupt() != cut {
+			t.Fatalf("offset %d: reopen counted %d corrupt lines, want %d", offset, re.Corrupt(), cut)
+		}
+		for i, e := range entries {
+			cr, okCell := re.Get(e.key)
+			out, okOut := re.GetOutcome(e.key)
+			switch {
+			case i >= whole && (okCell || okOut):
+				t.Fatalf("offset %d: record %s loaded though its JSON was cut", offset, e.key)
+			case i < whole && e.cell != nil && (!okCell || !reflect.DeepEqual(cr, *e.cell)):
+				t.Fatalf("offset %d: cell %s lost or mangled: %+v", offset, e.key, cr)
+			case i < whole && e.out != nil && (!okOut || !reflect.DeepEqual(out, *e.out)):
+				t.Fatalf("offset %d: outcome %s lost or mangled: %+v", offset, e.key, out)
+			}
+		}
+		if err := re.Put("after", after); err != nil {
+			t.Fatal(err)
+		}
+		if err := re.Close(); err != nil {
+			t.Fatal(err)
+		}
+		back, err := OpenFileCache(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cr, ok := back.Get("after"); !ok || !reflect.DeepEqual(cr, after) {
+			t.Fatalf("offset %d: Put after the reopen lost on the next open: %+v, %t", offset, cr, ok)
+		}
+		if back.Len()+back.OutcomeLen() != whole+1 || back.Corrupt() != cut {
+			t.Fatalf("offset %d: next open holds %d records / %d corrupt, want %d / %d",
+				offset, back.Len()+back.OutcomeLen(), back.Corrupt(), whole+1, cut)
+		}
+	}
+}
+
 func indexOfCell(rs *ResultSet, c Cell) int {
 	for i, cr := range rs.Cells {
 		if cr.Cell == c {

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"repro/internal/exp"
-	"repro/internal/lru"
 	"repro/internal/wire"
 )
 
@@ -39,8 +38,14 @@ type DispatcherOptions struct {
 	// worker alive past the heartbeat timeout, so this is the only bound
 	// on a worker that is alive but wedged inside a task. 0 disables it.
 	TaskDeadline time.Duration
-	// Cache, when non-nil, memoizes task outcomes across jobs and clients.
-	Cache OutcomeCache
+	// Cache, when non-nil, memoizes task outcomes across jobs and clients,
+	// keyed by exp.TaskKey: the dispatcher consults it before granting a
+	// task (exp.CachedOutcome, so only an entry of the task's kind is a
+	// hit) and fills it as results arrive, so a re-submitted sweep — from
+	// any client — is answered without recomputation. Outcomes round-trip
+	// JSON exactly, so a hit is bit-identical to a fresh execution.
+	// fabricd -cache passes an exp.FileCache.
+	Cache exp.OutcomeCache
 	// Journal, when non-nil, makes the dispatcher durable: submissions,
 	// grants, completions and cancellations are appended write-ahead to
 	// the journal, and NewDispatcher replays the records the journal
@@ -367,8 +372,8 @@ func (d *Dispatcher) QueueDepth() int {
 }
 
 // Stats snapshots the dispatcher's operational counters — the payload of a
-// psq stats request. Cache occupancy (and, for MemOutcomeCache, the LRU
-// hit/eviction counters) is included when an outcome cache is configured.
+// psq stats request. Cache occupancy is included when the outcome cache
+// reports one (exp.FileCache's OutcomeLen).
 func (d *Dispatcher) Stats() StatsReply {
 	d.mu.Lock()
 	st := StatsReply{
@@ -382,12 +387,8 @@ func (d *Dispatcher) Stats() StatsReply {
 	st.Handshakes = d.handshakes.Load()
 	st.Refusals = d.refusals.Load()
 	st.DeadlineExpiries = d.expiries.Load()
-	if c, ok := d.opts.Cache.(interface{ Len() int }); ok {
-		st.CacheLen = c.Len()
-	}
-	if c, ok := d.opts.Cache.(interface{ Stats() lru.Stats }); ok {
-		s := c.Stats()
-		st.CacheStats = &s
+	if c, ok := d.opts.Cache.(interface{ OutcomeLen() int }); ok {
+		st.CacheLen = c.OutcomeLen()
 	}
 	return st
 }
@@ -667,12 +668,10 @@ func (d *Dispatcher) nextTask(w *workerLink) (taskRef, bool) {
 				continue
 			}
 			if d.opts.Cache != nil {
-				if key, ok := exp.TaskKey(ref.j.tasks[ref.idx]); ok {
-					if out, hit := d.opts.Cache.Get(key); hit {
-						d.cacheHits.Add(1)
-						d.finishTaskLocked(ref, out)
-						continue
-					}
+				if out, hit := exp.CachedOutcome(d.opts.Cache, ref.j.tasks[ref.idx]); hit {
+					d.cacheHits.Add(1)
+					d.finishTaskLocked(ref, out)
+					continue
 				}
 			}
 			d.journalLocked(journalRecord{Grant: &journalGrant{Job: ref.j.id, Idx: ref.idx}})
@@ -711,7 +710,7 @@ func (d *Dispatcher) requeueOnLoss(ref taskRef, w *workerLink, cause error) {
 func (d *Dispatcher) finishTask(ref taskRef, out exp.Outcome, fromCache bool) {
 	if !fromCache && d.opts.Cache != nil {
 		if key, ok := exp.TaskKey(ref.j.tasks[ref.idx]); ok {
-			if err := d.opts.Cache.Put(key, out); err != nil {
+			if err := d.opts.Cache.PutOutcome(key, out); err != nil {
 				d.opts.Logf("fabric: caching %s: %v", ref.j.tasks[ref.idx].Label(), err)
 			}
 		}

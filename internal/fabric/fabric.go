@@ -36,7 +36,6 @@ import (
 	"fmt"
 
 	"repro/internal/exp"
-	"repro/internal/lru"
 )
 
 // protoVersion guards against mixed dispatcher/worker/client binaries: the
@@ -156,9 +155,9 @@ type doneMsg struct {
 
 // StatsReply is the dispatcher's operational snapshot, as reported to psq
 // stats: the numbers the Dispatcher accessors (WorkerCount, CacheHits, ...)
-// already expose in-process, made reachable over the wire. CacheLen and
-// CacheStats appear only when an outcome cache is configured (CacheStats
-// only for caches that expose lru.Stats, i.e. MemOutcomeCache).
+// already expose in-process, made reachable over the wire. CacheLen, the
+// number of cached task outcomes, appears only when an outcome cache is
+// configured.
 type StatsReply struct {
 	Workers    int   `json:"workers"`
 	QueueDepth int   `json:"queueDepth"`
@@ -169,9 +168,8 @@ type StatsReply struct {
 	Refusals   int64 `json:"refusals"`
 	// DeadlineExpiries counts assignments abandoned because the per-task
 	// execution deadline (fabricd -task-deadline) expired.
-	DeadlineExpiries int64      `json:"deadlineExpiries,omitempty"`
-	CacheLen         int        `json:"cacheLen,omitempty"`
-	CacheStats       *lru.Stats `json:"cacheStats,omitempty"`
+	DeadlineExpiries int64 `json:"deadlineExpiries,omitempty"`
+	CacheLen         int   `json:"cacheLen,omitempty"`
 }
 
 // JobStatus is one job's public state, as reported to psq list.

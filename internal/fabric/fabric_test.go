@@ -14,6 +14,7 @@ import (
 	"context"
 	"errors"
 	"net"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"sync"
@@ -530,7 +531,7 @@ func TestFabricDetachedLifecycleAndCache(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cache := NewMemOutcomeCache()
+	cache := openCache(t, filepath.Join(t.TempDir(), "outcomes.jsonl"))
 	d, addr := startDispatcher(t, DispatcherOptions{Cache: cache})
 	startWorker(t, &Worker{Dispatcher: addr, Name: "w1"})
 	startWorker(t, &Worker{Dispatcher: addr, Name: "w2"})
@@ -558,8 +559,11 @@ func TestFabricDetachedLifecycleAndCache(t *testing.T) {
 		t.Fatalf("job %s missing from list", id)
 		return false
 	})
-	if cache.Len() != len(tasks) {
-		t.Fatalf("detached run cached %d outcomes, want %d", cache.Len(), len(tasks))
+	if got := cache.OutcomeLen(); got != len(tasks) {
+		t.Fatalf("detached run cached %d outcomes, want %d", got, len(tasks))
+	}
+	if got := d.Stats().CacheLen; got != len(tasks) {
+		t.Fatalf("stats report cacheLen %d, want %d", got, len(tasks))
 	}
 
 	// The resubmission must be answered from the cache, bit-identical.

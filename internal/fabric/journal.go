@@ -3,11 +3,10 @@ package fabric
 // The dispatcher's write-ahead job journal. Every state transition that
 // matters after a crash — a job submitted, a task granted to a worker, a
 // task finished, a job failed or canceled, a clean drain — is appended as
-// one JSON line *before* the in-memory registry mutates, with the same
-// torn-tail-repair discipline as FileOutcomeCache: a record torn by a hard
-// kill mid-write(2) is skipped on load (counted, never trusted), and the
-// first append after loading a torn file starts with a newline so the new
-// record lands on its own line instead of being absorbed into the stump.
+// one JSON line of an internal/applog file *before* the in-memory registry
+// mutates: a record torn by a hard kill mid-write(2) is skipped on load
+// (counted, never trusted), and the first append after loading a torn file
+// starts on a fresh line instead of being absorbed into the stump.
 //
 // Replay (Dispatcher restore) is idempotent by construction: submissions
 // are keyed by job ID (first record wins), completions by (job, index)
@@ -20,21 +19,14 @@ package fabric
 // results landed there before the crash.
 
 import (
-	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"os"
 	"strconv"
-	"sync"
 
+	"repro/internal/applog"
 	"repro/internal/exp"
 )
-
-// errJournalCrash is returned by the test-only crash point when an append
-// was deliberately torn mid-write — the in-process stand-in for a SIGKILL
-// landing between the first and last byte of a write(2).
-var errJournalCrash = errors.New("fabric: journal crash point: append torn mid-write")
 
 // journalRecord is one line of the write-ahead journal; exactly one field
 // is set. An all-empty record is treated as corrupt on load.
@@ -90,157 +82,71 @@ type journalMark struct {
 // the loaded records into its registry), and Close it when the process
 // exits. One dispatcher owns the file; do not share it.
 type Journal struct {
-	mu       sync.Mutex
-	path     string
-	f        *os.File
-	recs     []journalRecord
-	corrupt  int
-	tornTail bool
-	clean    bool
-
-	// failAfter, when >= 0, is a test-only crash point: it bounds the
-	// bytes this session may append, and the write that would cross the
-	// bound is truncated exactly at it and answered with errJournalCrash —
-	// simulating a hard kill mid-write. < 0 disables it.
-	failAfter int64
-	written   int64
+	log   *applog.Log
+	recs  []journalRecord
+	clean bool
 }
 
 // OpenJournal loads (or creates on first append) the journal at path,
 // skipping — and counting — corrupt lines, and detecting a torn tail.
 func OpenJournal(path string) (*Journal, error) {
-	jl := &Journal{path: path, failAfter: -1}
-	data, err := os.ReadFile(path)
+	jl := &Journal{}
+	log, err := applog.Open(path, journalDecoder(&jl.recs))
 	if err != nil {
-		if os.IsNotExist(err) {
-			return jl, nil
-		}
-		return nil, fmt.Errorf("fabric: reading journal %s: %w", path, err)
+		return nil, err
 	}
-	jl.recs, jl.corrupt, jl.tornTail = decodeJournal(data)
+	jl.log = log
 	jl.clean = len(jl.recs) > 0 && jl.recs[len(jl.recs)-1].Shutdown
 	return jl, nil
 }
 
-// decodeJournal parses journal bytes into the records that survived: one
-// JSON object per line, corrupt (undecodable or empty) lines skipped and
-// counted, torn reporting whether the data ends mid-record (no trailing
-// newline). It never fails: a journal is an optimization to replay, not a
-// source of truth to refuse.
-func decodeJournal(data []byte) (recs []journalRecord, corrupt int, torn bool) {
-	torn = len(data) > 0 && data[len(data)-1] != '\n'
-	for _, line := range bytes.Split(data, []byte("\n")) {
-		line = bytes.TrimSpace(line)
-		if len(line) == 0 {
-			continue
-		}
+// errEmptyRecord rejects a journal line that decodes but sets no field.
+var errEmptyRecord = errors.New("fabric: journal record sets no field")
+
+// journalDecoder returns the line decoder OpenJournal scans with: each
+// intact record is appended to *recs, and an undecodable or empty one is
+// rejected, which the scan counts as corrupt. A journal is an optimization
+// to replay, not a source of truth to refuse, so no content fails the load.
+func journalDecoder(recs *[]journalRecord) func(line []byte) error {
+	return func(line []byte) error {
 		var rec journalRecord
 		if err := json.Unmarshal(line, &rec); err != nil {
-			corrupt++
-			continue
+			return err
 		}
 		if rec.Submit == nil && rec.Grant == nil && rec.Done == nil &&
 			rec.Fail == nil && rec.Cancel == nil && !rec.Shutdown {
-			corrupt++
-			continue
+			return errEmptyRecord
 		}
-		recs = append(recs, rec)
+		*recs = append(*recs, rec)
+		return nil
 	}
-	return recs, corrupt, torn
 }
 
-// appendRecord appends one record through a persistent O_APPEND handle —
-// one write(2) per record, flushed by the kernel, so the most a hard kill
-// can cost is the record being written (which replay then skips as torn).
-// A failed append may leave a stump of its own, so the tail counts as torn
-// until a write succeeds: the dispatcher only logs a failed append and
-// carries on, and the next record must not be glued onto the stump.
-func (jl *Journal) appendRecord(rec journalRecord) error {
-	line, err := json.Marshal(rec)
-	if err != nil {
-		return fmt.Errorf("fabric: encoding journal record: %w", err)
-	}
-	line = append(line, '\n')
-	jl.mu.Lock()
-	defer jl.mu.Unlock()
-	if jl.tornTail {
-		line = append([]byte{'\n'}, line...)
-	}
-	if jl.f == nil {
-		f, err := os.OpenFile(jl.path, os.O_APPEND|os.O_CREATE|os.O_WRONLY, 0o644)
-		if err != nil {
-			return fmt.Errorf("fabric: opening journal for append: %w", err)
-		}
-		jl.f = f
-	}
-	if jl.failAfter >= 0 && jl.written+int64(len(line)) > jl.failAfter {
-		keep := jl.failAfter - jl.written
-		if keep < 0 {
-			keep = 0
-		}
-		if keep > 0 {
-			jl.f.Write(line[:keep])
-			jl.written += keep
-		}
-		jl.tornTail = true
-		return errJournalCrash
-	}
-	if _, err := jl.f.Write(line); err != nil {
-		jl.tornTail = true
-		return fmt.Errorf("fabric: appending journal record: %w", err)
-	}
-	jl.tornTail = false
-	jl.written += int64(len(line))
-	return nil
-}
+// appendRecord appends one record — one write(2), flushed by the kernel
+// but not fsynced, so the most a hard kill can cost is the record being
+// written (which replay then skips as torn). The dispatcher only logs a
+// failed append and carries on; the log keeps the next record intact.
+func (jl *Journal) appendRecord(rec journalRecord) error { return jl.log.Append(rec) }
 
 // records returns the records loaded at open time; the dispatcher consumes
 // them once in NewDispatcher's restore.
-func (jl *Journal) records() []journalRecord {
-	jl.mu.Lock()
-	defer jl.mu.Unlock()
-	return jl.recs
-}
+func (jl *Journal) records() []journalRecord { return jl.recs }
 
 // Len reports how many intact records the open loaded.
-func (jl *Journal) Len() int {
-	jl.mu.Lock()
-	defer jl.mu.Unlock()
-	return len(jl.recs)
-}
+func (jl *Journal) Len() int { return len(jl.recs) }
 
 // Corrupt reports how many undecodable lines the open skipped.
-func (jl *Journal) Corrupt() int {
-	jl.mu.Lock()
-	defer jl.mu.Unlock()
-	return jl.corrupt
-}
+func (jl *Journal) Corrupt() int { return jl.log.Corrupt() }
 
 // CleanShutdown reports whether the loaded journal ended with a clean
 // shutdown record — the previous dispatcher drained rather than crashed.
-func (jl *Journal) CleanShutdown() bool {
-	jl.mu.Lock()
-	defer jl.mu.Unlock()
-	return jl.clean
-}
+func (jl *Journal) CleanShutdown() bool { return jl.clean }
 
 // Path returns the journal's file path.
-func (jl *Journal) Path() string { return jl.path }
+func (jl *Journal) Path() string { return jl.log.Path() }
 
 // Close releases the append handle; the next append reopens it.
-func (jl *Journal) Close() error {
-	jl.mu.Lock()
-	defer jl.mu.Unlock()
-	if jl.f == nil {
-		return nil
-	}
-	err := jl.f.Close()
-	jl.f = nil
-	if err != nil {
-		return fmt.Errorf("fabric: closing journal: %w", err)
-	}
-	return nil
-}
+func (jl *Journal) Close() error { return jl.log.Close() }
 
 // restoredState is the registry a journal replays to: the same structures
 // the live dispatcher maintains, rebuilt record by record with the live

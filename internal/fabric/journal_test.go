@@ -1,7 +1,7 @@
 package fabric
 
 // Journal and crash-recovery tests: the write-ahead journal's file
-// discipline (torn tails, crash points mid-write), the replay semantics
+// discipline (torn tails, cuts at every byte offset), the replay semantics
 // (restoreRecords as a pure function, then a full dispatcher restarted on
 // its journal), client failover across a dispatcher restart on the same
 // address, graceful drain (dispatcher and worker), and the per-task
@@ -10,9 +10,9 @@ package fabric
 // byte-for-byte identically to the in-process pool.
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"net"
 	"os"
@@ -21,6 +21,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/applog"
 	"repro/internal/exp"
 )
 
@@ -126,62 +127,13 @@ func TestJournalTornTailRepair(t *testing.T) {
 	}
 }
 
-// TestJournalFailedAppendKeepsNextRecord: the dispatcher only logs a failed
-// append and carries on, so a failure must not cost the next record. Two
-// crash points: on a torn file, a failure that writes nothing must keep the
-// stump marked torn; on a clean file, a failure that leaves a 5-byte stump
-// must mark it torn. Either way the next append lands on its own line.
-func TestJournalFailedAppendKeepsNextRecord(t *testing.T) {
-	intact := `{"grant":{"job":"j1","idx":0}}` + "\n"
-	for _, tc := range []struct {
-		name    string
-		initial string
-		keep    int64 // bytes the failing append writes
-	}{
-		{"torn-file-0-byte-failure", intact + `{"done":{"job":"j1"`, 0},
-		{"clean-file-5-byte-write", intact, 5},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			path := journalPath(t)
-			if err := os.WriteFile(path, []byte(tc.initial), 0o644); err != nil {
-				t.Fatal(err)
-			}
-			jl, err := OpenJournal(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			jl.failAfter = tc.keep
-			if err := jl.appendRecord(journalRecord{Grant: &journalGrant{Job: "j1", Idx: 1}}); !errors.Is(err, errJournalCrash) {
-				t.Fatalf("crash point did not fire: %v", err)
-			}
-			jl.failAfter = -1
-			if err := jl.appendRecord(journalRecord{Shutdown: true}); err != nil {
-				t.Fatal(err)
-			}
-			if err := jl.Close(); err != nil {
-				t.Fatal(err)
-			}
-
-			re, err := OpenJournal(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer re.Close()
-			if re.Len() != 2 || !re.CleanShutdown() {
-				t.Fatalf("append after a failed one was lost: loaded %d records / %d corrupt (clean shutdown %v), want the grant and the shutdown",
-					re.Len(), re.Corrupt(), re.CleanShutdown())
-			}
-		})
-	}
-}
-
-// TestJournalCrashPoints tears an append at every byte offset of a full
-// journal history — the in-process stand-in for SIGKILL landing mid
-// write(2). Whatever the offset, reopening must recover exactly the
-// records whose lines fit the surviving bytes, never a mangled one.
+// TestJournalCrashPoints cuts a full journal history at every byte offset
+// by truncating the file — what a SIGKILL landing mid write(2) leaves.
+// Whatever the offset, reopening must recover exactly the records whose
+// JSON survived, count a cut one as corrupt, and replay to a consistent
+// registry.
 func TestJournalCrashPoints(t *testing.T) {
 	recs := sampleRecords()
-	// Reference: the full file and its cumulative line boundaries.
 	full := journalPath(t)
 	jl, err := OpenJournal(full)
 	if err != nil {
@@ -192,67 +144,59 @@ func TestJournalCrashPoints(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	jl.Close()
+	if err := jl.Close(); err != nil {
+		t.Fatal(err)
+	}
 	data, err := os.ReadFile(full)
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Record i's JSON spans data[starts[i]:ends[i]]; its newline follows.
+	starts, ends := []int{0}, []int{}
+	for i, b := range data {
+		if b == '\n' {
+			ends = append(ends, i)
+			starts = append(starts, i+1)
+		}
+	}
+	if len(ends) != len(recs) {
+		t.Fatalf("reference journal has %d lines for %d records", len(ends), len(recs))
+	}
 
+	path := filepath.Join(t.TempDir(), "cut.jsonl")
 	for offset := 0; offset <= len(data); offset++ {
-		path := filepath.Join(t.TempDir(), fmt.Sprintf("crash-%d.jsonl", offset))
-		cj, err := OpenJournal(path)
-		if err != nil {
+		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		cj.failAfter = int64(offset)
-		var crashed bool
-		for _, rec := range recs {
-			if err := cj.appendRecord(rec); err != nil {
-				if !errors.Is(err, errJournalCrash) {
-					t.Fatalf("offset %d: append: %v", offset, err)
-				}
-				crashed = true
-				break
-			}
-		}
-		cj.Close()
-		if !crashed && offset < len(data) {
-			t.Fatalf("offset %d: no crash fired before the full history", offset)
-		}
-		got, err := os.ReadFile(path)
-		if err != nil {
+		if err := os.Truncate(path, int64(offset)); err != nil {
 			t.Fatal(err)
 		}
-		if string(got) != string(data[:offset]) {
-			t.Fatalf("offset %d: file is not the exact prefix of the reference", offset)
+		whole, cut := 0, 0
+		for whole < len(recs) && ends[whole] <= offset {
+			whole++
 		}
-		// Reopen: exactly the complete lines within the prefix survive, and
-		// every survivor matches the reference record byte for byte.
+		if whole < len(recs) && offset > starts[whole] {
+			cut = 1
+		}
 		re, err := OpenJournal(path)
 		if err != nil {
 			t.Fatalf("offset %d: reopen: %v", offset, err)
 		}
-		wantRecs, wantCorrupt, wantTorn := decodeJournal(data[:offset])
-		if re.Len() != len(wantRecs) || re.Corrupt() != wantCorrupt {
-			t.Fatalf("offset %d: reopen loaded %d/%d, decode says %d/%d",
-				offset, re.Len(), re.Corrupt(), len(wantRecs), wantCorrupt)
+		if re.Len() != whole || re.Corrupt() != cut {
+			t.Fatalf("offset %d: reopen loaded %d records / %d corrupt, want %d / %d",
+				offset, re.Len(), re.Corrupt(), whole, cut)
 		}
-		complete := 0
 		for i, rec := range re.records() {
 			a, _ := json.Marshal(rec)
 			b, _ := json.Marshal(recs[i])
 			if string(a) != string(b) {
 				t.Fatalf("offset %d: recovered record %d mangled", offset, i)
 			}
-			complete++
-		}
-		if wantTorn && offset == len(data) {
-			t.Fatalf("full file reported torn")
 		}
 		// Recovery must replay to a consistent registry, whatever the cut.
 		st := restoreRecords(re.records(), 3)
 		if err := checkRestored(st, 3); err != nil {
-			t.Fatalf("offset %d (%d records): %v", offset, complete, err)
+			t.Fatalf("offset %d (%d records): %v", offset, whole, err)
 		}
 		re.Close()
 	}
@@ -694,8 +638,8 @@ func restoredSummary(st *restoredState) string {
 	return b.String()
 }
 
-// FuzzJournalReplay feeds arbitrary bytes through the journal decoder and
-// the registry replay. Whatever the truncation or corruption: no panic,
+// FuzzJournalReplay feeds arbitrary bytes through the scan OpenJournal
+// loads with (applog.Scan with journalDecoder) and the registry replay. Whatever the truncation or corruption: no panic,
 // the replayed registry is internally consistent (a completed task is
 // never lost — emitted always has its outcome — and a running task never
 // exceeds its grant budget), replay is deterministic, and appending more
@@ -727,7 +671,10 @@ func FuzzJournalReplay(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte("\n\n\n"))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		recs, _, _ := decodeJournal(data)
+		var recs []journalRecord
+		if _, _, err := applog.Scan(bytes.NewReader(data), journalDecoder(&recs)); err != nil {
+			t.Fatal(err)
+		}
 		const budget = 3
 		st := restoreRecords(recs, budget)
 		if err := checkRestored(st, budget); err != nil {

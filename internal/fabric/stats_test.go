@@ -2,19 +2,17 @@ package fabric
 
 import (
 	"context"
-	"fmt"
+	"path/filepath"
 	"testing"
 	"time"
-
-	"repro/internal/exp"
 )
 
 // TestFabricStatsOverWire drives a real dispatcher + worker and checks that
 // the psq stats transport reports the same numbers the in-process accessors
-// do: a live worker, the cache hits of a re-submitted sweep, and the
-// MemOutcomeCache's LRU counters.
+// do: a live worker, the cache hits of a re-submitted sweep, and the number
+// of cached outcomes.
 func TestFabricStatsOverWire(t *testing.T) {
-	cache := NewMemOutcomeCache()
+	cache := openCache(t, filepath.Join(t.TempDir(), "outcomes.jsonl"))
 	d, addr := startDispatcher(t, DispatcherOptions{Cache: cache})
 	startWorker(t, &Worker{Dispatcher: addr, Name: "w1"})
 	waitFor(t, "worker connect", 5*time.Second, func() bool { return d.WorkerCount() == 1 })
@@ -51,39 +49,7 @@ func TestFabricStatsOverWire(t *testing.T) {
 	if st.Jobs != 2 {
 		t.Fatalf("stats report %d jobs, want 2", st.Jobs)
 	}
-	if st.CacheLen != len(tasks) {
-		t.Fatalf("stats report cacheLen %d, want %d", st.CacheLen, len(tasks))
-	}
-	if st.CacheStats == nil {
-		t.Fatal("MemOutcomeCache stats missing from the reply")
-	}
-	if st.CacheStats.Entries != len(tasks) || st.CacheStats.Hits != st.CacheHits {
-		t.Fatalf("cacheStats = %+v, want %d entries and %d hits", st.CacheStats, len(tasks), st.CacheHits)
-	}
-}
-
-// TestMemOutcomeCacheBounded pins the satellite requirement: the
-// dispatcher's in-memory outcome cache must not grow without limit under
-// sustained distinct-key load, and its eviction counter must be observable.
-func TestMemOutcomeCacheBounded(t *testing.T) {
-	c := NewMemOutcomeCacheSized(8, 0)
-	out := exp.Outcome{Analyze: &exp.AnalyzeOut{TIF: 1, TEF: 2}}
-	for i := 0; i < 100; i++ {
-		if err := c.Put(fmt.Sprintf("k%d", i), out); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if c.Len() != 8 {
-		t.Fatalf("Len = %d, want the cap 8", c.Len())
-	}
-	st := c.Stats()
-	if st.Evictions != 92 {
-		t.Fatalf("Evictions = %d, want 92", st.Evictions)
-	}
-	if _, ok := c.Get("k0"); ok {
-		t.Fatal("the coldest entry survived past the cap")
-	}
-	if got, ok := c.Get("k99"); !ok || got.Analyze == nil || got.Analyze.TIF != 1 {
-		t.Fatalf("hottest entry lost or mangled: %+v, %t", got, ok)
+	if st.CacheLen != len(tasks) || st.CacheLen != cache.OutcomeLen() {
+		t.Fatalf("stats report cacheLen %d, want %d (the cache holds %d outcomes)", st.CacheLen, len(tasks), cache.OutcomeLen())
 	}
 }

@@ -1,17 +1,16 @@
 // Package lru provides the size-bounded, least-recently-used cache that
 // backs every in-memory result store of the serving stack: the experiment
-// layer's cell cache (exp.MemCache), the fabric dispatcher's outcome cache
-// (fabric.MemOutcomeCache) and the HTTP result service's response cache
-// (internal/serve). All three used to grow without limit under sustained
-// distinct-key load; this package gives them one shared eviction and
-// accounting discipline instead of three ad-hoc ones.
+// layer's cell cache (exp.MemCache) and the HTTP result service's response
+// and raw-body memo caches (internal/serve). They used to grow without
+// limit under sustained distinct-key load; this package gives them one
+// shared eviction and accounting discipline instead of ad-hoc ones.
 //
 // A Cache is bounded two ways at once — by entry count and by accounted
 // bytes (callers pass each value's size at Put time) — and evicts from the
 // cold end until both caps hold. Hits, misses, evictions and rejected
 // oversized inserts are counted, so "is the cache the right size" is an
-// observable question (surfaced by `psq stats` and resultd's /v1/stats), not
-// a guess. All methods are safe for concurrent use.
+// observable question (surfaced by resultd's /v1/stats), not a guess. All
+// methods are safe for concurrent use.
 package lru
 
 import "sync"

@@ -26,8 +26,9 @@ import (
 	"strings"
 )
 
-// MaxFrame bounds a frame payload (64 MiB, matching exp.FileCache's reader
-// ceiling); a length beyond it means a corrupt or hostile stream.
+// MaxFrame bounds a frame payload (64 MiB, far above any task, outcome or
+// job the fabric sends); a length beyond it means a corrupt or hostile
+// stream.
 const MaxFrame = 64 << 20
 
 // maxLengthLine bounds the frame-length line: MaxFrame has 8 digits, so a

@@ -63,12 +63,12 @@ sweep_flags="-k 2 -rho 0.5,0.7 -muI 1,2 -muE 1 -policy IF,EF -reps 2 -warmup 200
 "$tmp/simulate" $sweep_flags -json "$tmp/pool.json" >/dev/null
 echo "    pool reference ResultSet recorded ($(wc -c < "$tmp/pool.json") bytes)"
 
-echo "==> networked fabric gate (every task kind pool-identical in-process; fabricd dispatcher + 2 worker daemons on loopback)"
+echo "==> networked fabric gate (every task kind pool-identical in-process; fabricd dispatcher with an outcome cache + 2 worker daemons on loopback)"
 go test ./internal/fabric -run 'TestFabricBitIdenticalToPool|TestFabricTaskKindsMatchPool' -count=1
 go build -o "$tmp/fabricd" ./cmd/fabricd
 go build -o "$tmp/psq" ./cmd/psq
 "$tmp/fabricd" -role dispatcher -listen 127.0.0.1:0 -addr-file "$tmp/fabric.addr" \
-  >"$tmp/fabricd.log" 2>&1 &
+  -cache "$tmp/outcomes.jsonl" >"$tmp/fabricd.log" 2>&1 &
 disp_pid=$!
 for _ in $(seq 1 100); do [ -s "$tmp/fabric.addr" ] && break; sleep 0.1; done
 if [ ! -s "$tmp/fabric.addr" ]; then
@@ -90,6 +90,20 @@ if ! cmp "$tmp/pool.json" "$tmp/fabric.json"; then
   exit 1
 fi
 echo "    pool and fabric ResultSets byte-identical ($(wc -c < "$tmp/fabric.json") bytes)"
+# The same sweep again is answered from the dispatcher's -cache file, still
+# byte-identical to the pool.
+"$tmp/simulate" $sweep_flags -dispatcher "$addr" -json "$tmp/fabric_cached.json" >/dev/null
+if ! cmp "$tmp/pool.json" "$tmp/fabric_cached.json"; then
+  echo "FAIL: the sweep answered from the dispatcher's outcome cache differs from the pool" >&2
+  exit 1
+fi
+"$tmp/psq" -dispatcher "$addr" stats | tee "$tmp/psq_cache.out"
+cache_hits="$(awk '$1 == "cache" && $2 == "hits" {print $3}' "$tmp/psq_cache.out")"
+if [ "${cache_hits:-0}" -le 0 ]; then
+  echo "FAIL: re-running a sweep against fabricd -cache took no cache hits" >&2
+  exit 1
+fi
+echo "    re-run served from the dispatcher's outcome cache ($cache_hits hits), byte-identical"
 # Fault injection, the honest way: SIGKILL one worker daemon while a longer
 # sweep is in flight. The dispatcher re-queues whatever it held; the sweep
 # must complete on the survivor, still byte-identical to the pool. The sweep
@@ -115,8 +129,10 @@ if "$tmp/psq" -dispatcher "$addr" cancel no-such-job >/dev/null 2>&1; then
 fi
 kill "$disp_pid" "$w2_pid" 2>/dev/null || true
 
-echo "==> journal-replay unit gate (torn tails, failed appends, crash points, replay, drain, deadlines, in-process failover)"
-go test ./internal/fabric -run 'TestJournal|TestFileOutcomeCache|TestRestoreRecords|TestDispatcherJournal|TestDispatcherDrain|TestFabricDispatcherCrashFailover|TestFabricWorkerDrain|TestFabricTaskDeadline' -count=1
+echo "==> journal-replay unit gate (torn tails, failed appends, crash points, replay, drain, deadlines, in-process failover, dispatcher outcome cache)"
+go test ./internal/applog -count=1
+go test ./internal/exp -run 'TestFileCache' -count=1
+go test ./internal/fabric -run 'TestJournal|TestDispatcherCacheWrongKindIsMiss|TestDispatcherCacheAcrossRestart|TestFileOutcomeCacheFailedPutKeepsNextRecord|TestRestoreRecords|TestDispatcherJournal|TestDispatcherDrain|TestFabricDispatcherCrashFailover|TestFabricWorkerDrain|TestFabricTaskDeadline' -count=1
 
 echo "==> dispatcher-crash gate (SIGKILL the real dispatcher mid-sweep; a restart on the same journal and address resumes; byte-identical)"
 "$tmp/fabricd" -role dispatcher -listen 127.0.0.1:0 -addr-file "$tmp/crash.addr" \
@@ -290,6 +306,9 @@ go test -fuzz=FuzzFrameCodec -fuzztime=10s ./internal/wire
 
 echo "==> journal fuzz gate (arbitrary journal truncation/corruption must replay to a consistent registry)"
 go test -fuzz=FuzzJournalReplay -fuzztime=10s ./internal/fabric
+
+echo "==> append-log fuzz gate (arbitrary bytes: every non-blank line kept or counted; an append after them is the last record)"
+go test -fuzz=FuzzScan -fuzztime=10s ./internal/applog
 
 echo "==> go test -fuzz=FuzzFit -fuzztime=10s ./internal/dist"
 go test -fuzz=FuzzFit -fuzztime=10s ./internal/dist
