@@ -70,9 +70,8 @@ func main() {
 	runs, err := exp.Dominance(ctx, exp.DominanceConfig{
 		K: *k, Rho: *rho, MuI: *muI, MuE: *muE,
 		PolicyA: *polA, PolicyB: *polB,
-		Arrivals: *n, Seeds: *seeds, Workers: *workers, Backend: be,
-		Cache: oc,
-	})
+		Arrivals: *n, Seeds: *seeds,
+	}, exp.Options{Workers: *workers, Backend: be, TaskCache: oc})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -50,11 +50,14 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("psq: ")
 	dispatcher := flag.String("dispatcher", "127.0.0.1:9071", "fabricd dispatcher address (host:port)")
-	redial := flag.Duration("redial", 30*time.Second, "submit: how long to redial an unreachable or restarting dispatcher before giving up (re-attaches idempotently by job ref)")
+	redial := flag.Duration("redial", 30*time.Second, "submit: how long to redial an unreachable or restarting dispatcher before giving up (re-attaches idempotently by job ref); must be > 0")
 	flag.Usage = usage
 	flag.Parse()
 	if flag.NArg() == 0 {
 		usage()
+	}
+	if *redial <= 0 {
+		log.Fatalf("-redial must be > 0 (got %v)", *redial)
 	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)

@@ -197,15 +197,7 @@ type DominanceConfig struct {
 	// Seeds is the number of independent traces (seeds 1..Seeds).
 	Seeds int
 	// Tol absorbs floating-point noise in the work comparison (default 1e-7).
-	Tol     float64
-	Workers int
-	// Backend optionally overrides where the traces run (nil means the
-	// in-process pool with Workers goroutines).
-	Backend Backend
-	// Cache optionally memoizes per-trace outcomes keyed by exp.TaskKey, so
-	// repeating the experiment (or extending Seeds) recomputes only the
-	// missing traces.
-	Cache OutcomeCache
+	Tol float64
 }
 
 // DominanceRun is the outcome of one coupled trace.
@@ -221,8 +213,10 @@ type DominanceRun struct {
 }
 
 // Dominance runs the coupled experiment, one trace per backend task (seeds
-// 1..Seeds, in order).
-func Dominance(ctx context.Context, cfg DominanceConfig) ([]DominanceRun, error) {
+// 1..Seeds, in order). o.TaskCache memoizes per-trace outcomes, so
+// repeating the experiment (or extending Seeds) recomputes only the missing
+// traces.
+func Dominance(ctx context.Context, cfg DominanceConfig, o Options) ([]DominanceRun, error) {
 	if cfg.K < 1 || cfg.Arrivals < 1 || cfg.Seeds < 1 {
 		return nil, fmt.Errorf("exp: dominance needs k, arrivals and seeds >= 1 (got k=%d n=%d seeds=%d)",
 			cfg.K, cfg.Arrivals, cfg.Seeds)
@@ -253,7 +247,7 @@ func Dominance(ctx context.Context, cfg DominanceConfig) ([]DominanceRun, error)
 			Arrivals: cfg.Arrivals, Tol: tol, Seed: uint64(i + 1),
 		}}
 	}
-	outs, err := submitAll(ctx, Options{Workers: cfg.Workers, Backend: cfg.Backend, TaskCache: cfg.Cache}, Env{}, tasks)
+	outs, err := submitAll(ctx, o, Env{}, tasks)
 	if err != nil {
 		return nil, err
 	}

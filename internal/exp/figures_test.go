@@ -213,7 +213,7 @@ func TestDominanceTheorem3(t *testing.T) {
 		K: 4, Rho: 0.8, MuI: 1.5, MuE: 1.0,
 		PolicyA: "IF", PolicyB: "EF",
 		Arrivals: 4_000, Seeds: 3,
-	})
+	}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,7 +238,7 @@ func TestDominanceRejectsBadConfig(t *testing.T) {
 		{K: 2, Rho: 0.5, MuI: 1, MuE: 1, PolicyA: "IF", PolicyB: "EF", Arrivals: 0, Seeds: 1},
 	}
 	for i, cfg := range bad {
-		if _, err := Dominance(context.Background(), cfg); err == nil {
+		if _, err := Dominance(context.Background(), cfg, Options{}); err == nil {
 			t.Fatalf("config %d accepted: %+v", i, cfg)
 		}
 	}

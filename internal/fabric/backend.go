@@ -1,17 +1,14 @@
 package fabric
 
 import (
-	"bufio"
 	"context"
 	"crypto/rand"
 	"encoding/hex"
 	"errors"
 	"fmt"
-	"net"
 	"time"
 
 	"repro/internal/exp"
-	"repro/internal/wire"
 )
 
 // Backend submits task batches to a running fabric dispatcher — the
@@ -19,7 +16,7 @@ import (
 // flag. The submission is
 // attached: results stream back on the same connection. When the
 // connection drops (network blip, dispatcher restart), the backend redials
-// with the workers' exponential backoff and resubmits under the same
+// through the redial loop the workers use and resubmits under the same
 // idempotency ref — the dispatcher re-attaches it to the existing job (or,
 // after a journaled restart, to the replayed one) and streams the results
 // it missed, so a dispatcher restart is a stall, not a failure. Because the
@@ -32,14 +29,10 @@ type Backend struct {
 	Addr string
 	// Name labels the job in `psq list`; empty means "submit".
 	Name string
-	// DialTimeout bounds the dial; <= 0 means 10s.
-	DialTimeout time.Duration
-	// ReconnectBackoff is the initial redial delay after a lost dispatcher
-	// connection; it doubles per consecutive failure up to
-	// MaxReconnectBackoff. <= 0 means 250ms.
+	// ReconnectBackoff is the first pause before redialing a lost or
+	// unreachable dispatcher; it doubles per attempt up to 15s, and a
+	// completed handshake resets it. <= 0 means 250ms.
 	ReconnectBackoff time.Duration
-	// MaxReconnectBackoff caps the redial delay; <= 0 means 15s.
-	MaxReconnectBackoff time.Duration
 	// RedialBudget bounds how long the dispatcher may stay continuously
 	// unreachable before Submit gives up with an error wrapping
 	// exp.ErrBackendUnavailable; a completed handshake resets it. <= 0
@@ -58,6 +51,14 @@ func newSubmitRef() string {
 	return "r" + hex.EncodeToString(buf[:])
 }
 
+// redialBudget applies the 30s default to a client's RedialBudget.
+func redialBudget(budget time.Duration) time.Duration {
+	if budget <= 0 {
+		return defaultRedialBudget
+	}
+	return budget
+}
+
 // Submit implements exp.Backend.
 func (b *Backend) Submit(ctx context.Context, env exp.Env, tasks []exp.Task, emit func(exp.TaskResult) error) error {
 	if len(tasks) == 0 {
@@ -67,102 +68,54 @@ func (b *Backend) Submit(ctx context.Context, env exp.Env, tasks []exp.Task, emi
 	if name == "" {
 		name = "submit"
 	}
-	backoff := b.ReconnectBackoff
-	if backoff <= 0 {
-		backoff = 250 * time.Millisecond
-	}
-	maxBackoff := b.MaxReconnectBackoff
-	if maxBackoff <= 0 {
-		maxBackoff = 15 * time.Second
-	}
-	budget := b.RedialBudget
-	if budget <= 0 {
-		budget = 30 * time.Second
-	}
-
 	st := &submitState{
-		ref:  newSubmitRef(),
+		req:  clientReq{Submit: &submitReq{Name: name, Env: env, Tasks: tasks, Ref: newSubmitRef()}},
 		seen: make([]bool, len(tasks)),
 	}
-	delay := backoff
-	var downSince time.Time
-	for {
-		if ctx.Err() != nil {
-			return b.abandon(st.jobID, ctx.Err())
-		}
-		sess, err := dialFabric(ctx, b.Addr, b.DialTimeout)
-		if err == nil {
-			downSince = time.Time{}
-			delay = backoff
-			retry, serr := b.runSession(ctx, sess, st, name, env, tasks, emit)
-			sess.close()
-			if !retry {
-				return serr
-			}
-			// Connection lost mid-stream: redial and re-attach by ref.
-		} else {
-			if errors.Is(err, errHandshakeRefused) {
-				return err // permanent: version drift, never retried
-			}
-			if ctx.Err() != nil {
-				return b.abandon(st.jobID, ctx.Err())
-			}
-		}
-		if downSince.IsZero() {
-			downSince = time.Now()
-		}
-		if down := time.Since(downSince); down > budget {
-			return fmt.Errorf("fabric: dispatcher %s unreachable for %v with %d/%d results delivered: %w",
-				b.Addr, down.Round(time.Millisecond), st.emitted, len(tasks), exp.ErrBackendUnavailable)
-		}
-		select {
-		case <-ctx.Done():
-			return b.abandon(st.jobID, ctx.Err())
-		case <-time.After(delay):
-		}
-		if delay *= 2; delay > maxBackoff {
-			delay = maxBackoff
-		}
+	err := redial(ctx, b.Addr, helloMsg{Role: roleClient}, b.ReconnectBackoff, redialBudget(b.RedialBudget), nil,
+		func(s *session) (bool, error) { return b.stream(s, st, emit) })
+	switch {
+	case ctx.Err() != nil:
+		return b.abandon(st.jobID, ctx.Err())
+	case errors.Is(err, exp.ErrBackendUnavailable):
+		return fmt.Errorf("%w (%d/%d results delivered)", err, st.emitted, len(tasks))
 	}
+	return err
 }
 
-// submitState carries one logical submission across redials: the
-// idempotency ref, which task indices already reached emit (a re-attach
-// streams them again; duplicates are skipped, not errors), and the job ID
-// once known.
+// submitState carries one logical submission across redials: the request
+// with its idempotency ref, which task indices already reached emit (a
+// re-attach streams them again; duplicates are skipped, not errors), and
+// the job ID once known.
 type submitState struct {
-	ref     string
+	req     clientReq
 	seen    []bool
 	emitted int
 	jobID   string
 }
 
-// runSession submits (or, by ref, re-attaches) on one connection and
-// streams results until the job ends or the connection drops. retry
-// reports whether the submission should continue on a fresh connection;
-// when retry is false, err is Submit's final answer.
-func (b *Backend) runSession(ctx context.Context, sess *clientSession, st *submitState, name string, env exp.Env, tasks []exp.Task, emit func(exp.TaskResult) error) (retry bool, err error) {
-	if err := sess.send(clientReq{Submit: &submitReq{Name: name, Env: env, Tasks: tasks, Ref: st.ref}}); err != nil {
-		if ctx.Err() != nil {
-			return false, b.abandon(st.jobID, ctx.Err())
-		}
-		return true, nil
+// stream submits (or, by ref, re-attaches) on one connection and streams
+// results until the job ends or the connection drops. retry reports
+// whether the submission should continue on a fresh connection; when
+// retry is false, err is Submit's final answer.
+func (b *Backend) stream(s *session, st *submitState, emit func(exp.TaskResult) error) (retry bool, err error) {
+	ack, answered, err := s.roundTrip(st.req)
+	if !answered || err != nil {
+		return !answered, err
 	}
+	st.jobID = ack.Submitted
 	for {
 		var resp clientResp
-		if err := sess.read(&resp); err != nil {
-			if ctx.Err() != nil {
-				return false, b.abandon(st.jobID, ctx.Err())
-			}
-			return true, nil
+		if err := s.read(&resp); err != nil {
+			return true, fmt.Errorf("fabric: reading results: %w", err)
 		}
 		switch {
 		case resp.Err != "":
 			return false, errors.New(resp.Err)
 		case resp.Result != nil:
 			i := resp.Result.Index
-			if i < 0 || i >= len(tasks) {
-				return false, b.abandon(st.jobID, fmt.Errorf("fabric: dispatcher streamed result for task %d of %d", i, len(tasks)))
+			if i < 0 || i >= len(st.seen) {
+				return false, b.abandon(st.jobID, fmt.Errorf("fabric: dispatcher streamed result for task %d of %d", i, len(st.seen)))
 			}
 			if st.seen[i] {
 				continue // re-attach catch-up overlap: already delivered
@@ -176,12 +129,10 @@ func (b *Backend) runSession(ctx context.Context, sess *clientSession, st *submi
 			if resp.Done.Err != "" {
 				return false, errors.New(resp.Done.Err)
 			}
-			if st.emitted != len(tasks) {
-				return false, fmt.Errorf("fabric: job done with only %d/%d results streamed", st.emitted, len(tasks))
+			if st.emitted != len(st.seen) {
+				return false, fmt.Errorf("fabric: job done with only %d/%d results streamed", st.emitted, len(st.seen))
 			}
-			return false, ctx.Err()
-		case resp.Submitted != "":
-			st.jobID = resp.Submitted
+			return false, nil
 		}
 	}
 }
@@ -195,7 +146,7 @@ func (b *Backend) abandon(jobID string, cause error) error {
 	if jobID != "" {
 		cctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 		defer cancel()
-		c := &Client{Addr: b.Addr, DialTimeout: b.DialTimeout}
+		c := &Client{Addr: b.Addr}
 		c.Cancel(cctx, jobID) // best effort; the job is orphaned either way
 	}
 	return cause
@@ -205,13 +156,11 @@ func (b *Backend) abandon(jobID string, cause error) error {
 type Client struct {
 	// Addr is the dispatcher's host:port.
 	Addr string
-	// DialTimeout bounds the dial; <= 0 means 10s.
-	DialTimeout time.Duration
-	// RedialBudget, when > 0, makes SubmitDetached survive an unreachable
-	// or restarting dispatcher: it redials with exponential backoff for up
-	// to this long, resubmitting under one idempotency ref. 0 keeps the
-	// historical fail-fast behavior. List, Stats and Cancel always fail
-	// fast — they are observations of a live dispatcher.
+	// RedialBudget bounds how long SubmitDetached redials an unreachable or
+	// restarting dispatcher, resubmitting under one idempotency ref, before
+	// it fails with an error wrapping exp.ErrBackendUnavailable; a completed
+	// handshake resets it. <= 0 means 30s, as for Backend. List, Stats and
+	// Cancel always fail fast — they are observations of a live dispatcher.
 	RedialBudget time.Duration
 }
 
@@ -219,92 +168,46 @@ type Client struct {
 // dispatcher executes it to completion (filling its outcome cache), and
 // `psq list` tracks its progress. Returns the job ID.
 func (c *Client) SubmitDetached(ctx context.Context, name string, env exp.Env, tasks []exp.Task) (string, error) {
-	req := &submitReq{Name: name, Env: env, Tasks: tasks, Detach: true}
-	if c.RedialBudget <= 0 {
-		return c.submitDetachedOnce(ctx, req)
-	}
-	req.Ref = newSubmitRef()
-	delay := 250 * time.Millisecond
-	start := time.Now()
-	for {
-		id, err := c.submitDetachedOnce(ctx, req)
-		if err == nil || errors.Is(err, errHandshakeRefused) || ctx.Err() != nil {
-			return id, err
-		}
-		if down := time.Since(start); down > c.RedialBudget {
-			return "", fmt.Errorf("fabric: dispatcher %s unreachable for %v: %w",
-				c.Addr, down.Round(time.Millisecond), exp.ErrBackendUnavailable)
-		}
-		select {
-		case <-ctx.Done():
-			return "", ctx.Err()
-		case <-time.After(delay):
-		}
-		if delay *= 2; delay > 15*time.Second {
-			delay = 15 * time.Second
-		}
-	}
+	req := clientReq{Submit: &submitReq{Name: name, Env: env, Tasks: tasks, Detach: true, Ref: newSubmitRef()}}
+	var id string
+	err := redial(ctx, c.Addr, helloMsg{Role: roleClient}, 0, redialBudget(c.RedialBudget), nil,
+		func(s *session) (bool, error) {
+			resp, answered, err := s.roundTrip(req)
+			if !answered || err != nil {
+				return !answered, err
+			}
+			if resp.Submitted == "" {
+				return false, fmt.Errorf("fabric: dispatcher acknowledged without a job id")
+			}
+			id = resp.Submitted
+			return false, nil
+		})
+	return id, err
 }
 
-func (c *Client) submitDetachedOnce(ctx context.Context, req *submitReq) (string, error) {
-	sess, err := dialFabric(ctx, c.Addr, c.DialTimeout)
+// call is one request round trip on a fresh connection, with no redial.
+func (c *Client) call(ctx context.Context, req clientReq) (clientResp, error) {
+	s, err := dial(ctx, c.Addr, helloMsg{Role: roleClient})
 	if err != nil {
-		return "", err
+		return clientResp{}, err
 	}
-	defer sess.close()
-	if err := sess.send(clientReq{Submit: req}); err != nil {
-		return "", fmt.Errorf("fabric: submitting detached job: %w", err)
-	}
-	var resp clientResp
-	if err := sess.read(&resp); err != nil {
-		return "", fmt.Errorf("fabric: reading submit ack: %w", err)
-	}
-	if resp.Err != "" {
-		return "", errors.New(resp.Err)
-	}
-	if resp.Submitted == "" {
-		return "", fmt.Errorf("fabric: dispatcher acknowledged without a job id")
-	}
-	return resp.Submitted, nil
+	defer s.close()
+	resp, _, err := s.roundTrip(req)
+	return resp, err
 }
 
 // List returns every job on the dispatcher in submission order.
 func (c *Client) List(ctx context.Context) ([]JobStatus, error) {
-	sess, err := dialFabric(ctx, c.Addr, c.DialTimeout)
-	if err != nil {
-		return nil, err
-	}
-	defer sess.close()
-	if err := sess.send(clientReq{List: true}); err != nil {
-		return nil, fmt.Errorf("fabric: listing jobs: %w", err)
-	}
-	var resp clientResp
-	if err := sess.read(&resp); err != nil {
-		return nil, fmt.Errorf("fabric: reading job list: %w", err)
-	}
-	if resp.Err != "" {
-		return nil, errors.New(resp.Err)
-	}
-	return resp.Jobs, nil
+	resp, err := c.call(ctx, clientReq{List: true})
+	return resp.Jobs, err
 }
 
 // Stats fetches the dispatcher's operational counters (worker count, queue
 // depth, cache hits, ...) — the transport behind `psq stats`.
 func (c *Client) Stats(ctx context.Context) (StatsReply, error) {
-	sess, err := dialFabric(ctx, c.Addr, c.DialTimeout)
+	resp, err := c.call(ctx, clientReq{Stats: true})
 	if err != nil {
 		return StatsReply{}, err
-	}
-	defer sess.close()
-	if err := sess.send(clientReq{Stats: true}); err != nil {
-		return StatsReply{}, fmt.Errorf("fabric: requesting stats: %w", err)
-	}
-	var resp clientResp
-	if err := sess.read(&resp); err != nil {
-		return StatsReply{}, fmt.Errorf("fabric: reading stats: %w", err)
-	}
-	if resp.Err != "" {
-		return StatsReply{}, errors.New(resp.Err)
 	}
 	if resp.Stats == nil {
 		return StatsReply{}, fmt.Errorf("fabric: dispatcher answered without stats (older dispatcher binary?)")
@@ -314,82 +217,6 @@ func (c *Client) Stats(ctx context.Context) (StatsReply, error) {
 
 // Cancel cancels a running job by ID.
 func (c *Client) Cancel(ctx context.Context, id string) error {
-	sess, err := dialFabric(ctx, c.Addr, c.DialTimeout)
-	if err != nil {
-		return err
-	}
-	defer sess.close()
-	if err := sess.send(clientReq{Cancel: id}); err != nil {
-		return fmt.Errorf("fabric: canceling job %s: %w", id, err)
-	}
-	var resp clientResp
-	if err := sess.read(&resp); err != nil {
-		return fmt.Errorf("fabric: reading cancel ack: %w", err)
-	}
-	if resp.Err != "" {
-		return errors.New(resp.Err)
-	}
-	return nil
-}
-
-// clientSession is one handshaken client connection.
-type clientSession struct {
-	conn      net.Conn
-	br        *bufio.Reader
-	bw        *bufio.Writer
-	watchDone chan struct{}
-}
-
-// dialFabric dials the dispatcher, completes the client handshake, and
-// arranges for ctx cancellation to kill the connection (unblocking reads).
-func dialFabric(ctx context.Context, addr string, timeout time.Duration) (*clientSession, error) {
-	if timeout <= 0 {
-		timeout = 10 * time.Second
-	}
-	dialer := net.Dialer{Timeout: timeout}
-	conn, err := dialer.DialContext(ctx, "tcp", addr)
-	if err != nil {
-		return nil, fmt.Errorf("fabric: dialing dispatcher %s: %w", addr, err)
-	}
-	s := &clientSession{
-		conn:      conn,
-		br:        bufio.NewReader(conn),
-		bw:        bufio.NewWriter(conn),
-		watchDone: make(chan struct{}),
-	}
-	go func() {
-		select {
-		case <-ctx.Done():
-			conn.Close()
-		case <-s.watchDone:
-		}
-	}()
-	if err := s.send(helloMsg{V: protoVersion, Role: roleClient}); err != nil {
-		s.close()
-		return nil, fmt.Errorf("fabric: sending hello to %s: %w", addr, err)
-	}
-	var ack helloAck
-	if err := s.read(&ack); err != nil {
-		s.close()
-		return nil, fmt.Errorf("fabric: reading hello ack from %s — is a fabric dispatcher (cmd/fabricd -role dispatcher) listening there?: %w", addr, err)
-	}
-	if !ack.OK {
-		s.close()
-		return nil, fmt.Errorf("%w: %s", errHandshakeRefused, ack.Err)
-	}
-	return s, nil
-}
-
-func (s *clientSession) send(v any) error {
-	if err := wire.WriteFrame(s.bw, v); err != nil {
-		return err
-	}
-	return s.bw.Flush()
-}
-
-func (s *clientSession) read(v any) error { return wire.ReadFrame(s.br, v) }
-
-func (s *clientSession) close() {
-	close(s.watchDone)
-	s.conn.Close()
+	_, err := c.call(ctx, clientReq{Cancel: id})
+	return err
 }

@@ -71,17 +71,15 @@ type Dispatcher struct {
 	opts DispatcherOptions
 	live *liveness
 
-	mu         sync.Mutex
-	cond       *sync.Cond
-	ln         net.Listener
+	mu   sync.Mutex
+	cond *sync.Cond
+	ln   net.Listener
+	// registry holds every job; apply is its one state machine.
+	registry
 	queue      []taskRef
-	jobs       map[string]*job
-	jobOrder   []string
-	refs       map[string]string // submit ref -> job id (idempotent resubmission)
 	workers    map[int64]*workerLink
 	conns      map[net.Conn]struct{}
 	nextWorker int64
-	nextJob    int
 	inflight   int // tasks granted to workers and not yet concluded
 	draining   bool
 	closed     bool
@@ -102,15 +100,17 @@ type taskRef struct {
 
 // job is one submitted batch.
 type job struct {
-	id       string
-	ref      string
-	name     string
-	env      exp.Env
-	tasks    []exp.Task
-	detach   bool
-	state    string
-	err      string
-	done     int
+	id    string
+	ref   string
+	name  string
+	env   exp.Env
+	tasks []exp.Task
+	state string
+	err   string
+	done  int
+	// attempts counts, per task, the grants without a matching done: the
+	// executions a worker loss or a dispatcher crash interrupted, plus the
+	// one in flight.
 	attempts []int
 	emitted  []bool
 	// outs holds every finished outcome by task index, kept for the job's
@@ -124,10 +124,109 @@ type job struct {
 	notify chan struct{}
 }
 
+// unfinished reports whether task idx of j can still change: the job is
+// running and the task is in range and not yet done.
+func (j *job) unfinished(idx int) bool {
+	return j.state == JobRunning && idx >= 0 && idx < len(j.tasks) && !j.emitted[idx]
+}
+
 // wake signals every streaming client of j; callers hold d.mu.
 func (j *job) wake() {
 	close(j.notify)
 	j.notify = make(chan struct{})
+}
+
+// registry is the dispatcher's job state: every job by ID, in submission
+// order, and the submit refs that re-attach to them.
+type registry struct {
+	jobs     map[string]*job
+	jobOrder []string
+	refs     map[string]string // submit ref -> job id (idempotent resubmission)
+	nextJob  int               // highest job number issued
+}
+
+func newRegistry() registry {
+	return registry{jobs: make(map[string]*job), refs: make(map[string]string)}
+}
+
+// apply performs the job transition rec records and reports whether the
+// registry changed. It is the one state machine of the fabric: the live
+// dispatcher journals a record and then applies it under d.mu (step), and
+// replay applies the journal's records in order (restoreRecords). Its
+// guards make any record sequence safe to apply, which is what makes a
+// torn, corrupt or duplicated journal replay to a consistent registry: the
+// first submit of an ID wins, grant and done touch only running jobs and
+// unfinished tasks, and terminal states stay terminal.
+func (r *registry) apply(rec journalRecord) bool {
+	switch {
+	case rec.Submit != nil:
+		s := rec.Submit
+		if s.ID == "" || len(s.Tasks) == 0 || r.jobs[s.ID] != nil {
+			return false
+		}
+		r.jobs[s.ID] = &job{
+			id:       s.ID,
+			ref:      s.Ref,
+			name:     s.Name,
+			env:      s.Env,
+			tasks:    s.Tasks,
+			state:    JobRunning,
+			attempts: make([]int, len(s.Tasks)),
+			emitted:  make([]bool, len(s.Tasks)),
+			outs:     make([]*exp.Outcome, len(s.Tasks)),
+			notify:   make(chan struct{}),
+		}
+		r.jobOrder = append(r.jobOrder, s.ID)
+		if s.Ref != "" && r.refs[s.Ref] == "" {
+			r.refs[s.Ref] = s.ID
+		}
+		if n, ok := jobNum(s.ID); ok && n > r.nextJob {
+			r.nextJob = n
+		}
+	case rec.Grant != nil:
+		j := r.jobs[rec.Grant.Job]
+		if j == nil || !j.unfinished(rec.Grant.Idx) {
+			return false
+		}
+		j.attempts[rec.Grant.Idx]++
+	case rec.Done != nil:
+		dn := rec.Done
+		j := r.jobs[dn.Job]
+		if j == nil || !j.unfinished(dn.Idx) {
+			return false
+		}
+		out := dn.Out
+		j.emitted[dn.Idx] = true
+		j.done++
+		j.outs[dn.Idx] = &out
+		// The grant this completion answers was not interrupted.
+		if j.attempts[dn.Idx] > 0 {
+			j.attempts[dn.Idx]--
+		}
+		if j.done == len(j.tasks) {
+			j.state = JobDone
+		}
+		j.wake()
+	case rec.Fail != nil:
+		return r.end(rec.Fail, JobFailed)
+	case rec.Cancel != nil:
+		return r.end(rec.Cancel, JobCanceled)
+	default:
+		return false // a shutdown record only informs CleanShutdown
+	}
+	return true
+}
+
+// end moves a running job to a terminal state with m's message.
+func (r *registry) end(m *journalMark, state string) bool {
+	j := r.jobs[m.Job]
+	if j == nil || j.state != JobRunning {
+		return false
+	}
+	j.state = state
+	j.err = m.Msg
+	j.wake()
+	return true
 }
 
 // workerLink is one live worker connection.
@@ -170,8 +269,7 @@ func NewDispatcher(opts DispatcherOptions) *Dispatcher {
 	d := &Dispatcher{
 		opts:     opts,
 		live:     newLiveness(opts.HeartbeatTimeout),
-		jobs:     make(map[string]*job),
-		refs:     make(map[string]string),
+		registry: newRegistry(),
 		workers:  make(map[int64]*workerLink),
 		conns:    make(map[net.Conn]struct{}),
 		closedCh: make(chan struct{}),
@@ -189,10 +287,7 @@ func (d *Dispatcher) replayJournal() {
 	jl := d.opts.Journal
 	recs := jl.records()
 	st := restoreRecords(recs, d.opts.MaxTaskAttempts)
-	d.jobs = st.jobs
-	d.jobOrder = st.jobOrder
-	d.refs = st.refs
-	d.nextJob = st.nextJob
+	d.registry = st.registry
 	// Budget exhaustion discovered at replay is a real terminal
 	// transition: journal it so the next incarnation agrees.
 	for _, id := range st.failed {
@@ -204,11 +299,8 @@ func (d *Dispatcher) replayJournal() {
 	for _, id := range d.jobOrder {
 		j := d.jobs[id]
 		restored += j.done
-		if j.state != JobRunning {
-			continue
-		}
 		for i := range j.tasks {
-			if !j.emitted[i] {
+			if j.unfinished(i) {
 				d.queue = append(d.queue, taskRef{j: j, idx: i})
 				requeued++
 			}
@@ -221,6 +313,13 @@ func (d *Dispatcher) replayJournal() {
 		d.opts.Logf("fabric: journal %s replayed: %d records (%d corrupt), %d jobs, %d finished tasks restored, %d tasks re-queued, clean shutdown %t",
 			jl.Path(), len(recs), jl.Corrupt(), len(d.jobOrder), restored, requeued, jl.CleanShutdown())
 	}
+}
+
+// step journals rec write-ahead and applies it: the live half of the one
+// state machine. Callers hold d.mu.
+func (d *Dispatcher) step(rec journalRecord) bool {
+	d.journalLocked(rec)
+	return d.apply(rec)
 }
 
 // journalLocked appends one record write-ahead; callers hold d.mu. Append
@@ -556,7 +655,7 @@ func (d *Dispatcher) handleWorker(conn net.Conn, br *bufio.Reader, bw *bufio.Wri
 			d.failJob(ref.j, res.Err)
 			continue
 		}
-		d.finishTask(ref, res.Out, false)
+		d.finishTask(ref, res.Out)
 	}
 }
 
@@ -664,17 +763,17 @@ func (d *Dispatcher) nextTask(w *workerLink) (taskRef, bool) {
 		for len(d.queue) > 0 {
 			ref := d.queue[0]
 			d.queue = d.queue[1:]
-			if ref.j.state != JobRunning {
-				continue
+			if !ref.j.unfinished(ref.idx) {
+				continue // its job ended while the task waited
 			}
 			if d.opts.Cache != nil {
 				if out, hit := exp.CachedOutcome(d.opts.Cache, ref.j.tasks[ref.idx]); hit {
 					d.cacheHits.Add(1)
-					d.finishTaskLocked(ref, out)
+					d.step(journalRecord{Done: &journalDone{Job: ref.j.id, Idx: ref.idx, Out: out}})
 					continue
 				}
 			}
-			d.journalLocked(journalRecord{Grant: &journalGrant{Job: ref.j.id, Idx: ref.idx}})
+			d.step(journalRecord{Grant: &journalGrant{Job: ref.j.id, Idx: ref.idx}})
 			d.inflight++
 			return ref, true
 		}
@@ -683,19 +782,19 @@ func (d *Dispatcher) nextTask(w *workerLink) (taskRef, bool) {
 }
 
 // requeueOnLoss returns a lost worker's in-flight task to the queue,
-// failing the job when the task has exhausted its attempt budget.
+// failing the job when the task has exhausted its attempt budget. The lost
+// grant stays counted in the task's attempts: it has no matching done.
 func (d *Dispatcher) requeueOnLoss(ref taskRef, w *workerLink, cause error) {
 	d.requeues.Add(1)
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	j := ref.j
-	if j.state != JobRunning || j.emitted[ref.idx] {
-		return
+	if !j.unfinished(ref.idx) {
+		return // its job ended while the task was out
 	}
-	j.attempts[ref.idx]++
-	if j.attempts[ref.idx] >= d.opts.MaxTaskAttempts {
+	if n := j.attempts[ref.idx]; n >= d.opts.MaxTaskAttempts {
 		d.failJobLocked(j, fmt.Sprintf("fabric: %s failed %d times across worker losses (last worker %s: %v)",
-			j.tasks[ref.idx].Label(), j.attempts[ref.idx], w.name, cause))
+			j.tasks[ref.idx].Label(), n, w.name, cause))
 		return
 	}
 	d.opts.Logf("fabric: re-queueing %s after loss of worker %s (attempt %d/%d)",
@@ -704,11 +803,12 @@ func (d *Dispatcher) requeueOnLoss(ref taskRef, w *workerLink, cause error) {
 	d.cond.Broadcast()
 }
 
-// finishTask records one finished task: caches the outcome, journals the
-// completion, stores it for streaming clients, and closes the job when it
-// was the last.
-func (d *Dispatcher) finishTask(ref taskRef, out exp.Outcome, fromCache bool) {
-	if !fromCache && d.opts.Cache != nil {
+// finishTask records one task a worker finished: caches the outcome, then
+// journals and applies the completion, which stores it for streaming
+// clients and closes the job when it was the last (apply drops the late
+// result of a canceled or failed job).
+func (d *Dispatcher) finishTask(ref taskRef, out exp.Outcome) {
+	if d.opts.Cache != nil {
 		if key, ok := exp.TaskKey(ref.j.tasks[ref.idx]); ok {
 			if err := d.opts.Cache.PutOutcome(key, out); err != nil {
 				d.opts.Logf("fabric: caching %s: %v", ref.j.tasks[ref.idx].Label(), err)
@@ -716,23 +816,8 @@ func (d *Dispatcher) finishTask(ref taskRef, out exp.Outcome, fromCache bool) {
 		}
 	}
 	d.mu.Lock()
-	d.finishTaskLocked(ref, out)
+	d.step(journalRecord{Done: &journalDone{Job: ref.j.id, Idx: ref.idx, Out: out}})
 	d.mu.Unlock()
-}
-
-func (d *Dispatcher) finishTaskLocked(ref taskRef, out exp.Outcome) {
-	j := ref.j
-	if j.state != JobRunning || j.emitted[ref.idx] {
-		return // late result of a re-queued, canceled or failed task
-	}
-	d.journalLocked(journalRecord{Done: &journalDone{Job: j.id, Idx: ref.idx, Out: out}})
-	j.emitted[ref.idx] = true
-	j.done++
-	j.outs[ref.idx] = &out
-	if j.done == len(j.tasks) {
-		j.state = JobDone
-	}
-	j.wake()
 }
 
 // failJob moves a job to the failed state (deterministic task error or
@@ -745,14 +830,9 @@ func (d *Dispatcher) failJob(j *job, msg string) {
 }
 
 func (d *Dispatcher) failJobLocked(j *job, msg string) {
-	if j.state != JobRunning {
-		return
+	if d.step(journalRecord{Fail: &journalMark{Job: j.id, Msg: msg}}) {
+		d.opts.Logf("fabric: job %s failed: %s", j.id, msg)
 	}
-	d.journalLocked(journalRecord{Fail: &journalMark{Job: j.id, Msg: msg}})
-	j.state = JobFailed
-	j.err = msg
-	j.wake()
-	d.opts.Logf("fabric: job %s failed: %s", j.id, msg)
 }
 
 // cancelJob moves a job to the canceled state; queued tasks are discarded
@@ -760,14 +840,9 @@ func (d *Dispatcher) failJobLocked(j *job, msg string) {
 func (d *Dispatcher) cancelJob(j *job, reason string) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if j.state != JobRunning {
-		return
+	if d.step(journalRecord{Cancel: &journalMark{Job: j.id, Msg: "canceled: " + reason}}) {
+		d.opts.Logf("fabric: job %s canceled (%s)", j.id, reason)
 	}
-	d.journalLocked(journalRecord{Cancel: &journalMark{Job: j.id, Msg: "canceled: " + reason}})
-	j.state = JobCanceled
-	j.err = "canceled: " + reason
-	j.wake()
-	d.opts.Logf("fabric: job %s canceled (%s)", j.id, reason)
 }
 
 // submitJob registers a batch as a new job and queues its tasks, journaling
@@ -794,29 +869,9 @@ func (d *Dispatcher) submitJob(req *submitReq) (j *job, reattached bool, err err
 	if d.draining {
 		return nil, false, fmt.Errorf("fabric: dispatcher is draining")
 	}
-	d.nextJob++
-	id := fmt.Sprintf("j%d", d.nextJob)
-	d.journalLocked(journalRecord{Submit: &journalSubmit{
-		ID: id, Ref: req.Ref, Name: req.Name, Env: req.Env, Tasks: req.Tasks, Detach: req.Detach,
-	}})
-	j = &job{
-		id:       id,
-		ref:      req.Ref,
-		name:     req.Name,
-		env:      req.Env,
-		tasks:    req.Tasks,
-		detach:   req.Detach,
-		state:    JobRunning,
-		attempts: make([]int, len(req.Tasks)),
-		emitted:  make([]bool, len(req.Tasks)),
-		outs:     make([]*exp.Outcome, len(req.Tasks)),
-		notify:   make(chan struct{}),
-	}
-	d.jobs[j.id] = j
-	d.jobOrder = append(d.jobOrder, j.id)
-	if req.Ref != "" {
-		d.refs[req.Ref] = j.id
-	}
+	id := fmt.Sprintf("j%d", d.nextJob+1)
+	d.step(journalRecord{Submit: &journalSubmit{ID: id, Ref: req.Ref, Name: req.Name, Env: req.Env, Tasks: req.Tasks}})
+	j = d.jobs[id]
 	for i := range j.tasks {
 		d.queue = append(d.queue, taskRef{j: j, idx: i})
 	}

@@ -203,8 +203,8 @@ func TestFabricTaskKindsMatchPool(t *testing.T) {
 		{"dominance", func(be exp.Backend) (any, error) {
 			return exp.Dominance(ctx, exp.DominanceConfig{
 				K: 2, Rho: 0.7, MuI: 1.5, MuE: 1.0,
-				PolicyA: "IF", PolicyB: "EF", Arrivals: 3_000, Seeds: 3, Backend: be,
-			})
+				PolicyA: "IF", PolicyB: "EF", Arrivals: 3_000, Seeds: 3,
+			}, exp.Options{Backend: be})
 		}},
 		{"tail", sweepCells(tail)},
 		{"degenerate", sweepCells(degenerate)},
@@ -246,6 +246,39 @@ func TestFabricWorkerKilledMidTask(t *testing.T) {
 	}
 	if d.Requeues() < 1 {
 		t.Fatalf("worker died holding a task but Requeues = %d", d.Requeues())
+	}
+}
+
+// TestDispatcherLiveRetryBudget pins the live retry budget: with
+// MaxTaskAttempts 2, two workers crash one after another holding the same
+// task. The first loss re-queues it; the second fails the job.
+func TestDispatcherLiveRetryBudget(t *testing.T) {
+	d, addr := startDispatcher(t, DispatcherOptions{MaxTaskAttempts: 2})
+	sw := fabricSweep()
+	tasks, err := sw.Tasks()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := (&Client{Addr: addr}).SubmitDetached(context.Background(), "budget", exp.Env{Sweep: &sw}, tasks[:1]); err != nil {
+		t.Fatal(err)
+	}
+	job := func() JobStatus { return d.Jobs()[0] }
+
+	startWorker(t, &Worker{Dispatcher: addr, Name: "lost1", dieAfterAssigns: 1})
+	waitFor(t, "the first loss to re-queue the task", 5*time.Second, func() bool {
+		return d.Requeues() == 1 && d.QueueDepth() == 1
+	})
+	if j := job(); j.State != JobRunning {
+		t.Fatalf("after one loss against a budget of 2 the job is %s (%s), want running", j.State, j.Err)
+	}
+
+	startWorker(t, &Worker{Dispatcher: addr, Name: "lost2", dieAfterAssigns: 1})
+	waitFor(t, "the second loss to fail the job", 5*time.Second, func() bool { return job().State == JobFailed })
+	if j := job(); !strings.Contains(j.Err, "failed 2 times across worker losses") {
+		t.Fatalf("budget-exhausted job error = %q", j.Err)
+	}
+	if d.Requeues() != 2 || d.QueueDepth() != 0 {
+		t.Fatalf("after two losses: Requeues = %d, QueueDepth = %d, want 2 and 0", d.Requeues(), d.QueueDepth())
 	}
 }
 

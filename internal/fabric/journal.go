@@ -8,12 +8,13 @@ package fabric
 // (counted, never trusted), and the first append after loading a torn file
 // starts on a fresh line instead of being absorbed into the stump.
 //
-// Replay (Dispatcher restore) is idempotent by construction: submissions
-// are keyed by job ID (first record wins), completions by (job, index)
-// with the same emitted-guard the live dispatcher uses, and a grant with
-// no matching completion is exactly an interrupted in-flight execution —
-// it consumes one unit of the task's retry budget and the task is
-// re-queued. Because every task is idempotent (seeds and cache keys derive
+// Replay (Dispatcher restore) runs every record through apply, the same
+// transition function the live dispatcher runs, so it is idempotent by
+// construction: submissions are keyed by job ID (first record wins),
+// completions by (job, index) with the same guard the live dispatcher
+// uses, and a grant with no matching completion is exactly an interrupted
+// in-flight execution — it consumes one unit of the task's retry budget
+// and the task is re-queued. Because every task is idempotent (seeds and cache keys derive
 // from task identity alone), re-running an interrupted grant is always
 // safe, and a configured outcome cache dedupes re-queued tasks whose
 // results landed there before the crash.
@@ -45,12 +46,11 @@ type journalRecord struct {
 // journalSubmit records a job submission — the full spec, so replay can
 // rebuild the registry entry without any other source of truth.
 type journalSubmit struct {
-	ID     string     `json:"id"`
-	Ref    string     `json:"ref,omitempty"`
-	Name   string     `json:"name,omitempty"`
-	Env    exp.Env    `json:"env"`
-	Tasks  []exp.Task `json:"tasks"`
-	Detach bool       `json:"detach,omitempty"`
+	ID    string     `json:"id"`
+	Ref   string     `json:"ref,omitempty"`
+	Name  string     `json:"name,omitempty"`
+	Env   exp.Env    `json:"env"`
+	Tasks []exp.Task `json:"tasks"`
 }
 
 // journalGrant records a task handed to a worker, written before the
@@ -148,129 +148,37 @@ func (jl *Journal) Path() string { return jl.log.Path() }
 // Close releases the append handle; the next append reopens it.
 func (jl *Journal) Close() error { return jl.log.Close() }
 
-// restoredState is the registry a journal replays to: the same structures
-// the live dispatcher maintains, rebuilt record by record with the live
-// transition guards (first submit wins, completions only on running jobs
-// and unemitted indices, terminal states are sticky).
+// restoredState is the registry a journal replays to, plus the jobs whose
+// retry budget interrupted grants had already used up.
 type restoredState struct {
-	jobs     map[string]*job
-	jobOrder []string
-	refs     map[string]string
-	nextJob  int
-	// failed lists jobs whose retry budget was already exhausted by
-	// interrupted grants at replay time; the dispatcher journals their
-	// failure and surfaces it like any other budget exhaustion.
+	registry
+	// failed lists the jobs the budget check failed at replay; the
+	// dispatcher journals their failure.
 	failed []string
 }
 
-// restoreRecords replays journal records into a fresh registry.
-// maxAttempts is the dispatcher's per-task retry budget: a grant with no
-// matching done is an interrupted execution and consumes one attempt, so
-// the budget is unified across restarts — a task cannot crash-loop the
-// fabric by wedging every dispatcher incarnation.
+// restoreRecords replays journal records into a fresh registry through
+// apply, the transition function the live dispatcher runs, and then
+// enforces the unified retry budget: a task whose grants without a matching
+// done reach maxAttempts fails its job, exactly as requeueOnLoss fails it
+// live — so a task cannot crash-loop the fabric by wedging every
+// dispatcher incarnation.
 func restoreRecords(recs []journalRecord, maxAttempts int) *restoredState {
-	st := &restoredState{
-		jobs: make(map[string]*job),
-		refs: make(map[string]string),
-	}
+	st := &restoredState{registry: newRegistry()}
 	for _, rec := range recs {
-		switch {
-		case rec.Submit != nil:
-			s := rec.Submit
-			if s.ID == "" || len(s.Tasks) == 0 {
-				continue
-			}
-			if _, ok := st.jobs[s.ID]; ok {
-				continue // duplicate submit record: first wins
-			}
-			j := &job{
-				id:       s.ID,
-				ref:      s.Ref,
-				name:     s.Name,
-				env:      s.Env,
-				tasks:    s.Tasks,
-				detach:   s.Detach,
-				state:    JobRunning,
-				attempts: make([]int, len(s.Tasks)),
-				emitted:  make([]bool, len(s.Tasks)),
-				outs:     make([]*exp.Outcome, len(s.Tasks)),
-				notify:   make(chan struct{}),
-			}
-			st.jobs[j.id] = j
-			st.jobOrder = append(st.jobOrder, j.id)
-			if s.Ref != "" {
-				if _, ok := st.refs[s.Ref]; !ok {
-					st.refs[s.Ref] = j.id
-				}
-			}
-			if n, ok := jobNum(s.ID); ok && n > st.nextJob {
-				st.nextJob = n
-			}
-		case rec.Grant != nil:
-			g := rec.Grant
-			j := st.jobs[g.Job]
-			if j == nil || g.Idx < 0 || g.Idx >= len(j.tasks) {
-				continue
-			}
-			if j.state != JobRunning || j.emitted[g.Idx] {
-				continue
-			}
-			j.attempts[g.Idx]++
-		case rec.Done != nil:
-			dn := rec.Done
-			j := st.jobs[dn.Job]
-			if j == nil || dn.Idx < 0 || dn.Idx >= len(j.tasks) {
-				continue
-			}
-			if j.state != JobRunning || j.emitted[dn.Idx] {
-				continue
-			}
-			out := dn.Out
-			j.emitted[dn.Idx] = true
-			j.done++
-			j.outs[dn.Idx] = &out
-			// The execution this grant recorded finished; it is not an
-			// interrupted attempt.
-			if j.attempts[dn.Idx] > 0 {
-				j.attempts[dn.Idx]--
-			}
-			if j.done == len(j.tasks) {
-				j.state = JobDone
-			}
-		case rec.Fail != nil:
-			j := st.jobs[rec.Fail.Job]
-			if j == nil || j.state != JobRunning {
-				continue
-			}
-			j.state = JobFailed
-			j.err = rec.Fail.Msg
-		case rec.Cancel != nil:
-			j := st.jobs[rec.Cancel.Job]
-			if j == nil || j.state != JobRunning {
-				continue
-			}
-			j.state = JobCanceled
-			j.err = rec.Cancel.Msg
-		case rec.Shutdown:
-			// Informational: the previous incarnation drained cleanly.
-		}
+		st.apply(rec)
 	}
-	// Enforce the unified retry budget: a task whose interrupted grants
-	// already consumed every attempt fails its job at replay, exactly as
-	// the live requeueOnLoss would have.
 	for _, id := range st.jobOrder {
 		j := st.jobs[id]
-		if j.state != JobRunning {
-			continue
-		}
-		for idx := range j.tasks {
-			if !j.emitted[idx] && j.attempts[idx] >= maxAttempts {
-				j.state = JobFailed
-				j.err = fmt.Sprintf("fabric: %s failed %d times across dispatcher restarts (retry budget %d exhausted by interrupted grants)",
-					j.tasks[idx].Label(), j.attempts[idx], maxAttempts)
-				st.failed = append(st.failed, id)
-				break
+		for idx, n := range j.attempts {
+			if n < maxAttempts || !j.unfinished(idx) {
+				continue
 			}
+			msg := fmt.Sprintf("fabric: %s failed %d times across dispatcher restarts (retry budget %d exhausted by interrupted grants)",
+				j.tasks[idx].Label(), n, maxAttempts)
+			st.apply(journalRecord{Fail: &journalMark{Job: id, Msg: msg}})
+			st.failed = append(st.failed, id)
+			break
 		}
 	}
 	return st

@@ -17,6 +17,7 @@ import (
 	"net"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -82,6 +83,31 @@ func TestJournalRoundTrip(t *testing.T) {
 		if string(a) != string(b) {
 			t.Fatalf("record %d changed across the round trip:\n wrote %s\n read  %s", i, a, b)
 		}
+	}
+}
+
+// TestJournalEarlierFormatReplays replays a journal written by an earlier
+// fabricd, whose submit records carry a "detach" field: two finished jobs,
+// and a third whose three tasks were still queued when the dispatcher was
+// killed.
+func TestJournalEarlierFormatReplays(t *testing.T) {
+	jl, err := OpenJournal(filepath.Join("testdata", "journal_detach.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer jl.Close()
+	d := NewDispatcher(DispatcherOptions{Journal: jl})
+	defer d.Close()
+	want := []JobStatus{
+		{ID: "j1", Name: "queued", State: JobDone, Done: 2, Total: 2},
+		{ID: "j2", Name: "attached", State: JobDone, Done: 2, Total: 2},
+		{ID: "j3", Name: "leftover", State: JobRunning, Done: 0, Total: 3},
+	}
+	if got := d.Jobs(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("replayed jobs:\n got %+v\nwant %+v", got, want)
+	}
+	if got := d.QueueDepth(); got != 3 {
+		t.Fatalf("replay re-queued %d tasks, want the leftover job's 3", got)
 	}
 }
 
@@ -323,7 +349,7 @@ func TestDispatcherJournalReplayServesFinishedJob(t *testing.T) {
 	ctx := context.Background()
 	attach := func(t *testing.T, addr string) map[int]exp.Outcome {
 		t.Helper()
-		sess, err := dialFabric(ctx, addr, 0)
+		sess, err := dial(ctx, addr, helloMsg{Role: roleClient})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -380,6 +406,92 @@ func TestDispatcherJournalReplayServesFinishedJob(t *testing.T) {
 		b, _ := json.Marshal(second[i])
 		if string(a) != string(b) {
 			t.Fatalf("task %d: replayed outcome differs from the computed one:\n %s\nvs\n %s", i, a, b)
+		}
+	}
+}
+
+// TestDispatcherJournalReplayMatchesLive runs a journaled dispatcher live
+// through every job transition: a cancel, a re-queue after a worker loss, a
+// completed sweep and a deterministic task failure. A dispatcher reopened
+// on that journal must report the same jobs and re-attach the same refs.
+func TestDispatcherJournalReplayMatchesLive(t *testing.T) {
+	path := journalPath(t)
+	jl, err := OpenJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d1, addr := startDispatcher(t, DispatcherOptions{Journal: jl})
+	sw := fabricSweep()
+	tasks, err := sw.Tasks()
+	if err != nil {
+		t.Fatal(err)
+	}
+	env := exp.Env{Sweep: &sw}
+	refs := make(map[string]string) // submit ref -> job id
+	submit := func(ref string, tasks []exp.Task) string {
+		t.Helper()
+		j, _, err := d1.submitJob(&submitReq{Name: ref, Env: env, Tasks: tasks, Detach: true, Ref: ref})
+		if err != nil {
+			t.Fatal(err)
+		}
+		refs[ref] = j.id
+		return j.id
+	}
+
+	// No worker is connected yet, so the canceled job never runs.
+	canceled := submit("r-cancel", tasks)
+	if err := (&Client{Addr: addr}).Cancel(context.Background(), canceled); err != nil {
+		t.Fatal(err)
+	}
+	requeued := submit("r-requeue", tasks[:1])
+	startWorker(t, &Worker{Dispatcher: addr, Name: "doomed", dieAfterAssigns: 1})
+	waitFor(t, "the lost task to be re-queued", 5*time.Second, func() bool { return d1.Requeues() == 1 })
+	startWorker(t, &Worker{Dispatcher: addr, Name: "healthy"})
+	done := submit("r-done", tasks)
+	bad := exp.Cell{K: 2, Rho: 0.5, MuI: 1, MuE: 1, Policy: "NOPE"}
+	failed := submit("r-fail", []exp.Task{{Sim: &exp.TaskSpec{Cell: bad, Rep: 0, Seed: sw.RepSeed(bad, 0), Key: sw.Key(bad)}}})
+	waitFor(t, "every job to finish", 30*time.Second, func() bool {
+		for _, j := range d1.Jobs() {
+			if j.State == JobRunning {
+				return false
+			}
+		}
+		return true
+	})
+	live := d1.Jobs()
+	want := map[string]string{canceled: JobCanceled, requeued: JobDone, done: JobDone, failed: JobFailed}
+	for _, j := range live {
+		if j.State != want[j.ID] {
+			t.Fatalf("live job %s ended %s (%s), want %s", j.ID, j.State, j.Err, want[j.ID])
+		}
+	}
+	d1.mu.Lock()
+	liveRegistry := restoredSummary(&restoredState{registry: d1.registry})
+	d1.mu.Unlock()
+	d1.Close()
+	jl.Close()
+
+	jl2, err := OpenJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer jl2.Close()
+	d2 := NewDispatcher(DispatcherOptions{Journal: jl2})
+	if got := d2.Jobs(); !reflect.DeepEqual(got, live) {
+		t.Fatalf("replayed jobs differ from the live ones:\nlive     %+v\nreplayed %+v", live, got)
+	}
+	// Live and replay count attempts the same way, so the whole registry
+	// matches, attempt counts included.
+	if got := restoredSummary(&restoredState{registry: d2.registry}); got != liveRegistry {
+		t.Fatalf("replayed registry differs from the live one:\nlive\n%s\nreplayed\n%s", liveRegistry, got)
+	}
+	if d2.QueueDepth() != 0 {
+		t.Fatalf("replay re-queued %d tasks of finished jobs", d2.QueueDepth())
+	}
+	for ref, id := range refs {
+		j, reattached, err := d2.submitJob(&submitReq{Env: env, Tasks: tasks, Ref: ref})
+		if err != nil || !reattached || j.id != id {
+			t.Fatalf("ref %s: re-attached %v to %+v (err %v), want job %s", ref, reattached, j, err, id)
 		}
 	}
 }

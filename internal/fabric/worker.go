@@ -1,30 +1,14 @@
 package fabric
 
 import (
-	"bufio"
 	"context"
-	"errors"
 	"fmt"
-	"net"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/exp"
-	"repro/internal/wire"
 )
-
-// errHandshakeRefused marks a dispatcher's refusal (version or env drift) —
-// a permanent condition the reconnect loop must not retry into.
-var errHandshakeRefused = errors.New("fabric: dispatcher refused handshake")
-
-// errFaultStop is returned by the fault-injection hooks when a test worker
-// has played its scripted death and must not reconnect.
-var errFaultStop = errors.New("fabric: fault injection: worker stopped")
-
-// errDrained is returned by a session when the worker was asked to drain:
-// it finished (or never started) its in-flight task and must not redial.
-var errDrained = errors.New("fabric: worker drained")
 
 // Worker is a fabric worker daemon: it dials the dispatcher, handshakes,
 // and executes assigned tasks through exp.ExecuteTask — the same executor
@@ -41,14 +25,10 @@ type Worker struct {
 	// HeartbeatInterval is the idle gap between heartbeat frames; <= 0
 	// means 3s. Keep it well under the dispatcher's HeartbeatTimeout.
 	HeartbeatInterval time.Duration
-	// ReconnectBackoff is the initial redial delay after a failed dial or
-	// dropped session; it doubles per consecutive failure up to
-	// MaxReconnectBackoff. <= 0 means 250ms.
+	// ReconnectBackoff is the first pause before redialing after a failed
+	// dial or dropped session; it doubles per attempt up to 15s, and a
+	// completed handshake resets it. <= 0 means 250ms.
 	ReconnectBackoff time.Duration
-	// MaxReconnectBackoff caps the redial delay; <= 0 means 15s.
-	MaxReconnectBackoff time.Duration
-	// DialTimeout bounds one dial attempt; <= 0 means 5s.
-	DialTimeout time.Duration
 	// Logf receives session events; nil discards them.
 	Logf func(format string, args ...any)
 
@@ -143,112 +123,46 @@ func (w *Worker) heartbeatInterval() time.Duration {
 	return 3 * time.Second
 }
 
-// Run dials, serves and redials until ctx is canceled, the dispatcher
-// refuses the handshake (a permanent condition: version or env drift), or
-// a scripted fault stops the worker. The returned error is nil only for a
-// fault stop; cancellation returns ctx's error.
+// Run dials, serves and redials until ctx is canceled, the worker drains,
+// the dispatcher refuses the handshake (a permanent condition: version or
+// env drift), or a scripted fault stops the worker. It returns nil after a
+// drain or a fault stop, and ctx's error after cancellation.
 func (w *Worker) Run(ctx context.Context) error {
-	backoff := w.ReconnectBackoff
-	if backoff <= 0 {
-		backoff = 250 * time.Millisecond
+	if w.draining() {
+		return nil
 	}
-	maxBackoff := w.MaxReconnectBackoff
-	if maxBackoff <= 0 {
-		maxBackoff = 15 * time.Second
-	}
-	delay := backoff
-	for {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		if w.draining() {
-			return nil
-		}
-		handshook, err := w.session(ctx)
-		switch {
-		case errors.Is(err, errHandshakeRefused):
-			return err
-		case errors.Is(err, errFaultStop), errors.Is(err, errDrained):
-			return nil
-		case ctx.Err() != nil:
-			return ctx.Err()
-		}
-		if w.draining() {
-			return nil
-		}
-		if handshook {
-			delay = backoff // a healthy session resets the backoff
-		}
-		if err != nil {
-			w.logf("fabric worker %s: session ended: %v (redial in %v)", w.Name, err, delay)
-		}
-		select {
-		case <-ctx.Done():
-			return ctx.Err()
-		case <-time.After(delay):
-		}
-		if delay *= 2; delay > maxBackoff {
-			delay = maxBackoff
-		}
-	}
-}
-
-// session runs one connection: dial, hello, then serve assignments until
-// the link drops. handshook reports whether the handshake completed, so
-// Run can distinguish "dispatcher not up yet" (keep backing off) from a
-// healthy session that dropped (reset backoff).
-func (w *Worker) session(ctx context.Context) (handshook bool, err error) {
-	dialTimeout := w.DialTimeout
-	if dialTimeout <= 0 {
-		dialTimeout = 5 * time.Second
-	}
-	dialer := net.Dialer{Timeout: dialTimeout}
-	conn, err := dialer.DialContext(ctx, "tcp", w.Dispatcher)
-	if err != nil {
-		return false, err
-	}
-	defer conn.Close()
-	// Kill the connection when ctx cancels, so a blocked read unwinds. A
-	// drain closes the connection too, but only while the worker is idle —
-	// mid-task the assignment loop sees the drain itself, after the result
-	// is delivered.
-	watchDone := make(chan struct{})
-	defer close(watchDone)
+	// A drain ends an idle worker's session and redial loop at once. A
+	// worker mid-task is left alone: its session sees the drain after the
+	// result is delivered.
+	rctx, cancel := context.WithCancel(ctx)
+	defer cancel()
 	go func() {
 		select {
-		case <-ctx.Done():
-			conn.Close()
 		case <-w.drainChan():
 			if !w.inTask.Load() {
-				conn.Close()
+				cancel()
 			}
-		case <-watchDone:
+		case <-rctx.Done():
 		}
 	}()
-
-	br := bufio.NewReader(conn)
-	bw := bufio.NewWriter(conn)
-	var wmu sync.Mutex // bw is shared by the heartbeat goroutine
-
 	probe := w.probeOverride
 	if probe == "" {
 		probe = EnvProbe()
 	}
-	if err := wire.WriteFrame(bw, helloMsg{V: protoVersion, Role: roleWorker, Name: w.Name, Probe: probe}); err != nil {
-		return false, fmt.Errorf("sending hello: %w", err)
+	hello := helloMsg{Role: roleWorker, Name: w.Name, Probe: probe}
+	err := redial(rctx, w.Dispatcher, hello, w.ReconnectBackoff, 0, w.logf,
+		func(s *session) (bool, error) { return w.serve(rctx, s) })
+	if ctx.Err() == nil && w.draining() {
+		return nil
 	}
-	if err := bw.Flush(); err != nil {
-		return false, fmt.Errorf("sending hello: %w", err)
-	}
-	var ack helloAck
-	if err := wire.ReadFrame(br, &ack); err != nil {
-		return false, fmt.Errorf("reading hello ack: %w", err)
-	}
-	if !ack.OK {
-		return false, fmt.Errorf("%w: %s", errHandshakeRefused, ack.Err)
-	}
-	w.sessions.Add(1)
+	return err
+}
 
+// serve executes assignments on one handshaken session until the link
+// drops. retry is false when the worker must not redial: it drained, or a
+// scripted fault stopped it.
+func (w *Worker) serve(ctx context.Context, s *session) (retry bool, err error) {
+	w.sessions.Add(1)
 	// Heartbeats run for the life of the session — through task execution
 	// too, which is what distinguishes a slow worker from a dead one.
 	hbCtx, hbCancel := context.WithCancel(ctx)
@@ -261,13 +175,7 @@ func (w *Worker) session(ctx context.Context) (handshook bool, err error) {
 			case <-hbCtx.Done():
 				return
 			case <-t.C:
-				wmu.Lock()
-				werr := wire.WriteFrame(bw, workerMsg{HB: true})
-				if werr == nil {
-					werr = bw.Flush()
-				}
-				wmu.Unlock()
-				if werr != nil {
+				if s.send(workerMsg{HB: true}) != nil {
 					return // the main read loop will see the dead conn
 				}
 			}
@@ -277,17 +185,13 @@ func (w *Worker) session(ctx context.Context) (handshook bool, err error) {
 	results, assigns := 0, 0
 	for {
 		var a assignMsg
-		if err := wire.ReadFrame(br, &a); err != nil {
-			if w.draining() {
-				return true, errDrained
-			}
-			return true, fmt.Errorf("reading assignment: %w", err)
+		if err := s.read(&a); err != nil {
+			return !w.draining(), fmt.Errorf("reading assignment: %w", err)
 		}
 		w.inTask.Store(true)
 		assigns++
 		if w.dieAfterAssigns > 0 && assigns >= w.dieAfterAssigns {
-			conn.Close()
-			return true, errFaultStop
+			return false, nil
 		}
 		if w.freezeAfterAssigns > 0 && assigns >= w.freezeAfterAssigns {
 			// Scripted hard wedge: stop heartbeating, go silent, and wait
@@ -295,8 +199,8 @@ func (w *Worker) session(ctx context.Context) (handshook bool, err error) {
 			hbCancel()
 			buf := make([]byte, 1)
 			for {
-				if _, err := conn.Read(buf); err != nil {
-					return true, errFaultStop
+				if _, err := s.conn.Read(buf); err != nil {
+					return false, nil
 				}
 			}
 		}
@@ -305,35 +209,27 @@ func (w *Worker) session(ctx context.Context) (handshook bool, err error) {
 		if terr != nil {
 			res.Err = terr.Error()
 		}
-		wmu.Lock()
-		werr := wire.WriteFrame(bw, workerMsg{Result: &res})
+		werr := s.send(workerMsg{Result: &res})
 		if werr != nil && res.Err == "" {
 			// Result not representable (e.g. NaN in a field JSON cannot
 			// carry): degrade to a task error, which always marshals.
 			res = resultMsg{Seq: a.Seq, Err: fmt.Sprintf("fabric: %s: un-encodable result: %v", a.Task.Label(), werr)}
-			werr = wire.WriteFrame(bw, workerMsg{Result: &res})
+			werr = s.send(workerMsg{Result: &res})
 		}
-		if werr == nil {
-			werr = bw.Flush()
-		}
-		wmu.Unlock()
 		if werr != nil {
-			return true, fmt.Errorf("writing result: %w", werr)
+			return !w.draining(), fmt.Errorf("writing result: %w", werr)
 		}
 		w.inTask.Store(false)
 		results++
 		w.served.Add(1)
 		if w.draining() {
 			w.logf("fabric worker %s: drained after in-flight task", w.Name)
-			conn.Close()
-			return true, errDrained
+			return false, nil
 		}
 		if w.dieAfterResults > 0 && results >= w.dieAfterResults {
-			conn.Close()
-			return true, errFaultStop
+			return false, nil
 		}
 		if w.dropAfterResults > 0 && results >= w.dropAfterResults {
-			conn.Close()
 			return true, fmt.Errorf("fabric: fault injection: dropped connection after %d results", results)
 		}
 	}

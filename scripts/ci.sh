@@ -120,19 +120,24 @@ if ! cmp "$tmp/pool_kill.json" "$tmp/fabric_kill.json"; then
   exit 1
 fi
 echo "    sweep survived SIGKILL of a worker daemon, byte-identical ($(wc -c < "$tmp/fabric_kill.json") bytes)"
-# psq smoke: the finished jobs are visible, canceling a bogus id fails.
+# psq smoke: the finished jobs are visible, canceling a bogus id fails, and
+# a redial budget <= 0 is rejected.
 "$tmp/psq" -dispatcher "$addr" list | tee "$tmp/psq.out"
 grep -q "done" "$tmp/psq.out" || { echo "FAIL: psq list shows no finished jobs" >&2; exit 1; }
 if "$tmp/psq" -dispatcher "$addr" cancel no-such-job >/dev/null 2>&1; then
   echo "FAIL: psq cancel of an unknown job succeeded" >&2
   exit 1
 fi
+if "$tmp/psq" -dispatcher "$addr" -redial 0 list >/dev/null 2>&1; then
+  echo "FAIL: psq accepted -redial 0" >&2
+  exit 1
+fi
 kill "$disp_pid" "$w2_pid" 2>/dev/null || true
 
-echo "==> journal-replay unit gate (torn tails, failed appends, crash points, replay, drain, deadlines, in-process failover, dispatcher outcome cache)"
+echo "==> journal-replay unit gate (torn tails, failed appends, crash points, replay = live transitions, retry budget, drain, deadlines, in-process failover, dispatcher outcome cache, client redial rules)"
 go test ./internal/applog -count=1
 go test ./internal/exp -run 'TestFileCache' -count=1
-go test ./internal/fabric -run 'TestJournal|TestDispatcherCacheWrongKindIsMiss|TestDispatcherCacheAcrossRestart|TestFileOutcomeCacheFailedPutKeepsNextRecord|TestRestoreRecords|TestDispatcherJournal|TestDispatcherDrain|TestFabricDispatcherCrashFailover|TestFabricWorkerDrain|TestFabricTaskDeadline' -count=1
+go test ./internal/fabric -run 'TestJournal|TestDispatcherCacheWrongKindIsMiss|TestDispatcherCacheAcrossRestart|TestFileOutcomeCacheFailedPutKeepsNextRecord|TestRestoreRecords|TestDispatcherJournal|TestDispatcherLiveRetryBudget|TestDispatcherDrain|TestFabricDispatcherCrashFailover|TestFabricWorkerDrain|TestFabricTaskDeadline|TestSubmitRefusalIsFinal|TestZeroRedialBudgetWaits' -count=1
 
 echo "==> dispatcher-crash gate (SIGKILL the real dispatcher mid-sweep; a restart on the same journal and address resumes; byte-identical)"
 "$tmp/fabricd" -role dispatcher -listen 127.0.0.1:0 -addr-file "$tmp/crash.addr" \
