@@ -173,12 +173,6 @@ type SimOptions struct {
 	MaxJobs    int64
 }
 
-// DefaultSimOptions is sized so that mean response times resolve to about
-// one percent at the loads used in the figures.
-func DefaultSimOptions() SimOptions {
-	return SimOptions{Seed: 1, WarmupJobs: 50_000, MaxJobs: 1_000_000}
-}
-
 // Simulate runs the event-driven simulator under the given policy.
 func (s System) Simulate(p sim.Policy, opt SimOptions) sim.Result {
 	return sim.Run(sim.RunConfig{

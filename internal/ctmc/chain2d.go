@@ -55,25 +55,6 @@ func ThresholdAlloc(cap int) Alloc {
 	}
 }
 
-// EquiAlloc splits servers evenly across jobs with the inelastic one-server
-// cap and water-filling to elastic jobs.
-func EquiAlloc(k, i, j int) (float64, float64) {
-	n := i + j
-	if n == 0 {
-		return 0, 0
-	}
-	share := math.Min(1, float64(k)/float64(n))
-	ai := share * float64(i)
-	ae := 0.0
-	if j > 0 {
-		ae = float64(k) - ai
-		if ae < 0 {
-			ae = 0
-		}
-	}
-	return ai, ae
-}
-
 // DeferAlloc is the idling policy of the Appendix B experiment: elastic jobs
 // are served only when no inelastic job is present.
 func DeferAlloc(k, i, j int) (float64, float64) {

@@ -63,9 +63,6 @@ func (c *Chain) AddRate(from, to int, rate float64) {
 	c.diag[from] -= rate
 }
 
-// TotalRate returns the total outgoing rate of state s.
-func (c *Chain) TotalRate(s int) float64 { return -c.diag[s] }
-
 // Generator materializes the dense generator matrix Q (for small chains and
 // tests).
 func (c *Chain) Generator() *linalg.Matrix {

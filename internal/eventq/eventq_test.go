@@ -2,6 +2,7 @@ package eventq
 
 import (
 	"sort"
+	"strconv"
 	"testing"
 	"testing/quick"
 
@@ -9,48 +10,55 @@ import (
 )
 
 func TestOrdering(t *testing.T) {
-	var q Queue[float64]
+	var q IndexedQueue
 	times := []float64{5, 1, 3, 2, 4}
-	for _, tm := range times {
-		q.Push(tm, tm)
+	for h, tm := range times {
+		q.Set(tm, int32(h))
 	}
 	prev := -1.0
 	for !q.Empty() {
-		e := q.Pop()
-		if e.Time < prev {
-			t.Fatalf("events out of order: %v after %v", e.Time, prev)
+		h, tm := q.Pop()
+		if tm < prev {
+			t.Fatalf("events out of order: %v after %v", tm, prev)
 		}
-		prev = e.Time
+		if times[h] != tm {
+			t.Fatalf("handle %d popped at %v, scheduled at %v", h, tm, times[h])
+		}
+		prev = tm
 	}
 }
 
+// TestFIFOTieBreaking: equal times dequeue in scheduling order, and a
+// reschedule counts as a fresh scheduling — the handle moves behind every
+// other handle at its new time.
 func TestFIFOTieBreaking(t *testing.T) {
-	var q Queue[int]
-	for i := 0; i < 100; i++ {
-		q.Push(1.0, i)
+	var q IndexedQueue
+	for h := int32(0); h < 100; h++ {
+		q.Set(1.0, h)
 	}
-	for i := 0; i < 100; i++ {
-		e := q.Pop()
-		if e.Payload != i {
-			t.Fatalf("tie broken out of insertion order: got %v at position %d", e.Payload, i)
+	q.Set(1.0, 0)
+	for i := 1; i <= 100; i++ {
+		want := int32(i % 100)
+		if h, _ := q.Pop(); h != want {
+			t.Fatalf("tie broken out of scheduling order: got %d at position %d, want %d", h, i-1, want)
 		}
 	}
 }
 
 func TestPeekDoesNotRemove(t *testing.T) {
-	var q Queue[string]
-	q.Push(2, "b")
-	q.Push(1, "a")
-	if q.Peek().Payload != "a" || q.Len() != 2 {
+	var q IndexedQueue
+	q.Set(2, 1)
+	q.Set(1, 0)
+	if h, tm := q.Peek(); h != 0 || tm != 1 || q.Len() != 2 {
 		t.Fatal("Peek wrong")
 	}
-	if q.Pop().Payload != "a" || q.Len() != 1 {
+	if h, _ := q.Pop(); h != 0 || q.Len() != 1 || q.Contains(0) || !q.Contains(1) {
 		t.Fatal("Pop after Peek wrong")
 	}
 }
 
 func TestEmptyPanics(t *testing.T) {
-	var q Queue[int]
+	var q IndexedQueue
 	for name, fn := range map[string]func(){
 		"Pop":  func() { q.Pop() },
 		"Peek": func() { q.Peek() },
@@ -66,35 +74,21 @@ func TestEmptyPanics(t *testing.T) {
 	}
 }
 
-func TestClear(t *testing.T) {
-	var q Queue[string]
-	q.Push(1, "")
-	q.Push(2, "")
-	q.Clear()
-	if !q.Empty() {
-		t.Fatal("Clear left events")
-	}
-	q.Push(3, "x")
-	if q.Pop().Payload != "x" {
-		t.Fatal("queue unusable after Clear")
-	}
-}
-
 // TestHeapSortProperty checks that popping yields a sorted sequence for
-// arbitrary inputs interleaved with partial pops.
+// arbitrary inputs.
 func TestHeapSortProperty(t *testing.T) {
 	r := xrand.New(99)
 	f := func(n uint8) bool {
-		var q Queue[int]
+		var q IndexedQueue
 		var want []float64
-		for i := 0; i < int(n); i++ {
+		for h := 0; h < int(n); h++ {
 			v := r.Float64() * 100
-			q.Push(v, i)
+			q.Set(v, int32(h))
 			want = append(want, v)
 		}
 		sort.Float64s(want)
 		for _, w := range want {
-			if q.Pop().Time != w {
+			if _, tm := q.Pop(); tm != w {
 				return false
 			}
 		}
@@ -105,87 +99,66 @@ func TestHeapSortProperty(t *testing.T) {
 	}
 }
 
+// TestInterleavedPushPop simulates an engine workload: schedule events in
+// the future of the last popped one, reschedule some in flight, pop in
+// between, and check that the clock never reverses.
 func TestInterleavedPushPop(t *testing.T) {
-	var q Queue[int]
+	var q IndexedQueue
 	r := xrand.New(7)
 	clock := 0.0
-	// Simulate a workload: always push events in the future of the last
-	// popped event, pop in between, and verify the clock never reverses.
 	for i := 0; i < 10000; i++ {
 		if q.Empty() || r.Bernoulli(0.6) {
-			q.Push(clock+r.Float64()*10, i)
+			q.Set(clock+r.Float64()*10, int32(r.Intn(256)))
 		} else {
-			e := q.Pop()
-			if e.Time < clock {
-				t.Fatalf("clock reversed: %v < %v", e.Time, clock)
+			_, tm := q.Pop()
+			if tm < clock {
+				t.Fatalf("clock reversed: %v < %v", tm, clock)
 			}
-			clock = e.Time
+			clock = tm
 		}
 	}
 }
 
-func BenchmarkPushPop(b *testing.B) {
-	var q Queue[int]
-	r := xrand.New(1)
-	for i := 0; i < 1024; i++ {
-		q.Push(r.Float64()*1e6, i)
+// TestSetPopReusesCapacity: once the heap and the position index have
+// grown, scheduling, rescheduling and popping allocate nothing — the engine
+// steps its event list every event.
+func TestSetPopReusesCapacity(t *testing.T) {
+	var q IndexedQueue
+	for h := int32(0); h < 64; h++ {
+		q.Set(float64(h), h)
 	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		e := q.Pop()
-		q.Push(e.Time+r.Float64()*100, e.Payload)
-	}
-}
-
-// TestAppendFixMatchesPush: building a heap with bulk Append + Fix must
-// dequeue in exactly the same order as incremental Push, including
-// insertion-order tie-breaking.
-func TestAppendFixMatchesPush(t *testing.T) {
-	r := xrand.New(7)
-	times := make([]float64, 300)
-	for i := range times {
-		// Coarse values force plenty of exact ties.
-		times[i] = float64(r.Intn(20))
-	}
-	var pushed, appended Queue[int]
-	for i, tm := range times {
-		pushed.Push(tm, i)
-		appended.Append(tm, i)
-	}
-	appended.Fix()
-	for pushed.Len() > 0 {
-		a, b := pushed.Pop(), appended.Pop()
-		if a.Time != b.Time || a.Payload != b.Payload {
-			t.Fatalf("Append+Fix order diverged: Push gave (%v, %v), Append gave (%v, %v)",
-				a.Time, a.Payload, b.Time, b.Payload)
-		}
-	}
-	if appended.Len() != 0 {
-		t.Fatal("length mismatch")
-	}
-}
-
-// TestAppendFixReusesCapacity: Clear + Append within capacity must not
-// allocate — the engine rebuilds its future-event list every event.
-func TestAppendFixReusesCapacity(t *testing.T) {
-	var q Queue[*int]
-	payloads := make([]*int, 64)
-	for i := range payloads {
-		payloads[i] = new(int)
-	}
-	for i, p := range payloads {
-		q.Append(float64(i), p)
-	}
-	q.Fix()
 	allocs := testing.AllocsPerRun(100, func() {
-		q.Clear()
-		for i, p := range payloads {
-			q.Append(float64(63-i), p)
+		for h := int32(0); h < 64; h++ {
+			q.Set(float64(63-h), h)
 		}
-		q.Fix()
-		q.Peek()
+		q.Remove(5)
+		for !q.Empty() {
+			q.Pop()
+		}
+		for h := int32(0); h < 64; h++ {
+			q.Set(float64(h), h)
+		}
 	})
 	if allocs > 0 {
-		t.Fatalf("Clear+Append+Fix allocated %.1f times per rebuild", allocs)
+		t.Fatalf("Set/Remove/Pop allocated %.1f times per cycle", allocs)
+	}
+}
+
+// BenchmarkSetPop measures the engine's steady-state pattern on a standing
+// heap of n handles: pop the earliest event, schedule its successor.
+func BenchmarkSetPop(b *testing.B) {
+	for _, n := range []int{16, 256, 4096} {
+		b.Run(strconv.Itoa(n), func(b *testing.B) {
+			var q IndexedQueue
+			r := xrand.New(5)
+			for h := 0; h < n; h++ {
+				q.Set(r.Float64()*1e3, int32(h))
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				h, tm := q.Pop()
+				q.Set(tm+r.Float64()*10, h)
+			}
+		})
 	}
 }

@@ -1,292 +1,180 @@
 package eventq
 
 // Fuzz coverage for the queue's ordering contract: under ANY interleaving
-// of Push, PushGen, Append(+Fix) and Pop, dequeues must follow the
-// (time, insertion order) total order over the events still in the queue.
-// The fuzz target replays an opcode tape against a straightforward sorted
-// reference model; a divergence in dequeue order, length, payload identity
-// or generation stamp fails the target. The micro-benchmarks below pin the
-// Push-vs-Append/Fix trade-off the simulator engines depend on (rebuild
-// rebuilds the list per event; incremental pushes only changed jobs).
+// of Set (schedule or reschedule a handle), Remove, Peek and Pop, dequeues
+// follow the (time, order of each handle's last Set) total order over the
+// scheduled handles, there is at most one entry per handle, and Len and
+// Contains agree. The fuzz target replays an opcode tape against a
+// straightforward reference model; any divergence fails the target.
 
 import (
-	"math"
 	"sort"
 	"testing"
 
 	"repro/internal/xrand"
 )
 
-// refEvent mirrors one queued event in the reference model.
-type refEvent struct {
+// refEntry mirrors one scheduled handle in the reference model.
+type refEntry struct {
 	time float64
 	seq  int
-	gen  uint64
 }
 
-// refModel is the executable specification: a slice kept sorted lazily by
-// (time, seq) at pop time.
+// refModel is the executable specification: one entry per scheduled
+// handle, stamped with a fresh sequence number by every set.
 type refModel struct {
-	events []refEvent
-	seq    int
+	entries map[int32]refEntry
+	seq     int
 }
 
-func (m *refModel) push(time float64, gen uint64) {
-	m.events = append(m.events, refEvent{time: time, seq: m.seq, gen: gen})
+func (m *refModel) set(time float64, h int32) {
+	m.entries[h] = refEntry{time: time, seq: m.seq}
 	m.seq++
 }
 
-func (m *refModel) pop() refEvent {
-	best := 0
-	for i, e := range m.events {
-		b := m.events[best]
-		if e.time < b.time || (e.time == b.time && e.seq < b.seq) {
-			best = i
+// min returns the handle that must dequeue next.
+func (m *refModel) min() (int32, refEntry) {
+	best, found := int32(-1), refEntry{}
+	for h, e := range m.entries {
+		if best < 0 || e.time < found.time || (e.time == found.time && e.seq < found.seq) {
+			best, found = h, e
 		}
 	}
-	e := m.events[best]
-	m.events = append(m.events[:best], m.events[best+1:]...)
-	return e
+	return best, found
 }
 
-// FuzzTotalOrder drives a Queue and the reference model with the same
-// opcode tape: each input byte selects Push / PushGen / Append / Fix+drain
-// checkpoints / Pop, with times derived from a seeded RNG so ties are
-// frequent. Appends are only popped after a Fix, matching the documented
-// contract.
+// tapeOp encodes one tape byte: bits 0-1 select the operation (Set,
+// Remove, Peek, Pop), bits 2-4 one of eight handles and bits 5-7 a time in
+// 0..7, so equal times — and reschedules at an equal time — are frequent.
+func tapeOp(op, handle, time byte) byte { return time<<5 | handle<<2 | op }
+
+// tapeHandle spreads the eight handles over the position index so the
+// tape also grows it past its first 64-slot block.
+func tapeHandle(b byte) int32 { return int32((b>>2)&7) * 37 }
+
+// FuzzTotalOrder drives an IndexedQueue and the reference model with the
+// same opcode tape, checking every Peek and Pop and, after every step, Len
+// and Contains for every handle; the tail is drained in model order.
 func FuzzTotalOrder(f *testing.F) {
-	f.Add([]byte{0, 1, 2, 3, 4, 0, 0, 4, 4}, uint64(1))
-	f.Add([]byte{2, 2, 2, 3, 4, 4, 4}, uint64(7))
-	f.Add([]byte{0, 2, 1, 3, 0, 4, 2, 3, 4, 4, 4}, uint64(42))
-	f.Fuzz(func(t *testing.T, ops []byte, seed uint64) {
+	const set, remove, peek, pop = 0, 1, 2, 3
+	// A reschedule at an equal time moves the handle behind its ties.
+	f.Add([]byte{tapeOp(set, 0, 1), tapeOp(set, 1, 1), tapeOp(set, 0, 1), tapeOp(pop, 0, 0), tapeOp(pop, 0, 0)})
+	// Removal from the middle, a removal of an absent handle, peeks.
+	f.Add([]byte{tapeOp(set, 2, 3), tapeOp(set, 5, 1), tapeOp(set, 7, 3), tapeOp(peek, 0, 0),
+		tapeOp(remove, 5, 0), tapeOp(remove, 5, 0), tapeOp(peek, 0, 0), tapeOp(pop, 0, 0)})
+	// Reschedules earlier and later, then a full drain.
+	f.Add([]byte{tapeOp(set, 1, 4), tapeOp(set, 3, 4), tapeOp(set, 6, 2), tapeOp(set, 1, 0),
+		tapeOp(set, 6, 7), tapeOp(set, 3, 4), tapeOp(pop, 0, 0), tapeOp(set, 4, 4)})
+	f.Fuzz(func(t *testing.T, ops []byte) {
 		if len(ops) > 4096 {
 			t.Skip("tape too long")
 		}
-		r := xrand.New(seed)
-		var q Queue[int]
-		var ref refModel
-		unfixed := 0 // Appends since the last Fix; Pop/Peek are illegal until fixed
-		for _, op := range ops {
-			switch op % 5 {
-			case 0: // Push
-				tm := float64(r.Intn(16))
-				q.Push(tm, ref.seq)
-				ref.push(tm, 0)
-			case 1: // PushGen
-				tm := float64(r.Intn(16))
-				gen := uint64(r.Intn(4))
-				q.PushGen(tm, ref.seq, gen)
-				ref.push(tm, gen)
-			case 2: // Append (deferred heapification)
-				tm := float64(r.Intn(16))
-				q.Append(tm, ref.seq)
-				ref.push(tm, 0)
-				unfixed++
-			case 3: // Fix
-				q.Fix()
-				unfixed = 0
-			case 4: // Pop
-				if unfixed > 0 {
-					q.Fix()
-					unfixed = 0
+		var q IndexedQueue
+		ref := refModel{entries: map[int32]refEntry{}}
+		for i, b := range ops {
+			h := tapeHandle(b)
+			switch b & 3 {
+			case set:
+				tm := float64(b >> 5)
+				q.Set(tm, h)
+				ref.set(tm, h)
+			case remove:
+				_, want := ref.entries[h]
+				if got := q.Remove(h); got != want {
+					t.Fatalf("step %d: Remove(%d) = %v, model holds it: %v", i, h, got, want)
 				}
-				if q.Empty() {
-					if len(ref.events) != 0 {
-						t.Fatalf("queue empty but model holds %d events", len(ref.events))
+				delete(ref.entries, h)
+			case peek, pop:
+				if len(ref.entries) == 0 {
+					if !q.Empty() {
+						t.Fatalf("step %d: model empty but the queue holds %d", i, q.Len())
 					}
 					continue
 				}
-				got := q.Pop()
-				want := ref.pop()
-				if got.Time != want.time || got.Payload != want.seq || got.Gen != want.gen {
-					t.Fatalf("pop mismatch: got (t=%v, seq=%v, gen=%d), want (t=%v, seq=%v, gen=%d)",
-						got.Time, got.Payload, got.Gen, want.time, want.seq, want.gen)
+				wantH, want := ref.min()
+				var gotH int32
+				var gotT float64
+				if b&3 == peek {
+					gotH, gotT = q.Peek()
+				} else {
+					gotH, gotT = q.Pop()
+					delete(ref.entries, wantH)
+				}
+				if gotH != wantH || gotT != want.time {
+					t.Fatalf("step %d: got (h=%d, t=%v), want (h=%d, t=%v)", i, gotH, gotT, wantH, want.time)
+				}
+			}
+			if q.Len() != len(ref.entries) {
+				t.Fatalf("step %d: Len %d, model holds %d", i, q.Len(), len(ref.entries))
+			}
+			for hb := byte(0); hb < 8; hb++ {
+				hh := tapeHandle(hb << 2)
+				if _, want := ref.entries[hh]; q.Contains(hh) != want {
+					t.Fatalf("step %d: Contains(%d) = %v, model: %v", i, hh, !want, want)
 				}
 			}
 		}
 		// Drain: the tail must come out in model order too.
-		if unfixed > 0 {
-			q.Fix()
-		}
-		if q.Len() != len(ref.events) {
-			t.Fatalf("length mismatch after tape: queue %d, model %d", q.Len(), len(ref.events))
-		}
-		for !q.Empty() {
-			got, want := q.Pop(), ref.pop()
-			if got.Time != want.time || got.Payload != want.seq || got.Gen != want.gen {
-				t.Fatalf("drain mismatch: got (t=%v, seq=%v), want (t=%v, seq=%v)",
-					got.Time, got.Payload, want.time, want.seq)
+		for len(ref.entries) > 0 {
+			wantH, want := ref.min()
+			delete(ref.entries, wantH)
+			if gotH, gotT := q.Pop(); gotH != wantH || gotT != want.time {
+				t.Fatalf("drain: got (h=%d, t=%v), want (h=%d, t=%v)", gotH, gotT, wantH, want.time)
 			}
+		}
+		if !q.Empty() {
+			t.Fatalf("queue holds %d after the model drained", q.Len())
 		}
 	})
 }
 
-// TestRemove exercises predicate removal: the matched event disappears,
-// everything else dequeues in unchanged order.
+// TestRemove exercises removal: the removed handle disappears, a second
+// removal reports nothing, and everything else dequeues in unchanged order.
 func TestRemove(t *testing.T) {
 	r := xrand.New(3)
 	for trial := 0; trial < 200; trial++ {
-		var q Queue[int]
+		var q IndexedQueue
 		n := 1 + r.Intn(40)
 		times := make([]float64, n)
 		for i := range times {
 			times[i] = float64(r.Intn(8))
-			q.Push(times[i], i)
+			q.Set(times[i], int32(i))
 		}
-		victim := r.Intn(n)
-		if !q.Remove(func(e Event[int]) bool { return e.Payload == victim }) {
-			t.Fatalf("trial %d: Remove failed to find payload %d", trial, victim)
+		victim := int32(r.Intn(n))
+		if !q.Remove(victim) {
+			t.Fatalf("trial %d: Remove failed to find handle %d", trial, victim)
 		}
-		if q.Remove(func(e Event[int]) bool { return e.Payload == victim }) {
-			t.Fatalf("trial %d: Remove found payload %d twice", trial, victim)
+		if q.Remove(victim) || q.Contains(victim) {
+			t.Fatalf("trial %d: handle %d survived Remove", trial, victim)
 		}
-		// Expected order: (time, insertion index) over the survivors.
+		// Expected order: (time, scheduling index) over the survivors.
 		type pair struct {
 			time float64
-			idx  int
+			h    int32
 		}
 		var want []pair
 		for i, tm := range times {
-			if i != victim {
-				want = append(want, pair{tm, i})
+			if int32(i) != victim {
+				want = append(want, pair{tm, int32(i)})
 			}
 		}
 		sort.Slice(want, func(a, b int) bool {
 			if want[a].time != want[b].time {
 				return want[a].time < want[b].time
 			}
-			return want[a].idx < want[b].idx
+			return want[a].h < want[b].h
 		})
 		for _, w := range want {
-			e := q.Pop()
-			if e.Time != w.time || e.Payload != w.idx {
-				t.Fatalf("trial %d: after Remove got (%v, %v), want (%v, %v)",
-					trial, e.Time, e.Payload, w.time, w.idx)
+			if h, tm := q.Pop(); tm != w.time || h != w.h {
+				t.Fatalf("trial %d: after Remove got (%v, %v), want (%v, %v)", trial, tm, h, w.time, w.h)
 			}
 		}
 		if !q.Empty() {
 			t.Fatalf("trial %d: events left after drain", trial)
 		}
 	}
-	var q Queue[int]
-	if q.Remove(func(Event[int]) bool { return true }) {
+	var q IndexedQueue
+	if q.Remove(0) || q.Remove(1000) {
 		t.Fatal("Remove on empty queue reported success")
 	}
-}
-
-// TestCompact drops stale generations and preserves the dequeue order of
-// the survivors, reusing the backing array.
-func TestCompact(t *testing.T) {
-	var q Queue[int]
-	r := xrand.New(9)
-	live := make(map[int]uint64)
-	for i := 0; i < 300; i++ {
-		gen := uint64(r.Intn(3))
-		q.PushGen(float64(r.Intn(10)), i, gen)
-		live[i] = gen
-	}
-	isLive := func(e Event[int]) bool { return e.Gen == 2 }
-	q.Compact(isLive)
-	wantLen := 0
-	for _, g := range live {
-		if g == 2 {
-			wantLen++
-		}
-	}
-	if q.Len() != wantLen {
-		t.Fatalf("Compact kept %d events, want %d", q.Len(), wantLen)
-	}
-	prevTime, prevPayload := math.Inf(-1), -1
-	for !q.Empty() {
-		e := q.Pop()
-		if e.Gen != 2 {
-			t.Fatalf("stale event survived Compact: %+v", e)
-		}
-		if e.Time < prevTime || (e.Time == prevTime && e.Payload < prevPayload) {
-			t.Fatalf("Compact broke ordering: (%v, %v) after (%v, %v)", e.Time, e.Payload, prevTime, prevPayload)
-		}
-		prevTime, prevPayload = e.Time, e.Payload
-	}
-	allocs := testing.AllocsPerRun(50, func() {
-		for i := 0; i < 32; i++ {
-			q.PushGen(float64(i%7), i, uint64(i%2))
-		}
-		q.Compact(func(e Event[int]) bool { return e.Gen == 0 })
-		q.Clear()
-	})
-	if allocs > 0 {
-		t.Fatalf("Compact allocated %.1f times per pass", allocs)
-	}
-}
-
-// benchSizes are the occupancies pinned by the Push-vs-Append/Fix
-// micro-benchmarks: small (cache-resident), medium, and large heaps.
-var benchSizes = []struct {
-	name string
-	n    int
-}{{"16", 16}, {"256", 256}, {"4096", 4096}}
-
-// BenchmarkBuildPush measures building an n-event list with n heap Pushes
-// (O(n log n)) — the cost profile of the incremental engine's worst event.
-func BenchmarkBuildPush(b *testing.B) {
-	for _, sz := range benchSizes {
-		b.Run(sz.name, func(b *testing.B) {
-			times := benchTimes(sz.n)
-			var q Queue[int]
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				q.Clear()
-				for j, tm := range times {
-					q.Push(tm, j)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkBuildAppendFix measures building the same list with bulk Append
-// plus one Floyd Fix (O(n)) — the rebuild engine's per-event pattern.
-func BenchmarkBuildAppendFix(b *testing.B) {
-	for _, sz := range benchSizes {
-		b.Run(sz.name, func(b *testing.B) {
-			times := benchTimes(sz.n)
-			var q Queue[int]
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				q.Clear()
-				for j, tm := range times {
-					q.Append(tm, j)
-				}
-				q.Fix()
-			}
-		})
-	}
-}
-
-// BenchmarkPushPopSteady measures the incremental engine's steady-state
-// pattern on a standing heap of size n: pop one event, push its successor.
-func BenchmarkPushPopSteady(b *testing.B) {
-	for _, sz := range benchSizes {
-		b.Run(sz.name, func(b *testing.B) {
-			var q Queue[int]
-			r := xrand.New(5)
-			for i := 0; i < sz.n; i++ {
-				q.Push(r.Float64()*1e3, i)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				e := q.Pop()
-				q.Push(e.Time+r.Float64()*10, e.Payload)
-			}
-		})
-	}
-}
-
-func benchTimes(n int) []float64 {
-	r := xrand.New(11)
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = r.Float64() * 1e3
-	}
-	return out
 }

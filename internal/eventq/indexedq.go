@@ -1,17 +1,11 @@
+// Package eventq implements the simulator engine's future-event list: a
+// binary min-heap of at most one event per small integer handle, ordered by
+// event time with a monotone sequence number breaking ties, so that
+// simultaneous events dequeue in scheduling order and runs are exactly
+// reproducible. A dense position index lets a superseded event be
+// rescheduled or unscheduled in place, so the heap depth is the live event
+// count and Peek/Pop never filter stale entries.
 package eventq
-
-// IndexedQueue is the simulator engine's future-event list: a binary
-// min-heap over (time, seq) exactly like Queue, but keyed by small integer
-// handles with a dense position index, so a superseded event is rescheduled
-// in place instead of being abandoned as a stale entry. Where the lazy
-// protocol pays one push per rate change and lets garbage accumulate until
-// a Compact sweep, the indexed heap holds exactly one entry per scheduled
-// handle — the heap depth is the live event count, its sift paths stay in
-// cache, and Peek/Pop never filter.
-//
-// Dequeue order is identical to the lazy protocol's: ties in time resolve
-// by seq, and Set stamps a fresh seq on every call — rescheduling an event
-// reorders it among equal times exactly as bump-generation-and-repush did.
 
 // hEvent is one heap entry: 24 bytes, pointer-free.
 type hEvent struct {
@@ -21,8 +15,10 @@ type hEvent struct {
 	_    int32
 }
 
-// IndexedQueue is a min-heap of at most one event per handle. The zero
-// value is ready to use.
+// IndexedQueue is a min-heap over (time, seq) of at most one event per
+// handle. Set stamps a fresh seq on every call, so among equal times the
+// most recently (re)scheduled handle dequeues last. The zero value is ready
+// to use.
 type IndexedQueue struct {
 	heap    []hEvent
 	pos     []int32 // pos[h] = index of h's entry in heap, -1 when absent

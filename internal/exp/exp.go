@@ -34,9 +34,9 @@ package exp
 import (
 	"fmt"
 	"hash/fnv"
+	"math"
 
 	"repro/internal/core"
-	"repro/internal/dist"
 	"repro/internal/sim"
 	"repro/internal/workload"
 )
@@ -82,91 +82,45 @@ func (c Cell) validate() error {
 	if c.Scenario == "" && c.Mix == "" && (c.MuI <= 0 || c.MuE <= 0) {
 		return fmt.Errorf("cell %v: service rates must be positive", c)
 	}
-	if c.Scenario != "" {
-		if _, err := scenarioByName(c.Scenario, c.K, c.Rho); err != nil {
-			return err
-		}
-	}
-	specs, err := c.classesImpl()
+	classes, _, pol, err := c.workload()
 	if err != nil {
 		return err
 	}
-	pol, err := c.policyImpl()
-	if err != nil {
-		return err
-	}
-	if err := core.ValidatePolicyClasses(pol, specs); err != nil {
+	if err := core.ValidatePolicyClasses(pol, classes); err != nil {
 		return fmt.Errorf("cell %v: %w", c, err)
 	}
 	return nil
 }
 
-// classesImpl returns the cell's job classes. Two-class cells (classic and
-// scenario) return the preset with their size distributions attached, so
-// size-aware class orderings (SMF) work on every cell kind; the engine
-// itself ignores the extra fields, so this is behavior-identical to the
-// bare preset for size-blind policies.
-func (c Cell) classesImpl() ([]sim.ClassSpec, error) {
-	if c.Mix != "" {
+// workload resolves the cell in one place: its job classes with arrival
+// rates and size distributions attached (so size-aware class orderings such
+// as SMF work on every cell kind; the engine itself ignores those fields),
+// the generator of their arrivals, and the cell's policy. GREEDY takes the
+// two-class service rates: the exponential model's, or the inverse mean
+// sizes of a scenario preset; mix cells resolve class-generic policies only.
+func (c Cell) workload() (classes []sim.ClassSpec, source func(seed uint64) *workload.Source, pol sim.Policy, err error) {
+	var muI, muE float64
+	switch {
+	case c.Mix != "":
 		mix, err := workload.MixByName(c.Mix, c.K, c.Rho)
 		if err != nil {
-			return nil, err
+			return nil, nil, nil, err
 		}
-		return mix.Classes, nil
-	}
-	specs := sim.TwoClassSpecs()
-	if c.Scenario != "" {
+		classes, source = mix.Classes, mix.Source
+	case c.Scenario != "":
 		sc, err := scenarioByName(c.Scenario, c.K, c.Rho)
 		if err != nil {
-			return nil, err
+			return nil, nil, nil, err
 		}
-		specs[0].Lambda, specs[0].Size = sc.LambdaI, sc.SizeI
-		specs[1].Lambda, specs[1].Size = sc.LambdaE, sc.SizeE
-		return specs, nil
+		classes, source = sc.Classes(), sc.Source
+		muI, muE = 1/sc.SizeI.Mean(), 1/sc.SizeE.Mean()
+	default:
+		model := workload.ModelForLoad(c.K, c.Rho, c.MuI, c.MuE)
+		classes, source = model.Classes(), model.Source
+		muI, muE = c.MuI, c.MuE
 	}
-	model := workload.ModelForLoad(c.K, c.Rho, c.MuI, c.MuE)
-	specs[0].Lambda, specs[0].Size = model.LambdaI, dist.NewExponential(c.MuI)
-	specs[1].Lambda, specs[1].Size = model.LambdaE, dist.NewExponential(c.MuE)
-	return specs, nil
-}
-
-// policyImpl resolves the cell's policy name. Scenario cells derive the
-// rate parameters needed by GREEDY from the preset's mean sizes; mix cells
-// resolve class-generic policies (IF, EF, LFF, SMF, EQUI, FCFS, DEFER,
-// SRPT, PRIO:...).
-func (c Cell) policyImpl() (sim.Policy, error) {
-	if c.Mix != "" {
-		return core.PolicyByName(c.Policy, 0, 0)
-	}
-	s := core.System{K: c.K, LambdaI: 1, LambdaE: 1, MuI: c.MuI, MuE: c.MuE}
-	if c.Scenario != "" {
-		sc, err := scenarioByName(c.Scenario, c.K, c.Rho)
-		if err != nil {
-			return nil, err
-		}
-		s = core.System{K: c.K, LambdaI: sc.LambdaI, LambdaE: sc.LambdaE,
-			MuI: 1 / sc.SizeI.Mean(), MuE: 1 / sc.SizeE.Mean()}
-	}
-	return s.PolicyByName(c.Policy)
-}
-
-// sourceImpl builds the cell's arrival source for one replication seed.
-func (c Cell) sourceImpl(seed uint64) (sim.ArrivalSource, error) {
-	if c.Mix != "" {
-		mix, err := workload.MixByName(c.Mix, c.K, c.Rho)
-		if err != nil {
-			return nil, err
-		}
-		return mix.Source(seed), nil
-	}
-	if c.Scenario != "" {
-		sc, err := scenarioByName(c.Scenario, c.K, c.Rho)
-		if err != nil {
-			return nil, err
-		}
-		return sc.Source(seed), nil
-	}
-	return workload.ModelForLoad(c.K, c.Rho, c.MuI, c.MuE).Source(seed), nil
+	pol, err = core.PolicyByName(c.Policy, muI, muE)
+	return classes, source, pol, err
 }
 
 // mapReduceElasticWork fixes the MapReduce preset's elastic/inelastic size
@@ -245,6 +199,28 @@ func (g Grid) Cells() []Cell {
 		}
 	}
 	return out
+}
+
+// NumCells returns len(g.Cells()) without expanding the grid: the product of
+// the axis lengths, with the same Mixes/Scenarios/MuI×MuE precedence and IF
+// default as Cells. It saturates at math.MaxInt when the product overflows.
+func (g Grid) NumCells() int {
+	inner := mulSat(len(g.MuI), len(g.MuE))
+	switch {
+	case len(g.Mixes) > 0:
+		inner = len(g.Mixes)
+	case len(g.Scenarios) > 0:
+		inner = len(g.Scenarios)
+	}
+	return mulSat(mulSat(mulSat(len(g.K), len(g.Rho)), inner), max(len(g.Policies), 1))
+}
+
+// mulSat multiplies two non-negative ints, saturating at math.MaxInt.
+func mulSat(a, b int) int {
+	if a != 0 && b > math.MaxInt/a {
+		return math.MaxInt
+	}
+	return a * b
 }
 
 // Sweep is a declarative experiment: a grid of cells, a replication count,

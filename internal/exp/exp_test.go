@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -54,6 +55,39 @@ func TestGridScenarioCells(t *testing.T) {
 	}
 	if cells[0].Scenario != "mapreduce" || cells[1].Scenario != "hpcmalleable" {
 		t.Fatalf("unexpected scenario cells: %+v", cells)
+	}
+}
+
+// TestGridNumCells: the arithmetic count agrees with the expansion on every
+// axis combination, including the preset axes' precedence over MuI/MuE and
+// the IF default for an empty policy list, and saturates on overflow.
+func TestGridNumCells(t *testing.T) {
+	ks, rhos := []int{2, 4, 8}, []float64{0.5, 0.7}
+	for name, g := range map[string]Grid{
+		"empty":             {},
+		"no rho":            {K: ks, MuI: []float64{1}, MuE: []float64{1}},
+		"no muE":            {K: ks, Rho: rhos, MuI: []float64{1, 2}},
+		"default policy":    {K: ks, Rho: rhos, MuI: []float64{1, 2}, MuE: []float64{1, 3, 5}},
+		"policies":          {K: ks, Rho: rhos, MuI: []float64{1}, MuE: []float64{1, 3}, Policies: []string{"IF", "EF", "EQUI"}},
+		"scenarios":         {K: ks, Rho: rhos, Scenarios: []string{"mapreduce", "hpcmalleable"}, Policies: []string{"IF", "EF"}},
+		"scenarios over mu": {K: ks, Rho: rhos, MuI: []float64{1, 2, 3}, MuE: []float64{1}, Scenarios: []string{"mapreduce"}},
+		"mixes":             {K: ks, Rho: rhos, Mixes: []string{"threeclass", "cappedladder"}},
+		"mixes over all":    {K: ks, Rho: rhos, MuI: []float64{1, 2}, MuE: []float64{1}, Scenarios: []string{"mapreduce"}, Mixes: []string{"threeclass"}, Policies: []string{"IF", "LFF"}},
+		"empty mixes axis":  {K: ks, Rho: rhos, Mixes: []string{}, MuI: []float64{1}, MuE: []float64{1}},
+	} {
+		if got, want := g.NumCells(), len(g.Cells()); got != want {
+			t.Errorf("%s: NumCells %d, Cells expands to %d", name, got, want)
+		}
+	}
+	// 2^16 values on each of four axes: 2^64 cells overflow int.
+	axis := make([]float64, 1<<16)
+	huge := Grid{K: make([]int, 1<<16), Rho: axis, MuI: axis, MuE: axis}
+	if got := huge.NumCells(); got != math.MaxInt {
+		t.Fatalf("overflowing grid: NumCells %d, want math.MaxInt", got)
+	}
+	huge.Rho = nil
+	if got := huge.NumCells(); got != 0 {
+		t.Fatalf("grid with an empty axis: NumCells %d, want 0", got)
 	}
 }
 

@@ -59,15 +59,7 @@ func (sw Sweep) runReplication(c Cell, rep int) (r Replication, err error) {
 		}
 	}()
 	seed := sw.RepSeed(c, rep)
-	pol, err := c.policyImpl()
-	if err != nil {
-		return r, err
-	}
-	src, err := c.sourceImpl(seed)
-	if err != nil {
-		return r, err
-	}
-	specs, err := c.classesImpl()
+	classes, source, pol, err := c.workload()
 	if err != nil {
 		return r, err
 	}
@@ -75,24 +67,16 @@ func (sw Sweep) runReplication(c Cell, rep int) (r Replication, err error) {
 	if sw.AutoWarmup {
 		warmup = 0
 	}
-	cfg := sim.RunConfig{K: c.K, Policy: pol, Source: src, Classes: specs,
+	cfg := sim.RunConfig{K: c.K, Policy: pol, Source: source(seed), Classes: classes,
 		WarmupJobs: warmup, MaxJobs: sw.Jobs}
 	r = Replication{Rep: rep, Seed: seed}
 
-	numClasses := 2
-	if specs != nil {
-		numClasses = len(specs)
-	}
+	numClasses := len(classes)
 	// The tail recorder draws its reservoir decisions from a stream of the
 	// replication seed, so p99 values are as deterministic as the means.
 	var rr *sim.ResponseRecorder
 	if sw.Tail {
 		rr = sim.NewClassResponseRecorder(numClasses, tailReservoirCap, seed)
-	}
-	record := func(done sim.Completion) {
-		if rr != nil {
-			rr.Observe(done)
-		}
 	}
 	recordTail := func() {
 		if rr == nil {
@@ -120,13 +104,29 @@ func (sw Sweep) runReplication(c Cell, rep int) (r Replication, err error) {
 		}
 	}
 
-	if !sw.collectSeries() {
-		var res sim.Result
-		if rr != nil {
-			res = sim.RunObserved(cfg, record)
-		} else {
-			res = sim.Run(cfg)
+	// One run serves both modes: the series modes observe every measured
+	// completion, and the tail recorder rides along on either.
+	var series []float64
+	var seriesClasses []sim.Class
+	var observe func(sim.Completion)
+	switch {
+	case sw.collectSeries():
+		series = make([]float64, 0, sw.Jobs)
+		seriesClasses = make([]sim.Class, 0, sw.Jobs)
+		observe = func(done sim.Completion) {
+			series = append(series, done.Response())
+			seriesClasses = append(seriesClasses, done.Job.Class)
+			if rr != nil {
+				rr.Observe(done)
+			}
 		}
+	case rr != nil:
+		observe = rr.Observe
+	}
+	res := sim.RunObserved(cfg, observe)
+	r.MeanN = res.MeanN
+	r.Util = res.Metrics.Utilization(c.K)
+	if !sw.collectSeries() {
 		// Per-class means are NaN for a class with no completions in the
 		// measured window; Replication carries 0 instead (see zeroNaN) so
 		// results stay JSON-encodable — identical under every backend and
@@ -139,20 +139,11 @@ func (sw Sweep) runReplication(c Cell, rep int) (r Replication, err error) {
 				r.PerClass[i] = zeroNaN(v)
 			}
 		}
-		r.MeanN = res.MeanN
-		r.Util = res.Metrics.Utilization(c.K)
 		r.Completions = res.Completions
 		recordTail()
 		return r, nil
 	}
 
-	series := make([]float64, 0, sw.Jobs)
-	classes := make([]sim.Class, 0, sw.Jobs)
-	res := sim.RunObserved(cfg, func(done sim.Completion) {
-		series = append(series, done.Response())
-		classes = append(classes, done.Job.Class)
-		record(done)
-	})
 	trim := 0
 	if sw.AutoWarmup {
 		trim = stats.MSER5Trim(series)
@@ -165,7 +156,7 @@ func (sw Sweep) runReplication(c Cell, rep int) (r Replication, err error) {
 	byClass := make([]stats.Summary, numClasses)
 	for i, v := range tail {
 		total.Add(v)
-		byClass[classes[trim+i]].Add(v)
+		byClass[seriesClasses[trim+i]].Add(v)
 	}
 	r.MeanT = total.Mean()
 	r.MeanTI = zeroNaN(byClass[sim.Inelastic].Mean())
@@ -178,8 +169,6 @@ func (sw Sweep) runReplication(c Cell, rep int) (r Replication, err error) {
 			r.PerClass[i] = zeroNaN(byClass[i].Mean())
 		}
 	}
-	r.MeanN = res.MeanN
-	r.Util = res.Metrics.Utilization(c.K)
 	r.Completions = int64(len(tail))
 	r.Trimmed = trim
 	r.ESS = stats.EffectiveSampleSize(tail)

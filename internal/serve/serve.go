@@ -221,15 +221,10 @@ func (s *Server) readSpec(w http.ResponseWriter, r *http.Request) (key string, s
 	if m, hit := s.rawMemo.GetBytes(body); hit {
 		return m.key, m.sw, true
 	}
-	sw, key, err := canonicalSpec(body)
+	sw, key, err := canonicalSpec(body, s.opts.MaxCells)
 	if err != nil {
 		s.rejected.Add(1)
 		http.Error(w, err.Error(), http.StatusBadRequest)
-		return "", sw, false
-	}
-	if n := len(sw.Grid.Cells()); n > s.opts.MaxCells {
-		s.rejected.Add(1)
-		http.Error(w, fmt.Sprintf("spec expands to %d cells, over the admission cap %d", n, s.opts.MaxCells), http.StatusBadRequest)
 		return "", sw, false
 	}
 	s.rawMemo.Put(string(body), memoEntry{key: key, sw: sw}, int64(len(body)+len(key)))
@@ -332,10 +327,11 @@ type Stats struct {
 	RawMemo lru.Stats `json:"rawMemo"`
 }
 
-// canonicalSpec parses and validates a sweep spec and derives its canonical
-// key: the hex SHA-256 of the *re-marshaled* sweep, so bodies differing
-// only in whitespace, field order or JSON escaping coalesce to one identity.
-func canonicalSpec(body []byte) (exp.Sweep, string, error) {
+// canonicalSpec parses a sweep spec, refuses a grid of more than maxCells
+// cells, validates the spec and derives its canonical key: the hex SHA-256
+// of the *re-marshaled* sweep, so bodies differing only in whitespace, field
+// order or JSON escaping coalesce to one identity.
+func canonicalSpec(body []byte, maxCells int) (exp.Sweep, string, error) {
 	var sw exp.Sweep
 	dec := json.NewDecoder(bytes.NewReader(body))
 	dec.DisallowUnknownFields()
@@ -344,6 +340,12 @@ func canonicalSpec(body []byte) (exp.Sweep, string, error) {
 	}
 	if dec.More() {
 		return sw, "", fmt.Errorf("bad sweep spec: trailing data after the JSON object")
+	}
+	// The cap is checked on the axis lengths before Validate, which expands
+	// the grid and checks every cell: an oversized grid is refused before a
+	// single cell is built.
+	if n := sw.Grid.NumCells(); n > maxCells {
+		return sw, "", fmt.Errorf("spec expands to %d cells, over the admission cap %d", n, maxCells)
 	}
 	if err := sw.Validate(); err != nil {
 		return sw, "", err

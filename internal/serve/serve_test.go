@@ -6,6 +6,8 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -248,7 +250,7 @@ func TestCancelledWaiterKeepsComputation(t *testing.T) {
 
 func canonicalKey(t *testing.T, body []byte) string {
 	t.Helper()
-	_, key, err := canonicalSpec(body)
+	_, key, err := canonicalSpec(body, defaultMaxCells)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -347,6 +349,36 @@ func parseSSE(t *testing.T, raw string) []sseEvent {
 		t.Fatal("no SSE events in stream")
 	}
 	return events
+}
+
+// TestOversizedGridRefusedBeforeExpansion: the admission cap is checked on
+// the axis lengths before the spec is validated, so a 624-byte spec with
+// four 30-value axes (810,000 cells) gets its 400 without a cell being
+// built.
+func TestOversizedGridRefusedBeforeExpansion(t *testing.T) {
+	s := New(Options{})
+	defer s.Close()
+	var ks, rhos, mus []string
+	for i := 1; i <= 30; i++ {
+		ks = append(ks, strconv.Itoa(i))
+		rhos = append(rhos, strconv.FormatFloat(float64(i)/31, 'f', 4, 64))
+		mus = append(mus, strconv.FormatFloat(float64(i)/4, 'g', -1, 64))
+	}
+	body := []byte(`{"name":"oversized","grid":{"k":[` + strings.Join(ks, ",") + `],"rho":[` + strings.Join(rhos, ",") +
+		`],"muI":[` + strings.Join(mus, ",") + `],"muE":[` + strings.Join(mus, ",") + `],"policies":["IF"]},"jobs":100000}`)
+	if len(body) != 624 {
+		t.Fatalf("spec is %d bytes, want the 624-byte shape", len(body))
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	rr := post(s, "/v1/sweep", body)
+	runtime.ReadMemStats(&after)
+	if rr.Code != http.StatusBadRequest || !strings.Contains(rr.Body.String(), "810000 cells, over the admission cap") {
+		t.Fatalf("oversized grid: status %d body %q, want 400 naming the admission cap", rr.Code, rr.Body)
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 1<<20 {
+		t.Fatalf("refusing the spec allocated %d bytes, want under 1 MiB", alloc)
+	}
 }
 
 // TestAdmission covers the request-validation surface: malformed and

@@ -374,10 +374,6 @@ func (s *System) advanceTime(t float64) {
 	}
 	m.areaBusy += m.busyRate * dt
 	m.elapsed += dt
-	if m.TrackOccupancy {
-		key := [2]int{min(s.NumClass(0), occupancyCap), min(s.NumClass(1), occupancyCap)}
-		m.occupancy[key] += dt
-	}
 	if s.cs != nil {
 		s.cs.advance(dt)
 	}

@@ -18,8 +18,6 @@ type Metrics struct {
 	arrivals  []int64
 	completes []int64
 	sumResp   []float64
-	sumRespSq []float64
-	maxResp   []float64
 
 	areaBusy float64
 
@@ -30,16 +28,7 @@ type Metrics struct {
 	// completedWork sums the sizes of completed jobs, closing the
 	// conservation ledger arrived = completed + remaining.
 	completedWork float64
-
-	// Occupancy histogram over (n_0, n_1) — the (numInelastic, numElastic)
-	// state of the two-class preset; on systems with more classes it tracks
-	// classes 0 and 1 only. Time-weighted, enabled with TrackOccupancy;
-	// states beyond occupancyCap fold into the cap boundary.
-	TrackOccupancy bool
-	occupancy      map[[2]int]float64
 }
-
-const occupancyCap = 4096
 
 // init sizes the per-class accumulators; called once per System.
 func (m *Metrics) init(numClasses int) {
@@ -48,8 +37,6 @@ func (m *Metrics) init(numClasses int) {
 	m.arrivals = make([]int64, numClasses)
 	m.completes = make([]int64, numClasses)
 	m.sumResp = make([]float64, numClasses)
-	m.sumRespSq = make([]float64, numClasses)
-	m.maxResp = make([]float64, numClasses)
 }
 
 // NumClasses returns the number of per-class accumulator sets.
@@ -65,16 +52,9 @@ func (m *Metrics) Reset(now float64) {
 		m.arrivals[c] = 0
 		m.completes[c] = 0
 		m.sumResp[c] = 0
-		m.sumRespSq[c] = 0
-		m.maxResp[c] = 0
 	}
 	m.areaBusy = 0
 	m.completedWork = 0
-	if m.TrackOccupancy {
-		m.occupancy = make(map[[2]int]float64)
-	} else {
-		m.occupancy = nil
-	}
 }
 
 // Clone returns a deep copy (snapshot) of the metrics.
@@ -85,14 +65,6 @@ func (m *Metrics) Clone() Metrics {
 	out.arrivals = append([]int64(nil), m.arrivals...)
 	out.completes = append([]int64(nil), m.completes...)
 	out.sumResp = append([]float64(nil), m.sumResp...)
-	out.sumRespSq = append([]float64(nil), m.sumRespSq...)
-	out.maxResp = append([]float64(nil), m.maxResp...)
-	if m.occupancy != nil {
-		out.occupancy = make(map[[2]int]float64, len(m.occupancy))
-		for k, v := range m.occupancy {
-			out.occupancy[k] = v
-		}
-	}
 	return out
 }
 
@@ -104,10 +76,6 @@ func (m *Metrics) recordCompletion(j *Job, now float64) {
 	c := j.Class
 	m.completes[c]++
 	m.sumResp[c] += resp
-	m.sumRespSq[c] += resp * resp
-	if resp > m.maxResp[c] {
-		m.maxResp[c] = resp
-	}
 	m.completedWork += j.Size
 }
 
@@ -167,27 +135,6 @@ func (m *Metrics) MeanResponseAll() float64 {
 	return sum / float64(n)
 }
 
-// VarResponse returns the response-time variance for class c.
-func (m *Metrics) VarResponse(c Class) float64 {
-	if !m.hasClass(c) {
-		return math.NaN()
-	}
-	n := float64(m.completes[c])
-	if n < 2 {
-		return math.NaN()
-	}
-	mean := m.sumResp[c] / n
-	return m.sumRespSq[c]/n - mean*mean
-}
-
-// MaxResponse returns the largest observed response time for class c.
-func (m *Metrics) MaxResponse(c Class) float64 {
-	if !m.hasClass(c) {
-		return 0
-	}
-	return m.maxResp[c]
-}
-
 // MeanJobs returns the time-average number of class-c jobs in system.
 func (m *Metrics) MeanJobs(c Class) float64 {
 	if !m.hasClass(c) || m.elapsed == 0 {
@@ -234,13 +181,4 @@ func (m *Metrics) Utilization(k int) float64 {
 		return math.NaN()
 	}
 	return m.areaBusy / (m.elapsed * float64(k))
-}
-
-// OccupancyProb returns the time-weighted probability of state (i, j). It
-// returns 0 unless TrackOccupancy was set before the observation window.
-func (m *Metrics) OccupancyProb(i, j int) float64 {
-	if m.occupancy == nil || m.elapsed == 0 {
-		return 0
-	}
-	return m.occupancy[[2]int{i, j}] / m.elapsed
 }

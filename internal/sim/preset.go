@@ -5,10 +5,10 @@ import "strconv"
 // This file holds the paper's two-class model as a preset over the N-class
 // engine: class 0 is the inelastic class (speedup min(a, 1)) and class 1 is
 // the elastic class (linear speedup). Every historical two-class entry point
-// (NewSystem, NumInelastic, WorkElastic, ...) delegates to the generalized
-// engine, which reproduces the pre-unification two-class simulator's frozen
-// traces (identical completion sequences, times and statistics to 1e-9) —
-// pinned by the golden tests in golden_test.go.
+// (NewSystem, WorkInelastic, ...) delegates to the generalized engine, which
+// reproduces the pre-unification two-class simulator's frozen traces
+// (identical completion sequences, times and statistics to 1e-9) — pinned
+// by the golden tests in golden_test.go.
 
 const (
 	// Inelastic is the preset's class 0: jobs run on at most one server.
@@ -46,16 +46,6 @@ func NewSystem(k int, policy Policy) *System {
 	return NewClassSystem(k, TwoClassSpecs(), policy)
 }
 
-// NumInelastic returns the number of inelastic jobs in a two-class system.
-func (s *System) NumInelastic() int { return s.NumClass(Inelastic) }
-
-// NumElastic returns the number of elastic jobs in a two-class system.
-func (s *System) NumElastic() int { return s.NumClass(Elastic) }
-
 // WorkInelastic returns the remaining inelastic work W_I(t) of a two-class
 // system.
 func (s *System) WorkInelastic() float64 { return s.WorkClass(Inelastic) }
-
-// WorkElastic returns the remaining elastic work W_E(t) of a two-class
-// system.
-func (s *System) WorkElastic() float64 { return s.WorkClass(Elastic) }

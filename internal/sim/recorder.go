@@ -107,7 +107,7 @@ func quantile(sorted []float64, q float64) float64 {
 	return sorted[lo]*(1-frac) + sorted[hi]*frac
 }
 
-// RunWithRecorder is sim.Run with a percentile recorder attached to the
+// RunWithRecorder is Run with a percentile recorder attached to the
 // post-warmup completion stream.
 func RunWithRecorder(cfg RunConfig, rr *ResponseRecorder) Result {
 	return RunObserved(cfg, rr.Observe)

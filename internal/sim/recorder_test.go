@@ -60,27 +60,45 @@ func TestReservoirUnbiased(t *testing.T) {
 	}
 }
 
+// TestRunWithRecorderMatchesRun: Run and RunWithRecorder are one loop, so
+// on the same trace they agree bit for bit and the recorder sees exactly the
+// measured completions — both when MaxJobs ends the run and when the trace
+// runs out first and the system drains.
 func TestRunWithRecorderMatchesRun(t *testing.T) {
-	trace := makeTrace(2000, 0.3)
-	runRes := Run(RunConfig{
-		K: 2, Policy: ifPolicy{},
-		Source: &SliceSource{Arrivals: append([]Arrival(nil), trace...)}, MaxJobs: 1500,
-	})
-	rr := NewResponseRecorder(10000, 1)
-	recRes := RunWithRecorder(RunConfig{
-		K: 2, Policy: ifPolicy{},
-		Source: &SliceSource{Arrivals: append([]Arrival(nil), trace...)}, MaxJobs: 1500,
-	}, rr)
-	// Identical trace and policy: identical mean response over the
-	// measured window (modulo the two runners' drain behavior, so compare
-	// through the common completion count).
-	if recRes.Completions == 0 || rr.Seen(Inelastic)+rr.Seen(Elastic) == 0 {
-		t.Fatal("recorder run recorded nothing")
+	r := xrand.New(5)
+	trace := make([]Arrival, 2000)
+	now := 0.0
+	for i := range trace {
+		now += r.Exp(1.5)
+		trace[i] = Arrival{Time: now, Class: Class(r.Intn(2)), Size: r.Exp(1)}
 	}
-	if math.IsNaN(rr.QuantileAll(0.5)) {
-		t.Fatal("median NaN")
+	const maxJobs = 1500
+	for _, tc := range []struct {
+		name  string
+		n     int
+		drain bool
+	}{{"max-jobs", 2000, false}, {"drain", 1000, true}} {
+		cfg := func() RunConfig {
+			return RunConfig{K: 2, Policy: ifPolicy{}, WarmupJobs: 100, MaxJobs: maxJobs,
+				Source: &SliceSource{Arrivals: trace[:tc.n]}}
+		}
+		runRes := Run(cfg())
+		rr := NewResponseRecorder(10000, 1)
+		recRes := RunWithRecorder(cfg(), rr)
+		if math.Float64bits(runRes.MeanT) != math.Float64bits(recRes.MeanT) || runRes.Completions != recRes.Completions {
+			t.Fatalf("%s: Run gave E[T]=%v over %d, RunWithRecorder %v over %d",
+				tc.name, runRes.MeanT, runRes.Completions, recRes.MeanT, recRes.Completions)
+		}
+		if seen := rr.Seen(Inelastic) + rr.Seen(Elastic); seen != recRes.Completions {
+			t.Fatalf("%s: recorder saw %d completions, the run measured %d", tc.name, seen, recRes.Completions)
+		}
+		if drained := recRes.Completions < maxJobs; drained != tc.drain {
+			t.Fatalf("%s: %d measured completions of MaxJobs %d", tc.name, recRes.Completions, maxJobs)
+		}
+		if math.IsNaN(rr.QuantileAll(0.5)) {
+			t.Fatalf("%s: median NaN", tc.name)
+		}
 	}
-	_ = runRes
 }
 
 func TestRecorderCapacityPanics(t *testing.T) {

@@ -46,10 +46,6 @@ type RunConfig struct {
 	WarmupJobs int64
 	// MaxJobs stops the run after this many post-warmup completions.
 	MaxJobs int64
-	// Horizon optionally caps simulated time (0 means unbounded).
-	Horizon float64
-	// TrackOccupancy enables the time-weighted (i, j) state histogram.
-	TrackOccupancy bool
 }
 
 func (cfg RunConfig) classes() []ClassSpec {
@@ -85,53 +81,8 @@ func (r Result) String() string {
 
 // Run executes a complete simulation: feed arrivals, discard the warmup
 // transient, measure until MaxJobs completions (or source exhaustion, after
-// which the system drains).
-func Run(cfg RunConfig) Result {
-	if cfg.Source == nil {
-		panic("sim: RunConfig.Source is nil")
-	}
-	if cfg.MaxJobs <= 0 {
-		panic("sim: RunConfig.MaxJobs must be positive")
-	}
-	sys := NewClassSystem(cfg.K, cfg.classes(), cfg.Policy)
-	sys.Metrics().TrackOccupancy = cfg.TrackOccupancy
-	sys.ResetMetrics()
-	horizon := cfg.Horizon
-	if horizon == 0 {
-		horizon = math.Inf(1)
-	}
-
-	warmupDone := cfg.WarmupJobs == 0
-	var seen int64
-
-	stop := func() bool {
-		if !warmupDone {
-			if seen >= cfg.WarmupJobs {
-				sys.ResetMetrics()
-				warmupDone = true
-			}
-			return false
-		}
-		return sys.Metrics().TotalCompletions() >= cfg.MaxJobs
-	}
-
-	for {
-		a, ok := cfg.Source.Next()
-		if !ok || a.Time > horizon {
-			break
-		}
-		sys.AdvanceTo(a.Time)
-		if !warmupDone {
-			seen = sys.Metrics().TotalCompletions()
-		}
-		if stop() {
-			return snapshot(sys, cfg)
-		}
-		sys.Arrive(a)
-	}
-	sys.Drain(horizon)
-	return snapshot(sys, cfg)
-}
+// which the system drains). It is RunObserved with no observer.
+func Run(cfg RunConfig) Result { return RunObserved(cfg, nil) }
 
 func snapshot(sys *System, cfg RunConfig) Result {
 	m := sys.Metrics()
@@ -152,11 +103,13 @@ func snapshot(sys *System, cfg RunConfig) Result {
 	}
 }
 
-// RunObserved is Run with a callback invoked for every post-warmup
-// completion, in completion-time order — the hook the experiment layer uses
-// to capture response-time series for batch-means CIs and MSER warmup
-// trimming. Unlike Run, the system is not drained after source exhaustion,
-// so the observed series covers exactly the measured steady-state window.
+// RunObserved is the one run loop. It feeds arrivals one at a time, resets
+// the metrics once WarmupJobs completions are seen, and stops at the first
+// arrival that finds MaxJobs post-warmup completions; a finite source that
+// ends first leaves the system to drain. observe, when non-nil, is called
+// for every post-warmup completion in completion-time order — the hook the
+// experiment layer uses to capture response-time series for batch-means CIs
+// and MSER warmup trimming, and RunWithRecorder's percentile feed.
 func RunObserved(cfg RunConfig, observe func(Completion)) Result {
 	if cfg.Source == nil {
 		panic("sim: RunConfig.Source is nil")
@@ -165,23 +118,21 @@ func RunObserved(cfg RunConfig, observe func(Completion)) Result {
 		panic("sim: RunConfig.MaxJobs must be positive")
 	}
 	sys := NewClassSystem(cfg.K, cfg.classes(), cfg.Policy)
-	sys.Metrics().TrackOccupancy = cfg.TrackOccupancy
-	sys.ResetMetrics()
-	horizon := cfg.Horizon
-	if horizon == 0 {
-		horizon = math.Inf(1)
-	}
 	warmupDone := cfg.WarmupJobs == 0
-	for {
-		a, ok := cfg.Source.Next()
-		if !ok || a.Time > horizon {
-			break
-		}
-		for _, c := range sys.AdvanceTo(a.Time) {
-			if warmupDone {
+	emit := func(done []Completion) {
+		if warmupDone && observe != nil {
+			for _, c := range done {
 				observe(c)
 			}
 		}
+	}
+	for {
+		a, ok := cfg.Source.Next()
+		if !ok {
+			emit(sys.Drain(math.Inf(1)))
+			break
+		}
+		emit(sys.AdvanceTo(a.Time))
 		if !warmupDone && sys.Metrics().TotalCompletions() >= cfg.WarmupJobs {
 			sys.ResetMetrics()
 			warmupDone = true

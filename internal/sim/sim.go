@@ -139,9 +139,6 @@ type Job struct {
 // Rate returns the job's current service rate s(a).
 func (j *Job) Rate() float64 { return j.rate }
 
-// Servers returns the job's current server allocation a.
-func (j *Job) Servers() float64 { return j.servers }
-
 // State is the scheduler-visible system state: one FCFS queue per class.
 // Slices are owned by the System; policies must not retain or mutate them.
 type State struct {

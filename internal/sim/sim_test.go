@@ -264,21 +264,6 @@ func TestResetMetricsKeepsState(t *testing.T) {
 	}
 }
 
-func TestOccupancyHistogram(t *testing.T) {
-	sys := NewSystem(1, ifPolicy{})
-	sys.Metrics().TrackOccupancy = true
-	sys.ResetMetrics()
-	sys.Arrive(Arrival{Time: 0, Class: Inelastic, Size: 1})
-	sys.AdvanceTo(2)
-	m := sys.Metrics()
-	if p := m.OccupancyProb(1, 0); math.Abs(p-0.5) > 1e-9 {
-		t.Fatalf("P(1,0) = %v, want 0.5", p)
-	}
-	if p := m.OccupancyProb(0, 0); math.Abs(p-0.5) > 1e-9 {
-		t.Fatalf("P(0,0) = %v, want 0.5", p)
-	}
-}
-
 func TestFIFOWithinClass(t *testing.T) {
 	// Two inelastic jobs on k=1: the earlier one must be served first.
 	sys := NewSystem(1, ifPolicy{})

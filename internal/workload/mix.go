@@ -4,9 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/dist"
-	"repro/internal/eventq"
 	"repro/internal/sim"
-	"repro/internal/xrand"
 )
 
 // Mix is a named N-class stochastic workload: one sim.ClassSpec per class
@@ -40,59 +38,15 @@ func (m Mix) Rho(k int) float64 {
 	return load / float64(k)
 }
 
-// Source returns an unbounded streaming arrival source for the mix.
-// Separate RNG streams drive each class's arrival process and size draws,
-// so changing one class never perturbs another class's sample path. The
-// per-class next-arrival times are merged through an eventq min-heap, so a
-// draw costs O(log C) for C classes instead of a linear scan.
-func (m Mix) Source(seed uint64) *MixSource {
+// Source returns an unbounded streaming arrival source for the mix, on RNG
+// streams from base 21.
+func (m Mix) Source(seed uint64) *Source {
 	m.mustValidate()
-	s := &MixSource{classes: make([]mixStream, len(m.Classes))}
-	for c, spec := range m.Classes {
-		s.classes[c] = mixStream{
-			lambda:  spec.Lambda,
-			size:    spec.Size,
-			arrRng:  xrand.NewStream(seed, uint64(2*c+21)),
-			sizeRng: xrand.NewStream(seed, uint64(2*c+22)),
-		}
-		s.next.Push(s.classes[c].arrRng.Exp(spec.Lambda), c)
-	}
-	return s
+	return newSource(seed, 21, m.Classes)
 }
 
 // Trace materializes the first n arrivals as a slice for replay/coupling.
-func (m Mix) Trace(seed uint64, n int) []sim.Arrival {
-	src := m.Source(seed)
-	out := make([]sim.Arrival, 0, n)
-	for len(out) < n {
-		a, _ := src.Next()
-		out = append(out, a)
-	}
-	return out
-}
-
-type mixStream struct {
-	lambda  float64
-	size    dist.Distribution
-	arrRng  *xrand.Rand
-	sizeRng *xrand.Rand
-}
-
-// MixSource merges the per-class Poisson streams into one time-ordered
-// arrival stream. It implements sim.ArrivalSource and never ends.
-type MixSource struct {
-	classes []mixStream
-	next    eventq.Queue[int]
-}
-
-// Next implements sim.ArrivalSource.
-func (s *MixSource) Next() (sim.Arrival, bool) {
-	e := s.next.Pop()
-	c := e.Payload
-	cs := &s.classes[c]
-	s.next.Push(e.Time+cs.arrRng.Exp(cs.lambda), c)
-	return sim.Arrival{Time: e.Time, Class: sim.Class(c), Size: cs.size.Sample(cs.sizeRng)}, true
-}
+func (m Mix) Trace(seed uint64, n int) []sim.Arrival { return m.Source(seed).take(n) }
 
 // equalLoadLambdas assigns each class an equal share of the total load
 // rho*k given its mean size.
@@ -153,18 +107,6 @@ func CappedLadder(k int, rho float64) Mix {
 			{Name: "cap8", Speedup: sim.CappedSpeedup(8), Size: dist.NewExponential(0.25)},
 		}),
 	}
-}
-
-// TwoClassMix expresses the paper's exponential two-class model as a Mix,
-// so the unified sweep axis can also drive the classic configuration.
-func TwoClassMix(k int, rho, muI, muE float64) Mix {
-	model := ModelForLoad(k, rho, muI, muE)
-	classes := sim.TwoClassSpecs()
-	classes[0].Lambda = model.LambdaI
-	classes[0].Size = dist.NewExponential(muI)
-	classes[1].Lambda = model.LambdaE
-	classes[1].Size = dist.NewExponential(muE)
-	return Mix{Name: "twoclass", Classes: classes}
 }
 
 // MixByName builds a named class-mix preset at load rho on k servers.

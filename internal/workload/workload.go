@@ -1,12 +1,13 @@
 // Package workload generates the arrival processes fed to the simulator:
-// the paper's two-class Poisson/exponential model, plus the motivating
-// scenario presets of Section 1.3 (MapReduce, ML platforms, HPC malleable
-// jobs) used by the example programs.
+// the paper's two-class Poisson/exponential model, the motivating scenario
+// presets of Section 1.3 (MapReduce, ML platforms, HPC malleable jobs) and
+// the N-class mixes of Section 6. Each is independent Poisson arrivals per
+// class with a size distribution per class, and one Source generates them
+// all.
 package workload
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/dist"
 	"repro/internal/queueing"
@@ -50,71 +51,24 @@ func (m Model) Rho() float64 {
 // Stable reports whether rho < 1.
 func (m Model) Stable() bool { return m.Rho() < 1 }
 
-// Source returns an unbounded streaming arrival source for the model.
-// Separate RNG streams drive each class's arrival process and size draws,
-// so changing one parameter never perturbs the other class's sample path.
-func (m Model) Source(seed uint64) *PoissonSource {
+// Classes returns the model's two job classes (the sim.TwoClassSpecs
+// preset) with their arrival rates and exponential sizes attached.
+func (m Model) Classes() []sim.ClassSpec {
+	specs := sim.TwoClassSpecs()
+	specs[0].Lambda, specs[0].Size = m.LambdaI, dist.NewExponential(m.MuI)
+	specs[1].Lambda, specs[1].Size = m.LambdaE, dist.NewExponential(m.MuE)
+	return specs
+}
+
+// Source returns an unbounded streaming arrival source for the model, on
+// RNG streams from base 1.
+func (m Model) Source(seed uint64) *Source {
 	m.mustValidate()
-	return &PoissonSource{
-		classes: [2]classStream{
-			{rateArr: m.LambdaI, size: dist.NewExponential(m.MuI),
-				arrRng: xrand.NewStream(seed, 1), sizeRng: xrand.NewStream(seed, 2)},
-			{rateArr: m.LambdaE, size: dist.NewExponential(m.MuE),
-				arrRng: xrand.NewStream(seed, 3), sizeRng: xrand.NewStream(seed, 4)},
-		},
-	}
+	return newSource(seed, 1, m.Classes())
 }
 
 // Trace materializes the first n arrivals as a slice for replay/coupling.
-func (m Model) Trace(seed uint64, n int) []sim.Arrival {
-	src := m.Source(seed)
-	out := make([]sim.Arrival, 0, n)
-	for len(out) < n {
-		a, _ := src.Next()
-		out = append(out, a)
-	}
-	return out
-}
-
-type classStream struct {
-	rateArr  float64
-	size     dist.Distribution
-	arrRng   *xrand.Rand
-	sizeRng  *xrand.Rand
-	nextTime float64
-	primed   bool
-}
-
-func (c *classStream) peek() float64 {
-	if !c.primed {
-		c.nextTime += c.arrRng.Exp(c.rateArr)
-		c.primed = true
-	}
-	return c.nextTime
-}
-
-func (c *classStream) pop() float64 {
-	t := c.peek()
-	c.primed = false
-	return t
-}
-
-// PoissonSource merges the two class streams into one time-ordered arrival
-// stream. It implements sim.ArrivalSource and never ends.
-type PoissonSource struct {
-	classes [2]classStream
-}
-
-// Next implements sim.ArrivalSource.
-func (p *PoissonSource) Next() (sim.Arrival, bool) {
-	ci := sim.Inelastic
-	if p.classes[sim.Elastic].peek() < p.classes[sim.Inelastic].peek() {
-		ci = sim.Elastic
-	}
-	c := &p.classes[ci]
-	t := c.pop()
-	return sim.Arrival{Time: t, Class: sim.Class(ci), Size: c.size.Sample(c.sizeRng)}, true
-}
+func (m Model) Trace(seed uint64, n int) []sim.Arrival { return m.Source(seed).take(n) }
 
 // Scenario is a named workload preset with general size distributions, used
 // by the example programs to mimic the mixes described in Section 1.3.
@@ -124,35 +78,78 @@ type Scenario struct {
 	SizeI, SizeE     dist.Distribution
 }
 
-// Source returns a streaming source for the scenario.
-func (s Scenario) Source(seed uint64) sim.ArrivalSource {
-	return &scenarioSource{
-		classes: [2]classStream{
-			{rateArr: s.LambdaI, size: s.SizeI,
-				arrRng: xrand.NewStream(seed, 11), sizeRng: xrand.NewStream(seed, 12)},
-			{rateArr: s.LambdaE, size: s.SizeE,
-				arrRng: xrand.NewStream(seed, 13), sizeRng: xrand.NewStream(seed, 14)},
-		},
-	}
+// Classes returns the scenario's two job classes (the sim.TwoClassSpecs
+// preset) with their arrival rates and size distributions attached.
+func (s Scenario) Classes() []sim.ClassSpec {
+	specs := sim.TwoClassSpecs()
+	specs[0].Lambda, specs[0].Size = s.LambdaI, s.SizeI
+	specs[1].Lambda, specs[1].Size = s.LambdaE, s.SizeE
+	return specs
 }
+
+// Source returns a streaming source for the scenario, on RNG streams from
+// base 11.
+func (s Scenario) Source(seed uint64) *Source { return newSource(seed, 11, s.Classes()) }
 
 // Rho returns the scenario's offered load on k servers.
 func (s Scenario) Rho(k int) float64 {
 	return (s.LambdaI*s.SizeI.Mean() + s.LambdaE*s.SizeE.Mean()) / float64(k)
 }
 
-type scenarioSource struct {
-	classes [2]classStream
+// Source merges independent per-class Poisson arrival streams into one
+// time-ordered stream: the process behind the model, every scenario and
+// every mix. It implements sim.ArrivalSource and never ends.
+//
+// Class c draws its inter-arrival gaps from RNG stream base+2c and its sizes
+// from stream base+2c+1, so changing one class never perturbs another
+// class's sample path. Each preset family keeps its own base (Model 1,
+// Scenario 11, Mix 21). The next arrival is the earliest pending one, found
+// by a linear scan over the classes; an exact tie goes to the lower class.
+type Source struct {
+	classes []classStream
 }
 
-func (p *scenarioSource) Next() (sim.Arrival, bool) {
-	ci := sim.Inelastic
-	if p.classes[sim.Elastic].peek() < p.classes[sim.Inelastic].peek() {
-		ci = sim.Elastic
+type classStream struct {
+	lambda  float64
+	size    dist.Distribution
+	arrRng  *xrand.Rand
+	sizeRng *xrand.Rand
+	next    float64 // time of the class's pending arrival
+}
+
+func newSource(seed, base uint64, classes []sim.ClassSpec) *Source {
+	s := &Source{classes: make([]classStream, len(classes))}
+	for c, spec := range classes {
+		stream := base + 2*uint64(c)
+		cs := &s.classes[c]
+		*cs = classStream{lambda: spec.Lambda, size: spec.Size,
+			arrRng: xrand.NewStream(seed, stream), sizeRng: xrand.NewStream(seed, stream+1)}
+		cs.next = cs.arrRng.Exp(cs.lambda)
 	}
-	c := &p.classes[ci]
-	t := c.pop()
-	return sim.Arrival{Time: t, Class: sim.Class(ci), Size: c.size.Sample(c.sizeRng)}, true
+	return s
+}
+
+// Next implements sim.ArrivalSource.
+func (s *Source) Next() (sim.Arrival, bool) {
+	ci := 0
+	for c := 1; c < len(s.classes); c++ {
+		if s.classes[c].next < s.classes[ci].next {
+			ci = c
+		}
+	}
+	cs := &s.classes[ci]
+	t := cs.next
+	cs.next += cs.arrRng.Exp(cs.lambda)
+	return sim.Arrival{Time: t, Class: sim.Class(ci), Size: cs.size.Sample(cs.sizeRng)}, true
+}
+
+// take materializes the next n arrivals.
+func (s *Source) take(n int) []sim.Arrival {
+	out := make([]sim.Arrival, n)
+	for i := range out {
+		out[i], _ = s.Next()
+	}
+	return out
 }
 
 // MapReduce models the cluster of Section 1.3: map stages are elastic with
@@ -224,10 +221,4 @@ func RandomBatch(r *xrand.Rand, n int, sizeDist dist.Distribution, maxCap int) [
 		jobs[i] = BatchJob{Size: sizeDist.Sample(r), Cap: 1 + r.Intn(maxCap)}
 	}
 	return jobs
-}
-
-// Horizon estimates a simulation horizon long enough for n arrivals from
-// the model (used to bound Drain calls).
-func (m Model) Horizon(n int) float64 {
-	return 2 * float64(n) / (m.LambdaI + m.LambdaE) * math.Max(1, 1/(1-m.Rho()))
 }

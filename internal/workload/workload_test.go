@@ -184,14 +184,6 @@ func TestRandomBatch(t *testing.T) {
 	}
 }
 
-func TestHorizonScalesWithLoad(t *testing.T) {
-	low := ModelForLoad(4, 0.5, 1, 1)
-	high := ModelForLoad(4, 0.95, 1, 1)
-	if high.Horizon(1000) <= low.Horizon(1000) {
-		t.Fatal("horizon should grow with load")
-	}
-}
-
 func TestInvalidModelPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {

@@ -37,9 +37,10 @@ go vet ./...
 echo "==> go test -race ./..."
 go test -race ./...
 
-echo "==> golden gate (engine goldens bit-frozen; frozen rebuild-engine traces matched: identical completion sequences, stats to 1e-9)"
+echo "==> golden gate (engine goldens bit-frozen; frozen rebuild-engine traces matched: identical completion sequences, stats to 1e-9; every arrival stream frozen)"
 go test ./internal/sim -run 'TestGolden' -count=1
 go test ./internal/exp -run 'TestGoldenFigure' -count=1
+go test ./internal/workload -run TestGoldenArrivals -count=1
 
 echo "==> sparse-vs-dense equivalence gate (fast paths vs the forced-dense oracle: identical completion sequences, stats to 1e-9)"
 go test ./internal/sim -run 'TestEngineEquivalenceMatrix' -count=1
@@ -320,6 +321,9 @@ go test -fuzz=FuzzFit -fuzztime=10s ./internal/dist
 
 echo "==> sparse-vs-dense fuzz gate (EQUI class shares, SRPT indexed heap, arena handle recycling)"
 go test -fuzz=FuzzSparseShareSet -fuzztime=10s ./internal/sim
+
+echo "==> event-list fuzz gate (IndexedQueue Set/Remove/Peek/Pop against a sorted reference model)"
+go test -fuzz=FuzzTotalOrder -fuzztime=10s ./internal/eventq
 
 echo "==> profiling-harness smoke (scripts/bench.sh profile must drop loadable, non-empty profiles)"
 scripts/bench.sh profile 0.05s >/dev/null
