@@ -1,5 +1,6 @@
 // Package repro's root benchmark harness regenerates every table and figure
-// of the paper's evaluation (see DESIGN.md for the experiment index):
+// of the paper's evaluation (the "Paper ↔ package correspondence" table in
+// docs/ARCHITECTURE.md maps each one to the code behind it):
 //
 //	BenchmarkFigure4*              heat maps of IF vs EF (Fig. 4a/4b/4c)
 //	BenchmarkFigure5*              E[T] vs muI curves (Fig. 5a/5b/5c)

@@ -38,6 +38,25 @@ import (
 	"repro/internal/serve"
 )
 
+const (
+	// readHeaderTimeout bounds how long a client may take to send a request
+	// header, as the fabric's HandshakeTimeout bounds its hello; without it
+	// a client that never finishes its header holds a connection and a
+	// goroutine forever.
+	readHeaderTimeout = 5 * time.Second
+	// idleTimeout closes a keep-alive connection that carries no request.
+	// It is longer than net/http's client-side IdleConnTimeout (90 s), so a
+	// Go client drops an idle connection before the server does.
+	idleTimeout = 2 * time.Minute
+)
+
+// newHTTPServer returns the daemon's HTTP server for h. It sets no
+// ReadTimeout or WriteTimeout: either would cut a /v1/sweep/stream response
+// off mid-sweep.
+func newHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{Handler: h, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
+}
+
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("resultd: ")
@@ -104,7 +123,7 @@ func main() {
 
 	s := serve.New(opts)
 	defer s.Close()
-	srv := &http.Server{Handler: s}
+	srv := newHTTPServer(s)
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()

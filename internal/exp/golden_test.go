@@ -26,6 +26,10 @@ type goldenFigures struct {
 	Figure4 [][3]string `json:"figure4"` // muI|muE key, TIF, TEF
 	Figure5 [][3]string `json:"figure5"` // muI key, TIF, TEF
 	Figure6 [][3]string `json:"figure6"` // k key, TIF, TEF
+	// The high-load cells, where the R iteration runs longest and the IF
+	// chain is widest (k+2 = 18 phases at k 16).
+	Figure4HighLoad [][3]string `json:"figure4_rho0.9"` // muI|muE key, TIF, TEF
+	Figure6HighLoad [][3]string `json:"figure6_rho0.9"` // k key, TIF, TEF
 }
 
 func computeGoldenFigures(t *testing.T) goldenFigures {
@@ -54,6 +58,21 @@ func computeGoldenFigures(t *testing.T) goldenFigures {
 	}
 	for _, p := range f6 {
 		g.Figure6 = append(g.Figure6, [3]string{strconv.Itoa(p.K), hexf(p.TIF), hexf(p.TEF)})
+	}
+	f4h, err := Figure4(ctx, 4, 0.9, grid, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range f4h {
+		key := hexf(p.MuI) + "|" + hexf(p.MuE)
+		g.Figure4HighLoad = append(g.Figure4HighLoad, [3]string{key, hexf(p.TIF), hexf(p.TEF)})
+	}
+	f6h, err := Figure6(ctx, 0.9, 0.5, 1.0, []int{8, 16}, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range f6h {
+		g.Figure6HighLoad = append(g.Figure6HighLoad, [3]string{strconv.Itoa(p.K), hexf(p.TIF), hexf(p.TEF)})
 	}
 	return g
 }
@@ -96,4 +115,6 @@ func TestGoldenFigureCells(t *testing.T) {
 	check("figure4", got.Figure4, want.Figure4)
 	check("figure5", got.Figure5, want.Figure5)
 	check("figure6", got.Figure6, want.Figure6)
+	check("figure4_rho0.9", got.Figure4HighLoad, want.Figure4HighLoad)
+	check("figure6_rho0.9", got.Figure6HighLoad, want.Figure6HighLoad)
 }

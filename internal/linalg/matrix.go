@@ -4,9 +4,13 @@
 // The matrices in this repository are tiny by numerical-computing standards
 // (the QBD phase dimension is k+2 for the Inelastic-First chain and 3 for
 // the Elastic-First chain), so clarity and numerical robustness win over
-// blocking or SIMD tricks: LU with partial pivoting, straightforward
-// triple-loop multiplication, and explicit error reporting for singular
-// systems.
+// blocking or SIMD tricks: LU with partial pivoting, explicit error
+// reporting for singular systems, and one triple-loop multiplication
+// kernel, MulInto, which writes into the caller's buffer so that an
+// iteration allocates nothing (Mul allocates the result and calls it).
+// SpectralRadius reuses its vectors too, and stops as soon as its power
+// iterate repeats one of its last few values bit for bit, returning exactly
+// the norm the full iteration count would end on.
 package linalg
 
 import (
@@ -98,10 +102,20 @@ func Mul(a, b *Matrix) *Matrix {
 	if a.Cols != b.Rows {
 		panic(ErrShape)
 	}
-	out := NewMatrix(a.Rows, b.Cols)
+	return MulInto(NewMatrix(a.Rows, b.Cols), a, b)
+}
+
+// MulInto stores a*b in dst and returns dst, so an iteration can reuse one
+// buffer. dst must be a.Rows x b.Cols and share no storage with a or b. It
+// panics on shape mismatch, like Mul.
+func MulInto(dst, a, b *Matrix) *Matrix {
+	if a.Cols != b.Rows || dst.Rows != a.Rows || dst.Cols != b.Cols {
+		panic(ErrShape)
+	}
+	clear(dst.Data)
 	for i := 0; i < a.Rows; i++ {
 		arow := a.Data[i*a.Cols : (i+1)*a.Cols]
-		orow := out.Data[i*out.Cols : (i+1)*out.Cols]
+		orow := dst.Data[i*dst.Cols : (i+1)*dst.Cols]
 		for kk, av := range arow {
 			if av == 0 {
 				continue
@@ -112,7 +126,7 @@ func Mul(a, b *Matrix) *Matrix {
 			}
 		}
 	}
-	return out
+	return dst
 }
 
 // AddM returns a+b elementwise.
@@ -154,15 +168,21 @@ func MulVec(a *Matrix, x []float64) []float64 {
 		panic(ErrShape)
 	}
 	out := make([]float64, a.Rows)
-	for i := 0; i < a.Rows; i++ {
+	mulVecInto(out, a, x)
+	return out
+}
+
+// mulVecInto stores a*x in dst, which must have a.Rows entries and share no
+// storage with x.
+func mulVecInto(dst []float64, a *Matrix, x []float64) {
+	for i := range dst {
 		s := 0.0
 		row := a.Data[i*a.Cols : (i+1)*a.Cols]
 		for j, v := range row {
 			s += v * x[j]
 		}
-		out[i] = s
+		dst[i] = s
 	}
-	return out
 }
 
 // VecMul returns x^T * a for a row vector x.
@@ -342,21 +362,43 @@ func Inverse(a *Matrix) (*Matrix, error) {
 	return SolveMatrix(a, Identity(a.Rows))
 }
 
+// cycleWindow is how many earlier power iterates SpectralRadius compares each
+// new one against. A longer cycle simply runs to the iteration cap.
+const cycleWindow = 4
+
 // SpectralRadius estimates the largest-magnitude eigenvalue of a by power
 // iteration. It is used to verify that the QBD rate matrix R satisfies
 // sp(R) < 1 (the stability condition) before summing the geometric tail.
+//
+// The result is the norm of the iters-th product a*x, exactly as a loop
+// that runs all iters iterations would return it. Each iterate is a
+// deterministic function of the previous one's bits, so once an iterate
+// equals one of the last cycleWindow iterates bit for bit, every later
+// iterate and norm repeats that cycle, and the norm at iteration iters is
+// read off the cycle instead of being computed.
 func SpectralRadius(a *Matrix, iters int) float64 {
 	if a.Rows != a.Cols {
 		panic(ErrShape)
 	}
 	n := a.Rows
-	x := make([]float64, n)
-	for i := range x {
-		x[i] = 1 / float64(n)
+	// Ring of the current iterate and the cycleWindow before it: iterate t
+	// lives in slot t%slots, as does norms[t%slots], the norm that produced
+	// it (slot 0's norm is unused: iterate 0 is the start vector).
+	const slots = cycleWindow + 1
+	ring := make([]float64, slots*n)
+	var norms [slots]float64
+	iterate := func(t int) []float64 {
+		s := t % slots
+		return ring[s*n : (s+1)*n]
+	}
+	x0 := iterate(0)
+	for i := range x0 {
+		x0[i] = 1 / float64(n)
 	}
 	radius := 0.0
-	for it := 0; it < iters; it++ {
-		y := MulVec(a, x)
+	for it := 1; it <= iters; it++ {
+		y := iterate(it)
+		mulVecInto(y, a, iterate(it-1))
 		norm := 0.0
 		for _, v := range y {
 			norm += v * v
@@ -368,8 +410,28 @@ func SpectralRadius(a *Matrix, iters int) float64 {
 		for i := range y {
 			y[i] /= norm
 		}
-		x = y
 		radius = norm
+		norms[it%slots] = norm
+		for p := 1; p <= cycleWindow && p <= it; p++ {
+			if sameBits(y, iterate(it-p)) {
+				// Norms repeat with period p from iteration it-p+1 on:
+				// return the one in [it-p+1, it] congruent to iters.
+				if e := (iters - it) % p; e > 0 {
+					return norms[(it+e-p)%slots]
+				}
+				return norm
+			}
+		}
 	}
 	return radius
+}
+
+// sameBits reports whether x and y hold bit-identical values.
+func sameBits(x, y []float64) bool {
+	for i, v := range x {
+		if math.Float64bits(v) != math.Float64bits(y[i]) {
+			return false
+		}
+	}
+	return true
 }

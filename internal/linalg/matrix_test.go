@@ -43,12 +43,30 @@ func TestMulKnown(t *testing.T) {
 }
 
 func TestMulShapePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("shape mismatch did not panic")
-		}
-	}()
-	Mul(NewMatrix(2, 3), NewMatrix(2, 3))
+	for name, mul := range map[string]func(){
+		"Mul":         func() { Mul(NewMatrix(2, 3), NewMatrix(2, 3)) },
+		"MulInto dst": func() { MulInto(NewMatrix(3, 3), NewMatrix(2, 2), NewMatrix(2, 2)) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: shape mismatch did not panic", name)
+				}
+			}()
+			mul()
+		}()
+	}
+}
+
+// TestMulIntoOverwritesDst: a reused buffer's old contents never leak into
+// the product.
+func TestMulIntoOverwritesDst(t *testing.T) {
+	r := xrand.New(3)
+	a, b := randomMatrix(r, 4), randomMatrix(r, 4)
+	dst := randomMatrix(r, 4)
+	if got := MulInto(dst, a, b); got != dst || MaxAbsDiff(dst, Mul(a, b)) != 0 {
+		t.Fatalf("MulInto into a dirty buffer:\n%v\nwant\n%v", dst, Mul(a, b))
+	}
 }
 
 func TestAddSubScale(t *testing.T) {

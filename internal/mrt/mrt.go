@@ -99,23 +99,47 @@ func fitBusyPeriod(lambda, mu float64, fit BusyPeriodFit) (phaseCox, error) {
 	return phaseCox{}, fmt.Errorf("mrt: unknown busy-period fit %d", fit)
 }
 
-// EF computes mean response times under Elastic-First.
+// EF computes mean response times under Elastic-First: the inelastic class
+// from the chain of efChain, the elastic class as an M/M/1 with service
+// rate k*muE.
+func EF(p Params, fit BusyPeriodFit) (Result, error) {
+	chain, err := efChain(p, fit)
+	if err != nil {
+		return Result{}, err
+	}
+	sol, err := chain.Solve(qbd.FunctionalIteration)
+	if err != nil {
+		return Result{}, fmt.Errorf("mrt: EF chain solve: %w", err)
+	}
+
+	ni := sol.MeanLevel()
+	ti := ni / p.LambdaI
+	te := queueing.NewMM1(p.LambdaE, float64(p.K)*p.MuE).MeanResponse()
+	ne := p.LambdaE * te
+	return Result{
+		Policy: "EF",
+		TI:     ti, TE: te, NI: ni, NE: ne,
+		T: (p.LambdaI*ti + p.LambdaE*te) / (p.LambdaI + p.LambdaE),
+	}, nil
+}
+
+// efChain builds the QBD chain EF solves.
 //
 // Chain structure (Figure 3c): level = number of inelastic jobs; phases
 // {0 = no elastic busy period, b1, b2}. Inelastic jobs are served only in
 // phase 0 (at rate min(level, k)*muI); an elastic arrival in phase 0 starts
 // a busy period of the elastic M/M/1 with service rate k*muE.
-func EF(p Params, fit BusyPeriodFit) (Result, error) {
+func efChain(p Params, fit BusyPeriodFit) (*qbd.Chain, error) {
 	if err := p.validate(); err != nil {
-		return Result{}, err
+		return nil, err
 	}
 	kmuE := float64(p.K) * p.MuE
 	if p.LambdaE >= kmuE {
-		return Result{}, fmt.Errorf("%w: elastic class overloaded under EF", ErrUnstable)
+		return nil, fmt.Errorf("%w: elastic class overloaded under EF", ErrUnstable)
 	}
 	cox, err := fitBusyPeriod(p.LambdaE, kmuE, fit)
 	if err != nil {
-		return Result{}, err
+		return nil, err
 	}
 
 	const m = 3 // phases: 0, b1, b2
@@ -154,47 +178,56 @@ func EF(p Params, fit BusyPeriodFit) (Result, error) {
 		boundary[l] = mkLevel(float64(l) * p.MuI)
 	}
 	rep := mkLevel(float64(p.K) * p.MuI)
-	chain := &qbd.Chain{
+	return &qbd.Chain{
 		Phases:   m,
 		Boundary: boundary,
 		A0:       rep.U,
 		A1:       rep.Local,
 		A2:       rep.D,
+	}, nil
+}
+
+// IF computes mean response times under Inelastic-First: the elastic class
+// from the chain of ifChain, the inelastic class as an M/M/k.
+func IF(p Params, fit BusyPeriodFit) (Result, error) {
+	chain, err := ifChain(p, fit)
+	if err != nil {
+		return Result{}, err
 	}
 	sol, err := chain.Solve(qbd.FunctionalIteration)
 	if err != nil {
-		return Result{}, fmt.Errorf("mrt: EF chain solve: %w", err)
+		return Result{}, fmt.Errorf("mrt: IF chain solve: %w", err)
 	}
 
-	ni := sol.MeanLevel()
-	ti := ni / p.LambdaI
-	te := queueing.NewMM1(p.LambdaE, kmuE).MeanResponse()
-	ne := p.LambdaE * te
+	ne := sol.MeanLevel()
+	te := ne / p.LambdaE
+	ti := queueing.NewMMk(p.LambdaI, p.MuI, p.K).MeanResponse()
+	ni := p.LambdaI * ti
 	return Result{
-		Policy: "EF",
+		Policy: "IF",
 		TI:     ti, TE: te, NI: ni, NE: ne,
 		T: (p.LambdaI*ti + p.LambdaE*te) / (p.LambdaI + p.LambdaE),
 	}, nil
 }
 
-// IF computes mean response times under Inelastic-First.
+// ifChain builds the QBD chain IF solves.
 //
 // Chain structure (Figure 7c): level = number of elastic jobs; phases
 // {0..k-1 = number of inelastic jobs, b1, b2 = the excess period with >= k
 // inelastic jobs}. Elastic jobs are served at rate (k-i)*muE in phase i and
 // not at all during the excess period, which is an M/M/1 busy period with
 // arrival lambdaI and service rate k*muI.
-func IF(p Params, fit BusyPeriodFit) (Result, error) {
+func ifChain(p Params, fit BusyPeriodFit) (*qbd.Chain, error) {
 	if err := p.validate(); err != nil {
-		return Result{}, err
+		return nil, err
 	}
 	kmuI := float64(p.K) * p.MuI
 	if p.LambdaI >= kmuI {
-		return Result{}, fmt.Errorf("%w: inelastic class overloaded under IF", ErrUnstable)
+		return nil, fmt.Errorf("%w: inelastic class overloaded under IF", ErrUnstable)
 	}
 	cox, err := fitBusyPeriod(p.LambdaI, kmuI, fit)
 	if err != nil {
-		return Result{}, err
+		return nil, err
 	}
 
 	m := p.K + 2 // phases 0..k-1, b1 = k, b2 = k+1
@@ -251,26 +284,12 @@ func IF(p Params, fit BusyPeriodFit) (Result, error) {
 			a1.Add(ph, ph, -r)
 		}
 	}
-	chain := &qbd.Chain{
+	return &qbd.Chain{
 		Phases:   m,
 		Boundary: boundary,
 		A0:       linalg.Scale(p.LambdaE, linalg.Identity(m)),
 		A1:       a1,
 		A2:       a2,
-	}
-	sol, err := chain.Solve(qbd.FunctionalIteration)
-	if err != nil {
-		return Result{}, fmt.Errorf("mrt: IF chain solve: %w", err)
-	}
-
-	ne := sol.MeanLevel()
-	te := ne / p.LambdaE
-	ti := queueing.NewMMk(p.LambdaI, p.MuI, p.K).MeanResponse()
-	ni := p.LambdaI * ti
-	return Result{
-		Policy: "IF",
-		TI:     ti, TE: te, NI: ni, NE: ne,
-		T: (p.LambdaI*ti + p.LambdaE*te) / (p.LambdaI + p.LambdaE),
 	}, nil
 }
 

@@ -13,6 +13,11 @@
 // A0 + R A1 + R^2 A2 = 0. This package computes R by functional iteration
 // (the default) or by logarithmic reduction (the ablation variant), solves
 // the finite boundary system, and exposes level moments in closed form.
+//
+// The functional iteration computes into buffers allocated once per solve
+// and multiplies by A2 through an index of its nonzero entries, and the
+// sp(R) check uses linalg.SpectralRadius's exact early exit. All three give
+// the same bits as the dense iteration that allocates at every step.
 package qbd
 
 import (
@@ -147,20 +152,71 @@ func SolveR(a0, a1, a2 *linalg.Matrix, method RMethod, tol float64, maxIter int)
 	return nil, fmt.Errorf("qbd: unknown R method %d", method)
 }
 
+// solveRIteration runs the functional iteration in four buffers allocated
+// once per solve, so its cost does not grow with the iteration count.
 func solveRIteration(a0, a1, a2 *linalg.Matrix, tol float64, maxIter int) (*linalg.Matrix, error) {
 	negA1Inv, err := linalg.Inverse(linalg.Scale(-1, a1))
 	if err != nil {
 		return nil, fmt.Errorf("qbd: A1 singular: %w", err)
 	}
+	m := a0.Rows
 	r := linalg.Mul(a0, negA1Inv) // R_1 with R_0 = 0
+	r2 := linalg.NewMatrix(m, m)
+	sum := linalg.NewMatrix(m, m) // R^2 A2, then A0 + R^2 A2
+	next := linalg.NewMatrix(m, m)
+	a2nz := nonzeros(a2)
 	for iter := 0; iter < maxIter; iter++ {
-		next := linalg.Mul(linalg.AddM(a0, linalg.Mul(linalg.Mul(r, r), a2)), negA1Inv)
+		linalg.MulInto(r2, r, r)
+		mulSparseInto(sum, r2, a2nz)
+		for i, v := range a0.Data {
+			sum.Data[i] = v + sum.Data[i]
+		}
+		linalg.MulInto(next, sum, negA1Inv)
 		if linalg.MaxAbsDiff(next, r) < tol {
 			return next, nil
 		}
-		r = next
+		r, next = next, r
 	}
 	return nil, ErrNotConverged
+}
+
+// entry is one nonzero entry of a matrix.
+type entry struct {
+	row, col int
+	v        float64
+}
+
+// nonzeros lists b's nonzero entries in row-major order. A2 is diagonal in
+// the IF chain and has a single entry in the EF chain.
+func nonzeros(b *linalg.Matrix) []entry {
+	var nz []entry
+	for k := 0; k < b.Rows; k++ {
+		for j := 0; j < b.Cols; j++ {
+			if v := b.At(k, j); v != 0 {
+				nz = append(nz, entry{k, j, v})
+			}
+		}
+	}
+	return nz
+}
+
+// mulSparseInto stores a*b in dst, where nz = nonzeros(b). Row-major order
+// adds each dst entry's terms in linalg.MulInto's order; the terms of b's
+// zero entries, which it skips, are exact zeros for a finite a, so the two
+// can differ only in the sign of an entry that is zero. Adding A0 and
+// multiplying by (-A1)^{-1}, which skips zero entries of either sign,
+// erase that sign.
+func mulSparseInto(dst, a *linalg.Matrix, nz []entry) {
+	clear(dst.Data)
+	for i := 0; i < a.Rows; i++ {
+		arow := a.Data[i*a.Cols : (i+1)*a.Cols]
+		orow := dst.Data[i*dst.Cols : (i+1)*dst.Cols]
+		for _, e := range nz {
+			if av := arow[e.row]; av != 0 {
+				orow[e.col] += av * e.v
+			}
+		}
+	}
 }
 
 // solveRLogReduction implements the logarithmic-reduction algorithm of

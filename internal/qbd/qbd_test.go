@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/linalg"
 	"repro/internal/queueing"
+	"repro/internal/xrand"
 )
 
 // mm1Chain encodes M/M/1 as a trivial one-phase QBD.
@@ -146,6 +147,40 @@ func TestRSatisfiesQuadratic(t *testing.T) {
 	res := linalg.AddM(c.A0, linalg.AddM(linalg.Mul(r, c.A1), linalg.Mul(linalg.Mul(r, r), c.A2)))
 	if res.InfNorm() > 1e-10 {
 		t.Fatalf("residual of R equation %v", res.InfNorm())
+	}
+}
+
+// TestSparseProductMatchesDense: the product over b's nonzero entries equals
+// the dense product entry for entry; only a zero's sign may differ, which ==
+// ignores.
+func TestSparseProductMatchesDense(t *testing.T) {
+	r := xrand.New(5)
+	const m = 6
+	a := linalg.NewMatrix(m, m)
+	for i := range a.Data {
+		if r.Float64() < 0.7 {
+			a.Data[i] = 2*r.Float64() - 1
+		}
+	}
+	diag, single, scattered := linalg.NewMatrix(m, m), linalg.NewMatrix(m, m), linalg.NewMatrix(m, m)
+	for i := 0; i < m; i++ {
+		diag.Set(i, i, r.Float64())
+	}
+	single.Set(0, 0, 3)
+	for i := range scattered.Data {
+		if r.Float64() < 0.3 {
+			scattered.Data[i] = 2*r.Float64() - 1
+		}
+	}
+	dst := linalg.NewMatrix(m, m)
+	for name, b := range map[string]*linalg.Matrix{"diagonal": diag, "single": single, "scattered": scattered, "zero": linalg.NewMatrix(m, m)} {
+		mulSparseInto(dst, a, nonzeros(b))
+		want := linalg.Mul(a, b)
+		for i := range want.Data {
+			if dst.Data[i] != want.Data[i] {
+				t.Fatalf("%s: entry %d is %v, dense product %v", name, i, dst.Data[i], want.Data[i])
+			}
+		}
 	}
 }
 

@@ -46,8 +46,8 @@ echo "==> sparse-vs-dense equivalence gate (fast paths vs the forced-dense oracl
 go test ./internal/sim -run 'TestEngineEquivalenceMatrix' -count=1
 go test ./internal/exp -run 'TestEngineSweepEquivalence|TestTailQuantiles' -count=1
 
-echo "==> allocation-regression gate (steady-state stepping <= 1 alloc/event; arena path bounded at n in {100, 10k})"
-go test ./internal/sim -run 'TestSteadyStateAllocs|TestSteadyStateBytes' -count=1
+echo "==> allocation-regression gate (steady-state stepping <= 1 alloc/event; arena path bounded at n in {100, 10k}; the R and power iterations allocate per solve, not per iteration)"
+go test ./internal/sim ./internal/mrt -run 'TestSteadyStateAllocs|TestSteadyStateBytes|TestAnalysisAllocs' -count=1
 
 echo "==> arena recycle gate (recycled job slots never alias a live handle in any hot structure)"
 go test ./internal/sim -run 'TestArena' -count=1
