@@ -66,29 +66,61 @@ func DeferAlloc(k, i, j int) (float64, float64) {
 }
 
 // PolicyChain builds the truncated 2D chain of Figure 1 for the given
-// allocation rule. States (i, j) with i <= capI, j <= capE are indexed
-// row-major; arrivals that would cross the truncation boundary are dropped
-// (their rate is simply absent), so the result is exact for the truncated
-// chain and approximates the infinite chain from below in load.
+// allocation rule. States (i, j) with i <= capI, j <= capE are numbered with
+// the shorter axis innermost (see lattice); arrivals that would cross the
+// truncation boundary are dropped (their rate is simply absent), so the
+// result is exact for the truncated chain and approximates the infinite
+// chain from below in load.
 func PolicyChain(m Model2D, alloc Alloc, capI, capE int) *Chain {
-	idx := func(i, j int) int { return i*(capE+1) + j }
-	c := New((capI + 1) * (capE + 1))
-	for i := 0; i <= capI; i++ {
-		for j := 0; j <= capE; j++ {
-			s := idx(i, j)
-			if i < capI {
-				c.AddRate(s, idx(i+1, j), m.LambdaI)
+	return newLattice(capI, capE).chain(m, alloc)
+}
+
+// lattice numbers the states (i, j), i <= capI, j <= capE, of a truncated
+// policy chain. Every transition moves one step along one axis, so a chain
+// numbered with axis a innermost has band (cap_a + 1); newLattice puts the
+// shorter axis innermost, and with capE <= capI that is the row-major
+// numbering i*(capE+1) + j.
+type lattice struct {
+	capI, capE int
+	iInner     bool
+}
+
+func newLattice(capI, capE int) lattice { return lattice{capI, capE, capE > capI} }
+
+func (g lattice) index(i, j int) int {
+	if g.iInner {
+		return j*(g.capI+1) + i
+	}
+	return i*(g.capE+1) + j
+}
+
+func (g lattice) states() int { return (g.capI + 1) * (g.capE + 1) }
+
+// bandBytes is the memory Stationary takes for the chain's band when the
+// shorter axis is innermost.
+func (g lattice) bandBytes() int {
+	b := min(g.capI, g.capE) + 1
+	return g.states() * (2*b + 1) * 8
+}
+
+func (g lattice) chain(m Model2D, alloc Alloc) *Chain {
+	c := New(g.states())
+	for i := 0; i <= g.capI; i++ {
+		for j := 0; j <= g.capE; j++ {
+			s := g.index(i, j)
+			if i < g.capI {
+				c.AddRate(s, g.index(i+1, j), m.LambdaI)
 			}
-			if j < capE {
-				c.AddRate(s, idx(i, j+1), m.LambdaE)
+			if j < g.capE {
+				c.AddRate(s, g.index(i, j+1), m.LambdaE)
 			}
 			ai, ae := alloc(m.K, i, j)
 			validateAlloc(m.K, i, j, ai, ae)
 			if i > 0 && ai > 0 {
-				c.AddRate(s, idx(i-1, j), ai*m.MuI)
+				c.AddRate(s, g.index(i-1, j), ai*m.MuI)
 			}
 			if j > 0 && ae > 0 {
-				c.AddRate(s, idx(i, j-1), ae*m.MuE)
+				c.AddRate(s, g.index(i, j-1), ae*m.MuE)
 			}
 		}
 	}
@@ -117,36 +149,50 @@ type Perf struct {
 	CapI, CapE                   int
 }
 
-// SolvePolicy computes stationary performance of the truncated chain,
-// choosing the direct solver for small chains and Gauss-Seidel otherwise.
+// SolvePolicy computes stationary performance of the truncated chain by one
+// exact solve, Chain.Stationary: O(n·b²) time and O(n·b) memory for
+// n = (capI+1)(capE+1) states and band b = min(capI, capE)+1.
 func SolvePolicy(m Model2D, alloc Alloc, capI, capE int) (Perf, error) {
-	chain := PolicyChain(m, alloc, capI, capE)
-	var pi []float64
-	var err error
-	if chain.N() <= 1500 {
-		pi, err = chain.StationaryDirect()
-	} else {
-		pi, err = chain.StationaryIterative(1e-13, 200000)
-	}
+	g := newLattice(capI, capE)
+	pi, err := g.chain(m, alloc).Stationary()
 	if err != nil {
 		return Perf{}, err
 	}
-	return perfFrom(m, pi, capI, capE), nil
+	return g.perf(m, pi), nil
 }
+
+// maxBandBytes bounds the band storage of a chain AutoSolvePolicy builds.
+// 1 GiB is about four times the 274 MB band of the largest chain a caller
+// in this repository solves (examples/hpcmalleable reaches caps 128 and
+// 1024); without it the doubling cap alone would allow caps 64 and 65,536,
+// about 4.5 GB of band.
+const maxBandBytes = 1 << 30
 
 // AutoSolvePolicy grows the truncation geometrically until the boundary mass
 // drops below boundTol, so callers get controlled accuracy without guessing
-// caps. It starts from caps scaled to the load's rough queue lengths.
+// caps. It starts from caps 64 × 64 and doubles the leaking axis, at most
+// ten solves in all, and never builds a chain whose band storage exceeds
+// maxBandBytes. When it has to stop, or when the grown chain's solve fails
+// (an unstable chain overflows pi), the error names the caps it last solved.
 func AutoSolvePolicy(m Model2D, alloc Alloc, boundTol float64) (Perf, error) {
+	return autoSolvePolicy(m, alloc, boundTol, maxBandBytes)
+}
+
+func autoSolvePolicy(m Model2D, alloc Alloc, boundTol float64, maxBand int) (Perf, error) {
 	capI, capE := 64, 64
-	for iter := 0; iter < 10; iter++ {
+	var last Perf // the previous solve, whose truncation leaked
+	for solves := 1; ; solves++ {
 		p, err := SolvePolicy(m, alloc, capI, capE)
 		if err != nil {
+			if solves > 1 {
+				err = leaking(last, fmt.Errorf("caps %d,%d: %w", capI, capE, err))
+			}
 			return Perf{}, err
 		}
 		if p.BoundaryMass < boundTol {
 			return p, nil
 		}
+		last = p
 		// Grow only the leaking dimension(s): under priority policies
 		// one class's queue is typically orders of magnitude longer
 		// than the other's.
@@ -163,8 +209,20 @@ func AutoSolvePolicy(m Model2D, alloc Alloc, boundTol float64) (Perf, error) {
 			capI *= 2
 			capE *= 2
 		}
+		if solves == 10 {
+			return Perf{}, leaking(last, fmt.Errorf("no growth left after %d solves", solves))
+		}
+		if need := newLattice(capI, capE).bandBytes(); need > maxBand {
+			return Perf{}, leaking(last, fmt.Errorf("caps %d,%d need %d bytes of band storage, over the %d-byte bound", capI, capE, need, maxBand))
+		}
 	}
-	return Perf{}, fmt.Errorf("ctmc: truncation still leaking after growth (caps %d,%d)", capI, capE)
+}
+
+// leaking reports that the truncation at the last solved caps still leaked
+// and why it was not grown further.
+func leaking(last Perf, why error) error {
+	return fmt.Errorf("ctmc: truncation still leaking at caps %d,%d (boundary mass %.3g): %w",
+		last.CapI, last.CapE, last.BoundaryMass, why)
 }
 
 // BatchTotalResponse returns the expected total response time, i.e. the
@@ -178,33 +236,36 @@ func BatchTotalResponse(m Model2D, alloc Alloc, startI, startJ int) (float64, er
 	if m.LambdaI != 0 || m.LambdaE != 0 {
 		return 0, fmt.Errorf("ctmc: BatchTotalResponse requires a no-arrivals model")
 	}
-	capE := startJ
-	chain := PolicyChain(m, alloc, startI, capE)
-	rewards, err := chain.AbsorptionReward(func(s int) float64 {
-		i, j := s/(capE+1), s%(capE+1)
-		return float64(i + j)
-	})
+	g := newLattice(startI, startJ)
+	jobs := make([]float64, g.states())
+	for i := 0; i <= startI; i++ {
+		for j := 0; j <= startJ; j++ {
+			jobs[g.index(i, j)] = float64(i + j)
+		}
+	}
+	rewards, err := g.chain(m, alloc).AbsorptionReward(func(s int) float64 { return jobs[s] })
 	if err != nil {
 		return 0, err
 	}
-	return rewards[startI*(capE+1)+startJ], nil
+	return rewards[g.index(startI, startJ)], nil
 }
 
-func perfFrom(m Model2D, pi []float64, capI, capE int) Perf {
+// perf summarizes pi, the stationary distribution of the chain numbered by g.
+func (g lattice) perf(m Model2D, pi []float64) Perf {
 	var p Perf
-	p.CapI, p.CapE = capI, capE
-	for i := 0; i <= capI; i++ {
-		for j := 0; j <= capE; j++ {
-			prob := pi[i*(capE+1)+j]
+	p.CapI, p.CapE = g.capI, g.capE
+	for i := 0; i <= g.capI; i++ {
+		for j := 0; j <= g.capE; j++ {
+			prob := pi[g.index(i, j)]
 			p.MeanNI += float64(i) * prob
 			p.MeanNE += float64(j) * prob
-			if i == capI || j == capE {
+			if i == g.capI || j == g.capE {
 				p.BoundaryMass += prob
 			}
-			if i == capI {
+			if i == g.capI {
 				p.BoundaryMassI += prob
 			}
-			if j == capE {
+			if j == g.capE {
 				p.BoundaryMassE += prob
 			}
 		}

@@ -1,7 +1,7 @@
 // Package ctmc provides a general continuous-time Markov chain engine:
-// sparse chain construction, stationary solves (direct GTH elimination for
-// small chains, Gauss-Seidel sweeps for large ones), and first-step analysis
-// for absorbing chains.
+// sparse chain construction, one exact stationary solver (GTH elimination
+// restricted to the chain's band), and first-step analysis for absorbing
+// chains.
 //
 // In this repository the engine plays three roles. It is the "ground truth"
 // numeric baseline that the paper attributes to [7]: the 2D chain of
@@ -12,15 +12,11 @@
 package ctmc
 
 import (
-	"errors"
 	"fmt"
 	"math"
 
 	"repro/internal/linalg"
 )
-
-// ErrNotConverged reports that an iterative solve hit its sweep limit.
-var ErrNotConverged = errors.New("ctmc: iterative solver did not converge")
 
 // Chain is a finite-state CTMC under construction. States are dense integer
 // indices in [0, N).
@@ -63,124 +59,106 @@ func (c *Chain) AddRate(from, to int, rate float64) {
 	c.diag[from] -= rate
 }
 
-// Generator materializes the dense generator matrix Q (for small chains and
-// tests).
-func (c *Chain) Generator() *linalg.Matrix {
-	q := linalg.NewMatrix(c.n, c.n)
+// band returns the chain's bandwidth: the largest |from - to| over its
+// transitions (0 for a chain without transitions).
+func (c *Chain) band() int {
+	b := 0
 	for s, edges := range c.out {
 		for _, e := range edges {
-			q.Add(s, e.to, e.rate)
+			b = max(b, e.to-s, s-e.to)
 		}
-		q.Set(s, s, c.diag[s])
 	}
-	return q
+	return b
 }
 
-// StationaryDirect solves pi Q = 0, sum(pi) = 1 with the GTH
+// Stationary solves pi Q = 0, sum(pi) = 1 with the GTH
 // (Grassmann-Taksar-Heyman) elimination algorithm, which uses no
-// subtractions and is numerically stable even for stiff chains. O(n^3):
-// reserve for chains up to a few thousand states.
-func (c *Chain) StationaryDirect() ([]float64, error) {
+// subtractions and is numerically stable even for stiff chains.
+//
+// The elimination runs inside the chain's band b, the largest |from - to|
+// over its transitions: eliminating state l touches only states l-b..l-1,
+// so its fill-in never leaves the band. Row s is stored as the window of
+// columns s-b..s+b, which takes O(n·b) memory and O(n·b²) time. Every
+// entry is a sum of non-negative products, so each term the dense n×n loop
+// would add outside the band is an exact +0: the result is bit for bit the
+// dense loop's.
+//
+// A non-finite pi (pi[l]/pi[0] overflows when the chain drifts away from
+// state 0 faster than the truncation tames it) is an error.
+func (c *Chain) Stationary() ([]float64, error) {
 	n := c.n
 	if n == 1 {
 		return []float64{1}, nil
 	}
-	// Dense transition-rate matrix (off-diagonal only).
-	q := make([][]float64, n)
-	for i := range q {
-		q[i] = make([]float64, n)
-	}
+	b := c.band()
+	w := 2*b + 1
+	// q[s*w+b+t-s] is the rate s -> t, so row s's columns lo..s-1 are
+	// q[s*w+b+lo-s : s*w+b]. The diagonal slot q[s*w+b] is never read: the
+	// updates below write it to keep their inner loop branch-free.
+	q := make([]float64, n*w)
 	for s, edges := range c.out {
 		for _, e := range edges {
-			q[s][e.to] += e.rate
+			q[s*w+b+e.to-s] += e.rate
 		}
 	}
-	// GTH elimination from the last state down.
+	// GTH elimination from the last state down; total[l] is state l's rate
+	// into the states still present when l is eliminated.
+	total := make([]float64, n)
 	for l := n - 1; l >= 1; l-- {
-		total := 0.0
-		for j := 0; j < l; j++ {
-			total += q[l][j]
+		lo := max(0, l-b)
+		row := q[l*w+b+lo-l : l*w+b]
+		t := 0.0
+		for _, v := range row {
+			t += v
 		}
-		if total <= 0 {
+		if t <= 0 {
 			return nil, fmt.Errorf("ctmc: state %d unreachable backward (reducible chain?)", l)
 		}
-		for i := 0; i < l; i++ {
-			if q[i][l] == 0 {
+		total[l] = t
+		for i := lo; i < l; i++ {
+			r := i*w + b - i
+			if q[r+l] == 0 {
 				continue
 			}
-			f := q[i][l] / total
-			for j := 0; j < l; j++ {
-				if i != j {
-					q[i][j] += f * q[l][j]
-				}
-			}
+			addScaled(q[r+lo:r+l], row, q[r+l]/t)
 		}
 	}
 	// Back substitution.
 	pi := make([]float64, n)
 	pi[0] = 1
+	sum := 1.0
 	for l := 1; l < n; l++ {
-		total := 0.0
-		for j := 0; j < l; j++ {
-			total += q[l][j]
-		}
 		s := 0.0
-		for i := 0; i < l; i++ {
-			s += pi[i] * q[i][l]
+		for i := max(0, l-b); i < l; i++ {
+			s += pi[i] * q[i*w+b+l-i]
 		}
-		pi[l] = s / total
+		pi[l] = s / total[l]
+		sum += pi[l]
 	}
-	normalize(pi)
+	if math.IsInf(sum, 0) || math.IsNaN(sum) {
+		return nil, fmt.Errorf("ctmc: stationary distribution not finite: pi[l]/pi[0] overflows on this %d-state chain", n)
+	}
+	for i := range pi {
+		pi[i] /= sum
+	}
 	return pi, nil
 }
 
-// StationaryIterative solves pi Q = 0 by Gauss-Seidel sweeps on the balance
-// equations, suitable for chains with 10^4..10^6 states. tol is the maximum
-// absolute per-state change between sweeps; maxSweeps caps the work.
-func (c *Chain) StationaryIterative(tol float64, maxSweeps int) ([]float64, error) {
-	n := c.n
-	// Build incoming adjacency once.
-	in := make([][]edge, n)
-	for s, edges := range c.out {
-		for _, e := range edges {
-			in[e.to] = append(in[e.to], edge{to: s, rate: e.rate})
-		}
+// addScaled sets dst[k] += f*src[k] for every k < len(src), unrolled four
+// ways; each entry still gets one rounded multiply and one rounded add.
+func addScaled(dst, src []float64, f float64) {
+	dst = dst[:len(src)]
+	k := 0
+	for ; k+4 <= len(src); k += 4 {
+		d, s := dst[k:k+4:k+4], src[k:k+4:k+4]
+		d[0] += f * s[0]
+		d[1] += f * s[1]
+		d[2] += f * s[2]
+		d[3] += f * s[3]
 	}
-	pi := make([]float64, n)
-	for i := range pi {
-		pi[i] = 1 / float64(n)
+	for ; k < len(src); k++ {
+		dst[k] += f * src[k]
 	}
-	for sweep := 0; sweep < maxSweeps; sweep++ {
-		delta := 0.0
-		for s := 0; s < n; s++ {
-			if c.diag[s] == 0 {
-				continue // absorbing or isolated state
-			}
-			sum := 0.0
-			for _, e := range in[s] {
-				sum += pi[e.to] * e.rate
-			}
-			next := sum / -c.diag[s]
-			if d := math.Abs(next - pi[s]); d > delta {
-				delta = d
-			}
-			pi[s] = next
-		}
-		normalize(pi)
-		if delta < tol {
-			return pi, nil
-		}
-	}
-	return nil, ErrNotConverged
-}
-
-// MeanReward returns sum_s pi[s] * reward(s).
-func MeanReward(pi []float64, reward func(s int) float64) float64 {
-	total := 0.0
-	for s, p := range pi {
-		total += p * reward(s)
-	}
-	return total
 }
 
 // AbsorptionReward solves first-step equations for an absorbing chain:
@@ -230,17 +208,4 @@ func (c *Chain) AbsorptionReward(reward func(s int) float64) ([]float64, error) 
 		out[s] = x[row]
 	}
 	return out, nil
-}
-
-func normalize(pi []float64) {
-	sum := 0.0
-	for _, v := range pi {
-		sum += v
-	}
-	if sum <= 0 {
-		return
-	}
-	for i := range pi {
-		pi[i] /= sum
-	}
 }

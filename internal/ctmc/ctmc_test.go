@@ -7,20 +7,20 @@ import (
 	"repro/internal/queueing"
 )
 
-// buildMM1 creates a truncated M/M/1 birth-death chain.
-func buildMM1(lambda, mu float64, cap int) *Chain {
+// buildMMk creates a truncated M/M/k birth-death chain with states 0..cap.
+func buildMMk(lambda, mu float64, k, cap int) *Chain {
 	c := New(cap + 1)
 	for n := 0; n < cap; n++ {
 		c.AddRate(n, n+1, lambda)
-		c.AddRate(n+1, n, mu)
+		c.AddRate(n+1, n, math.Min(float64(n+1), float64(k))*mu)
 	}
 	return c
 }
 
 func TestStationaryDirectMM1(t *testing.T) {
 	lambda, mu := 0.6, 1.0
-	c := buildMM1(lambda, mu, 200)
-	pi, err := c.StationaryDirect()
+	c := buildMMk(lambda, mu, 1, 200)
+	pi, err := c.Stationary()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,32 +32,10 @@ func TestStationaryDirectMM1(t *testing.T) {
 	}
 }
 
-func TestStationaryIterativeMatchesDirect(t *testing.T) {
-	c := buildMM1(0.8, 1.0, 300)
-	direct, err := c.StationaryDirect()
-	if err != nil {
-		t.Fatal(err)
-	}
-	iter, err := c.StationaryIterative(1e-14, 100000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for n := range direct {
-		if math.Abs(direct[n]-iter[n]) > 1e-8 {
-			t.Fatalf("solvers disagree at state %d: %v vs %v", n, direct[n], iter[n])
-		}
-	}
-}
-
 func TestStationaryMMk(t *testing.T) {
 	// M/M/3 birth-death chain against the Erlang-C closed form.
 	lambda, mu, k := 2.4, 1.0, 3
-	c := New(401)
-	for n := 0; n < 400; n++ {
-		c.AddRate(n, n+1, lambda)
-		c.AddRate(n+1, n, math.Min(float64(n+1), float64(k))*mu)
-	}
-	pi, err := c.StationaryDirect()
+	pi, err := buildMMk(lambda, mu, k, 400).Stationary()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,20 +46,6 @@ func TestStationaryMMk(t *testing.T) {
 	want := queueing.NewMMk(lambda, mu, k).MeanJobs()
 	if math.Abs(en-want) > 1e-6 {
 		t.Fatalf("M/M/3 E[N]: chain %v, formula %v", en, want)
-	}
-}
-
-func TestGeneratorRowSums(t *testing.T) {
-	c := buildMM1(0.5, 1, 10)
-	q := c.Generator()
-	for i := 0; i < q.Rows; i++ {
-		sum := 0.0
-		for j := 0; j < q.Cols; j++ {
-			sum += q.At(i, j)
-		}
-		if math.Abs(sum) > 1e-12 {
-			t.Fatalf("generator row %d sums to %v", i, sum)
-		}
 	}
 }
 
@@ -250,14 +214,6 @@ func TestEFBeatsIFExactWhenElasticSmaller(t *testing.T) {
 	}
 	if efPerf.MeanT >= ifPerf.MeanT {
 		t.Fatalf("expected EF (%v) < IF (%v) at muI=0.25", efPerf.MeanT, ifPerf.MeanT)
-	}
-}
-
-func TestMeanReward(t *testing.T) {
-	pi := []float64{0.25, 0.75}
-	got := MeanReward(pi, func(s int) float64 { return float64(s * 2) })
-	if math.Abs(got-1.5) > 1e-12 {
-		t.Fatalf("MeanReward %v", got)
 	}
 }
 

@@ -217,10 +217,3 @@ func Solve(cfg Config) (*OptimalPolicy, error) {
 	}
 	return nil, ErrNotConverged
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

@@ -70,7 +70,7 @@ func TestQBDMatchesCTMCOnRandomChains(t *testing.T) {
 		}
 		const cap = 400
 		ground := buildEquivalentCTMC(lambda, mu, sw, cap)
-		pi, err := ground.StationaryDirect()
+		pi, err := ground.Stationary()
 		if err != nil {
 			t.Fatal(err)
 		}

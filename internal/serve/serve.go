@@ -36,6 +36,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"strconv"
 	"sync"
@@ -57,6 +58,14 @@ const (
 	// on bytes since hostile clients control body size.
 	defaultMemoEntries = 1 << 15
 	defaultMemoBytes   = 64 << 20
+	// maxSpecJobs caps the simulated jobs one admitted spec asks for. A
+	// flight holds a MaxInflight slot until it ends, and only Close cancels
+	// it, so without a cap four specs of 10^12 jobs would hold every slot
+	// for good. 2^32 is above every spec this repository sends (the ci.sh
+	// serving spec asks for 35,200 jobs, the benchmark's serve specs for
+	// 9,600) and above a default-cap grid run at cmd/simulate's defaults
+	// (4096 cells × 1 rep × 550,000 jobs, 2.25e9).
+	maxSpecJobs = 1 << 32
 )
 
 // Options configure a Server. The zero value serves on the in-process pool
@@ -328,9 +337,10 @@ type Stats struct {
 }
 
 // canonicalSpec parses a sweep spec, refuses a grid of more than maxCells
-// cells, validates the spec and derives its canonical key: the hex SHA-256
-// of the *re-marshaled* sweep, so bodies differing only in whitespace, field
-// order or JSON escaping coalesce to one identity.
+// cells or a spec of more than maxSpecJobs simulated jobs, validates the
+// spec and derives its canonical key: the hex SHA-256 of the *re-marshaled*
+// sweep, so bodies differing only in whitespace, field order or JSON
+// escaping coalesce to one identity.
 func canonicalSpec(body []byte, maxCells int) (exp.Sweep, string, error) {
 	var sw exp.Sweep
 	dec := json.NewDecoder(bytes.NewReader(body))
@@ -344,8 +354,12 @@ func canonicalSpec(body []byte, maxCells int) (exp.Sweep, string, error) {
 	// The cap is checked on the axis lengths before Validate, which expands
 	// the grid and checks every cell: an oversized grid is refused before a
 	// single cell is built.
-	if n := sw.Grid.NumCells(); n > maxCells {
+	n := sw.Grid.NumCells()
+	if n > maxCells {
 		return sw, "", fmt.Errorf("spec expands to %d cells, over the admission cap %d", n, maxCells)
+	}
+	if jobs := specJobs(sw, n); jobs > maxSpecJobs {
+		return sw, "", fmt.Errorf("spec asks for %d simulated jobs (cells × reps × (warmup + jobs)), over the admission cap %d", jobs, int64(maxSpecJobs))
 	}
 	if err := sw.Validate(); err != nil {
 		return sw, "", err
@@ -356,6 +370,33 @@ func canonicalSpec(body []byte, maxCells int) (exp.Sweep, string, error) {
 	}
 	sum := sha256.Sum256(canon)
 	return sw, hex.EncodeToString(sum[:]), nil
+}
+
+// specJobs returns the simulated jobs of a spec over cells cells: cells ×
+// reps × (warmup + jobs), the budget each replication hands
+// sim.RunObserved, with warmup counted as 0 under autoWarmup. It saturates
+// at math.MaxInt64 like Grid.NumCells. Negative budgets are left for
+// Validate to refuse.
+func specJobs(sw exp.Sweep, cells int) int64 {
+	perRep := sw.Jobs
+	if !sw.AutoWarmup {
+		perRep = addSat(perRep, sw.Warmup)
+	}
+	return mulSat(mulSat(int64(cells), int64(max(sw.Reps, 1))), perRep)
+}
+
+func addSat(a, b int64) int64 {
+	if b > 0 && a > math.MaxInt64-b {
+		return math.MaxInt64
+	}
+	return a + b
+}
+
+func mulSat(a, b int64) int64 {
+	if a > 0 && b > math.MaxInt64/a {
+		return math.MaxInt64
+	}
+	return a * b
 }
 
 // writeJSONBytes writes a fully-rendered JSON response in one Write with an

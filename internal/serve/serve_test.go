@@ -381,6 +381,45 @@ func TestOversizedGridRefusedBeforeExpansion(t *testing.T) {
 	}
 }
 
+// TestOverBudgetSpecRefused: a one-cell spec of 10^12 jobs would hold a
+// MaxInflight slot until the server closes. It gets a 400 naming the cap,
+// and the backend never sees it. (JSON's 1e12 is already refused by the
+// decoder for the integer jobs field, so the spec spells the number out.)
+func TestOverBudgetSpecRefused(t *testing.T) {
+	release := make(chan struct{})
+	close(release)
+	gb := &gateBackend{inner: &instantBackend{release: release}}
+	s := New(Options{Exp: exp.Options{Backend: gb}})
+	defer s.Close()
+	body := []byte(`{"name":"huge","grid":{"k":[2],"rho":[0.5],"muI":[1],"muE":[1],"policies":["IF"]},"jobs":1000000000000}`)
+	rr := post(s, "/v1/sweep", body)
+	if rr.Code != http.StatusBadRequest || !strings.Contains(rr.Body.String(), "over the admission cap 4294967296") {
+		t.Fatalf("10^12-job spec: status %d body %q, want 400 naming the cap", rr.Code, rr.Body)
+	}
+	if n := gb.submits.Load(); n != 0 {
+		t.Fatalf("refused spec reached the backend %d times", n)
+	}
+	if n := s.computations.Load(); n != 0 {
+		t.Fatalf("refused spec started %d computations", n)
+	}
+	// Reps and warmup count toward the budget; autoWarmup's ignored warmup
+	// does not.
+	for _, tc := range []struct {
+		spec string
+		code int
+	}{
+		{`"reps":4096,"warmup":0,"jobs":1048577`, http.StatusBadRequest},
+		{`"reps":4096,"warmup":1,"jobs":1048576`, http.StatusBadRequest},
+		{`"reps":4096,"warmup":9000000000000000000,"jobs":9000000000000000000`, http.StatusBadRequest},
+		{`"reps":1,"warmup":9000000000000000000,"autoWarmup":true,"jobs":10`, http.StatusOK},
+	} {
+		body := []byte(`{"name":"budget","grid":{"k":[2],"rho":[0.5],"muI":[1],"muE":[1],"policies":["IF"]},` + tc.spec + `}`)
+		if rr := post(s, "/v1/sweep", body); rr.Code != tc.code {
+			t.Fatalf("spec {%s}: status %d body %q, want %d", tc.spec, rr.Code, rr.Body, tc.code)
+		}
+	}
+}
+
 // TestAdmission covers the request-validation surface: malformed and
 // unknown-field specs, oversized bodies and grids, wrong method, and the
 // MaxInflight refusal with Retry-After.

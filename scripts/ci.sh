@@ -42,6 +42,10 @@ go test ./internal/sim -run 'TestGolden' -count=1
 go test ./internal/exp -run 'TestGoldenFigure' -count=1
 go test ./internal/workload -run TestGoldenArrivals -count=1
 
+echo "==> exact-chain gate (banded GTH bit-identical to the dense loop; shorter-axis numbering only relabels; non-finite and band-storage guards; Appendix B; QBD vs CTMC; Theorem 6)"
+go test ./internal/ctmc -run 'TestStationaryMatchesDenseGTH|TestPolicyChainNumbering|TestStationaryNonFiniteIsError|TestAutoSolveNamesLastSolvedCaps|TestDeferDominatedByIF|TestTheorem6Counterexample' -count=1
+go test ./internal/qbd -run 'TestQBDMatchesCTMCOnRandomChains' -count=1
+
 echo "==> sparse-vs-dense equivalence gate (fast paths vs the forced-dense oracle: identical completion sequences, stats to 1e-9)"
 go test ./internal/sim -run 'TestEngineEquivalenceMatrix' -count=1
 go test ./internal/exp -run 'TestEngineSweepEquivalence|TestTailQuantiles' -count=1
