@@ -3,7 +3,7 @@ package exp
 // Sweep-level coverage for the engine's differential oracle and the
 // configurable tail-quantile set. TestEngineSweepEquivalence is the
 // engine-equivalence CI gate (scripts/ci.sh): a small sweep run on the
-// engine's fast paths and again on its dense fallback (SIM_FORCE_DENSE)
+// engine's fast paths and again on its settle-all path (SIM_FORCE_DENSE)
 // must agree on every count exactly and on every statistic to 1e-9
 // relative — the two paths round floating point differently, so the gate
 // pins agreement, not byte identity.
@@ -81,7 +81,7 @@ func diffResultSets(t *testing.T, aName, bName string, ra, rb *ResultSet) {
 // SIM_FORCE_DENSE set, then diffs the ResultSets: identical completion
 // counts, statistics within 1e-9 — the sparse fast paths (EQUI's class
 // shares, SRPT's indexed heap, the write-set protocol) must be invisible at
-// sweep level compared to the dense fallback. A second grid covers a
+// sweep level compared to the settle-all path. A second grid covers a
 // class mix so capped and partially elastic classes cross the gate too.
 func TestEngineSweepEquivalence(t *testing.T) {
 	grids := []Grid{

@@ -225,10 +225,13 @@ func TestFabricTaskKindsMatchPool(t *testing.T) {
 	}
 }
 
-// TestFabricWorkerKilledMidTask crashes one of three workers while it holds
-// an un-answered assignment. The dispatcher must re-queue the in-flight
-// task onto the survivors and the sweep must stay byte-identical to the
-// pool.
+// TestFabricWorkerKilledMidTask crashes a worker while it holds an
+// un-answered assignment. The dispatcher must re-queue the in-flight task
+// onto two healthy workers and the sweep must stay byte-identical to the
+// pool. The doomed worker is the only one connected when the sweep starts,
+// so the first assignment, the one it dies on, is sure to be its; the
+// healthy workers connect once it has died. (Started together, the healthy
+// pair could drain the sweep before the doomed worker got that assignment.)
 func TestFabricWorkerKilledMidTask(t *testing.T) {
 	sw := fabricSweep()
 	pool, err := exp.Run(context.Background(), sw, exp.Options{Workers: 4})
@@ -236,11 +239,34 @@ func TestFabricWorkerKilledMidTask(t *testing.T) {
 		t.Fatal(err)
 	}
 	d, addr := startDispatcher(t, DispatcherOptions{})
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	died := make(chan error, 1)
+	go func() { died <- (&Worker{Dispatcher: addr, Name: "doomed", dieAfterAssigns: 1}).Run(ctx) }()
+	type run struct {
+		rs  *exp.ResultSet
+		err error
+	}
+	ran := make(chan run, 1)
+	go func() {
+		rs, err := exp.Run(ctx, sw, exp.Options{Backend: &Backend{Addr: addr, Name: sw.Name}})
+		ran <- run{rs, err}
+	}()
+	select {
+	case err := <-died:
+		if err != nil {
+			t.Fatalf("doomed worker: %v", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("the doomed worker got no assignment within 5s")
+	}
 	startWorker(t, &Worker{Dispatcher: addr, Name: "healthy1"})
 	startWorker(t, &Worker{Dispatcher: addr, Name: "healthy2"})
-	startWorker(t, &Worker{Dispatcher: addr, Name: "doomed", dieAfterAssigns: 2})
-
-	fab := runFabric(t, addr, sw)
+	r := <-ran
+	if r.err != nil {
+		t.Fatal(r.err)
+	}
+	fab := r.rs
 	if resultJSON(t, pool) != resultJSON(t, fab) {
 		t.Fatal("results differ after a worker died mid-task")
 	}

@@ -107,7 +107,7 @@ func EF(p Params, fit BusyPeriodFit) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	sol, err := chain.Solve(qbd.FunctionalIteration)
+	sol, err := chain.Solve()
 	if err != nil {
 		return Result{}, fmt.Errorf("mrt: EF chain solve: %w", err)
 	}
@@ -194,7 +194,7 @@ func IF(p Params, fit BusyPeriodFit) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	sol, err := chain.Solve(qbd.FunctionalIteration)
+	sol, err := chain.Solve()
 	if err != nil {
 		return Result{}, fmt.Errorf("mrt: IF chain solve: %w", err)
 	}

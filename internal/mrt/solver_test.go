@@ -100,7 +100,7 @@ func TestSpectralRadiusMatchesFullLoop(t *testing.T) {
 		"zero":        linalg.NewMatrix(3, 3),
 	}
 	for name, c := range goldenChains(t) {
-		r, err := qbd.SolveR(c.A0, c.A1, c.A2, qbd.FunctionalIteration, 1e-14, 1_000_000)
+		r, err := qbd.SolveR(c.A0, c.A1, c.A2, 1e-14, 1_000_000)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -135,7 +135,7 @@ func TestAnalysisAllocs(t *testing.T) {
 	}
 	solveAllocs := func(tol float64) float64 {
 		return testing.AllocsPerRun(5, func() {
-			if _, err := qbd.SolveR(c.A0, c.A1, c.A2, qbd.FunctionalIteration, tol, 1_000_000); err != nil {
+			if _, err := qbd.SolveR(c.A0, c.A1, c.A2, tol, 1_000_000); err != nil {
 				t.Fatal(err)
 			}
 		})

@@ -1,8 +1,9 @@
 // Package policy implements the server-allocation policies studied in the
 // paper plus the baseline and ablation families used in the optimality
 // experiments, all expressed over the unified N-class engine: a policy
-// receives per-class FCFS queues (sim.State.Queues) and fills a per-class
-// allocation matrix.
+// receives per-class FCFS queues (sim.State.Queues) and writes its decision
+// once, into the engine's write-set (sim.ShareSet): one Add per job that
+// holds a nonzero share.
 //
 // The paper's headline policies are members of the strict class-priority
 // family (ClassPriority): walk the classes in a fixed order and give each
@@ -26,18 +27,19 @@
 // maintained across events rather than re-sorted per event, keeping every
 // Allocate call allocation-free in steady state.
 //
-// Policies whose served set is small regardless of occupancy — the strict
-// class-priority family, FCFS, THRESH, GREEDY and DEFER — additionally
-// implement sim.SparsePolicy: AllocateSparse reports the same decision as
-// Allocate as an explicit write-set, which is what lets the incremental
-// engine step in O(changed · log n). EQUI's equal split touches every job,
-// so it implements sim.ClassSharePolicy instead: ClassShares reports the
-// water-filled per-class share vector and the engine tracks whole classes
-// on virtual-time coordinates. SRPT-k must read settled remaining sizes, so
-// it is marked sim.RemainingOrderedPolicy and the engine executes its rule
-// natively on an indexed heap. The sparse-vs-dense equivalence suite in
-// internal/sim holds every policy's faces together, and the dense faces
-// stay reachable forever through sim.Options.ForceDense / SIM_FORCE_DENSE.
+// Each policy has exactly one Allocate. For the class-priority family,
+// FCFS, THRESH, GREEDY and DEFER the served set is small regardless of
+// occupancy, which is what lets the engine step in O(changed · log n) by
+// diffing the write-set. EQUI's equal split touches every job, so it also
+// implements sim.ClassSharePolicy: ClassShares reports the water-filled
+// per-class share vector, Allocate expands it to every job, and the engine
+// tracks whole classes on virtual-time coordinates. SRPT-k must read
+// settled remaining sizes, so it is marked sim.RemainingOrderedPolicy and
+// the engine executes its rule natively on an indexed heap; SRPTK.Allocate
+// keeps the plain insertion-sort walk as the heap's independent reference.
+// Under sim.Options.ForceDense / SIM_FORCE_DENSE the engine runs every
+// Allocate on its settle-all path, and the equivalence suite in
+// internal/sim holds each fast path to it.
 package policy
 
 import (
@@ -48,20 +50,10 @@ import (
 	"repro/internal/sim"
 )
 
-// Compile-time checks: every member of the sparse family keeps both faces.
-// EQUI's fast face is the class-share vector and SRPT-k's is the
-// remaining-order marker (see the package comment); their dense faces stay
-// reachable through sim.Options.ForceDense.
+// Compile-time checks on the optional engine facets: EQUI's is the
+// class-share vector and SRPT-k's the remaining-order marker (see the
+// package comment).
 var (
-	_ sim.SparsePolicy           = InelasticFirst{}
-	_ sim.SparsePolicy           = ElasticFirst{}
-	_ sim.SparsePolicy           = ClassPriority{}
-	_ sim.SparsePolicy           = (*LeastFlexibleFirst)(nil)
-	_ sim.SparsePolicy           = (*SmallestMeanFirst)(nil)
-	_ sim.SparsePolicy           = (*FCFS)(nil)
-	_ sim.SparsePolicy           = Greedy{}
-	_ sim.SparsePolicy           = Threshold{}
-	_ sim.SparsePolicy           = DeferElastic{}
 	_ sim.ClassSharePolicy       = Equi{}
 	_ sim.RemainingOrderedPolicy = (*SRPTK)(nil)
 )
@@ -106,53 +98,11 @@ func orderShadowed(exhaustedAt int, c sim.Class, order []int) bool {
 // priorityAllocate walks classes in the given order (nil means ascending
 // class index), giving each job in FCFS order up to its class's saturation
 // cap until the servers run out. Order entries outside the class set are
-// ignored and classes absent from a non-nil order receive nothing (strict
-// priority over the listed classes only); resolution layers validate full
-// coverage up front (core.ValidatePolicyClasses).
-func priorityAllocate(st *sim.State, alloc *sim.Allocation, order []int) {
-	remaining := float64(st.K)
-	n := len(st.Queues)
-	if order != nil {
-		n = len(order)
-	}
-	for i := 0; i < n; i++ {
-		c := i
-		if order != nil {
-			c = order[i]
-			if c < 0 || c >= len(st.Queues) {
-				continue
-			}
-			// A duplicated order entry would re-subtract the class's
-			// allocation from remaining and starve later classes; skip
-			// classes already served (a served nonempty class always has a
-			// positive head allocation — a zero head means remaining hit 0,
-			// which returns below).
-			if len(st.Queues[c]) > 0 && alloc.Classes[c][0] > 0 {
-				continue
-			}
-		}
-		capC := st.Classes[c].Cap()
-		for n := range st.Queues[c] {
-			if remaining <= 0 {
-				return
-			}
-			// min(capC, remaining) via a branch: math.Min is not inlined
-			// and this is the allocator's innermost loop.
-			a := capC
-			if remaining < a {
-				a = remaining
-			}
-			alloc.Classes[c][n] = a
-			remaining -= a
-		}
-	}
-}
-
-// priorityAllocateSparse is priorityAllocate's write-set face: identical
-// walk, identical shares, reported through ws.Add instead of the dense
-// buffer. The duplicate-order guard uses ws.Served in place of reading the
-// (absent) zeroed allocation matrix.
-func priorityAllocateSparse(st *sim.State, ws *sim.ShareSet, order []int) {
+// ignored, a class listed twice is walked once (ws.Served), and classes
+// absent from a non-nil order receive nothing (strict priority over the
+// listed classes only); resolution layers validate full coverage up front
+// (core.ValidatePolicyClasses).
+func priorityAllocate(st *sim.State, ws *sim.ShareSet, order []int) {
 	remaining := float64(st.K)
 	n := len(st.Queues)
 	if order != nil {
@@ -176,6 +126,8 @@ func priorityAllocateSparse(st *sim.State, ws *sim.ShareSet, order []int) {
 				ws.MarkExhausted(i)
 				return
 			}
+			// min(capC, remaining) via a branch: math.Min is not inlined
+			// and this is the allocator's innermost loop.
 			a := capC
 			if remaining < a {
 				a = remaining
@@ -204,13 +156,8 @@ func (p ClassPriority) Name() string {
 }
 
 // Allocate implements sim.Policy.
-func (p ClassPriority) Allocate(st *sim.State, alloc *sim.Allocation) {
-	priorityAllocate(st, alloc, p.Order)
-}
-
-// AllocateSparse implements sim.SparsePolicy.
-func (p ClassPriority) AllocateSparse(st *sim.State, ws *sim.ShareSet) {
-	priorityAllocateSparse(st, ws, p.Order)
+func (p ClassPriority) Allocate(st *sim.State, ws *sim.ShareSet) {
+	priorityAllocate(st, ws, p.Order)
 }
 
 // ArrivalShadowed implements sim.ArrivalShadowPolicy.
@@ -228,13 +175,8 @@ type InelasticFirst struct{}
 func (InelasticFirst) Name() string { return "IF" }
 
 // Allocate implements sim.Policy.
-func (InelasticFirst) Allocate(st *sim.State, alloc *sim.Allocation) {
-	priorityAllocate(st, alloc, nil)
-}
-
-// AllocateSparse implements sim.SparsePolicy.
-func (InelasticFirst) AllocateSparse(st *sim.State, ws *sim.ShareSet) {
-	priorityAllocateSparse(st, ws, nil)
+func (InelasticFirst) Allocate(st *sim.State, ws *sim.ShareSet) {
+	priorityAllocate(st, ws, nil)
 }
 
 // ArrivalShadowed implements sim.ArrivalShadowPolicy.
@@ -252,26 +194,7 @@ type ElasticFirst struct{}
 func (ElasticFirst) Name() string { return "EF" }
 
 // Allocate implements sim.Policy.
-func (ElasticFirst) Allocate(st *sim.State, alloc *sim.Allocation) {
-	remaining := float64(st.K)
-	for c := len(st.Queues) - 1; c >= 0; c-- {
-		capC := st.Classes[c].Cap()
-		for n := range st.Queues[c] {
-			if remaining <= 0 {
-				return
-			}
-			a := capC
-			if remaining < a {
-				a = remaining
-			}
-			alloc.Classes[c][n] = a
-			remaining -= a
-		}
-	}
-}
-
-// AllocateSparse implements sim.SparsePolicy.
-func (ElasticFirst) AllocateSparse(st *sim.State, ws *sim.ShareSet) {
+func (ElasticFirst) Allocate(st *sim.State, ws *sim.ShareSet) {
 	remaining := float64(st.K)
 	for c := len(st.Queues) - 1; c >= 0; c-- {
 		capC := st.Classes[c].Cap()
@@ -341,15 +264,9 @@ type LeastFlexibleFirst struct {
 func (*LeastFlexibleFirst) Name() string { return "LFF" }
 
 // Allocate implements sim.Policy.
-func (p *LeastFlexibleFirst) Allocate(st *sim.State, alloc *sim.Allocation) {
+func (p *LeastFlexibleFirst) Allocate(st *sim.State, ws *sim.ShareSet) {
 	order := p.co.get(st.Classes, func(a, b sim.ClassSpec) bool { return a.Cap() < b.Cap() })
-	priorityAllocate(st, alloc, order)
-}
-
-// AllocateSparse implements sim.SparsePolicy.
-func (p *LeastFlexibleFirst) AllocateSparse(st *sim.State, ws *sim.ShareSet) {
-	order := p.co.get(st.Classes, func(a, b sim.ClassSpec) bool { return a.Cap() < b.Cap() })
-	priorityAllocateSparse(st, ws, order)
+	priorityAllocate(st, ws, order)
 }
 
 // ArrivalShadowed implements sim.ArrivalShadowPolicy.
@@ -379,15 +296,9 @@ func meanSize(c sim.ClassSpec) float64 {
 }
 
 // Allocate implements sim.Policy.
-func (p *SmallestMeanFirst) Allocate(st *sim.State, alloc *sim.Allocation) {
+func (p *SmallestMeanFirst) Allocate(st *sim.State, ws *sim.ShareSet) {
 	order := p.co.get(st.Classes, func(a, b sim.ClassSpec) bool { return meanSize(a) < meanSize(b) })
-	priorityAllocate(st, alloc, order)
-}
-
-// AllocateSparse implements sim.SparsePolicy.
-func (p *SmallestMeanFirst) AllocateSparse(st *sim.State, ws *sim.ShareSet) {
-	order := p.co.get(st.Classes, func(a, b sim.ClassSpec) bool { return meanSize(a) < meanSize(b) })
-	priorityAllocateSparse(st, ws, order)
+	priorityAllocate(st, ws, order)
 }
 
 // ArrivalShadowed implements sim.ArrivalShadowPolicy.
@@ -422,8 +333,7 @@ func (p *FCFS) reset(nc int) {
 
 // next returns the class whose cursor heads the global FCFS order (earliest
 // arrival, ties to the lower class index), or -1 when all queues are
-// exhausted. Both allocation faces share it so the tie-break can never
-// diverge between engines; only the write sinks differ.
+// exhausted.
 func (p *FCFS) next(st *sim.State) int {
 	best := -1
 	var bestArr float64
@@ -439,26 +349,10 @@ func (p *FCFS) next(st *sim.State) int {
 	return best
 }
 
-// Allocate implements sim.Policy.
-func (p *FCFS) Allocate(st *sim.State, alloc *sim.Allocation) {
-	p.reset(len(st.Queues))
-	remaining := float64(st.K)
-	for remaining > 0 {
-		best := p.next(st)
-		if best == -1 {
-			return
-		}
-		a := math.Min(st.Classes[best].Cap(), remaining)
-		alloc.Classes[best][p.cur[best]] = a
-		remaining -= a
-		p.cur[best]++
-	}
-}
-
-// AllocateSparse implements sim.SparsePolicy: the same global-FCFS walk
-// reported as a write-set. Every served job takes at least min(1, rest) of
-// a server (caps are >= 1), so the set has at most k+1 entries.
-func (p *FCFS) AllocateSparse(st *sim.State, ws *sim.ShareSet) {
+// Allocate implements sim.Policy: the global-FCFS walk. Every served job
+// takes at least min(1, rest) of a server (caps are >= 1), so the write-set
+// has at most k+1 entries.
+func (p *FCFS) Allocate(st *sim.State, ws *sim.ShareSet) {
 	p.reset(len(st.Queues))
 	remaining := float64(st.K)
 	for remaining > 0 {
@@ -485,8 +379,22 @@ type Equi struct{}
 // Name implements sim.Policy.
 func (Equi) Name() string { return "EQUI" }
 
-// Allocate implements sim.Policy.
-func (Equi) Allocate(st *sim.State, alloc *sim.Allocation) {
+// Allocate implements sim.Policy: every job takes its class's share from
+// ClassShares, so the water-filling arithmetic exists once. The engine calls
+// it only under ForceDense; its fast path reads ClassShares directly.
+func (e Equi) Allocate(st *sim.State, ws *sim.ShareSet) {
+	shares := make([]float64, len(st.Queues))
+	e.ClassShares(st, shares)
+	for c, q := range st.Queues {
+		for _, j := range q {
+			ws.Add(j, shares[c])
+		}
+	}
+}
+
+// ClassShares implements sim.ClassSharePolicy: the water-filling decision
+// as one per-class share.
+func (Equi) ClassShares(st *sim.State, shares []float64) {
 	n := 0
 	for _, q := range st.Queues {
 		n += len(q)
@@ -497,90 +405,6 @@ func (Equi) Allocate(st *sim.State, alloc *sim.Allocation) {
 	share := float64(st.K) / float64(n)
 	// Finitely capped classes take min(share, cap) each; the remainder is
 	// split equally over the jobs of fully elastic classes.
-	remaining := float64(st.K)
-	uncapped := 0
-	for c, q := range st.Queues {
-		capC := st.Classes[c].Cap()
-		if math.IsInf(capC, 1) {
-			uncapped += len(q)
-			continue
-		}
-		s := share
-		if s > capC {
-			s = capC
-		}
-		for i := range q {
-			alloc.Classes[c][i] = s
-		}
-		remaining -= float64(len(q)) * s
-	}
-	if uncapped > 0 {
-		per := remaining / float64(uncapped)
-		for c, q := range st.Queues {
-			if !math.IsInf(st.Classes[c].Cap(), 1) {
-				continue
-			}
-			for i := range q {
-				alloc.Classes[c][i] = per
-			}
-		}
-		return
-	}
-	// No fully elastic class: water-fill the excess over capped jobs still
-	// below their cap, so EQUI stays work-conserving on all-capped mixes
-	// (e.g. the cappedladder preset). Each round either saturates at least
-	// one class or distributes everything, so len(Queues) rounds suffice.
-	// Per-class shares are uniform, so the running share is read back from
-	// each class's first entry — no scratch state, the hot path stays
-	// allocation-free. Once every job sits at its cap the leftover is
-	// genuinely unusable and strands, as the model prescribes.
-	for round := 0; round <= len(st.Queues) && remaining > 1e-12; round++ {
-		m := 0
-		for c, q := range st.Queues {
-			if len(q) > 0 && alloc.Classes[c][0] < st.Classes[c].Cap() {
-				m += len(q)
-			}
-		}
-		if m == 0 {
-			return
-		}
-		add := remaining / float64(m)
-		for c, q := range st.Queues {
-			if len(q) == 0 {
-				continue
-			}
-			capC := st.Classes[c].Cap()
-			cur := alloc.Classes[c][0]
-			if cur >= capC {
-				continue
-			}
-			delta := add
-			if cur+delta > capC {
-				delta = capC - cur
-			}
-			for i := range q {
-				alloc.Classes[c][i] = cur + delta
-			}
-			remaining -= float64(len(q)) * delta
-		}
-	}
-}
-
-// ClassShares implements sim.ClassSharePolicy: the same water-filling
-// decision as Allocate, reported as one per-class share instead of n
-// per-job entries. The arithmetic below mirrors Allocate line for line —
-// same operations in the same order on the same values — so both faces
-// produce bit-identical shares; the sparse-vs-dense equivalence suite
-// holds them together.
-func (Equi) ClassShares(st *sim.State, shares []float64) {
-	n := 0
-	for _, q := range st.Queues {
-		n += len(q)
-	}
-	if n == 0 {
-		return
-	}
-	share := float64(st.K) / float64(n)
 	remaining := float64(st.K)
 	uncapped := 0
 	for c, q := range st.Queues {
@@ -606,6 +430,12 @@ func (Equi) ClassShares(st *sim.State, shares []float64) {
 		}
 		return
 	}
+	// No fully elastic class: water-fill the excess over capped jobs still
+	// below their cap, so EQUI stays work-conserving on all-capped mixes
+	// (e.g. the cappedladder preset). Each round either saturates at least
+	// one class or distributes everything, so len(Queues) rounds suffice.
+	// Once every job sits at its cap the leftover is genuinely unusable and
+	// strands, as the model prescribes.
 	for round := 0; round <= len(st.Queues) && remaining > 1e-12; round++ {
 		m := 0
 		for c, q := range st.Queues {
@@ -650,23 +480,14 @@ type Greedy struct {
 func (g Greedy) Name() string { return fmt.Sprintf("GREEDY(muI=%g,muE=%g)", g.MuI, g.MuE) }
 
 // Allocate implements sim.Policy.
-func (g Greedy) Allocate(st *sim.State, alloc *sim.Allocation) {
+func (g Greedy) Allocate(st *sim.State, ws *sim.ShareSet) {
 	if g.MuI >= g.MuE {
-		InelasticFirst{}.Allocate(st, alloc)
+		InelasticFirst{}.Allocate(st, ws)
 		return
 	}
 	// muE > muI: all servers to the elastic head job maximizes rate;
 	// leftovers go to inelastic jobs.
-	ElasticFirst{}.Allocate(st, alloc)
-}
-
-// AllocateSparse implements sim.SparsePolicy.
-func (g Greedy) AllocateSparse(st *sim.State, ws *sim.ShareSet) {
-	if g.MuI >= g.MuE {
-		InelasticFirst{}.AllocateSparse(st, ws)
-		return
-	}
-	ElasticFirst{}.AllocateSparse(st, ws)
+	ElasticFirst{}.Allocate(st, ws)
 }
 
 // ArrivalShadowed implements sim.ArrivalShadowPolicy.
@@ -691,34 +512,9 @@ type Threshold struct {
 func (t Threshold) Name() string { return fmt.Sprintf("THRESH(%d)", t.Cap) }
 
 // Allocate implements sim.Policy.
-func (t Threshold) Allocate(st *sim.State, alloc *sim.Allocation) {
+func (t Threshold) Allocate(st *sim.State, ws *sim.ShareSet) {
 	if len(st.Queues) < 2 {
-		priorityAllocate(st, alloc, nil)
-		return
-	}
-	inelastic, elastic := st.Queues[sim.Inelastic], st.Queues[sim.Elastic]
-	remaining := float64(st.K)
-	capLeft := float64(t.Cap)
-	if len(elastic) == 0 {
-		capLeft = remaining
-	}
-	for i := range inelastic {
-		if remaining <= 0 || capLeft <= 0 {
-			break
-		}
-		alloc.Classes[sim.Inelastic][i] = 1
-		remaining--
-		capLeft--
-	}
-	if remaining > 0 && len(elastic) > 0 {
-		alloc.Classes[sim.Elastic][0] = remaining
-	}
-}
-
-// AllocateSparse implements sim.SparsePolicy.
-func (t Threshold) AllocateSparse(st *sim.State, ws *sim.ShareSet) {
-	if len(st.Queues) < 2 {
-		priorityAllocateSparse(st, ws, nil)
+		priorityAllocate(st, ws, nil)
 		return
 	}
 	inelastic, elastic := st.Queues[sim.Inelastic], st.Queues[sim.Elastic]
@@ -751,38 +547,7 @@ type DeferElastic struct{}
 func (DeferElastic) Name() string { return "DEFER-E(idling)" }
 
 // Allocate implements sim.Policy.
-func (DeferElastic) Allocate(st *sim.State, alloc *sim.Allocation) {
-	remaining := float64(st.K)
-	capped := false
-	for c, q := range st.Queues {
-		capC := st.Classes[c].Cap()
-		if math.IsInf(capC, 1) {
-			continue
-		}
-		for i := range q {
-			capped = true
-			if remaining <= 0 {
-				break
-			}
-			a := math.Min(capC, remaining)
-			alloc.Classes[c][i] = a
-			remaining -= a
-		}
-	}
-	if capped {
-		return
-	}
-	for c, q := range st.Queues {
-		if !math.IsInf(st.Classes[c].Cap(), 1) || len(q) == 0 {
-			continue
-		}
-		alloc.Classes[c][0] = float64(st.K)
-		return
-	}
-}
-
-// AllocateSparse implements sim.SparsePolicy.
-func (DeferElastic) AllocateSparse(st *sim.State, ws *sim.ShareSet) {
+func (DeferElastic) Allocate(st *sim.State, ws *sim.ShareSet) {
 	remaining := float64(st.K)
 	capped := false
 	for c, q := range st.Queues {
@@ -826,23 +591,26 @@ type SRPTK struct {
 type srptRef struct {
 	remaining float64
 	class     int
-	idx       int
+	job       *sim.Job
 }
 
 // Name implements sim.Policy.
 func (*SRPTK) Name() string { return "SRPT-k" }
 
-// Allocate implements sim.Policy.
-func (p *SRPTK) Allocate(st *sim.State, alloc *sim.Allocation) {
+// Allocate implements sim.Policy: the ascending-remaining walk, read off
+// settled sizes. The engine calls it only under ForceDense (see
+// RemainingOrdered), so it stays the independent reference for the
+// engine's indexed heap.
+func (p *SRPTK) Allocate(st *sim.State, ws *sim.ShareSet) {
 	jobs := p.buf[:0]
 	for c, q := range st.Queues {
-		for i, j := range q {
-			jobs = append(jobs, srptRef{j.Remaining, c, i})
+		for _, j := range q {
+			jobs = append(jobs, srptRef{j.Remaining, c, j})
 		}
 	}
-	// Insertion sort by remaining size; job counts are small and the
-	// allocation is recomputed at every event, so avoiding sort.Slice
-	// keeps the hot path allocation-free (the buffer is reused).
+	// Insertion sort by remaining size: stable, so ties keep the
+	// class-then-FCFS enumeration order, and allocation-free (the buffer is
+	// reused).
 	for i := 1; i < len(jobs); i++ {
 		for q := i; q > 0 && jobs[q].remaining < jobs[q-1].remaining; q-- {
 			jobs[q], jobs[q-1] = jobs[q-1], jobs[q]
@@ -850,12 +618,12 @@ func (p *SRPTK) Allocate(st *sim.State, alloc *sim.Allocation) {
 	}
 	p.buf = jobs
 	remaining := float64(st.K)
-	for _, j := range jobs {
+	for _, r := range jobs {
 		if remaining <= 0 {
 			break
 		}
-		a := math.Min(st.Classes[j.class].Cap(), remaining)
-		alloc.Classes[j.class][j.idx] = a
+		a := math.Min(st.Classes[r.class].Cap(), remaining)
+		ws.Add(r.job, a)
 		remaining -= a
 	}
 }

@@ -1,6 +1,7 @@
 package policy
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -8,9 +9,49 @@ import (
 	"repro/internal/sim"
 )
 
+// allocation is a policy decision read back per queue position:
+// Classes[c][i] is the share the policy wrote for State.Queues[c][i], 0 when
+// it wrote none.
+type allocation struct {
+	Classes [][]float64
+}
+
+// decide runs p once on st, as the engine does, and reads its write-set
+// back into alloc. A job written twice or not resident panics, as it would
+// in the engine.
+func decide(p sim.Policy, st *sim.State, alloc *allocation) {
+	var ws sim.ShareSet
+	ws.Reset(len(st.Queues))
+	p.Allocate(st, &ws)
+	written := make(map[*sim.Job]bool)
+	for c := range alloc.Classes {
+		for i := range alloc.Classes[c] {
+			alloc.Classes[c][i] = 0
+		}
+	}
+	for _, w := range ws.Writes() {
+		if written[w.Job] {
+			panic(fmt.Sprintf("%s wrote job %d twice", p.Name(), w.Job.ID))
+		}
+		written[w.Job] = true
+		found := false
+		for c, q := range st.Queues {
+			for i, j := range q {
+				if j == w.Job {
+					alloc.Classes[c][i] = w.Share
+					found = true
+				}
+			}
+		}
+		if !found {
+			panic(fmt.Sprintf("%s wrote job %d, which is not resident", p.Name(), w.Job.ID))
+		}
+	}
+}
+
 // state builds a two-class scheduler state with i inelastic and j elastic
 // jobs on k servers, arrival order by index (inelastic first).
-func state(k, i, j int) (*sim.State, *sim.Allocation) {
+func state(k, i, j int) (*sim.State, *allocation) {
 	st := &sim.State{K: k, Classes: sim.TwoClassSpecs(), Queues: make([][]*sim.Job, 2)}
 	for n := 0; n < i; n++ {
 		st.Queues[sim.Inelastic] = append(st.Queues[sim.Inelastic],
@@ -20,15 +61,15 @@ func state(k, i, j int) (*sim.State, *sim.Allocation) {
 		st.Queues[sim.Elastic] = append(st.Queues[sim.Elastic],
 			&sim.Job{ID: i + n, Class: sim.Elastic, Arrival: float64(i + n)})
 	}
-	alloc := &sim.Allocation{Classes: [][]float64{make([]float64, i), make([]float64, j)}}
+	alloc := &allocation{Classes: [][]float64{make([]float64, i), make([]float64, j)}}
 	return st, alloc
 }
 
 // mcState builds a state over explicit class specs with the given queue
 // lengths, arrivals ordered by (class, index).
-func mcState(k int, classes []sim.ClassSpec, counts ...int) (*sim.State, *sim.Allocation) {
+func mcState(k int, classes []sim.ClassSpec, counts ...int) (*sim.State, *allocation) {
 	st := &sim.State{K: k, Classes: classes, Queues: make([][]*sim.Job, len(classes))}
-	alloc := &sim.Allocation{Classes: make([][]float64, len(classes))}
+	alloc := &allocation{Classes: make([][]float64, len(classes))}
 	id := 0
 	for c, n := range counts {
 		for i := 0; i < n; i++ {
@@ -40,10 +81,10 @@ func mcState(k int, classes []sim.ClassSpec, counts ...int) (*sim.State, *sim.Al
 	return st, alloc
 }
 
-func inelasticAlloc(a *sim.Allocation) []float64 { return a.Classes[sim.Inelastic] }
-func elasticAlloc(a *sim.Allocation) []float64   { return a.Classes[sim.Elastic] }
+func inelasticAlloc(a *allocation) []float64 { return a.Classes[sim.Inelastic] }
+func elasticAlloc(a *allocation) []float64   { return a.Classes[sim.Elastic] }
 
-func totalAlloc(a *sim.Allocation) float64 {
+func totalAlloc(a *allocation) float64 {
 	s := 0.0
 	for _, cls := range a.Classes {
 		for _, v := range cls {
@@ -67,7 +108,7 @@ func TestIFAllocations(t *testing.T) {
 	}
 	for _, c := range cases {
 		st, alloc := state(c.k, c.i, c.j)
-		InelasticFirst{}.Allocate(st, alloc)
+		decide(InelasticFirst{}, st, alloc)
 		for idx, want := range c.wantI {
 			if inelasticAlloc(alloc)[idx] != want {
 				t.Fatalf("IF k=%d (i=%d,j=%d): inelastic[%d]=%v want %v",
@@ -90,7 +131,7 @@ func TestIFAllocations(t *testing.T) {
 
 func TestEFAllocations(t *testing.T) {
 	st, alloc := state(4, 3, 2)
-	ElasticFirst{}.Allocate(st, alloc)
+	decide(ElasticFirst{}, st, alloc)
 	if elasticAlloc(alloc)[0] != 4 || elasticAlloc(alloc)[1] != 0 {
 		t.Fatalf("EF elastic alloc %v", elasticAlloc(alloc))
 	}
@@ -100,7 +141,7 @@ func TestEFAllocations(t *testing.T) {
 		}
 	}
 	st, alloc = state(4, 6, 0)
-	ElasticFirst{}.Allocate(st, alloc)
+	decide(ElasticFirst{}, st, alloc)
 	want := []float64{1, 1, 1, 1, 0, 0}
 	for i, v := range want {
 		if inelasticAlloc(alloc)[i] != v {
@@ -117,8 +158,8 @@ func TestFCFSBlocksOnElastic(t *testing.T) {
 		{{ID: 0, Arrival: 0}, {ID: 2, Arrival: 2}},
 		{{ID: 1, Class: sim.Elastic, Arrival: 1}},
 	}}
-	alloc := &sim.Allocation{Classes: [][]float64{make([]float64, 2), make([]float64, 1)}}
-	(&FCFS{}).Allocate(st, alloc)
+	alloc := &allocation{Classes: [][]float64{make([]float64, 2), make([]float64, 1)}}
+	decide((&FCFS{}), st, alloc)
 	if inelasticAlloc(alloc)[0] != 1 || elasticAlloc(alloc)[0] != 3 || inelasticAlloc(alloc)[1] != 0 {
 		t.Fatalf("FCFS alloc I=%v E=%v", inelasticAlloc(alloc), elasticAlloc(alloc))
 	}
@@ -127,7 +168,7 @@ func TestFCFSBlocksOnElastic(t *testing.T) {
 func TestEquiWaterFilling(t *testing.T) {
 	// k=4, 2 inelastic + 2 elastic: share=1 each, no excess.
 	st, alloc := state(4, 2, 2)
-	Equi{}.Allocate(st, alloc)
+	decide(Equi{}, st, alloc)
 	for _, v := range inelasticAlloc(alloc) {
 		if math.Abs(v-1) > 1e-12 {
 			t.Fatalf("EQUI inelastic %v", inelasticAlloc(alloc))
@@ -140,13 +181,13 @@ func TestEquiWaterFilling(t *testing.T) {
 	}
 	// k=8, 1 inelastic + 1 elastic: inelastic capped at 1, elastic gets 7.
 	st, alloc = state(8, 1, 1)
-	Equi{}.Allocate(st, alloc)
+	decide(Equi{}, st, alloc)
 	if inelasticAlloc(alloc)[0] != 1 || elasticAlloc(alloc)[0] != 7 {
 		t.Fatalf("EQUI cap redistribution I=%v E=%v", inelasticAlloc(alloc), elasticAlloc(alloc))
 	}
 	// Oversubscribed: k=2, 4 inelastic: each gets 1/2.
 	st, alloc = state(2, 4, 0)
-	Equi{}.Allocate(st, alloc)
+	decide(Equi{}, st, alloc)
 	for _, v := range inelasticAlloc(alloc) {
 		if math.Abs(v-0.5) > 1e-12 {
 			t.Fatalf("EQUI oversubscribed %v", inelasticAlloc(alloc))
@@ -165,7 +206,7 @@ func TestEquiWaterFillingCapped(t *testing.T) {
 	// k=12, one job per class: share=4; rigid takes 1, cap2 takes 2,
 	// elastic takes 12-3 = 9.
 	st, alloc := mcState(12, classes, 1, 1, 1)
-	Equi{}.Allocate(st, alloc)
+	decide(Equi{}, st, alloc)
 	if alloc.Classes[0][0] != 1 || alloc.Classes[1][0] != 2 || alloc.Classes[2][0] != 9 {
 		t.Fatalf("EQUI capped water-fill %v", alloc.Classes)
 	}
@@ -174,8 +215,8 @@ func TestEquiWaterFillingCapped(t *testing.T) {
 func TestGreedyMatchesIFAndEF(t *testing.T) {
 	st, allocG := state(4, 2, 2)
 	_, allocIF := state(4, 2, 2)
-	Greedy{MuI: 2, MuE: 1}.Allocate(st, allocG)
-	InelasticFirst{}.Allocate(st, allocIF)
+	decide(Greedy{MuI: 2, MuE: 1}, st, allocG)
+	decide(InelasticFirst{}, st, allocIF)
 	for i := range inelasticAlloc(allocG) {
 		if inelasticAlloc(allocG)[i] != inelasticAlloc(allocIF)[i] {
 			t.Fatal("GREEDY with muI>muE differs from IF")
@@ -183,8 +224,8 @@ func TestGreedyMatchesIFAndEF(t *testing.T) {
 	}
 	_, allocG2 := state(4, 2, 2)
 	_, allocEF := state(4, 2, 2)
-	Greedy{MuI: 1, MuE: 2}.Allocate(st, allocG2)
-	ElasticFirst{}.Allocate(st, allocEF)
+	decide(Greedy{MuI: 1, MuE: 2}, st, allocG2)
+	decide(ElasticFirst{}, st, allocEF)
 	if elasticAlloc(allocG2)[0] != elasticAlloc(allocEF)[0] {
 		t.Fatal("GREEDY with muE>muI differs from EF")
 	}
@@ -192,28 +233,28 @@ func TestGreedyMatchesIFAndEF(t *testing.T) {
 
 func TestThresholdEndpoints(t *testing.T) {
 	st, allocT := state(4, 3, 1)
-	Threshold{Cap: 4}.Allocate(st, allocT)
+	decide(Threshold{Cap: 4}, st, allocT)
 	_, allocIF := state(4, 3, 1)
-	InelasticFirst{}.Allocate(st, allocIF)
+	decide(InelasticFirst{}, st, allocIF)
 	for i := range inelasticAlloc(allocT) {
 		if inelasticAlloc(allocT)[i] != inelasticAlloc(allocIF)[i] {
 			t.Fatal("Threshold(k) differs from IF")
 		}
 	}
 	st, allocT = state(4, 3, 1)
-	Threshold{Cap: 0}.Allocate(st, allocT)
+	decide(Threshold{Cap: 0}, st, allocT)
 	if elasticAlloc(allocT)[0] != 4 {
 		t.Fatal("Threshold(0) differs from EF when elastic present")
 	}
 	// Without elastic jobs the cap is lifted (work conservation).
 	st, allocT = state(4, 3, 0)
-	Threshold{Cap: 0}.Allocate(st, allocT)
+	decide(Threshold{Cap: 0}, st, allocT)
 	if inelasticAlloc(allocT)[0] != 1 {
 		t.Fatal("Threshold(0) idles servers with no elastic jobs")
 	}
 	// Intermediate cap.
 	st, allocT = state(4, 3, 1)
-	Threshold{Cap: 2}.Allocate(st, allocT)
+	decide(Threshold{Cap: 2}, st, allocT)
 	if inelasticAlloc(allocT)[0] != 1 || inelasticAlloc(allocT)[1] != 1 || inelasticAlloc(allocT)[2] != 0 {
 		t.Fatalf("Threshold(2) inelastic %v", inelasticAlloc(allocT))
 	}
@@ -224,7 +265,7 @@ func TestThresholdEndpoints(t *testing.T) {
 
 func TestDeferElasticIdles(t *testing.T) {
 	st, alloc := state(4, 1, 1)
-	DeferElastic{}.Allocate(st, alloc)
+	decide(DeferElastic{}, st, alloc)
 	if inelasticAlloc(alloc)[0] != 1 || elasticAlloc(alloc)[0] != 0 {
 		t.Fatalf("DeferElastic alloc I=%v E=%v", inelasticAlloc(alloc), elasticAlloc(alloc))
 	}
@@ -232,7 +273,7 @@ func TestDeferElasticIdles(t *testing.T) {
 		t.Fatal("DeferElastic should idle 3 servers here")
 	}
 	st, alloc = state(4, 0, 2)
-	DeferElastic{}.Allocate(st, alloc)
+	decide(DeferElastic{}, st, alloc)
 	if elasticAlloc(alloc)[0] != 4 {
 		t.Fatal("DeferElastic must serve elastic when no inelastic present")
 	}
@@ -243,8 +284,8 @@ func TestSRPTKOrdersBySize(t *testing.T) {
 		{{ID: 0, Remaining: 5}, {ID: 1, Remaining: 0.5}},
 		{{ID: 2, Class: sim.Elastic, Remaining: 2}},
 	}}
-	alloc := &sim.Allocation{Classes: [][]float64{make([]float64, 2), make([]float64, 1)}}
-	(&SRPTK{}).Allocate(st, alloc)
+	alloc := &allocation{Classes: [][]float64{make([]float64, 2), make([]float64, 1)}}
+	decide((&SRPTK{}), st, alloc)
 	// Order: inelastic(0.5) first (1 server), elastic(2) next (3 servers),
 	// inelastic(5) starved.
 	if inelasticAlloc(alloc)[1] != 1 || elasticAlloc(alloc)[0] != 3 || inelasticAlloc(alloc)[0] != 0 {
@@ -264,19 +305,19 @@ func TestClassPriorityName(t *testing.T) {
 // ignored (resolution layers reject such orders up front).
 func TestClassPriorityRobustOrder(t *testing.T) {
 	st, alloc := state(4, 2, 2)
-	ClassPriority{Order: []int{1}}.Allocate(st, alloc)
+	decide(ClassPriority{Order: []int{1}}, st, alloc)
 	if elasticAlloc(alloc)[0] != 4 || inelasticAlloc(alloc)[0] != 0 {
 		t.Fatalf("partial order alloc I=%v E=%v", inelasticAlloc(alloc), elasticAlloc(alloc))
 	}
 	st, alloc = state(4, 2, 2)
-	ClassPriority{Order: []int{7, 0, -1, 1}}.Allocate(st, alloc)
+	decide(ClassPriority{Order: []int{7, 0, -1, 1}}, st, alloc)
 	if inelasticAlloc(alloc)[0] != 1 || elasticAlloc(alloc)[0] != 2 {
 		t.Fatalf("out-of-range order alloc I=%v E=%v", inelasticAlloc(alloc), elasticAlloc(alloc))
 	}
 	// Duplicated entries must not double-subtract capacity: the full k
 	// servers still flow to the queues.
 	st, alloc = state(4, 2, 2)
-	ClassPriority{Order: []int{0, 0, 1}}.Allocate(st, alloc)
+	decide(ClassPriority{Order: []int{0, 0, 1}}, st, alloc)
 	if got := totalAlloc(alloc); got != 4 {
 		t.Fatalf("duplicate order allocated %v of 4 servers (I=%v E=%v)",
 			got, inelasticAlloc(alloc), elasticAlloc(alloc))
@@ -294,7 +335,7 @@ func TestEquiWorkConservingAllCapped(t *testing.T) {
 	// k=8, one job each: share=4 → cap1 takes 1, cap8 takes 4, then the
 	// stranded 3 refill onto the cap8 job: 1 + 7 = 8 allocated.
 	st, alloc := mcState(8, classes, 1, 1)
-	Equi{}.Allocate(st, alloc)
+	decide(Equi{}, st, alloc)
 	if alloc.Classes[0][0] != 1 || math.Abs(alloc.Classes[1][0]-7) > 1e-12 {
 		t.Fatalf("EQUI all-capped water-fill %v", alloc.Classes)
 	}
@@ -304,7 +345,7 @@ func TestEquiWorkConservingAllCapped(t *testing.T) {
 		{Name: "cap1", Speedup: sim.CappedSpeedup(1)},
 		{Name: "cap2", Speedup: sim.CappedSpeedup(2)},
 	}, 4, 1)
-	Equi{}.Allocate(st, alloc)
+	decide(Equi{}, st, alloc)
 	if alloc.Classes[0][0] != 1 || alloc.Classes[1][0] != 2 {
 		t.Fatalf("EQUI saturated caps %v", alloc.Classes)
 	}
@@ -321,7 +362,7 @@ func TestLFFOrderingOnLadder(t *testing.T) {
 	// k=4, one job each: cap1 job gets 1, cap2 job gets 2, elastic gets 1.
 	st, alloc := mcState(4, classes, 1, 1, 1)
 	lff := &LeastFlexibleFirst{}
-	lff.Allocate(st, alloc)
+	decide(lff, st, alloc)
 	if alloc.Classes[2][0] != 1 || alloc.Classes[1][0] != 2 || alloc.Classes[0][0] != 1 {
 		t.Fatalf("LFF ladder alloc %v", alloc.Classes)
 	}
@@ -331,7 +372,7 @@ func TestLFFOrderingOnLadder(t *testing.T) {
 			alloc.Classes[c][i] = 0
 		}
 	}
-	lff.Allocate(st, alloc)
+	decide(lff, st, alloc)
 	if alloc.Classes[1][0] != 2 {
 		t.Fatalf("LFF maintained-order re-allocation broke: %v", alloc.Classes)
 	}
@@ -346,7 +387,7 @@ func TestSMFOrderingByMeanSize(t *testing.T) {
 	}
 	// k=1, one job each: only the small-mean class is served.
 	st, alloc := mcState(1, classes, 1, 1)
-	(&SmallestMeanFirst{}).Allocate(st, alloc)
+	decide((&SmallestMeanFirst{}), st, alloc)
 	if alloc.Classes[0][0] != 0 || alloc.Classes[1][0] != 1 {
 		t.Fatalf("SMF alloc %v", alloc.Classes)
 	}
@@ -367,7 +408,7 @@ func TestAllPoliciesFeasible(t *testing.T) {
 			for i := 0; i <= 2*k; i++ {
 				for j := 0; j <= 2*k; j++ {
 					st, alloc := state(k, i, j)
-					p.Allocate(st, alloc)
+					decide(p, st, alloc)
 					total := 0.0
 					for _, v := range inelasticAlloc(alloc) {
 						if v < 0 || v > 1+1e-12 {
@@ -411,7 +452,7 @@ func TestWorkConservingPolicies(t *testing.T) {
 				for n, jb := range st.Queues[sim.Elastic] {
 					jb.Remaining = 0.5 + float64(n)
 				}
-				p.Allocate(st, alloc)
+				decide(p, st, alloc)
 				total := totalAlloc(alloc)
 				var want float64
 				if j > 0 {

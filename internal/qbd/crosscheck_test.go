@@ -63,7 +63,7 @@ func TestQBDMatchesCTMCOnRandomChains(t *testing.T) {
 	r := xrand.New(2024)
 	for trial := 0; trial < 40; trial++ {
 		chain, lambda, mu, sw := randomQBD(r)
-		sol, err := chain.Solve(FunctionalIteration)
+		sol, err := chain.Solve()
 		if err != nil {
 			// Random instance may be unstable; skip those.
 			continue
@@ -96,7 +96,7 @@ func TestQBDMatchesCTMCOnRandomChains(t *testing.T) {
 // converges to the spectral radius of R.
 func TestGeometricTailDecay(t *testing.T) {
 	c := mh2Chain(0.7, 0.4, 2.0, 0.5)
-	sol, err := c.Solve(FunctionalIteration)
+	sol, err := c.Solve()
 	if err != nil {
 		t.Fatal(err)
 	}

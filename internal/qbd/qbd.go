@@ -11,7 +11,7 @@
 // The stationary vector then has the matrix-geometric form
 // pi_{r+n} = pi_r R^n, where R is the minimal nonnegative solution of
 // A0 + R A1 + R^2 A2 = 0. This package computes R by functional iteration
-// (the default) or by logarithmic reduction (the ablation variant), solves
+// (the tests keep logarithmic reduction as an independent reference), solves
 // the finite boundary system, and exposes level moments in closed form.
 //
 // The functional iteration computes into buffers allocated once per solve
@@ -129,32 +129,11 @@ func (c *Chain) Validate(tol float64) error {
 	return nil
 }
 
-// RMethod selects the algorithm used to compute the rate matrix R.
-type RMethod int
-
-const (
-	// FunctionalIteration iterates R <- -(A0 + R^2 A2) A1^{-1}; simple
-	// and robust, linear convergence.
-	FunctionalIteration RMethod = iota
-	// LogarithmicReduction converges quadratically; the ablation
-	// benchmark compares it against functional iteration.
-	LogarithmicReduction
-)
-
-// SolveR computes the minimal nonnegative solution of A0 + R A1 + R^2 A2 = 0.
-func SolveR(a0, a1, a2 *linalg.Matrix, method RMethod, tol float64, maxIter int) (*linalg.Matrix, error) {
-	switch method {
-	case FunctionalIteration:
-		return solveRIteration(a0, a1, a2, tol, maxIter)
-	case LogarithmicReduction:
-		return solveRLogReduction(a0, a1, a2, tol, maxIter)
-	}
-	return nil, fmt.Errorf("qbd: unknown R method %d", method)
-}
-
-// solveRIteration runs the functional iteration in four buffers allocated
+// SolveR computes the minimal nonnegative solution of A0 + R A1 + R^2 A2 = 0
+// by functional iteration, R <- (A0 + R^2 A2)(-A1)^{-1} from R = 0: simple
+// and robust, with linear convergence. It runs in four buffers allocated
 // once per solve, so its cost does not grow with the iteration count.
-func solveRIteration(a0, a1, a2 *linalg.Matrix, tol float64, maxIter int) (*linalg.Matrix, error) {
+func SolveR(a0, a1, a2 *linalg.Matrix, tol float64, maxIter int) (*linalg.Matrix, error) {
 	negA1Inv, err := linalg.Inverse(linalg.Scale(-1, a1))
 	if err != nil {
 		return nil, fmt.Errorf("qbd: A1 singular: %w", err)
@@ -219,47 +198,6 @@ func mulSparseInto(dst, a *linalg.Matrix, nz []entry) {
 	}
 }
 
-// solveRLogReduction implements the logarithmic-reduction algorithm of
-// Latouche & Ramaswami for the G matrix, then converts to R via
-// R = A0 (-A1 - A0 G)^{-1}.
-func solveRLogReduction(a0, a1, a2 *linalg.Matrix, tol float64, maxIter int) (*linalg.Matrix, error) {
-	negA1Inv, err := linalg.Inverse(linalg.Scale(-1, a1))
-	if err != nil {
-		return nil, fmt.Errorf("qbd: A1 singular: %w", err)
-	}
-	m := a0.Rows
-	// Note the orientation: for computing G (first passage to the level
-	// below), the "down" block drives the recursion.
-	h := linalg.Mul(negA1Inv, a0) // up
-	l := linalg.Mul(negA1Inv, a2) // down
-	g := l.Clone()
-	t := h.Clone()
-	for iter := 0; iter < maxIter; iter++ {
-		u := linalg.AddM(linalg.Mul(h, l), linalg.Mul(l, h))
-		iu, err := linalg.Inverse(linalg.SubM(linalg.Identity(m), u))
-		if err != nil {
-			return nil, fmt.Errorf("qbd: log-reduction pivot singular: %w", err)
-		}
-		h = linalg.Mul(iu, linalg.Mul(h, h))
-		l = linalg.Mul(iu, linalg.Mul(l, l))
-		gNext := linalg.AddM(g, linalg.Mul(t, l))
-		t = linalg.Mul(t, h)
-		if linalg.MaxAbsDiff(gNext, g) < tol {
-			g = gNext
-			break
-		}
-		g = gNext
-		if iter == maxIter-1 {
-			return nil, ErrNotConverged
-		}
-	}
-	denom, err := linalg.Inverse(linalg.Scale(-1, linalg.AddM(a1, linalg.Mul(a0, g))))
-	if err != nil {
-		return nil, fmt.Errorf("qbd: R conversion singular: %w", err)
-	}
-	return linalg.Mul(a0, denom), nil
-}
-
 // Solution is the stationary distribution of a QBD chain.
 type Solution struct {
 	// Pi holds pi_0 .. pi_r where r = len(Boundary) is the first
@@ -271,14 +209,13 @@ type Solution struct {
 	IminusRInv *linalg.Matrix
 }
 
-// Solve computes the stationary distribution. method selects the R
-// algorithm.
-func (c *Chain) Solve(method RMethod) (*Solution, error) {
+// Solve computes the stationary distribution.
+func (c *Chain) Solve() (*Solution, error) {
 	if err := c.Validate(1e-8); err != nil {
 		return nil, err
 	}
 	m := c.Phases
-	r, err := SolveR(c.A0, c.A1, c.A2, method, 1e-14, 1_000_000)
+	r, err := SolveR(c.A0, c.A1, c.A2, 1e-14, 1_000_000)
 	if err != nil {
 		return nil, err
 	}

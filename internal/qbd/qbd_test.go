@@ -2,6 +2,7 @@ package qbd
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"testing"
 
@@ -26,7 +27,7 @@ func mm1Chain(lambda, mu float64) *Chain {
 
 func TestMM1AsQBD(t *testing.T) {
 	lambda, mu := 0.6, 1.0
-	sol, err := mm1Chain(lambda, mu).Solve(FunctionalIteration)
+	sol, err := mm1Chain(lambda, mu).Solve()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +67,7 @@ func TestMMkAsQBD(t *testing.T) {
 		A1:       linalg.FromRows([][]float64{{-(lambda + float64(k)*mu)}}),
 		A2:       linalg.FromRows([][]float64{{float64(k) * mu}}),
 	}
-	sol, err := c.Solve(FunctionalIteration)
+	sol, err := c.Solve()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,24 +113,65 @@ func TestMH21PollaczekKhinchine(t *testing.T) {
 	es2 := 2 * (p/(mu1*mu1) + (1-p)/(mu2*mu2)) // 5.0
 	rho := lambda * es
 	wantN := rho + lambda*lambda*es2/(2*(1-rho))
-	for _, method := range []RMethod{FunctionalIteration, LogarithmicReduction} {
-		sol, err := mh2Chain(lambda, p, mu1, mu2).Solve(method)
-		if err != nil {
-			t.Fatalf("method %v: %v", method, err)
-		}
-		if math.Abs(sol.MeanLevel()-wantN) > 1e-8 {
-			t.Fatalf("method %v: E[N] = %v, want %v", method, sol.MeanLevel(), wantN)
-		}
-	}
-}
-
-func TestRMethodsAgree(t *testing.T) {
-	c := mh2Chain(0.5, 0.4, 2.0, 0.5)
-	r1, err := SolveR(c.A0, c.A1, c.A2, FunctionalIteration, 1e-14, 1_000_000)
+	sol, err := mh2Chain(lambda, p, mu1, mu2).Solve()
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := SolveR(c.A0, c.A1, c.A2, LogarithmicReduction, 1e-14, 200)
+	if math.Abs(sol.MeanLevel()-wantN) > 1e-8 {
+		t.Fatalf("E[N] = %v, want %v", sol.MeanLevel(), wantN)
+	}
+}
+
+// solveRLogReduction is the test-only reference for SolveR: the
+// logarithmic-reduction algorithm of Latouche & Ramaswami for the G matrix,
+// converted to R via R = A0 (-A1 - A0 G)^{-1}. It converges quadratically,
+// by a recursion independent of the functional iteration.
+func solveRLogReduction(a0, a1, a2 *linalg.Matrix, tol float64, maxIter int) (*linalg.Matrix, error) {
+	negA1Inv, err := linalg.Inverse(linalg.Scale(-1, a1))
+	if err != nil {
+		return nil, fmt.Errorf("qbd: A1 singular: %w", err)
+	}
+	m := a0.Rows
+	// Note the orientation: for computing G (first passage to the level
+	// below), the "down" block drives the recursion.
+	h := linalg.Mul(negA1Inv, a0) // up
+	l := linalg.Mul(negA1Inv, a2) // down
+	g := l.Clone()
+	t := h.Clone()
+	for iter := 0; iter < maxIter; iter++ {
+		u := linalg.AddM(linalg.Mul(h, l), linalg.Mul(l, h))
+		iu, err := linalg.Inverse(linalg.SubM(linalg.Identity(m), u))
+		if err != nil {
+			return nil, fmt.Errorf("qbd: log-reduction pivot singular: %w", err)
+		}
+		h = linalg.Mul(iu, linalg.Mul(h, h))
+		l = linalg.Mul(iu, linalg.Mul(l, l))
+		gNext := linalg.AddM(g, linalg.Mul(t, l))
+		t = linalg.Mul(t, h)
+		if linalg.MaxAbsDiff(gNext, g) < tol {
+			g = gNext
+			break
+		}
+		g = gNext
+		if iter == maxIter-1 {
+			return nil, ErrNotConverged
+		}
+	}
+	denom, err := linalg.Inverse(linalg.Scale(-1, linalg.AddM(a1, linalg.Mul(a0, g))))
+	if err != nil {
+		return nil, fmt.Errorf("qbd: R conversion singular: %w", err)
+	}
+	return linalg.Mul(a0, denom), nil
+}
+
+// TestRMethodsAgree holds SolveR to the logarithmic-reduction reference.
+func TestRMethodsAgree(t *testing.T) {
+	c := mh2Chain(0.5, 0.4, 2.0, 0.5)
+	r1, err := SolveR(c.A0, c.A1, c.A2, 1e-14, 1_000_000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r2, err := solveRLogReduction(c.A0, c.A1, c.A2, 1e-14, 200)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +182,7 @@ func TestRMethodsAgree(t *testing.T) {
 
 func TestRSatisfiesQuadratic(t *testing.T) {
 	c := mh2Chain(0.7, 0.3, 3.0, 0.6)
-	r, err := SolveR(c.A0, c.A1, c.A2, FunctionalIteration, 1e-14, 1_000_000)
+	r, err := SolveR(c.A0, c.A1, c.A2, 1e-14, 1_000_000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +228,7 @@ func TestSparseProductMatchesDense(t *testing.T) {
 
 func TestUnstableDetected(t *testing.T) {
 	// rho = 1.5 > 1.
-	_, err := mm1Chain(1.5, 1.0).Solve(FunctionalIteration)
+	_, err := mm1Chain(1.5, 1.0).Solve()
 	if err == nil {
 		t.Fatal("unstable chain solved without error")
 	}
@@ -225,7 +267,7 @@ func TestPhaseMarginalMH21(t *testing.T) {
 	// Conditional on being busy, the in-service phase distribution of an
 	// M/H2/1 is proportional to beta_i/mu_i (time in branch weighting).
 	lambda, p, mu1, mu2 := 0.5, 0.4, 2.0, 0.5
-	sol, err := mh2Chain(lambda, p, mu1, mu2).Solve(FunctionalIteration)
+	sol, err := mh2Chain(lambda, p, mu1, mu2).Solve()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,7 +285,7 @@ func TestPhaseMarginalMH21(t *testing.T) {
 }
 
 func TestLevelProbDecays(t *testing.T) {
-	sol, err := mm1Chain(0.8, 1.0).Solve(LogarithmicReduction)
+	sol, err := mm1Chain(0.8, 1.0).Solve()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,7 +300,7 @@ func BenchmarkSolveRIteration(b *testing.B) {
 	c := mh2Chain(0.9, 0.4, 2.0, 0.5)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := SolveR(c.A0, c.A1, c.A2, FunctionalIteration, 1e-13, 1_000_000); err != nil {
+		if _, err := SolveR(c.A0, c.A1, c.A2, 1e-13, 1_000_000); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -268,7 +310,7 @@ func BenchmarkSolveRLogReduction(b *testing.B) {
 	c := mh2Chain(0.9, 0.4, 2.0, 0.5)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := SolveR(c.A0, c.A1, c.A2, LogarithmicReduction, 1e-13, 200); err != nil {
+		if _, err := solveRLogReduction(c.A0, c.A1, c.A2, 1e-13, 200); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -66,6 +66,14 @@ const (
 	// 9,600) and above a default-cap grid run at cmd/simulate's defaults
 	// (4096 cells × 1 rep × 550,000 jobs, 2.25e9).
 	maxSpecJobs = 1 << 32
+	// bodyReadTimeout bounds the wait for a declared request body. Without
+	// it a client that sends a complete header and then stops holds its
+	// handler, its goroutine and a pooled body buffer until it hangs up:
+	// the server's ReadHeaderTimeout and IdleTimeout do not cover the body,
+	// and a server-wide ReadTimeout would also cancel /v1/sweep/stream
+	// responses. 10 s is twice ReadHeaderTimeout and moves a full 1 MiB
+	// body at 100 KB/s.
+	bodyReadTimeout = 10 * time.Second
 )
 
 // Options configure a Server. The zero value serves on the in-process pool
@@ -129,6 +137,8 @@ type Server struct {
 	flightEWMA       float64
 
 	bufPool sync.Pool
+	// bodyTimeout is bodyReadTimeout; tests shorten it.
+	bodyTimeout time.Duration
 
 	requests       atomic.Int64
 	hits           atomic.Int64
@@ -166,6 +176,8 @@ func New(opts Options) *Server {
 		results: lru.New[[]byte](opts.MaxEntries, opts.MaxBytes),
 		rawMemo: lru.New[memoEntry](min(opts.MaxEntries*2, defaultMemoEntries*4), defaultMemoBytes),
 		flights: map[string]*flight{},
+
+		bodyTimeout: bodyReadTimeout,
 	}
 	s.bufPool.New = func() any { b := make([]byte, 4096); return &b }
 	return s
@@ -201,9 +213,10 @@ type memoEntry struct {
 	sw  exp.Sweep
 }
 
-// readSpec reads the request body into a pooled buffer and resolves it to
-// (canonical key, parsed sweep). On the hot path — a body seen before — the
-// raw-memo lookup resolves both without any JSON work.
+// readSpec reads the request body into a pooled buffer, under a read
+// deadline of bodyTimeout, and resolves it to (canonical key, parsed
+// sweep). On the hot path — a body seen before — the raw-memo lookup
+// resolves both without any JSON work.
 func (s *Server) readSpec(w http.ResponseWriter, r *http.Request) (key string, sw exp.Sweep, ok bool) {
 	if r.Method != http.MethodPost {
 		w.Header().Set("Allow", http.MethodPost)
@@ -222,11 +235,21 @@ func (s *Server) readSpec(w http.ResponseWriter, r *http.Request) (key string, s
 		*bufp = make([]byte, cl)
 	}
 	body := (*bufp)[:cl]
+	// A recorder has no connection: both deadline calls return
+	// http.ErrNotSupported and the body is read with no deadline.
+	rc := http.NewResponseController(w)
+	_ = rc.SetReadDeadline(time.Now().Add(s.bodyTimeout))
 	if _, err := io.ReadFull(r.Body, body); err != nil {
+		// The deadline stays: net/http drains the unread body after the
+		// handler, and the expired deadline is what makes that drain fail
+		// at once and close the connection instead of waiting on the client.
 		s.rejected.Add(1)
 		http.Error(w, "short body: "+err.Error(), http.StatusBadRequest)
 		return "", sw, false
 	}
+	// Cleared before anything is written, so it never cuts the response a
+	// stream writes afterwards.
+	_ = rc.SetReadDeadline(time.Time{})
 	if m, hit := s.rawMemo.GetBytes(body); hit {
 		return m.key, m.sw, true
 	}

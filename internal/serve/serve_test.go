@@ -1,11 +1,16 @@
 package serve
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
+	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"runtime"
 	"strconv"
 	"strings"
@@ -349,6 +354,61 @@ func parseSSE(t *testing.T, raw string) []sseEvent {
 		t.Fatal("no SSE events in stream")
 	}
 	return events
+}
+
+// TestHalfSentBodyIsCut: a client that declares a body and then stops
+// sending it gets a 400, or loses its connection, once the body deadline
+// passes, instead of holding its handler, goroutine and pooled buffer until
+// it hangs up. A stream that outlives the deadline still ends with its
+// result: the deadline covers the body read only.
+func TestHalfSentBodyIsCut(t *testing.T) {
+	gb := &gateBackend{inner: exp.PoolBackend{}, gate: make(chan struct{})}
+	s := New(Options{Exp: exp.Options{Backend: gb}})
+	defer s.Close()
+	s.bodyTimeout = 100 * time.Millisecond
+	ts := httptest.NewServer(s)
+	defer ts.Close()
+
+	conn, err := net.Dial("tcp", ts.Listener.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := io.WriteString(conn, "POST /v1/sweep HTTP/1.1\r\nHost: resultd\r\nContent-Length: 1000\r\n\r\n{\"name\":"); err != nil {
+		t.Fatal(err)
+	}
+	conn.SetReadDeadline(time.Now().Add(2 * time.Second))
+	br := bufio.NewReader(conn)
+	resp, err := http.ReadResponse(br, nil)
+	if err == nil {
+		resp.Body.Close()
+		if resp.StatusCode < 400 || resp.StatusCode >= 500 {
+			t.Fatalf("a half-sent body got status %d, want a 4xx", resp.StatusCode)
+		}
+		// The 4xx must also end the connection, or the handler's goroutine
+		// still waits on the rest of the body.
+		_, err = io.Copy(io.Discard, br)
+	}
+	if errors.Is(err, os.ErrDeadlineExceeded) {
+		t.Fatal("a half-sent body still holds its connection after 2s")
+	}
+
+	sw := testSweep(23, 2)
+	want := wantJSON(t, sw)
+	time.AfterFunc(3*s.bodyTimeout, func() { close(gb.gate) })
+	resp, err = http.Post(ts.URL+"/v1/sweep/stream", "application/json", bytes.NewReader(specJSON(t, sw)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	events := parseSSE(t, string(raw))
+	if final := events[len(events)-1]; final.name != "result" || final.data+"\n" != string(want) {
+		t.Fatalf("a stream that outlived the body deadline ended with %q, want the result", final.name)
+	}
 }
 
 // TestOversizedGridRefusedBeforeExpansion: the admission cap is checked on

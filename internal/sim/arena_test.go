@@ -70,32 +70,13 @@ func TestArenaRecycleLIFO(t *testing.T) {
 }
 
 // arenaIFPolicy is a minimal inelastic-first clone: classes in index order,
-// each job min(cap, remaining budget). Both faces make the same decision,
-// so the incremental engine engages its sparse write-set path exactly as it
-// does for the real class-priority family.
+// each job min(cap, remaining budget), so the incremental engine engages its
+// write-set path exactly as it does for the real class-priority family.
 type arenaIFPolicy struct{}
 
 func (arenaIFPolicy) Name() string { return "ARENA-IF" }
 
-func (arenaIFPolicy) Allocate(st *State, alloc *Allocation) {
-	remaining := float64(st.K)
-	for c := range st.Queues {
-		capC := st.Classes[c].Cap()
-		for i := range st.Queues[c] {
-			if remaining <= 0 {
-				return
-			}
-			a := capC
-			if remaining < a {
-				a = remaining
-			}
-			alloc.Classes[c][i] = a
-			remaining -= a
-		}
-	}
-}
-
-func (arenaIFPolicy) AllocateSparse(st *State, ws *ShareSet) {
+func (arenaIFPolicy) Allocate(st *State, ws *ShareSet) {
 	remaining := float64(st.K)
 	for c := range st.Queues {
 		capC := st.Classes[c].Cap()
@@ -136,11 +117,11 @@ func (arenaEquiPolicy) share(st *State, c int) float64 {
 	return sh
 }
 
-func (p arenaEquiPolicy) Allocate(st *State, alloc *Allocation) {
+func (p arenaEquiPolicy) Allocate(st *State, ws *ShareSet) {
 	for c := range st.Queues {
 		sh := p.share(st, c)
-		for i := range st.Queues[c] {
-			alloc.Classes[c][i] = sh
+		for _, j := range st.Queues[c] {
+			ws.Add(j, sh)
 		}
 	}
 }
@@ -214,7 +195,7 @@ func TestArenaRecycleNoAlias(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			sys := NewClassSystem(3, TwoClassSpecs(), tc.pol)
-			if tc.name == "sparse" && sys.sparse == nil {
+			if tc.name == "sparse" && !sys.sparse {
 				t.Fatal("sparse fast path did not engage")
 			}
 			if tc.name == "classshare" && sys.cs == nil {

@@ -32,11 +32,12 @@ import (
 // ClassSharePolicy is an optional Policy extension for policies whose
 // allocation is uniform within each class (every class-c job receives the
 // same share). ClassShares must write class c's per-job share into
-// shares[c] for every nonempty class — exactly the value Allocate would
-// write into each alloc.Classes[c][i]; the sparse-vs-dense equivalence suite
-// holds the two faces together. The engine zeroes the slice beforehand;
-// entries for empty classes are ignored. Implementations must be
-// size-blind, like Allocate itself.
+// shares[c] for every nonempty class — the share Allocate gives each
+// class-c job, which Allocate should obtain by expanding ClassShares so the
+// arithmetic exists once. Allocate runs only under ForceDense, where the
+// equivalence suite holds it to this path. The engine zeroes the slice
+// beforehand; entries for empty classes are ignored. Implementations must
+// be size-blind.
 type ClassSharePolicy interface {
 	Policy
 	ClassShares(st *State, shares []float64)

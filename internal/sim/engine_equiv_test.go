@@ -2,8 +2,9 @@ package sim_test
 
 // Differential equivalence suite: the engine's structure-specific fast
 // paths (sparse write-sets, EQUI's class shares, SRPT's indexed heap) must
-// make the same scheduling decisions as its dense settle-all fallback
-// (Options.ForceDense) on identical traces. Completion sequences (job IDs
+// make the same scheduling decisions as its settle-all path
+// (Options.ForceDense), which runs the same Allocate with every shortcut
+// off, on identical traces. Completion sequences (job IDs
 // and classes, in completion order) are diffed exactly; completion times
 // and aggregate statistics are compared to 1e-9 relative. The retired
 // rebuild engine's frozen output (golden_test.go) is held to the same
@@ -150,7 +151,7 @@ func diffTraces(aName string, a []sim.Completion, aSys *sim.System, bName string
 }
 
 // diffEngines runs the engine on its structure-specific fast paths and
-// pinned to its dense fallback via Options.ForceDense, on one trace, and
+// pinned to its settle-all path via Options.ForceDense, on one trace, and
 // reports the first divergence, if any. The dense run is the differential
 // oracle of the fast paths.
 func diffEngines(t testing.TB, k int, classes []sim.ClassSpec, polName string, trace []sim.Arrival) error {

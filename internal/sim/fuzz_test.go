@@ -17,9 +17,9 @@ type chaosPolicy struct {
 
 func (chaosPolicy) Name() string { return "CHAOS" }
 
-func (c chaosPolicy) Allocate(st *State, alloc *Allocation) {
+func (c chaosPolicy) Allocate(st *State, ws *ShareSet) {
 	remaining := float64(st.K)
-	for i := range st.Queues[Inelastic] {
+	for _, j := range st.Queues[Inelastic] {
 		if remaining <= 0 {
 			break
 		}
@@ -27,15 +27,15 @@ func (c chaosPolicy) Allocate(st *State, alloc *Allocation) {
 		if c.r.Bernoulli(0.3) {
 			a = 0 // sometimes starve a job outright
 		}
-		alloc.Classes[Inelastic][i] = a
+		ws.Add(j, a)
 		remaining -= a
 	}
-	for i := range st.Queues[Elastic] {
+	for _, j := range st.Queues[Elastic] {
 		if remaining <= 0 {
 			break
 		}
 		a := c.r.Float64() * remaining
-		alloc.Classes[Elastic][i] = a
+		ws.Add(j, a)
 		remaining -= a
 	}
 }
@@ -102,29 +102,18 @@ func TestEngineInvariantsUnderChaos(t *testing.T) {
 // fuzzEqui is an in-package mirror of the two-class EQUI water-filling
 // (policy.Equi cannot be imported here without a cycle): equal split k/n,
 // the inelastic share clamped at 1, the excess split over elastic jobs.
-// Allocate and ClassShares run the identical arithmetic, which is the
-// contract FuzzSparseShareSet exercises.
+// Allocate expands ClassShares to every job, as policy.Equi does, so the
+// fuzz diffs the class-share path against the settle-all path.
 type fuzzEqui struct{}
 
 func (fuzzEqui) Name() string { return "fuzz-EQUI" }
 
-func (fuzzEqui) Allocate(st *State, alloc *Allocation) {
-	n := len(st.Queues[Inelastic]) + len(st.Queues[Elastic])
-	if n == 0 {
-		return
-	}
-	share := float64(st.K) / float64(n)
-	s0 := share
-	if s0 > 1 {
-		s0 = 1
-	}
-	for i := range st.Queues[Inelastic] {
-		alloc.Classes[Inelastic][i] = s0
-	}
-	if ne := len(st.Queues[Elastic]); ne > 0 {
-		per := (float64(st.K) - float64(len(st.Queues[Inelastic]))*s0) / float64(ne)
-		for i := range st.Queues[Elastic] {
-			alloc.Classes[Elastic][i] = per
+func (p fuzzEqui) Allocate(st *State, ws *ShareSet) {
+	shares := make([]float64, len(st.Queues))
+	p.ClassShares(st, shares)
+	for c, q := range st.Queues {
+		for _, j := range q {
+			ws.Add(j, shares[c])
 		}
 	}
 }
@@ -145,7 +134,7 @@ func (fuzzEqui) ClassShares(st *State, shares []float64) {
 	}
 }
 
-// fuzzSRPT mirrors policy.SRPTK's dense face: ascending settled remaining
+// fuzzSRPT mirrors policy.SRPTK's Allocate: ascending settled remaining
 // size, ties to the lower class then FCFS, each job up to its class cap.
 type fuzzSRPT struct{}
 
@@ -153,15 +142,16 @@ func (fuzzSRPT) Name() string { return "fuzz-SRPT" }
 
 func (fuzzSRPT) RemainingOrdered() {}
 
-func (fuzzSRPT) Allocate(st *State, alloc *Allocation) {
+func (fuzzSRPT) Allocate(st *State, ws *ShareSet) {
 	type ref struct {
-		rem  float64
-		c, i int
+		rem float64
+		c   int
+		j   *Job
 	}
 	var jobs []ref
 	for c, q := range st.Queues {
-		for i, j := range q {
-			jobs = append(jobs, ref{j.Remaining, c, i})
+		for _, j := range q {
+			jobs = append(jobs, ref{j.Remaining, c, j})
 		}
 	}
 	for i := 1; i < len(jobs); i++ {
@@ -175,7 +165,7 @@ func (fuzzSRPT) Allocate(st *State, alloc *Allocation) {
 			break
 		}
 		a := math.Min(st.Classes[j.c].Cap(), remaining)
-		alloc.Classes[j.c][j.i] = a
+		ws.Add(j.j, a)
 		remaining -= a
 	}
 }
@@ -246,7 +236,7 @@ func checkShareInvariants(t *testing.T, label string, sys *System) {
 }
 
 // runSparseShareFuzz drives one interleaving through the sparse fast path
-// and the forced-dense fallback of the same policy, checking share
+// and the forced-dense settle-all path of the same policy, checking share
 // invariants at every step and the per-job outcomes at the end. Completion
 // ORDER is deliberately not compared: the quantized sizes make exact
 // floating-point completion-time ties likely, and the two paths may resolve
@@ -257,7 +247,7 @@ func runSparseShareFuzz(t *testing.T, mk func() Policy, data []byte) {
 	specs := TwoClassSpecs()
 	sparse := NewClassSystem(k, specs, mk())
 	dense := NewClassSystemOpts(k, specs, mk(), Options{ForceDense: true})
-	if dense.cs != nil || dense.srpt != nil || dense.sparse != nil {
+	if dense.cs != nil || dense.srpt != nil || dense.sparse {
 		t.Fatal("ForceDense system still selected a fast path")
 	}
 	var sparseDone, denseDone []Completion

@@ -7,8 +7,8 @@ package sim
 //  1. Lazy work depletion. Each job carries its current rate and the time
 //     its Remaining was last settled (Job.updated); there is no per-event
 //     scan over resident jobs. Remaining is settled only when the job's
-//     rate changes, when it completes, or when a dense (non-sparse) policy
-//     is about to run and may read it.
+//     rate changes, when it completes, or, under Options.ForceDense, before
+//     every Allocate.
 //  2. An indexed future-event list (eventq.IndexedQueue), keyed by arena
 //     handle. A rate change reschedules the job's one entry in place; a
 //     preemption to zero removes it — the heap holds exactly the jobs with
@@ -17,21 +17,20 @@ package sim
 //     to filter or compact. The class-share path does not use it at all:
 //     its one-event-per-class structure lives in a flat per-class array of
 //     armed times (classshare.go).
-//  3. Policy change-sets. Policies implementing SparsePolicy report the
-//     full set of jobs holding a nonzero share as an explicit write-set
-//     (ShareSet). For the strict-priority family that set has at most
-//     ~k + #classes entries regardless of occupancy, so diffing it against
-//     the previous event's active set touches O(changed) jobs. EQUI-style
-//     policies (uniform shares within a class) use the class-share path
+//  3. Policy change-sets. Every policy reports the full set of jobs holding
+//     a nonzero share as an explicit write-set (ShareSet). For the
+//     strict-priority family that set has at most ~k + #classes entries
+//     regardless of occupancy, so diffing it against the previous event's
+//     active set touches O(changed) jobs. EQUI-style policies (uniform
+//     shares within a class, ClassSharePolicy) use the class-share path
 //     instead (classshare.go): per-class virtual-time coordinates and one
 //     head event per class, O(#classes) per event. SRPT-style policies
 //     (RemainingOrderedPolicy) run on an engine-native indexed heap over
-//     remaining sizes (srpt_inc.go), O(k log n) per event. Policies with
-//     none of these facets — and every policy under Options.ForceDense or
-//     SIM_FORCE_DENSE — fall back to a dense path: settle every job, run
-//     Allocate on zeroed buffers, diff every entry. That is O(n) per event
-//     but produces identical decisions, so every policy is correct on it;
-//     the dense fallback doubles as the oracle the differential test
+//     remaining sizes (srpt_inc.go), O(k log n) per event. Under
+//     Options.ForceDense or SIM_FORCE_DENSE every policy runs on the
+//     settle-all path instead: settle every job, run the same Allocate and
+//     diff every resident job, with no active set, memo or arrival shadow.
+//     That is O(n) per event; it is the oracle the differential test
 //     harness diffs all fast paths against.
 //
 // Per-class aggregates (incRate, incWork, incTotal) replace the metrics
@@ -52,18 +51,18 @@ import (
 	"math"
 )
 
-// ShareWrite is one entry of a sparse allocation: a job and its server
-// share.
+// ShareWrite is one entry of an allocation: a job and its server share.
 type ShareWrite struct {
 	Job   *Job
 	Share float64
 }
 
-// ShareSet receives a policy's sparse allocation: one Add per job that
-// should hold a nonzero share this event. Jobs not added drop to zero.
-// The backing storage is owned by the engine and reused across events.
-// The served-class guard is epoch-stamped: reset bumps one counter instead
-// of re-zeroing a per-class slice on every event.
+// ShareSet receives a policy's decision: one Add per job that should hold a
+// nonzero share this event. Jobs not added drop to zero. The engine owns
+// the set and reuses its backing storage across events; a caller outside
+// the engine calls Reset before Allocate and reads the decision back with
+// Writes. The served-class guard is epoch-stamped: Reset bumps one counter
+// instead of re-zeroing a per-class slice on every event.
 type ShareSet struct {
 	writes []ShareWrite
 	served []uint64
@@ -82,8 +81,8 @@ func (ws *ShareSet) Add(j *Job, share float64) {
 	ws.writes = append(ws.writes, ShareWrite{Job: j, Share: share})
 }
 
-// Served reports whether MarkServed was called for class c this event —
-// the sparse counterpart of the dense allocator's duplicate-order guard.
+// Served reports whether MarkServed was called for class c this event, so
+// an order walk can skip a class listed twice.
 func (ws *ShareSet) Served(c int) bool { return ws.served[c] == ws.epoch }
 
 // MarkServed flags class c as already walked this event.
@@ -96,10 +95,14 @@ func (ws *ShareSet) MarkServed(c int) { ws.served[c] = ws.epoch }
 // ArrivalShadowPolicy must call it exactly when their early-out triggers.
 func (ws *ShareSet) MarkExhausted(pos int) { ws.exhaustedAt = pos }
 
-// reset prepares the set for a new event: a fresh epoch invalidates every
-// old MarkServed stamp in O(1) (stamps start at zero, epochs at one, so a
-// brand-new slice is never spuriously served).
-func (ws *ShareSet) reset(numClasses int) {
+// Writes returns the writes since the last Reset, in Add order. The slice
+// is owned by the set and reused by the next event.
+func (ws *ShareSet) Writes() []ShareWrite { return ws.writes }
+
+// Reset prepares the set for a new event over numClasses classes: a fresh
+// epoch invalidates every old MarkServed stamp in O(1) (stamps start at
+// zero, epochs at one, so a brand-new slice is never spuriously served).
+func (ws *ShareSet) Reset(numClasses int) {
 	ws.writes = ws.writes[:0]
 	ws.exhaustedAt = -1
 	ws.epoch++
@@ -109,23 +112,7 @@ func (ws *ShareSet) reset(numClasses int) {
 	ws.served = ws.served[:numClasses]
 }
 
-// SparsePolicy is an optional Policy extension consumed by the engine.
-// AllocateSparse must report exactly the jobs that Allocate would give a
-// nonzero share, with the same shares — the sparse-vs-dense equivalence
-// suite holds the two faces of every policy together. Implementations must
-// be size-blind: Job.Remaining is NOT settled before AllocateSparse runs.
-// Policies whose decision depends on n jobs at once should implement one of
-// the structure-specific facets instead: ClassSharePolicy when shares are
-// uniform within each class (EQUI's water-filling), or
-// RemainingOrderedPolicy when the rule is ascending settled remaining size
-// (SRPT-k). Policies with no facet at all run on the engine's dense
-// fallback.
-type SparsePolicy interface {
-	Policy
-	AllocateSparse(st *State, ws *ShareSet)
-}
-
-// ArrivalShadowPolicy is an optional SparsePolicy extension for policies
+// ArrivalShadowPolicy is an optional Policy extension for policies
 // that can prove an arrival leaves their decision untouched. A new arrival
 // always joins the tail of its class's FCFS queue; if the policy's last
 // walk ran out of budget at or before the point where that tail would be
@@ -133,7 +120,7 @@ type SparsePolicy interface {
 // job's share moves, so the engine skips the policy rerun entirely.
 //
 // ArrivalShadowed is consulted with exhaustedAt = the position the last
-// AllocateSparse reported via ShareSet.MarkExhausted (never -1), and must
+// Allocate reported via ShareSet.MarkExhausted (never -1), and must
 // answer from that mark alone: "is the tail of class c's queue at or after
 // walk position exhaustedAt?" The engine only asks while the last applied
 // write-set is still in force (no completion intervened), so the mark
@@ -142,7 +129,7 @@ type SparsePolicy interface {
 // compare that every arrival-refresh otherwise pays just to discover
 // nothing changed.
 type ArrivalShadowPolicy interface {
-	SparsePolicy
+	Policy
 	ArrivalShadowed(st *State, exhaustedAt int, c Class) bool
 }
 
@@ -163,7 +150,7 @@ func (s *System) settleJob(j *Job) {
 	j.updated = s.clock
 }
 
-// settleAll settles every resident job — the dense-fallback prelude so a
+// settleAll settles every resident job — the ForceDense prelude, so a
 // size-aware policy (SRPT) reads exact remaining sizes.
 func (s *System) settleAll() {
 	for _, q := range s.queues {
@@ -206,8 +193,8 @@ func (s *System) setShare(j *Job, a float64) {
 
 // refreshAllocation re-runs the policy if the job set changed, through
 // the fastest protocol the policy supports: the class-share path, the
-// engine-native remaining-size path, the sparse write-set protocol, or the
-// dense diff fallback.
+// engine-native remaining-size path or the write-set diff — or, under
+// ForceDense, the settle-all diff.
 func (s *System) refreshAllocation() {
 	if !s.allocDirty {
 		return
@@ -220,16 +207,14 @@ func (s *System) refreshAllocation() {
 		s.cs.refresh(s)
 	case s.srpt != nil:
 		s.srpt.refresh(s)
-	case s.sparse != nil:
-		s.incWrites.reset(len(s.classes))
-		s.sparse.AllocateSparse(&s.st, &s.incWrites)
+	case s.sparse:
+		s.incWrites.Reset(len(s.classes))
+		s.policy.Allocate(&s.st, &s.incWrites)
 		s.applySparse()
 	default:
 		s.settleAll()
-		for c, q := range s.queues {
-			s.alloc.Classes[c] = resizeZero(s.alloc.Classes[c], len(q))
-		}
-		s.policy.Allocate(&s.st, &s.alloc)
+		s.incWrites.Reset(len(s.classes))
+		s.policy.Allocate(&s.st, &s.incWrites)
 		s.applyDense()
 	}
 	if s.incTotal > float64(s.k)+1e-6 {
@@ -296,20 +281,36 @@ func (s *System) applySparse() {
 	}
 	s.incActive, s.incActiveBuf = next, s.incActive[:0]
 	// Swap the write-set backing into the memo (and hand the memo's old
-	// backing to the next AllocateSparse) instead of copying it.
+	// backing to the next Allocate) instead of copying it.
 	s.incPrev, s.incWrites.writes = w, s.incPrev[:0]
 	s.incPrevValid = true
 }
 
-// applyDense diffs a fully materialized Allocation (the dense per-job
-// buffer) against every job's previous share — O(n), the correctness
-// fallback for policies without a SparsePolicy facet.
+// applyDense is the ForceDense diff: every resident job, class by class in
+// FCFS order, takes the share the policy wrote for it or drops to 0 —
+// O(n), with no active set and no memo, so it checks every shortcut
+// applySparse takes.
 func (s *System) applyDense() {
 	const eps = 1e-9
+	s.incRound++
+	if n := int(s.jobs.n); len(s.denseShare) < n {
+		s.denseShare = append(s.denseShare, make([]float64, n-len(s.denseShare))...)
+	}
+	for _, w := range s.incWrites.writes {
+		j := w.Job
+		if j.round == s.incRound {
+			panic(fmt.Sprintf("sim: policy %s allocated job %d twice in one event", s.policy.Name(), j.ID))
+		}
+		j.round = s.incRound
+		s.denseShare[j.handle] = w.Share
+	}
 	for c, q := range s.queues {
 		capC := s.caps[c]
-		for i, j := range q {
-			a := s.alloc.Classes[c][i]
+		for _, j := range q {
+			a := 0.0
+			if j.round == s.incRound {
+				a = s.denseShare[j.handle]
+			}
 			if a < -eps || a > capC+eps {
 				panic(fmt.Sprintf("sim: policy %s allocated %v servers to a %s-class job (cap %v)",
 					s.policy.Name(), a, s.classes[c].Speedup, capC))
@@ -394,7 +395,7 @@ func (s *System) arriveInc(j *Job) {
 // recycle. The caller has already popped (or never armed) the job's event
 // entry, so its handle leaves the engine with no event referencing it.
 func (s *System) complete(j *Job) {
-	if s.sparse != nil {
+	if s.sparse {
 		// Warm the about-to-be-promoted jobs: the refresh that follows this
 		// completion walks the first unserved job of some class (profiling
 		// shows its cold Job struct dominating the sparse event cost at deep
@@ -458,7 +459,7 @@ func (s *System) complete(j *Job) {
 			panic("sim: completing job not found in system")
 		}
 	}
-	if s.sparse != nil || s.srpt != nil {
+	if s.sparse || s.srpt != nil {
 		for i, a := range s.incActive {
 			if a == j {
 				last := len(s.incActive) - 1

@@ -17,16 +17,16 @@
 // both systems' event times.
 //
 // Steady-state stepping is allocation-free: Job structs are recycled through
-// an arena, the Allocation buffers handed to the policy are reused across
-// events, and departures are selected through an indexed future-event list.
+// an arena, the write-set handed to the policy is reused across events, and
+// departures are selected through an indexed future-event list.
 //
 // The stepping engine (incremental.go) keeps completion events across steps,
 // settles per-job remaining work lazily, and re-touches only jobs whose
 // allocation actually changed — O(changed · log n) per event for the
 // strict-priority policy family, which is what makes near-saturation
-// (rho → 1) sweeps with thousands of resident jobs tractable. Its dense
-// fallback (Options.ForceDense) is kept as the differential oracle of the
-// fast paths.
+// (rho → 1) sweeps with thousands of resident jobs tractable. Its settle-all
+// path (Options.ForceDense) runs the same Allocate with every shortcut off
+// and is kept as the differential oracle of the fast paths.
 package sim
 
 import (
@@ -84,13 +84,13 @@ type Arrival struct {
 }
 
 // Job is a job resident in the system. Policies receive jobs in FCFS order
-// per class; the paper's policies are size-blind and must not read Remaining
-// (it is exposed for instrumentation and for known-size baselines only).
-// Remaining is settled lazily: it is exact in Completion snapshots and
-// whenever the policy's Allocate (not AllocateSparse) runs, but may be stale
-// between events for other readers.
-// The pointer returned by Arrive is valid until the job completes; completed
-// Job structs are recycled by the engine.
+// per class. The pointer returned by Arrive is valid until the job
+// completes; completed Job structs are recycled by the engine.
+//
+// Remaining is settled lazily: it is exact in Completion snapshots, but it
+// is not settled when Allocate runs, except under Options.ForceDense. So
+// only a RemainingOrderedPolicy, whose rule the engine runs on settled sizes
+// itself, may read it; the paper's policies are size-blind.
 type Job struct {
 	// The per-event hot fields lead the struct so the stepping loops (which
 	// walk recycled, free-list-local jobs) touch one cache line per job:
@@ -101,7 +101,7 @@ type Job struct {
 	servers   float64 // current server allocation
 
 	// Lazy-settlement state: updated is the time Remaining was last settled;
-	// round marks the last sparse-allocation round that wrote this job. The
+	// round marks the last write-set diff that wrote this job. The
 	// job's future-event entry is keyed by handle in the indexed event list
 	// (eventq.IndexedQueue), which holds at most one entry per handle — no
 	// generation stamps needed.
@@ -149,20 +149,15 @@ type State struct {
 	Queues [][]*Job
 }
 
-// Allocation receives the policy's decision: Classes[c][i] is the server
-// share of State.Queues[c][i]. The engine zeroes the slices before each
-// Allocate call and reuses their backing arrays across events.
-type Allocation struct {
-	Classes [][]float64
-}
-
-// Policy decides server allocations. Implementations must satisfy the model
+// Policy decides server allocations. Allocate writes its decision once into
+// ws: one ShareSet.Add per job that should hold a nonzero share; every job
+// it does not add holds none. Implementations must satisfy the model
 // constraints: every share is >= 0, a class-c share is at most the class's
 // saturation cap, and the shares sum to at most K. The engine verifies these
 // bounds on every call.
 type Policy interface {
 	Name() string
-	Allocate(st *State, alloc *Allocation)
+	Allocate(st *State, ws *ShareSet)
 }
 
 // Completion records one finished job. Job carries the identity fields
@@ -192,13 +187,15 @@ func (c Completion) Response() float64 { return c.Finished - c.Job.Arrival }
 
 // Options configure a System beyond the model parameters.
 type Options struct {
-	// ForceDense disables the engine's fast paths (the SparsePolicy
-	// write-set protocol and the specialized EQUI/SRPT modes) and runs
-	// every policy on the dense settle-all fallback. The fallback
-	// is the oracle the differential test harness diffs the fast paths
-	// against; this switch keeps it reachable forever. The SIM_FORCE_DENSE
-	// environment variable (any nonempty value) has the same effect, so the
-	// oracle can also be forced through CLIs and CI without a code change.
+	// ForceDense turns off every engine shortcut: the class-share path, the
+	// remaining-size heap, the active set, the write-set memo and the
+	// shadowed-arrival skip. Each refresh settles every job, runs the same
+	// Allocate and diffs every resident job (an unwritten job drops to 0).
+	// That settle-all path is the oracle the differential test harness diffs
+	// the fast paths against; this switch keeps it reachable forever. The
+	// SIM_FORCE_DENSE environment variable (any nonempty value) has the same
+	// effect, so the oracle can also be forced through CLIs and CI without a
+	// code change.
 	ForceDense bool
 }
 
@@ -221,8 +218,7 @@ type System struct {
 	qbase  [][]*Job
 	qoff   []int
 
-	st    State
-	alloc Allocation
+	st State
 
 	// caps[c] is classes[c].Cap() and idRate[c] reports whether the class's
 	// speedup satisfies s(a) = a for feasible a (linear/capped), both
@@ -252,17 +248,17 @@ type System struct {
 
 	allocDirty bool
 
-	// Stepping state (see incremental.go). sparse is the policy's
-	// SparsePolicy facet when it has one; incRate/incWork are per-class
-	// service-rate and remaining-work aggregates settled to clock; incTotal
-	// is the allocated server total; incActive holds the jobs with nonzero
-	// allocation (sparse and srpt paths) and incActiveBuf is its double
-	// buffer. cs and srpt are the specialized EQUI/SRPT modes (classshare.go,
-	// srpt_inc.go); at most one of sparse/cs/srpt is active. orderBlind marks
-	// the modes whose policies never read FCFS queue positions, letting
-	// departures swap-remove from the queue slices in O(1).
-	sparse       SparsePolicy
-	arrShadow    ArrivalShadowPolicy // sparse's shadowed-arrival facet, when offered
+	// Stepping state (see incremental.go). sparse marks the write-set diff
+	// path; incRate/incWork are per-class service-rate and remaining-work
+	// aggregates settled to clock; incTotal is the allocated server total;
+	// incActive holds the jobs with nonzero allocation (sparse and srpt
+	// paths) and incActiveBuf is its double buffer. cs and srpt are the
+	// specialized EQUI/SRPT modes (classshare.go, srpt_inc.go); at most one
+	// of sparse/cs/srpt is active, and none under ForceDense. orderBlind
+	// marks the modes whose policies never read FCFS queue positions,
+	// letting departures swap-remove from the queue slices in O(1).
+	sparse       bool
+	arrShadow    ArrivalShadowPolicy // the policy's shadowed-arrival facet on the sparse path, when offered
 	cs           *classShareState
 	srpt         *srptState
 	orderBlind   bool
@@ -288,6 +284,10 @@ type System struct {
 	// backlog, where the served prefix is unchanged.
 	incPrev      []ShareWrite
 	incPrevValid bool
+
+	// denseShare holds, by arena handle, the share the last Allocate wrote
+	// for each job; only the ForceDense diff reads it.
+	denseShare []float64
 }
 
 // NewClassSystem returns an empty system with k servers over the given job
@@ -315,7 +315,6 @@ func NewClassSystemOpts(k int, classes []ClassSpec, policy Policy, opts Options)
 		qbase:   make([][]*Job, len(classes)),
 		qoff:    make([]int, len(classes)),
 	}
-	s.alloc.Classes = make([][]float64, len(classes))
 	s.st.K = k
 	s.st.Classes = s.classes
 	s.caps = make([]float64, len(classes))
@@ -339,10 +338,8 @@ func NewClassSystemOpts(k int, classes []ClassSpec, policy Policy, opts Options)
 			s.srpt = &srptState{}
 			s.orderBlind = true
 		default:
-			s.sparse, _ = policy.(SparsePolicy)
-			if s.sparse != nil {
-				s.arrShadow, _ = policy.(ArrivalShadowPolicy)
-			}
+			s.sparse = true
+			s.arrShadow, _ = policy.(ArrivalShadowPolicy)
 		}
 	}
 	return s
@@ -559,17 +556,6 @@ func (s *System) Drain(horizon float64) []Completion {
 	// Drain's result must survive subsequent stepping, so it gets its own
 	// slice rather than the reused AdvanceTo buffer.
 	return append([]Completion(nil), s.materializeCompletions()...)
-}
-
-func resizeZero(sl []float64, n int) []float64 {
-	if cap(sl) < n {
-		sl = make([]float64, n)
-	}
-	sl = sl[:n]
-	for i := range sl {
-		sl[i] = 0
-	}
-	return sl
 }
 
 // pushQueue appends j to its class queue. While the window has tail

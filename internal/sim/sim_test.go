@@ -12,17 +12,17 @@ type ifPolicy struct{}
 
 func (ifPolicy) Name() string { return "IF-test" }
 
-func (ifPolicy) Allocate(st *State, alloc *Allocation) {
+func (ifPolicy) Allocate(st *State, ws *ShareSet) {
 	remaining := float64(st.K)
-	for i := range st.Queues[Inelastic] {
+	for _, j := range st.Queues[Inelastic] {
 		if remaining <= 0 {
 			break
 		}
-		alloc.Classes[Inelastic][i] = 1
+		ws.Add(j, 1)
 		remaining--
 	}
 	if remaining > 0 && len(st.Queues[Elastic]) > 0 {
-		alloc.Classes[Elastic][0] = remaining
+		ws.Add(st.Queues[Elastic][0], remaining)
 	}
 }
 
@@ -30,16 +30,16 @@ type efPolicy struct{}
 
 func (efPolicy) Name() string { return "EF-test" }
 
-func (efPolicy) Allocate(st *State, alloc *Allocation) {
+func (efPolicy) Allocate(st *State, ws *ShareSet) {
 	if len(st.Queues[Elastic]) > 0 {
-		alloc.Classes[Elastic][0] = float64(st.K)
+		ws.Add(st.Queues[Elastic][0], float64(st.K))
 		return
 	}
-	for i := range st.Queues[Inelastic] {
+	for i, j := range st.Queues[Inelastic] {
 		if i >= st.K {
 			break
 		}
-		alloc.Classes[Inelastic][i] = 1
+		ws.Add(j, 1)
 	}
 }
 
@@ -205,12 +205,12 @@ type overAllocPolicy struct{}
 
 func (overAllocPolicy) Name() string { return "over" }
 
-func (overAllocPolicy) Allocate(st *State, alloc *Allocation) {
-	for i := range st.Queues[Inelastic] {
-		alloc.Classes[Inelastic][i] = 1
+func (overAllocPolicy) Allocate(st *State, ws *ShareSet) {
+	for _, j := range st.Queues[Inelastic] {
+		ws.Add(j, 1)
 	}
-	for i := range st.Queues[Elastic] {
-		alloc.Classes[Elastic][i] = float64(st.K)
+	for _, j := range st.Queues[Elastic] {
+		ws.Add(j, float64(st.K))
 	}
 }
 
@@ -230,9 +230,9 @@ type fatInelasticPolicy struct{}
 
 func (fatInelasticPolicy) Name() string { return "fat" }
 
-func (fatInelasticPolicy) Allocate(st *State, alloc *Allocation) {
-	for i := range st.Queues[Inelastic] {
-		alloc.Classes[Inelastic][i] = 2 // violates the one-server cap
+func (fatInelasticPolicy) Allocate(st *State, ws *ShareSet) {
+	for _, j := range st.Queues[Inelastic] {
+		ws.Add(j, 2) // violates the one-server cap
 	}
 }
 

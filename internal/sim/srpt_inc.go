@@ -1,15 +1,15 @@
 package sim
 
 // The remaining-size fast path of the incremental engine: SRPT-style
-// policies order jobs by settled remaining size, which the dense fallback
-// could only deliver by settling and re-sorting every resident job — O(n)
-// per event. The engine implements the rule natively instead, around one
+// policies order jobs by settled remaining size, which the policy's own
+// Allocate can only deliver by settling and re-sorting every resident job —
+// O(n) per event. The engine implements the rule natively instead, around one
 // observation: a job that is not being served has rate zero, so its
 // remaining size is frozen. Only the <= k+1 served jobs have moving keys.
 //
 // All resident jobs live in one indexed min-heap keyed
-// (Remaining, Class, ID) — the exact tie-break of the dense face's stable
-// sort over class-then-FCFS enumeration. Each job carries its heap position
+// (Remaining, Class, ID) — the exact tie-break of Allocate's stable sort
+// over class-then-FCFS enumeration. Each job carries its heap position
 // (Job.hpos), so a policy refresh is: settle the served jobs and
 // decrease-key each one (remaining work only shrinks, so a sift-up
 // restores the heap), then pop winners off the top until the server budget
@@ -21,8 +21,9 @@ package sim
 // walk jobs by ascending settled remaining size (ties to the lower class,
 // FCFS within a class), giving each job up to its class cap until the
 // servers run out. The engine executes the rule natively with an indexed
-// heap instead of calling Allocate; the dense face must make the identical
-// decision — the sparse-vs-dense equivalence suite holds the two together.
+// heap instead of calling Allocate, which runs only under ForceDense, on
+// settled sizes; the equivalence suite holds the heap to Allocate's
+// decision.
 type RemainingOrderedPolicy interface {
 	Policy
 	RemainingOrdered()
@@ -151,7 +152,7 @@ func (sp *srptState) refresh(s *System) {
 		s.settleJob(j)
 		sp.heap.fix(j)
 	}
-	s.incWrites.reset(len(s.classes))
+	s.incWrites.Reset(len(s.classes))
 	remaining := float64(s.k)
 	sp.scratch = sp.scratch[:0]
 	for remaining > 0 && sp.heap.len() > 0 {

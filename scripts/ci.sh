@@ -46,9 +46,10 @@ echo "==> exact-chain gate (banded GTH bit-identical to the dense loop; shorter-
 go test ./internal/ctmc -run 'TestStationaryMatchesDenseGTH|TestPolicyChainNumbering|TestStationaryNonFiniteIsError|TestAutoSolveNamesLastSolvedCaps|TestDeferDominatedByIF|TestTheorem6Counterexample' -count=1
 go test ./internal/qbd -run 'TestQBDMatchesCTMCOnRandomChains' -count=1
 
-echo "==> sparse-vs-dense equivalence gate (fast paths vs the forced-dense oracle: identical completion sequences, stats to 1e-9)"
-go test ./internal/sim -run 'TestEngineEquivalenceMatrix' -count=1
+echo "==> sparse-vs-dense equivalence gate (fast paths vs the oracle, the engine's settle-all ForceDense path running the same Allocate: identical completion sequences, stats to 1e-9; each policy's one Allocate)"
+go test ./internal/sim -run 'TestEngineEquivalenceMatrix|TestEngineEquivalenceQuick' -count=1
 go test ./internal/exp -run 'TestEngineSweepEquivalence|TestTailQuantiles' -count=1
+go test ./internal/policy -count=1
 
 echo "==> allocation-regression gate (steady-state stepping <= 1 alloc/event; arena path bounded at n in {100, 10k}; the R and power iterations allocate per solve, not per iteration)"
 go test ./internal/sim ./internal/mrt -run 'TestSteadyStateAllocs|TestSteadyStateBytes|TestAnalysisAllocs' -count=1
@@ -143,6 +144,9 @@ echo "==> journal-replay unit gate (torn tails, failed appends, crash points, re
 go test ./internal/applog -count=1
 go test ./internal/exp -run 'TestFileCache' -count=1
 go test ./internal/fabric -run 'TestJournal|TestDispatcherCacheWrongKindIsMiss|TestDispatcherCacheAcrossRestart|TestFileOutcomeCacheFailedPutKeepsNextRecord|TestRestoreRecords|TestDispatcherJournal|TestDispatcherLiveRetryBudget|TestDispatcherDrain|TestFabricDispatcherCrashFailover|TestFabricWorkerDrain|TestFabricTaskDeadline|TestSubmitRefusalIsFinal|TestZeroRedialBudgetWaits' -count=1
+
+echo "==> fabric worker-loss gate (a worker killed holding a task is re-queued onto the survivors, byte-identical; 300 runs at -cpu 4)"
+go test ./internal/fabric -run 'TestFabricWorkerKilledMidTask$' -count=300 -cpu 4
 
 echo "==> dispatcher-crash gate (SIGKILL the real dispatcher mid-sweep; a restart on the same journal and address resumes; byte-identical)"
 "$tmp/fabricd" -role dispatcher -listen 127.0.0.1:0 -addr-file "$tmp/crash.addr" \
