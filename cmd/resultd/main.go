@@ -30,6 +30,7 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"sync"
 	"syscall"
 	"time"
 
@@ -48,6 +49,12 @@ const (
 	// It is longer than net/http's client-side IdleConnTimeout (90 s), so a
 	// Go client drops an idle connection before the server does.
 	idleTimeout = 2 * time.Minute
+	// maxConns caps the open connections. Each one holds a goroutine and a
+	// descriptor until a timeout above ends it, so without a cap a flood of
+	// idle connections grows both without bound. 512 is far above the CI
+	// serving gate's 8 concurrent clients; connections beyond the cap wait
+	// in the kernel's listen backlog and hold nothing in the process.
+	maxConns = 512
 )
 
 // newHTTPServer returns the daemon's HTTP server for h. It sets no
@@ -55,6 +62,53 @@ const (
 // off mid-sweep.
 func newHTTPServer(h http.Handler) *http.Server {
 	return &http.Server{Handler: h, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
+}
+
+// capListener is a net.Listener whose Accept blocks while cap(slots)
+// connections are open. Each accepted connection takes a slot, and its
+// first Close gives the slot back.
+type capListener struct {
+	net.Listener
+	slots     chan struct{}
+	done      chan struct{}
+	closeOnce sync.Once
+}
+
+func limitListener(ln net.Listener, n int) net.Listener {
+	return &capListener{Listener: ln, slots: make(chan struct{}, n), done: make(chan struct{})}
+}
+
+func (l *capListener) Accept() (net.Conn, error) {
+	select {
+	case l.slots <- struct{}{}:
+	case <-l.done:
+		return nil, net.ErrClosed
+	}
+	c, err := l.Listener.Accept()
+	if err != nil {
+		<-l.slots
+		return nil, err
+	}
+	return &capConn{Conn: c, slots: l.slots}, nil
+}
+
+// Close also ends an Accept that is waiting for a slot, so a server at
+// its cap still shuts down.
+func (l *capListener) Close() error {
+	l.closeOnce.Do(func() { close(l.done) })
+	return l.Listener.Close()
+}
+
+type capConn struct {
+	net.Conn
+	slots     chan struct{}
+	closeOnce sync.Once
+}
+
+func (c *capConn) Close() error {
+	err := c.Conn.Close()
+	c.closeOnce.Do(func() { <-c.slots })
+	return err
 }
 
 func main() {
@@ -134,7 +188,7 @@ func main() {
 		defer cancel()
 		srv.Shutdown(shutdownCtx)
 	}()
-	if err := srv.Serve(ln); err != nil && !errors.Is(err, http.ErrServerClosed) {
+	if err := srv.Serve(limitListener(ln, maxConns)); err != nil && !errors.Is(err, http.ErrServerClosed) {
 		log.Fatal(err)
 	}
 }

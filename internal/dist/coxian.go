@@ -145,246 +145,3 @@ func FitCoxian2(m1, m2, m3 float64) (Coxian2, error) {
 	}
 	return Coxian2{}, fmt.Errorf("dist: FitCoxian2(%v, %v, %v): moment triple is not Coxian2-representable", m1, m2, m3)
 }
-
-// Coxian is a general n-phase Coxian: phase i has rate Rates[i], and after
-// completing phase i the variate continues to phase i+1 with probability
-// Cont[i] (len(Cont) == len(Rates)-1) or finishes. It generalizes Coxian2
-// to the low-variability regime (cv2 < 1/2) that two phases cannot reach,
-// where the two-moment fit needs an Erlang mixture with many phases.
-type Coxian struct {
-	Rates []float64
-	Cont  []float64
-}
-
-// NewCoxian returns the Coxian with the given phase rates and continuation
-// probabilities. It panics unless len(rates) >= 1, len(cont) ==
-// len(rates)-1, every rate is finite and positive, and every continuation
-// probability is in [0, 1].
-func NewCoxian(rates, cont []float64) Coxian {
-	if len(rates) == 0 || len(cont) != len(rates)-1 {
-		panic(fmt.Sprintf("dist: NewCoxian: %d rates need %d continuation probs, got %d",
-			len(rates), len(rates)-1, len(cont)))
-	}
-	for i, r := range rates {
-		if !isFinitePos(r) {
-			panic(fmt.Sprintf("dist: NewCoxian phase %d rate %v", i, r))
-		}
-	}
-	for i, p := range cont {
-		if !(p >= 0 && p <= 1) {
-			panic(fmt.Sprintf("dist: NewCoxian continuation %d prob %v", i, p))
-		}
-	}
-	return Coxian{
-		Rates: append([]float64(nil), rates...),
-		Cont:  append([]float64(nil), cont...),
-	}
-}
-
-// moments returns E[T^j] for j = 0..k, where T is the absorption time from
-// phase 1. Computed by the backward recursion over phases: with T_i the
-// time-to-absorb from phase i and c_i = Cont[i],
-//
-//	E[T_i^j] = j!/mu_i^j + c_i * sum_{l=1}^{j} C(j,l) (j-l)!/mu_i^(j-l) E[T_{i+1}^l].
-func (c Coxian) moments(k int) []float64 {
-	n := len(c.Rates)
-	cur := make([]float64, k+1)  // moments of T_{i+1}
-	next := make([]float64, k+1) // moments of T_i being built
-	for i := n - 1; i >= 0; i-- {
-		mu := c.Rates[i]
-		cont := 0.0
-		if i < n-1 {
-			cont = c.Cont[i]
-		}
-		next[0] = 1
-		for j := 1; j <= k; j++ {
-			m := factorial(j) / math.Pow(mu, float64(j))
-			if cont > 0 {
-				for l := 1; l <= j; l++ {
-					m += cont * binom(j, l) * factorial(j-l) / math.Pow(mu, float64(j-l)) * cur[l]
-				}
-			}
-			next[j] = m
-		}
-		cur, next = next, cur
-	}
-	return cur[:k+1]
-}
-
-// Mean returns the expected absorption time.
-func (c Coxian) Mean() float64 { return c.moments(1)[1] }
-
-// Moment returns E[X^k].
-func (c Coxian) Moment(k int) float64 {
-	checkMomentOrder(k)
-	return c.moments(k)[k]
-}
-
-// CDF evaluates P(X <= x). One and two phases reduce to the exponential
-// and Coxian2 closed forms (exact for any rate ratio). Three or more
-// phases use uniformization of the underlying absorbing Markov chain:
-// with Lambda = max rate, the survival probability is a Poisson(Lambda*x)
-// mixture of the discrete chain's alive-mass sequence, truncated once the
-// remaining Poisson tail drops below 1e-14 — accurate to ~1e-13 for any
-// phase structure, including the repeated-rate Erlang mixtures partial
-// fractions cannot handle. The iteration budget scales with Lambda*x
-// (the tail criterion always fires by Lambda*x + O(sqrt(Lambda*x))), with
-// a hard cap only against pathological multi-phase rate ratios; if the
-// cap ever bites, the bracketed remainder's midpoint is returned rather
-// than a silently clamped 1.
-func (c Coxian) CDF(x float64) float64 {
-	if x <= 0 {
-		return 0
-	}
-	n := len(c.Rates)
-	if n == 1 {
-		return -math.Expm1(-c.Rates[0] * x)
-	}
-	if n == 2 {
-		return Coxian2{Mu1: c.Rates[0], Mu2: c.Rates[1], P: c.Cont[0]}.CDF(x)
-	}
-	lam := 0.0
-	for _, r := range c.Rates {
-		lam = math.Max(lam, r)
-	}
-	lx := lam * x
-	// v[i] = P(chain in phase i after m uniformized jumps, not absorbed).
-	v := make([]float64, n)
-	w := make([]float64, n)
-	v[0] = 1
-	alive := 1.0
-	// Poisson(lx) pmf tracked in log space so that large lx (many equal-rate
-	// phases) does not underflow the m=0 term and zero the whole series.
-	logTerm := -lx
-	cdfTail := 1.0 // 1 - sum of Poisson pmf up to m
-	surv := 0.0
-	// The Poisson mass is exhausted by m ~ lx + 40*sqrt(lx); the hard cap
-	// only guards absurd multi-phase rate ratios (lambda*x > ~5e7).
-	maxIter := 50_000_000
-	if adaptive := int(lx+40*math.Sqrt(lx+1)) + 200; adaptive < maxIter {
-		maxIter = adaptive
-	}
-	for m := 0; ; m++ {
-		if m > 0 {
-			logTerm += math.Log(lx / float64(m))
-		}
-		term := math.Exp(logTerm)
-		surv += term * alive
-		cdfTail -= term
-		if cdfTail*alive < 1e-14 || cdfTail < 0 {
-			break
-		}
-		// One uniformized jump.
-		for i := range w {
-			w[i] = 0
-		}
-		for i := 0; i < n; i++ {
-			if v[i] == 0 {
-				continue
-			}
-			stay := 1 - c.Rates[i]/lam
-			w[i] += v[i] * stay
-			if i < n-1 {
-				w[i+1] += v[i] * (c.Rates[i] / lam) * c.Cont[i]
-			}
-		}
-		copy(v, w)
-		alive = 0
-		for _, vi := range v {
-			alive += vi
-		}
-		if m >= maxIter {
-			// Budget exhausted with mass still alive: the true survival lies
-			// in [surv, surv + cdfTail*alive]; return the midpoint instead of
-			// pretending the remaining mass has been absorbed.
-			surv += cdfTail * alive / 2
-			break
-		}
-	}
-	return math.Min(1, math.Max(0, 1-surv))
-}
-
-// Quantile inverts the CDF numerically.
-func (c Coxian) Quantile(p float64) float64 {
-	checkProb(p)
-	if p >= 1 {
-		return math.Inf(1)
-	}
-	return bisectQuantile(c.CDF, p, c.Mean())
-}
-
-// Sample walks the phases, accumulating one exponential per visited phase.
-func (c Coxian) Sample(r *xrand.Rand) float64 {
-	x := 0.0
-	for i := range c.Rates {
-		x += r.Exp(c.Rates[i])
-		if i == len(c.Rates)-1 || !r.Bernoulli(c.Cont[i]) {
-			break
-		}
-	}
-	return x
-}
-
-// maxFitPhases bounds the Erlang-mixture fit: cv2 below 1/maxFitPhases
-// would need more phases than any workload in this repository justifies.
-const maxFitPhases = 1000
-
-// FitCoxian fits a Coxian to a target (mean, cv2), where cv2 is the
-// squared coefficient of variation Var[X]/E[X]^2. Two regimes:
-//
-//   - cv2 >= 1/2: the canonical two-phase fit
-//     Mu1 = 2/mean, P = 1/(2*cv2), Mu2 = 1/(mean*cv2).
-//   - cv2 < 1/2: the Erlang(n-1, n) mixture (Tijms' fit) with
-//     n = ceil(1/cv2) equal-rate phases, expressed as a Coxian whose last
-//     continuation probability carries the mixture weight.
-//
-// Both reproduce the requested mean and cv2 exactly. Non-finite or
-// non-positive targets, and cv2 small enough to require more than
-// maxFitPhases phases, return an error — never NaN/Inf parameters.
-func FitCoxian(mean, cv2 float64) (Coxian, error) {
-	if !isFinitePos(mean) || !isFinitePos(cv2) {
-		return Coxian{}, fmt.Errorf("dist: FitCoxian(mean=%v, cv2=%v): targets must be finite and positive", mean, cv2)
-	}
-	// The implied second moment must itself be a finite float64, or the
-	// fitted distribution could not report its own moments.
-	if !isFinitePos((1 + cv2) * mean * mean) {
-		return Coxian{}, fmt.Errorf("dist: FitCoxian(mean=%v, cv2=%v): implied second moment overflows", mean, cv2)
-	}
-	if cv2 >= 0.5 {
-		c := Coxian{
-			Rates: []float64{2 / mean, 1 / (mean * cv2)},
-			Cont:  []float64{1 / (2 * cv2)},
-		}
-		// Extreme targets can overflow mean*cv2 (or underflow a rate) even
-		// though each input is individually finite.
-		if !isFinitePos(c.Rates[0]) || !isFinitePos(c.Rates[1]) {
-			return Coxian{}, fmt.Errorf("dist: FitCoxian(mean=%v, cv2=%v): phase rates overflow", mean, cv2)
-		}
-		return c, nil
-	}
-	n := int(math.Ceil(1 / cv2))
-	if n > maxFitPhases {
-		return Coxian{}, fmt.Errorf("dist: FitCoxian(mean=%v, cv2=%v): would need %d phases (max %d)", mean, cv2, n, maxFitPhases)
-	}
-	nf := float64(n)
-	// Tijms' two-moment Erlang(n-1, n) fit: probability p of stopping after
-	// n-1 phases, common rate mu = (n - p)/mean.
-	p := (nf*cv2 - math.Sqrt(nf*(1+cv2)-nf*nf*cv2)) / (1 + cv2)
-	if !(p >= 0 && p <= 1) {
-		return Coxian{}, fmt.Errorf("dist: FitCoxian(mean=%v, cv2=%v): mixture weight %v outside [0,1]", mean, cv2, p)
-	}
-	mu := (nf - p) / mean
-	if !isFinitePos(mu) {
-		return Coxian{}, fmt.Errorf("dist: FitCoxian(mean=%v, cv2=%v): phase rate %v", mean, cv2, mu)
-	}
-	rates := make([]float64, n)
-	cont := make([]float64, n-1)
-	for i := range rates {
-		rates[i] = mu
-	}
-	for i := range cont {
-		cont[i] = 1
-	}
-	cont[n-2] = 1 - p
-	return Coxian{Rates: rates, Cont: cont}, nil
-}

@@ -7,18 +7,17 @@
 // scenarios of Section 1.3 and the Appendix A batch experiments also use
 // bounded-Pareto (heavy-tailed ML training jobs) and uniform sizes. The
 // Section 5.2 transformation replaces the M/M/1 busy period with a
-// two-phase Coxian matched on its first three moments (Figures 3c and 7c);
-// the one-moment exponential and two-moment balanced hyperexponential
-// stand-ins exist as the ablation baselines that quantify why three
-// moments are needed.
+// two-phase Coxian matched on its first three moments (Coxian2 and
+// FitCoxian2; Figures 3c and 7c). internal/mrt makes that fit, and its
+// ablation baseline, a mean-matched exponential.
 //
 // Every distribution implements the Distribution interface: analytic
 // moments (Mean, Moment), the distribution function and its inverse
 // (CDF, Quantile), and reproducible sampling (Sample) driven by the
-// repository's deterministic xrand streams. Fitters (FitCoxian2,
-// FitHyperExpBalanced, FitCoxian) return errors for infeasible targets
-// rather than NaN/Inf parameters, in the spirit of large simulation
-// fleets that validate every stochastic input before running.
+// repository's deterministic xrand streams. The one fitter, FitCoxian2,
+// returns an error for a moment triple no Coxian2 reproduces rather than
+// NaN/Inf parameters, in the spirit of large simulation fleets that
+// validate every stochastic input before running.
 package dist
 
 import (
@@ -97,8 +96,8 @@ func relDiff(got, want float64) float64 {
 
 // bisectQuantile inverts a monotone CDF numerically. It brackets the
 // quantile by doubling from scale (a positive magnitude such as the mean)
-// and then bisects to full float64 resolution. Used by the phase-type
-// distributions whose CDFs have no closed-form inverse.
+// and then bisects to full float64 resolution. Used by Coxian2, whose CDF
+// has no closed-form inverse.
 func bisectQuantile(cdf func(float64) float64, p, scale float64) float64 {
 	if p <= 0 {
 		return 0

@@ -23,8 +23,7 @@
 //     (replication CIs, within-replication batch-means CIs, MSER
 //     autocorrelation-aware warmup trimming), and completed cells are cached
 //     keyed by a config hash so interrupted or repeated sweeps are
-//     incremental. ResultSet emits CSV/JSON and plot.Series for
-//     internal/plot.
+//     incremental. ResultSet emits CSV and JSON.
 //
 // The generic Map primitive underlies the figure drivers (Figure 4/5/6 heat
 // maps and curves, the Section 5 validation table, the busy-period ablation)

@@ -727,8 +727,4 @@ func TestResultSetEmitters(t *testing.T) {
 	if !strings.Contains(js.String(), `"cells"`) || !strings.Contains(js.String(), `"reps"`) {
 		t.Fatalf("json missing fields: %.200s", js.String())
 	}
-	curve := rs.Curve("IF", func(c Cell) float64 { return c.Rho })
-	if len(curve.X) != 4 { // 2 rho × 2 muI cells run IF
-		t.Fatalf("curve has %d points, want 4", len(curve.X))
-	}
 }

@@ -7,7 +7,6 @@ import (
 	"math"
 	"strings"
 
-	"repro/internal/plot"
 	"repro/internal/sim"
 	"repro/internal/stats"
 )
@@ -386,19 +385,4 @@ func (rs *ResultSet) WriteJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(rs)
-}
-
-// Curve extracts a plot series for one policy: x is read off each matching
-// cell, y is the cell's mean response time. Cells keep grid order, so a grid
-// swept over a sorted axis yields a sorted curve.
-func (rs *ResultSet) Curve(policy string, x func(Cell) float64) plot.Series {
-	s := plot.Series{Name: policy}
-	for _, cr := range rs.Cells {
-		if cr.Cell.Policy != policy {
-			continue
-		}
-		s.X = append(s.X, x(cr.Cell))
-		s.Y = append(s.Y, cr.ET)
-	}
-	return s
 }

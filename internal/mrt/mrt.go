@@ -6,7 +6,8 @@
 //     1D-infinite chain by replacing the periods during which one class
 //     starves — an M/M/1 busy period — with special states (Figure 3b/7b).
 //  2. The non-exponential busy period is represented by a Coxian-2 matched
-//     on its first three moments (Figure 3c/7c; internal/busyperiod).
+//     on its first three moments (Figure 3c/7c; fitBusyPeriod, with
+//     queueing's busy-period moments and dist.FitCoxian2).
 //  3. The resulting quasi-birth-death chain is solved with matrix-analytic
 //     methods (internal/qbd), yielding the starved class's mean queue
 //     length.
@@ -22,7 +23,6 @@ import (
 	"errors"
 	"fmt"
 
-	"repro/internal/busyperiod"
 	"repro/internal/dist"
 	"repro/internal/linalg"
 	"repro/internal/qbd"
@@ -81,20 +81,22 @@ type phaseCox struct {
 	g1, g2, g3 float64 // b1->exit, b1->b2, b2->exit
 }
 
+// fitBusyPeriod fits the M/M/1 busy period with arrival rate lambda and
+// service rate mu, and writes its phase rates. Coxian3Moment matches the
+// period's first three moments with a Coxian-2 (Exp(Mu1), then with
+// probability P an Exp(Mu2)); Exponential1Moment matches only the mean.
 func fitBusyPeriod(lambda, mu float64, fit BusyPeriodFit) (phaseCox, error) {
-	bp := busyperiod.BusyPeriod{Lambda: lambda, Mu: mu}
+	m1, m2, m3 := queueing.NewMM1(lambda, mu).BusyPeriodMoments()
 	switch fit {
 	case Coxian3Moment:
-		c, err := bp.FitCoxian()
+		c, err := dist.FitCoxian2(m1, m2, m3)
 		if err != nil {
 			return phaseCox{}, err
 		}
-		g1, g2, g3 := busyperiod.CoxianRates(c)
-		return phaseCox{g1: g1, g2: g2, g3: g3}, nil
+		return phaseCox{g1: c.Mu1 * (1 - c.P), g2: c.Mu1 * c.P, g3: c.Mu2}, nil
 	case Exponential1Moment:
-		e := bp.FitExponential()
 		// One phase: b1 exits at the mean-matched rate; b2 unreachable.
-		return phaseCox{g1: e.Rate, g2: 0, g3: 1}, nil
+		return phaseCox{g1: 1 / m1, g2: 0, g3: 1}, nil
 	}
 	return phaseCox{}, fmt.Errorf("mrt: unknown busy-period fit %d", fit)
 }
@@ -304,10 +306,4 @@ func Analyze(p Params) (ifRes, efRes Result, err error) {
 		return Result{}, Result{}, err
 	}
 	return ifRes, efRes, nil
-}
-
-// CoxianPhases exposes the fitted busy-period structure for inspection and
-// documentation tooling.
-func CoxianPhases(lambda, mu float64) (dist.Coxian2, error) {
-	return busyperiod.BusyPeriod{Lambda: lambda, Mu: mu}.FitCoxian()
 }

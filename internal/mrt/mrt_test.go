@@ -220,13 +220,3 @@ func TestResultInternallyConsistent(t *testing.T) {
 		}
 	}
 }
-
-func TestCoxianPhasesExposed(t *testing.T) {
-	c, err := CoxianPhases(0.5, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(c.Mean()-2) > 1e-9 {
-		t.Fatalf("exposed Coxian mean %v", c.Mean())
-	}
-}

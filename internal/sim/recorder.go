@@ -2,8 +2,8 @@ package sim
 
 import (
 	"math"
-	"sort"
 
+	"repro/internal/stats"
 	"repro/internal/xrand"
 )
 
@@ -79,7 +79,7 @@ func (rr *ResponseRecorder) Quantile(c Class, q float64) float64 {
 	if c < 0 || int(c) >= len(rr.samples) {
 		return math.NaN()
 	}
-	return quantile(append([]float64(nil), rr.samples[c]...), q)
+	return stats.Quantile(rr.samples[c], q)
 }
 
 // QuantileAll returns the q-quantile across all classes.
@@ -88,23 +88,7 @@ func (rr *ResponseRecorder) QuantileAll(q float64) float64 {
 	for _, s := range rr.samples {
 		merged = append(merged, s...)
 	}
-	return quantile(merged, q)
-}
-
-// quantile sorts its (owned) argument and interpolates the q-quantile.
-func quantile(sorted []float64, q float64) float64 {
-	if len(sorted) == 0 {
-		return math.NaN()
-	}
-	sort.Float64s(sorted)
-	pos := q * float64(len(sorted)-1)
-	lo := int(math.Floor(pos))
-	hi := int(math.Ceil(pos))
-	if lo == hi {
-		return sorted[lo]
-	}
-	frac := pos - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac
+	return stats.Quantile(merged, q)
 }
 
 // RunWithRecorder is Run with a percentile recorder attached to the

@@ -1,7 +1,8 @@
 // Package stats provides the summary statistics used by the experiment
-// harness: streaming moments, confidence intervals via batch means (the
-// standard method for autocorrelated steady-state simulation output), and
-// paired comparisons.
+// harness and the simulator: streaming moments, confidence intervals via
+// batch means (the standard method for autocorrelated steady-state
+// simulation output), interpolated quantiles, and the autocorrelation and
+// MSER warmup diagnostics.
 package stats
 
 import (
@@ -116,72 +117,3 @@ func Quantile(data []float64, q float64) float64 {
 	frac := pos - float64(lo)
 	return sorted[lo]*(1-frac) + sorted[hi]*frac
 }
-
-// RelDiff returns (a-b)/b, the relative difference used throughout the
-// experiment reports.
-func RelDiff(a, b float64) float64 { return (a - b) / b }
-
-// Comparison reports a paired comparison of two policies' metrics.
-type Comparison struct {
-	NameA, NameB string
-	A, B         float64
-}
-
-// Winner returns the name of the smaller (better, for response times)
-// metric, or "tie" within tol relative difference.
-func (c Comparison) Winner(tol float64) string {
-	if math.Abs(c.A-c.B) <= tol*math.Min(c.A, c.B) {
-		return "tie"
-	}
-	if c.A < c.B {
-		return c.NameA
-	}
-	return c.NameB
-}
-
-// Speedup returns B/A, how many times faster A is than B.
-func (c Comparison) Speedup() float64 { return c.B / c.A }
-
-// Histogram is a fixed-width bucket histogram over [Low, High).
-type Histogram struct {
-	Low, High float64
-	Counts    []int64
-	under     int64
-	over      int64
-}
-
-// NewHistogram returns a histogram with n buckets spanning [low, high).
-func NewHistogram(low, high float64, n int) *Histogram {
-	if high <= low || n < 1 {
-		panic("stats: invalid histogram bounds")
-	}
-	return &Histogram{Low: low, High: high, Counts: make([]int64, n)}
-}
-
-// Add records an observation.
-func (h *Histogram) Add(x float64) {
-	switch {
-	case x < h.Low:
-		h.under++
-	case x >= h.High:
-		h.over++
-	default:
-		idx := int((x - h.Low) / (h.High - h.Low) * float64(len(h.Counts)))
-		if idx == len(h.Counts) {
-			idx--
-		}
-		h.Counts[idx]++
-	}
-}
-
-// Total returns the number of observations including out-of-range ones.
-func (h *Histogram) Total() int64 {
-	t := h.under + h.over
-	for _, c := range h.Counts {
-		t += c
-	}
-	return t
-}
-
-// OutOfRange returns the count of observations outside [Low, High).
-func (h *Histogram) OutOfRange() int64 { return h.under + h.over }

@@ -116,40 +116,3 @@ func TestQuantile(t *testing.T) {
 		t.Fatal("empty quantile should be NaN")
 	}
 }
-
-func TestComparison(t *testing.T) {
-	c := Comparison{NameA: "IF", NameB: "EF", A: 1.0, B: 1.5}
-	if c.Winner(0.01) != "IF" {
-		t.Fatal("winner wrong")
-	}
-	if math.Abs(c.Speedup()-1.5) > 1e-12 {
-		t.Fatalf("speedup %v", c.Speedup())
-	}
-	tie := Comparison{NameA: "a", NameB: "b", A: 1.0, B: 1.005}
-	if tie.Winner(0.01) != "tie" {
-		t.Fatal("tie not detected")
-	}
-}
-
-func TestHistogram(t *testing.T) {
-	h := NewHistogram(0, 10, 10)
-	for i := 0; i < 10; i++ {
-		h.Add(float64(i) + 0.5)
-	}
-	h.Add(-1)
-	h.Add(11)
-	for i, c := range h.Counts {
-		if c != 1 {
-			t.Fatalf("bucket %d count %d", i, c)
-		}
-	}
-	if h.OutOfRange() != 2 || h.Total() != 12 {
-		t.Fatalf("out-of-range %d total %d", h.OutOfRange(), h.Total())
-	}
-}
-
-func TestRelDiff(t *testing.T) {
-	if RelDiff(11, 10) != 0.1 {
-		t.Fatalf("RelDiff %v", RelDiff(11, 10))
-	}
-}

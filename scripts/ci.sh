@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Tier-1 CI gate: build, vet, race-enabled tests, the exp worker-pool
-# stress test, a short-budget fuzz pass over the distribution fitters, and
-# a package-documentation check. Every PR must leave this green.
+# stress test, a short-budget fuzz pass over the busy-period fitter
+# (FitCoxian2), and a package-documentation check. Every PR must leave this
+# green.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -315,6 +316,10 @@ go test -race -run 'TestCoalesceStressRace|TestCoalesceManyWaitersOneSubmit' -co
 echo "==> serving degradation gate (backend outage: cache hits serve, misses 503 with derived Retry-After)"
 go test -race -run 'TestBackendDownDegradation|TestBackendRecoveryProbe' -count=1 ./internal/serve
 
+echo "==> resultd admission gate (connection cap, header/idle timeouts, grid and work caps refused before expansion, half-sent bodies cut)"
+go test ./cmd/resultd -count=1
+go test ./internal/serve -run 'TestOversizedGridRefusedBeforeExpansion|TestOverBudgetSpecRefused|TestHalfSentBodyIsCut' -count=1
+
 echo "==> wire-codec fuzz gate (frame codec must reject hostile input without panicking)"
 go test -fuzz=FuzzFrameCodec -fuzztime=10s ./internal/wire
 
@@ -325,6 +330,7 @@ echo "==> append-log fuzz gate (arbitrary bytes: every non-blank line kept or co
 go test -fuzz=FuzzScan -fuzztime=10s ./internal/applog
 
 echo "==> go test -fuzz=FuzzFit -fuzztime=10s ./internal/dist"
+echo "    FitCoxian2 on feasible triples (a Coxian2's own moments) and arbitrary ones: any fit it returns has finite parameters and reproduces the moments"
 go test -fuzz=FuzzFit -fuzztime=10s ./internal/dist
 
 echo "==> sparse-vs-dense fuzz gate (EQUI class shares, SRPT indexed heap, arena handle recycling)"
