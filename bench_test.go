@@ -23,14 +23,15 @@ package repro
 
 import (
 	"context"
+	"fmt"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/ctmc"
 	"repro/internal/dist"
 	"repro/internal/exp"
 	"repro/internal/mdp"
 	"repro/internal/policy"
+	"repro/internal/queueing"
 	"repro/internal/sim"
 	"repro/internal/srpt"
 	"repro/internal/workload"
@@ -103,10 +104,10 @@ func BenchmarkFigure6aSmallMuI(b *testing.B) { benchFigure6(b, 0.25) }
 func BenchmarkFigure6bLargeMuI(b *testing.B) { benchFigure6(b, 3.25) }
 
 func BenchmarkTheorem6(b *testing.B) {
-	var res core.Theorem6Result
+	var res exp.Theorem6Result
 	for i := 0; i < b.N; i++ {
 		var err error
-		res, err = core.Theorem6(1.0)
+		res, err = exp.Theorem6(1.0)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -121,7 +122,7 @@ func BenchmarkAnalysisVsSimulation(b *testing.B) {
 		// 1M measured jobs per point pushes simulation noise well below
 		// the 1% the busy-period approximation is being tested against.
 		rows, err := exp.ValidateAnalysis(context.Background(), 4, 0.7, []float64{0.5, 2.0},
-			core.SimOptions{Seed: 7, WarmupJobs: 50_000, MaxJobs: 1_000_000}, exp.Options{})
+			exp.SimOptions{Seed: 7, WarmupJobs: 50_000, MaxJobs: 1_000_000}, exp.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -155,21 +156,24 @@ func BenchmarkSamplePathDominance(b *testing.B) {
 func BenchmarkOptimalityScan(b *testing.B) {
 	// Theorem 5 on exact chains: IF vs the whole threshold family at
 	// muI = 1.5 >= muE = 1.
-	s := core.ForLoad(4, 0.7, 1.5, 1.0)
-	var ifT, bestRival float64
-	for i := 0; i < b.N; i++ {
-		perf, err := s.SolveExact(ctmc.IFAlloc, 1e-9)
+	m := queueing.ForLoad(4, 0.7, 1.5, 1.0)
+	solve := func(name string) ctmc.Perf {
+		rule, err := policy.CountRule(name, m.MuI, m.MuE)
 		if err != nil {
 			b.Fatal(err)
 		}
-		ifT = perf.MeanT
+		perf, err := ctmc.AutoSolvePolicy(m, rule, 1e-9)
+		if err != nil {
+			b.Fatal(err)
+		}
+		return perf
+	}
+	var ifT, bestRival float64
+	for i := 0; i < b.N; i++ {
+		ifT = solve("IF").MeanT
 		bestRival = 1e18
 		for cap := 0; cap < 4; cap++ {
-			p, err := s.SolveExact(ctmc.ThresholdAlloc(cap), 1e-9)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if p.MeanT < bestRival {
+			if p := solve(fmt.Sprintf("THRESH:%d", cap)); p.MeanT < bestRival {
 				bestRival = p.MeanT
 			}
 		}
@@ -181,7 +185,7 @@ func BenchmarkOptimalityScan(b *testing.B) {
 func BenchmarkSRPTApproximation(b *testing.B) {
 	var worst float64
 	for i := 0; i < b.N; i++ {
-		rows := core.SRPTExperiment(100, 5)
+		rows := exp.SRPTExperiment(100, 5)
 		worst = 0
 		for _, r := range rows {
 			if r.WorstRatio > worst {
@@ -282,22 +286,25 @@ func BenchmarkSRPTKSchedule(b *testing.B) {
 func BenchmarkOptimalPolicyMDP(b *testing.B) {
 	// The open-regime experiment: the numerically optimal policy vs the
 	// two headline policies at muI < muE (extends Theorem 6's message).
-	s := core.ForLoad(4, 0.8, 0.4, 1.0)
-	m := s.Model2D()
+	m := queueing.ForLoad(4, 0.8, 0.4, 1.0)
+	solve := func(name string) ctmc.Perf {
+		rule, err := policy.CountRule(name, m.MuI, m.MuE)
+		if err != nil {
+			b.Fatal(err)
+		}
+		perf, err := ctmc.SolvePolicy(m, rule, 80, 80)
+		if err != nil {
+			b.Fatal(err)
+		}
+		return perf
+	}
 	var optT, ifT, efT float64
 	for i := 0; i < b.N; i++ {
 		opt, err := mdp.Solve(mdp.Config{Model: m, CapI: 80, CapE: 80, Tol: 1e-10})
 		if err != nil {
 			b.Fatal(err)
 		}
-		ifPerf, err := ctmc.SolvePolicy(m, ctmc.IFAlloc, 80, 80)
-		if err != nil {
-			b.Fatal(err)
-		}
-		efPerf, err := ctmc.SolvePolicy(m, ctmc.EFAlloc, 80, 80)
-		if err != nil {
-			b.Fatal(err)
-		}
+		ifPerf, efPerf := solve("IF"), solve("EF")
 		optT, ifT, efT = opt.MeanT, ifPerf.MeanT, efPerf.MeanT
 	}
 	b.ReportMetric(optT, "ET-optimal")

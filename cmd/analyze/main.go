@@ -14,8 +14,10 @@ import (
 	"fmt"
 	"log"
 
-	"repro/internal/core"
 	"repro/internal/ctmc"
+	"repro/internal/mrt"
+	"repro/internal/policy"
+	"repro/internal/queueing"
 )
 
 func main() {
@@ -41,15 +43,15 @@ func main() {
 		log.Fatalf("service rates must be positive (got muI=%g, muE=%g)", *muI, *muE)
 	}
 
-	var s core.System
+	var s queueing.Model
 	switch {
 	case *rho != 0:
 		if !(*rho > 0 && *rho < 1) {
 			log.Fatalf("-rho must be in (0, 1) (got %g)", *rho)
 		}
-		s = core.ForLoad(*k, *rho, *muI, *muE)
+		s = queueing.ForLoad(*k, *rho, *muI, *muE)
 	case *lambdaI > 0 && *lambdaE > 0:
-		s = core.NewSystem(*k, *lambdaI, *muI, *lambdaE, *muE)
+		s = queueing.Model{K: *k, LambdaI: *lambdaI, LambdaE: *lambdaE, MuI: *muI, MuE: *muE}
 	default:
 		log.Fatal("specify either -rho in (0, 1) or both -lambdaI > 0 and -lambdaE > 0")
 	}
@@ -60,7 +62,7 @@ func main() {
 	fmt.Printf("system: k=%d lambdaI=%.4f lambdaE=%.4f muI=%g muE=%g rho=%.4f\n",
 		s.K, s.LambdaI, s.LambdaE, s.MuI, s.MuE, s.Rho())
 
-	ifRes, efRes, err := s.Analyze()
+	ifRes, efRes, err := mrt.Analyze(s)
 	if err != nil {
 		log.Fatalf("analysis failed: %v", err)
 	}
@@ -76,11 +78,14 @@ func main() {
 	if *exact {
 		fmt.Printf("\nexact truncated-chain cross-check:\n")
 		for _, pc := range []struct {
-			name  string
-			alloc ctmc.Alloc
-			got   float64
-		}{{"IF", ctmc.IFAlloc, ifRes.T}, {"EF", ctmc.EFAlloc, efRes.T}} {
-			perf, err := s.SolveExact(pc.alloc, 1e-10)
+			name string
+			got  float64
+		}{{"IF", ifRes.T}, {"EF", efRes.T}} {
+			rule, err := policy.CountRule(pc.name, s.MuI, s.MuE)
+			if err != nil {
+				log.Fatal(err)
+			}
+			perf, err := ctmc.AutoSolvePolicy(s, rule, 1e-10)
 			if err != nil {
 				log.Fatalf("exact solve (%s): %v", pc.name, err)
 			}

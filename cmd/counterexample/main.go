@@ -11,7 +11,7 @@ import (
 	"fmt"
 	"log"
 
-	"repro/internal/core"
+	"repro/internal/exp"
 	"repro/internal/policy"
 	"repro/internal/sim"
 	"repro/internal/xrand"
@@ -36,7 +36,7 @@ func main() {
 		log.Fatalf("-trials must be >= 1 (got %d)", *trials)
 	}
 
-	res, err := core.Theorem6(*muI)
+	res, err := exp.Theorem6(*muI)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -31,7 +31,6 @@ import (
 	"path/filepath"
 	"strings"
 
-	"repro/internal/core"
 	"repro/internal/exp"
 	"repro/internal/fabric"
 	"repro/internal/plot"
@@ -229,7 +228,7 @@ func main() {
 	}
 
 	runValidate := func() {
-		simOpt := core.SimOptions{Seed: 7, WarmupJobs: 50_000, MaxJobs: 1_000_000}
+		simOpt := exp.SimOptions{Seed: 7, WarmupJobs: 50_000, MaxJobs: 1_000_000}
 		muIs := []float64{0.5, 1.0, 2.0, 3.0}
 		if *quick {
 			simOpt.MaxJobs = 200_000

@@ -17,9 +17,10 @@ import (
 	"fmt"
 	"log"
 
-	"repro/internal/core"
 	"repro/internal/ctmc"
 	"repro/internal/mdp"
+	"repro/internal/policy"
+	"repro/internal/queueing"
 )
 
 func main() {
@@ -53,29 +54,29 @@ func main() {
 		log.Fatalf("-show must be in [0, %d] (got %d)", *capN, *show)
 	}
 
-	s := core.ForLoad(*k, *rho, *muI, *muE)
-	m := s.Model2D()
+	m := queueing.ForLoad(*k, *rho, *muI, *muE)
 	fmt.Printf("system: k=%d rho=%.3f muI=%g muE=%g\n\n", *k, *rho, *muI, *muE)
 
 	opt, err := mdp.Solve(mdp.Config{Model: m, CapI: *capN, CapE: *capN, Tol: 1e-11})
 	if err != nil {
 		log.Fatal(err)
 	}
-	ifPerf, err := ctmc.SolvePolicy(m, ctmc.IFAlloc, *capN, *capN)
-	if err != nil {
-		log.Fatal(err)
-	}
-	efPerf, err := ctmc.SolvePolicy(m, ctmc.EFAlloc, *capN, *capN)
-	if err != nil {
-		log.Fatal(err)
-	}
-	bestThresh, bestCap := efPerf.MeanT, 0
-	for c := 1; c <= *k; c++ {
-		p, err := ctmc.SolvePolicy(m, ctmc.ThresholdAlloc(c), *capN, *capN)
+	solve := func(name string) ctmc.Perf {
+		rule, err := policy.CountRule(name, m.MuI, m.MuE)
 		if err != nil {
 			log.Fatal(err)
 		}
-		if p.MeanT < bestThresh {
+		p, err := ctmc.SolvePolicy(m, rule, *capN, *capN)
+		if err != nil {
+			log.Fatal(err)
+		}
+		return p
+	}
+	ifPerf := solve("IF")
+	efPerf := solve("EF")
+	bestThresh, bestCap := efPerf.MeanT, 0
+	for c := 1; c <= *k; c++ {
+		if p := solve(fmt.Sprintf("THRESH:%d", c)); p.MeanT < bestThresh {
 			bestThresh, bestCap = p.MeanT, c
 		}
 	}

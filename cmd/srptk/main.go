@@ -10,8 +10,8 @@ import (
 	"fmt"
 	"log"
 
-	"repro/internal/core"
 	"repro/internal/dist"
+	"repro/internal/exp"
 	"repro/internal/srpt"
 	"repro/internal/workload"
 	"repro/internal/xrand"
@@ -35,7 +35,7 @@ func main() {
 
 	fmt.Println("SRPT-k batch scheduling (Appendix A): total response vs LP lower bound")
 	fmt.Println("family                         worst ratio   mean ratio   (bound: 4.0)")
-	for _, row := range core.SRPTExperiment(*trials, *seed) {
+	for _, row := range exp.SRPTExperiment(*trials, *seed) {
 		fmt.Printf("n=%-3d k=%-3d sizes=%-16s %10.4f %12.4f\n",
 			row.N, row.K, row.SizeDist, row.WorstRatio, row.MeanRatio)
 	}

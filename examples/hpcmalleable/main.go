@@ -10,18 +10,20 @@ import (
 	"fmt"
 	"log"
 
-	"repro/internal/core"
 	"repro/internal/ctmc"
+	"repro/internal/mrt"
+	"repro/internal/policy"
+	"repro/internal/queueing"
 )
 
 func main() {
 	const k = 8
 	// Rigid solver jobs are 4x larger than malleable jobs; high load.
-	sys := core.ForLoad(k, 0.9, 0.25, 1.0)
+	sys := queueing.ForLoad(k, 0.9, 0.25, 1.0)
 	fmt.Printf("HPC cluster: k=%d, rho=%.2f, rigid mean size %.1f, malleable mean size %.1f\n\n",
 		k, sys.Rho(), 1/sys.MuI, 1/sys.MuE)
 
-	ifRes, efRes, err := sys.Analyze()
+	ifRes, efRes, err := mrt.Analyze(sys)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -32,7 +34,11 @@ func main() {
 	fmt.Println("  cap   E[T] (exact chain)")
 	bestCap, bestT := -1, ifRes.T*10
 	for cap := 0; cap <= k; cap++ {
-		perf, err := sys.SolveExact(ctmc.ThresholdAlloc(cap), 1e-9)
+		rule, err := policy.CountRule(fmt.Sprintf("THRESH:%d", cap), sys.MuI, sys.MuE)
+		if err != nil {
+			log.Fatal(err)
+		}
+		perf, err := ctmc.AutoSolvePolicy(sys, rule, 1e-9)
 		if err != nil {
 			log.Fatal(err)
 		}

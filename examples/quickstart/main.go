@@ -9,20 +9,22 @@ import (
 	"fmt"
 	"log"
 
-	"repro/internal/core"
 	"repro/internal/exp"
+	"repro/internal/mrt"
+	"repro/internal/policy"
+	"repro/internal/queueing"
 )
 
 func main() {
 	// A cluster with k=4 servers at 70% load. Inelastic jobs are twice as
 	// small on average (muI = 2, muE = 1) — the paper's "common case".
-	sys := core.ForLoad(4, 0.7, 2.0, 1.0)
+	sys := queueing.ForLoad(4, 0.7, 2.0, 1.0)
 	fmt.Printf("cluster: k=%d, rho=%.2f, muI=%g, muE=%g\n\n", sys.K, sys.Rho(), sys.MuI, sys.MuE)
 
 	// Step 1 — exact analysis. The busy-period transformation + matrix
 	// analytic pipeline of Section 5 computes mean response times for both
 	// headline policies in milliseconds, no simulation required.
-	ifRes, efRes, err := sys.Analyze()
+	ifRes, efRes, err := mrt.Analyze(sys)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -34,13 +36,13 @@ func main() {
 	// Step 2 — the same comparison by discrete-event simulation, one policy
 	// at a time through the model-level API. Fixed seed: rerunning this
 	// program reproduces these numbers exactly.
-	opts := core.SimOptions{Seed: 42, WarmupJobs: 20_000, MaxJobs: 400_000}
+	opts := exp.SimOptions{Seed: 42, WarmupJobs: 20_000, MaxJobs: 400_000}
 	for _, name := range []string{"IF", "EF", "FCFS", "EQUI"} {
-		p, err := sys.PolicyByName(name)
+		p, err := policy.ByName(name, sys.MuI, sys.MuE)
 		if err != nil {
 			log.Fatal(err)
 		}
-		res := sys.Simulate(p, opts)
+		res := exp.Simulate(sys, p, opts)
 		fmt.Printf("  simulated %-5s E[T] = %.4f (E[T_I]=%.4f, E[T_E]=%.4f)\n",
 			name+":", res.MeanT, res.MeanTI, res.MeanTE)
 	}

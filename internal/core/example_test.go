@@ -9,29 +9,7 @@ import (
 // ExampleForLoad shows the figure parameterization: fix the total load and
 // the service rates, and the arrival rates follow.
 func ExampleForLoad() {
-	s := core.ForLoad(4, 0.7, 2.0, 1.0)
-	fmt.Printf("lambdaI=%.3f lambdaE=%.3f rho=%.2f\n", s.LambdaI, s.LambdaE, s.Rho())
+	m := core.ForLoad(4, 0.7, 2.0, 1.0).Params()
+	fmt.Printf("lambdaI=%.3f lambdaE=%.3f rho=%.2f\n", m.LambdaI, m.LambdaE, m.Rho())
 	// Output: lambdaI=1.867 lambdaE=1.867 rho=0.70
-}
-
-// ExampleSystem_Analyze runs the Section 5 matrix-analytic pipeline for
-// both policies and prints which one Theorem 5 predicts to win.
-func ExampleSystem_Analyze() {
-	s := core.ForLoad(4, 0.7, 2.0, 1.0) // muI > muE: IF optimal
-	ifRes, efRes, err := s.Analyze()
-	if err != nil {
-		panic(err)
-	}
-	fmt.Printf("IF beats EF: %v\n", ifRes.T < efRes.T)
-	// Output: IF beats EF: true
-}
-
-// ExampleTheorem6 reproduces the counterexample of Section 4.3.
-func ExampleTheorem6() {
-	res, err := core.Theorem6(1.0)
-	if err != nil {
-		panic(err)
-	}
-	fmt.Printf("IF=%.6f EF=%.6f\n", res.IFTotal, res.EFTotal)
-	// Output: IF=2.916667 EF=2.750000
 }

@@ -2,68 +2,15 @@ package ctmc
 
 import (
 	"fmt"
-	"math"
+
+	"repro/internal/queueing"
 )
-
-// Model2D carries the parameters of the paper's two-class model for chain
-// construction.
-type Model2D struct {
-	K                int
-	LambdaI, LambdaE float64
-	MuI, MuE         float64
-}
-
-// Rho returns the system load of Eq. 1.
-func (m Model2D) Rho() float64 {
-	return m.LambdaI/(float64(m.K)*m.MuI) + m.LambdaE/(float64(m.K)*m.MuE)
-}
 
 // Alloc is a stationary deterministic allocation rule: the total servers
 // given to inelastic and to elastic jobs in state (i, j) on k servers. It is
-// the pi_I(i,j), pi_E(i,j) of Section 2.
+// the pi_I(i,j), pi_E(i,j) of Section 2. policy.CountRule turns a
+// simulator policy into one; mdp.OptimalPolicy.Alloc is another.
 type Alloc func(k, i, j int) (ai, ae float64)
-
-// IFAlloc is Inelastic-First: min(i, k) servers to inelastic jobs, the rest
-// to elastic jobs when present.
-func IFAlloc(k, i, j int) (float64, float64) {
-	ai := math.Min(float64(i), float64(k))
-	ae := 0.0
-	if j > 0 {
-		ae = float64(k) - ai
-	}
-	return ai, ae
-}
-
-// EFAlloc is Elastic-First: all k servers to elastic jobs when present,
-// otherwise min(i, k) to inelastic jobs.
-func EFAlloc(k, i, j int) (float64, float64) {
-	if j > 0 {
-		return 0, float64(k)
-	}
-	return math.Min(float64(i), float64(k)), 0
-}
-
-// ThresholdAlloc interpolates IF and EF: inelastic jobs get at most cap
-// servers while elastic jobs are present (cap=k is IF, cap=0 is EF).
-func ThresholdAlloc(cap int) Alloc {
-	return func(k, i, j int) (float64, float64) {
-		if j == 0 {
-			return math.Min(float64(i), float64(k)), 0
-		}
-		ai := math.Min(float64(i), math.Min(float64(cap), float64(k)))
-		return ai, float64(k) - ai
-	}
-}
-
-// DeferAlloc is the idling policy of the Appendix B experiment: elastic jobs
-// are served only when no inelastic job is present.
-func DeferAlloc(k, i, j int) (float64, float64) {
-	ai := math.Min(float64(i), float64(k))
-	if i > 0 || j == 0 {
-		return ai, 0
-	}
-	return 0, float64(k)
-}
 
 // PolicyChain builds the truncated 2D chain of Figure 1 for the given
 // allocation rule. States (i, j) with i <= capI, j <= capE are numbered with
@@ -71,7 +18,7 @@ func DeferAlloc(k, i, j int) (float64, float64) {
 // truncation boundary are dropped (their rate is simply absent), so the
 // result is exact for the truncated chain and approximates the infinite
 // chain from below in load.
-func PolicyChain(m Model2D, alloc Alloc, capI, capE int) *Chain {
+func PolicyChain(m queueing.Model, alloc Alloc, capI, capE int) *Chain {
 	return newLattice(capI, capE).chain(m, alloc)
 }
 
@@ -103,7 +50,7 @@ func (g lattice) bandBytes() int {
 	return g.states() * (2*b + 1) * 8
 }
 
-func (g lattice) chain(m Model2D, alloc Alloc) *Chain {
+func (g lattice) chain(m queueing.Model, alloc Alloc) *Chain {
 	c := New(g.states())
 	for i := 0; i <= g.capI; i++ {
 		for j := 0; j <= g.capE; j++ {
@@ -152,7 +99,7 @@ type Perf struct {
 // SolvePolicy computes stationary performance of the truncated chain by one
 // exact solve, Chain.Stationary: O(n·b²) time and O(n·b) memory for
 // n = (capI+1)(capE+1) states and band b = min(capI, capE)+1.
-func SolvePolicy(m Model2D, alloc Alloc, capI, capE int) (Perf, error) {
+func SolvePolicy(m queueing.Model, alloc Alloc, capI, capE int) (Perf, error) {
 	g := newLattice(capI, capE)
 	pi, err := g.chain(m, alloc).Stationary()
 	if err != nil {
@@ -174,11 +121,11 @@ const maxBandBytes = 1 << 30
 // ten solves in all, and never builds a chain whose band storage exceeds
 // maxBandBytes. When it has to stop, or when the grown chain's solve fails
 // (an unstable chain overflows pi), the error names the caps it last solved.
-func AutoSolvePolicy(m Model2D, alloc Alloc, boundTol float64) (Perf, error) {
+func AutoSolvePolicy(m queueing.Model, alloc Alloc, boundTol float64) (Perf, error) {
 	return autoSolvePolicy(m, alloc, boundTol, maxBandBytes)
 }
 
-func autoSolvePolicy(m Model2D, alloc Alloc, boundTol float64, maxBand int) (Perf, error) {
+func autoSolvePolicy(m queueing.Model, alloc Alloc, boundTol float64, maxBand int) (Perf, error) {
 	capI, capE := 64, 64
 	var last Perf // the previous solve, whose truncation leaked
 	for solves := 1; ; solves++ {
@@ -232,7 +179,7 @@ func leaking(last Perf, why error) error {
 // quantity computed by hand in the proof of Theorem 6: for k = 2,
 // muE = 2 muI and start (2, 1), IF yields (35/12)/muI while EF yields
 // (33/12)/muI.
-func BatchTotalResponse(m Model2D, alloc Alloc, startI, startJ int) (float64, error) {
+func BatchTotalResponse(m queueing.Model, alloc Alloc, startI, startJ int) (float64, error) {
 	if m.LambdaI != 0 || m.LambdaE != 0 {
 		return 0, fmt.Errorf("ctmc: BatchTotalResponse requires a no-arrivals model")
 	}
@@ -251,7 +198,7 @@ func BatchTotalResponse(m Model2D, alloc Alloc, startI, startJ int) (float64, er
 }
 
 // perf summarizes pi, the stationary distribution of the chain numbered by g.
-func (g lattice) perf(m Model2D, pi []float64) Perf {
+func (g lattice) perf(m queueing.Model, pi []float64) Perf {
 	var p Perf
 	p.CapI, p.CapE = g.capI, g.capE
 	for i := 0; i <= g.capI; i++ {

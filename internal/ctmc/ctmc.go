@@ -5,10 +5,12 @@
 //
 // In this repository the engine plays three roles. It is the "ground truth"
 // numeric baseline that the paper attributes to [7]: the 2D chain of
-// Figure 1, truncated far from the origin, solved exactly (see
-// PolicyChain in chain2d.go). It computes the Theorem 6 counterexample
-// values 35/12 and 33/12 by first-step analysis. And it cross-validates the
-// matrix-analytic pipeline of internal/qbd.
+// Figure 1 for a queueing.Model, truncated far from the origin, solved
+// exactly (see PolicyChain in chain2d.go). It computes the Theorem 6
+// counterexample values 35/12 and 33/12 by first-step analysis. And it
+// cross-validates the matrix-analytic pipeline of internal/qbd. The paper's
+// policies reach the chain through policy.CountRule, so it solves the code
+// the simulator runs.
 package ctmc
 
 import (

@@ -1,11 +1,25 @@
 package ctmc
 
 import (
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 
+	"repro/internal/policy"
 	"repro/internal/queueing"
 )
+
+// rule is the registry policy name as the chain's allocation rule on m's
+// service rates: the simulator's own Allocate, through policy.CountRule.
+func rule(t testing.TB, name string, m queueing.Model) Alloc {
+	t.Helper()
+	r, err := policy.CountRule(name, m.MuI, m.MuE)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
 
 // buildMMk creates a truncated M/M/k birth-death chain with states 0..cap.
 func buildMMk(lambda, mu float64, k, cap int) *Chain {
@@ -99,12 +113,12 @@ func TestAbsorptionRewardTandem(t *testing.T) {
 // Expected total response: IF = 35/12 / muI, EF = 33/12 / muI, so EF wins.
 func TestTheorem6Counterexample(t *testing.T) {
 	for _, muI := range []float64{1.0, 0.5, 3.0} {
-		m := Model2D{K: 2, MuI: muI, MuE: 2 * muI}
-		ifTotal, err := BatchTotalResponse(m, IFAlloc, 2, 1)
+		m := queueing.Model{K: 2, MuI: muI, MuE: 2 * muI}
+		ifTotal, err := BatchTotalResponse(m, rule(t, "IF", m), 2, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		efTotal, err := BatchTotalResponse(m, EFAlloc, 2, 1)
+		efTotal, err := BatchTotalResponse(m, rule(t, "EF", m), 2, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -123,12 +137,12 @@ func TestTheorem6Counterexample(t *testing.T) {
 // TestTheorem6DirectionFlips: with muI = muE the ordering flips back (IF at
 // least as good), consistent with Theorem 1.
 func TestTheorem6DirectionFlips(t *testing.T) {
-	m := Model2D{K: 2, MuI: 1, MuE: 1}
-	ifTotal, err := BatchTotalResponse(m, IFAlloc, 2, 1)
+	m := queueing.Model{K: 2, MuI: 1, MuE: 1}
+	ifTotal, err := BatchTotalResponse(m, rule(t, "IF", m), 2, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	efTotal, err := BatchTotalResponse(m, EFAlloc, 2, 1)
+	efTotal, err := BatchTotalResponse(m, rule(t, "EF", m), 2, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,8 +154,8 @@ func TestTheorem6DirectionFlips(t *testing.T) {
 func TestPolicyChainMatchesMMkForInelasticOnly(t *testing.T) {
 	// With a negligible elastic arrival rate, IF's inelastic marginal is
 	// M/M/k.
-	m := Model2D{K: 3, LambdaI: 2.4, LambdaE: 1e-9, MuI: 1, MuE: 1}
-	p, err := SolvePolicy(m, IFAlloc, 300, 2)
+	m := queueing.Model{K: 3, LambdaI: 2.4, LambdaE: 1e-9, MuI: 1, MuE: 1}
+	p, err := SolvePolicy(m, rule(t, "IF", m), 300, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,8 +168,8 @@ func TestPolicyChainMatchesMMkForInelasticOnly(t *testing.T) {
 func TestPolicyChainEFElasticIsMM1(t *testing.T) {
 	// Under EF the elastic class is an M/M/1 with service rate k*muE
 	// regardless of the inelastic load.
-	m := Model2D{K: 4, LambdaI: 1.0, LambdaE: 2.0, MuI: 1, MuE: 1}
-	p, err := AutoSolvePolicy(m, EFAlloc, 1e-10)
+	m := queueing.Model{K: 4, LambdaI: 1.0, LambdaE: 2.0, MuI: 1, MuE: 1}
+	p, err := AutoSolvePolicy(m, rule(t, "EF", m), 1e-10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,8 +180,8 @@ func TestPolicyChainEFElasticIsMM1(t *testing.T) {
 }
 
 func TestAutoSolveShrinksBoundaryMass(t *testing.T) {
-	m := Model2D{K: 4, LambdaI: 1.6, LambdaE: 1.6, MuI: 1, MuE: 1} // rho=0.8
-	p, err := AutoSolvePolicy(m, IFAlloc, 1e-10)
+	m := queueing.Model{K: 4, LambdaI: 1.6, LambdaE: 1.6, MuI: 1, MuE: 1} // rho=0.8
+	p, err := AutoSolvePolicy(m, rule(t, "IF", m), 1e-10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,13 +196,13 @@ func TestAutoSolveShrinksBoundaryMass(t *testing.T) {
 // TestIFOptimalAmongThresholds is the Theorem 5 optimality scan on exact
 // (truncated-chain) values: with muI >= muE no threshold policy beats IF.
 func TestIFOptimalAmongThresholds(t *testing.T) {
-	m := Model2D{K: 4, LambdaI: 1.4, LambdaE: 1.4, MuI: 1.5, MuE: 1}
-	ifPerf, err := SolvePolicy(m, IFAlloc, 200, 200)
+	m := queueing.Model{K: 4, LambdaI: 1.4, LambdaE: 1.4, MuI: 1.5, MuE: 1}
+	ifPerf, err := SolvePolicy(m, rule(t, "IF", m), 200, 200)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for cap := 0; cap < 4; cap++ {
-		p, err := SolvePolicy(m, ThresholdAlloc(cap), 200, 200)
+		p, err := SolvePolicy(m, rule(t, fmt.Sprintf("THRESH:%d", cap), m), 200, 200)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -203,12 +217,12 @@ func TestIFOptimalAmongThresholds(t *testing.T) {
 func TestEFBeatsIFExactWhenElasticSmaller(t *testing.T) {
 	// k=4, rho=0.9, muI=0.25, muE=1, lambdaI=lambdaE.
 	lambda := 0.9 * 4 / (1/0.25 + 1/1.0)
-	m := Model2D{K: 4, LambdaI: lambda, LambdaE: lambda, MuI: 0.25, MuE: 1}
-	ifPerf, err := AutoSolvePolicy(m, IFAlloc, 1e-9)
+	m := queueing.Model{K: 4, LambdaI: lambda, LambdaE: lambda, MuI: 0.25, MuE: 1}
+	ifPerf, err := AutoSolvePolicy(m, rule(t, "IF", m), 1e-9)
 	if err != nil {
 		t.Fatal(err)
 	}
-	efPerf, err := AutoSolvePolicy(m, EFAlloc, 1e-9)
+	efPerf, err := AutoSolvePolicy(m, rule(t, "EF", m), 1e-9)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,8 +232,62 @@ func TestEFBeatsIFExactWhenElasticSmaller(t *testing.T) {
 }
 
 func TestBatchTotalResponseRejectsArrivals(t *testing.T) {
-	m := Model2D{K: 2, LambdaI: 1, MuI: 1, MuE: 1}
-	if _, err := BatchTotalResponse(m, IFAlloc, 1, 1); err == nil {
+	m := queueing.Model{K: 2, LambdaI: 1, MuI: 1, MuE: 1}
+	if _, err := BatchTotalResponse(m, rule(t, "IF", m), 1, 1); err == nil {
 		t.Fatal("expected error for model with arrivals")
+	}
+}
+
+// TestCountRuleSolvesRegistry solves every registry policy the count-rule
+// adapter accepts at k 4, rho 0.7, on both sides of muI = muE. Policies
+// that reduce to IF or EF on two classes must give their MeanT bit for bit,
+// and the two anchors are pinned. DEFER idles and is unstable at this load,
+// so its truncation must keep leaking until a 16 MiB band bound stops it
+// (TestDeferDominatedByIF solves it where it is stable).
+func TestCountRuleSolvesRegistry(t *testing.T) {
+	for _, tc := range []struct {
+		muI, muE float64
+		same     map[string]string // policy -> the policy it reduces to
+		pinned   map[string]float64
+		order    []string // ascending MeanT
+	}{
+		{2, 1,
+			map[string]string{"GREEDY": "IF", "LFF": "IF", "SMF": "IF", "PRIO:0>1": "IF", "PRIO:1>0": "EF", "THRESH:0": "EF", "THRESH:4": "IF", "THRESH:5": "IF"},
+			map[string]float64{"IF": 0.7204297664, "EQUI": 0.7511473374},
+			[]string{"IF", "THRESH:2", "EQUI", "THRESH:1", "EF"}},
+		{0.5, 1,
+			map[string]string{"GREEDY": "EF", "LFF": "IF", "SMF": "EF", "PRIO:0>1": "IF", "PRIO:1>0": "EF", "THRESH:0": "EF", "THRESH:4": "IF", "THRESH:5": "IF"},
+			nil,
+			[]string{"THRESH:1", "THRESH:2", "EF", "EQUI", "IF"}},
+	} {
+		m := queueing.ForLoad(4, 0.7, tc.muI, tc.muE)
+		if _, err := autoSolvePolicy(m, rule(t, "DEFER", m), 1e-10, 16<<20); err == nil || !strings.Contains(err.Error(), "still leaking") {
+			t.Errorf("muI %g: DEFER: err %v, want a leaking truncation", tc.muI, err)
+		}
+		meanT := map[string]float64{}
+		for _, name := range []string{"IF", "EF", "EQUI", "GREEDY", "LFF", "SMF", "PRIO:0>1", "PRIO:1>0",
+			"THRESH:0", "THRESH:1", "THRESH:2", "THRESH:3", "THRESH:4", "THRESH:5"} {
+			p, err := AutoSolvePolicy(m, rule(t, name, m), 1e-10)
+			if err != nil {
+				t.Fatalf("muI %g: %s: %v", tc.muI, name, err)
+			}
+			meanT[name] = p.MeanT
+			t.Logf("muI %g: %-8s E[T] %.10f (caps %dx%d)", tc.muI, name, p.MeanT, p.CapI, p.CapE)
+		}
+		for name, base := range tc.same {
+			if math.Float64bits(meanT[name]) != math.Float64bits(meanT[base]) {
+				t.Errorf("muI %g: %s E[T] %v, want %s's %v bit for bit", tc.muI, name, meanT[name], base, meanT[base])
+			}
+		}
+		for name, want := range tc.pinned {
+			if math.Abs(meanT[name]-want) > 1e-9 {
+				t.Errorf("muI %g: %s E[T] %.10f, want %.10f", tc.muI, name, meanT[name], want)
+			}
+		}
+		for i := 1; i < len(tc.order); i++ {
+			if a, b := tc.order[i-1], tc.order[i]; meanT[a] >= meanT[b] {
+				t.Errorf("muI %g: %s E[T] %v not below %s's %v", tc.muI, a, meanT[a], b, meanT[b])
+			}
+		}
 	}
 }

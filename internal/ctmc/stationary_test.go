@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/queueing"
 	"repro/internal/xrand"
 )
 
@@ -112,10 +113,7 @@ func randomBanded(r *xrand.Rand, n, b int) *Chain {
 	return c
 }
 
-var testAllocs = []struct {
-	name  string
-	alloc Alloc
-}{{"IF", IFAlloc}, {"EF", EFAlloc}, {"THRESH:1", ThresholdAlloc(1)}, {"DEFER", DeferAlloc}}
+var testPolicies = []string{"IF", "EF", "THRESH:1", "DEFER"}
 
 // TestStationaryMatchesDenseGTH pins the banded solver to the dense GTH
 // loop bit for bit: every term the band skips is an exact +0.
@@ -130,10 +128,10 @@ func TestStationaryMatchesDenseGTH(t *testing.T) {
 	add("MM1/300", buildMMk(0.8, 1, 1, 299))
 	add("MM3/401", buildMMk(2.4, 1, 3, 400))
 	add("qbd-crosscheck", buildLevelPhase(0.5, [2]float64{0.9, 1.4}, [2]float64{0.3, 0.7}, 400))
-	m := Model2D{K: 4, LambdaI: 1.2, LambdaE: 1.2, MuI: 1, MuE: 1}
+	m := queueing.Model{K: 4, LambdaI: 1.2, LambdaE: 1.2, MuI: 1, MuE: 1}
 	for _, caps := range [][2]int{{14, 6}, {10, 10}, {6, 14}} {
-		for _, a := range testAllocs {
-			add(fmt.Sprintf("%s/%dx%d", a.name, caps[0], caps[1]), PolicyChain(m, a.alloc, caps[0], caps[1]))
+		for _, name := range testPolicies {
+			add(fmt.Sprintf("%s/%dx%d", name, caps[0], caps[1]), PolicyChain(m, rule(t, name, m), caps[0], caps[1]))
 		}
 	}
 	r := xrand.New(18)
@@ -164,11 +162,11 @@ func TestStationaryMatchesDenseGTH(t *testing.T) {
 // innermost, so the band is min(capI, capE)+1, and capE <= capI keeps the
 // row-major numbering i*(capE+1)+j.
 func TestPolicyChainNumbering(t *testing.T) {
-	m := Model2D{K: 4, LambdaI: 1, LambdaE: 1, MuI: 1, MuE: 1}
+	m := queueing.Model{K: 4, LambdaI: 1, LambdaE: 1, MuI: 1, MuE: 1}
 	for _, caps := range [][2]int{{5, 3}, {4, 4}, {3, 9}, {1, 30}, {30, 1}} {
 		capI, capE := caps[0], caps[1]
 		g := newLattice(capI, capE)
-		if band := PolicyChain(m, IFAlloc, capI, capE).band(); band != min(capI, capE)+1 {
+		if band := PolicyChain(m, rule(t, "IF", m), capI, capE).band(); band != min(capI, capE)+1 {
 			t.Fatalf("caps %dx%d: band %d, want %d", capI, capE, band, min(capI, capE)+1)
 		}
 		seen := make([]bool, g.states())
@@ -192,16 +190,17 @@ func TestPolicyChainNumbering(t *testing.T) {
 // the dense reference on the same chain numbered row-major.
 func TestPolicyChainNumberingOnlyRelabels(t *testing.T) {
 	const relTol = 1e-12
-	m := Model2D{K: 4, LambdaI: 1.4, LambdaE: 1.4, MuI: 1, MuE: 1.5}
+	m := queueing.Model{K: 4, LambdaI: 1.4, LambdaE: 1.4, MuI: 1, MuE: 1.5}
 	for _, caps := range [][2]int{{20, 40}, {10, 90}, {3, 200}} {
 		capI, capE := caps[0], caps[1]
-		for _, a := range testAllocs {
-			got, err := SolvePolicy(m, a.alloc, capI, capE)
+		for _, name := range testPolicies {
+			alloc := rule(t, name, m)
+			got, err := SolvePolicy(m, alloc, capI, capE)
 			if err != nil {
 				t.Fatal(err)
 			}
 			rowMajor := lattice{capI: capI, capE: capE}
-			pi, err := stationaryDense(rowMajor.chain(m, a.alloc))
+			pi, err := stationaryDense(rowMajor.chain(m, alloc))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -218,11 +217,11 @@ func TestPolicyChainNumberingOnlyRelabels(t *testing.T) {
 				{"BoundaryMassE", got.BoundaryMassE, want.BoundaryMassE},
 			} {
 				if math.Abs(f.got-f.want) > relTol*math.Abs(f.want) {
-					t.Fatalf("%s %dx%d: %s = %v, row-major dense %v", a.name, capI, capE, f.name, f.got, f.want)
+					t.Fatalf("%s %dx%d: %s = %v, row-major dense %v", name, capI, capE, f.name, f.got, f.want)
 				}
 			}
 			if got.CapI != capI || got.CapE != capE {
-				t.Fatalf("%s: caps %dx%d reported as %dx%d", a.name, capI, capE, got.CapI, got.CapE)
+				t.Fatalf("%s: caps %dx%d reported as %dx%d", name, capI, capE, got.CapI, got.CapE)
 			}
 		}
 	}
@@ -245,16 +244,16 @@ func TestStationaryNonFiniteIsError(t *testing.T) {
 // overflows pi on its second solve.
 func TestAutoSolveNamesLastSolvedCaps(t *testing.T) {
 	for _, tc := range []struct {
-		m          Model2D
+		m          queueing.Model
 		lastCaps   string
 		whyStopped string
 	}{
-		{Model2D{K: 4, LambdaI: 1.2, LambdaE: 1.2, MuI: 1, MuE: 1}, "caps 64,128 ", "band storage"},
-		{Model2D{K: 4, LambdaI: 1.6, LambdaE: 1.6, MuI: 1, MuE: 1}, "caps 64,128 ", "band storage"},
-		{Model2D{K: 1, LambdaI: 0.5, LambdaE: 1000, MuI: 1, MuE: 1}, "caps 64,64 ", "not finite"},
+		{queueing.Model{K: 4, LambdaI: 1.2, LambdaE: 1.2, MuI: 1, MuE: 1}, "caps 64,128 ", "band storage"},
+		{queueing.Model{K: 4, LambdaI: 1.6, LambdaE: 1.6, MuI: 1, MuE: 1}, "caps 64,128 ", "band storage"},
+		{queueing.Model{K: 1, LambdaI: 0.5, LambdaE: 1000, MuI: 1, MuE: 1}, "caps 64,64 ", "not finite"},
 	} {
 		t.Run(fmt.Sprintf("rho=%g", tc.m.Rho()), func(t *testing.T) {
-			_, err := autoSolvePolicy(tc.m, DeferAlloc, 1e-9, 16<<20)
+			_, err := autoSolvePolicy(tc.m, rule(t, "DEFER", tc.m), 1e-9, 16<<20)
 			if err == nil {
 				t.Fatal("DEFER solved within the truncation tolerance")
 			}
@@ -279,12 +278,12 @@ func TestDeferDominatedByIF(t *testing.T) {
 		for _, rho := range []float64{0.3, 0.5} {
 			for _, mu := range [][2]float64{{0.5, 1}, {1, 1}, {2, 1}} {
 				lambda := rho * float64(k) / (1/mu[0] + 1/mu[1])
-				m := Model2D{K: k, LambdaI: lambda, LambdaE: lambda, MuI: mu[0], MuE: mu[1]}
-				ifPerf, err := AutoSolvePolicy(m, IFAlloc, boundTol)
+				m := queueing.Model{K: k, LambdaI: lambda, LambdaE: lambda, MuI: mu[0], MuE: mu[1]}
+				ifPerf, err := AutoSolvePolicy(m, rule(t, "IF", m), boundTol)
 				if err != nil {
 					t.Fatal(err)
 				}
-				deferPerf, err := AutoSolvePolicy(m, DeferAlloc, boundTol)
+				deferPerf, err := AutoSolvePolicy(m, rule(t, "DEFER", m), boundTol)
 				if err != nil {
 					t.Fatal(err)
 				}

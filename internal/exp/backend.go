@@ -15,9 +15,11 @@ import (
 	"fmt"
 	"sync"
 
-	"repro/internal/core"
 	"repro/internal/mrt"
+	"repro/internal/policy"
+	"repro/internal/queueing"
 	"repro/internal/sim"
+	"repro/internal/workload"
 )
 
 // ErrBackendUnavailable marks a Submit failure caused by the backend being
@@ -69,12 +71,12 @@ type AnalyzeOut struct {
 // ValidatePoint is one analysis-vs-simulation comparison of the Section 5
 // validation table.
 type ValidatePoint struct {
-	K      int             `json:"k"`
-	Rho    float64         `json:"rho"`
-	MuI    float64         `json:"muI"`
-	MuE    float64         `json:"muE"`
-	Policy string          `json:"policy"`
-	Opt    core.SimOptions `json:"opt"`
+	K      int        `json:"k"`
+	Rho    float64    `json:"rho"`
+	MuI    float64    `json:"muI"`
+	MuE    float64    `json:"muE"`
+	Policy string     `json:"policy"`
+	Opt    SimOptions `json:"opt"`
 }
 
 // AblationPoint is one muI position of the busy-period fit ablation.
@@ -172,11 +174,11 @@ func specKey(kind string, spec any) (string, bool) {
 // shortest-round-trip precision), which is what makes the networked fabric
 // bit-identical to PoolBackend.
 type Outcome struct {
-	Rep       *Replication       `json:"rep,omitempty"`
-	Analyze   *AnalyzeOut        `json:"analyze,omitempty"`
-	Validate  *ValidationRow     `json:"validate,omitempty"`
-	Ablation  []core.AblationRow `json:"ablation,omitempty"`
-	Dominance *DominanceRun      `json:"dominance,omitempty"`
+	Rep       *Replication   `json:"rep,omitempty"`
+	Analyze   *AnalyzeOut    `json:"analyze,omitempty"`
+	Validate  *ValidationRow `json:"validate,omitempty"`
+	Ablation  []AblationRow  `json:"ablation,omitempty"`
+	Dominance *DominanceRun  `json:"dominance,omitempty"`
 }
 
 // Env is the per-submission context shared by all tasks of one Submit call.
@@ -245,8 +247,7 @@ func ExecuteTask(env Env, t Task) (out Outcome, err error) {
 		return runSimTask(env, *t.Sim)
 	case t.Analyze != nil:
 		a := *t.Analyze
-		s := core.ForLoad(a.K, a.Rho, a.MuI, a.MuE)
-		ifRes, efRes, aerr := s.Analyze()
+		ifRes, efRes, aerr := mrt.Analyze(queueing.ForLoad(a.K, a.Rho, a.MuI, a.MuE))
 		if aerr != nil {
 			return out, fmt.Errorf("exp: %s: %w", t.Label(), aerr)
 		}
@@ -259,7 +260,7 @@ func ExecuteTask(env Env, t Task) (out Outcome, err error) {
 		return Outcome{Validate: &row}, nil
 	case t.Ablation != nil:
 		a := *t.Ablation
-		rows, aerr := core.BusyPeriodAblation(a.K, a.Rho, []float64{a.MuI})
+		rows, aerr := ablationRows(a.K, a.Rho, a.MuI)
 		if aerr != nil {
 			return out, fmt.Errorf("exp: %s: %w", t.Label(), aerr)
 		}
@@ -297,20 +298,20 @@ func runSimTask(env Env, spec TaskSpec) (Outcome, error) {
 }
 
 func runValidateTask(v ValidatePoint) (ValidationRow, error) {
-	s := core.ForLoad(v.K, v.Rho, v.MuI, v.MuE)
+	m := queueing.ForLoad(v.K, v.Rho, v.MuI, v.MuE)
 	analyze := mrt.IF
 	if v.Policy == "EF" {
 		analyze = mrt.EF
 	}
-	anRes, err := analyze(s.Params(), mrt.Coxian3Moment)
+	anRes, err := analyze(m, mrt.Coxian3Moment)
 	if err != nil {
 		return ValidationRow{}, err
 	}
-	p, err := s.PolicyByName(v.Policy)
+	p, err := policy.ByName(v.Policy, m.MuI, m.MuE)
 	if err != nil {
 		return ValidationRow{}, err
 	}
-	res := s.Simulate(p, v.Opt)
+	res := Simulate(m, p, v.Opt)
 	return ValidationRow{
 		K: v.K, Rho: v.Rho, MuI: v.MuI, MuE: v.MuE,
 		Policy:   v.Policy,
@@ -321,18 +322,18 @@ func runValidateTask(v ValidatePoint) (ValidationRow, error) {
 }
 
 func runDominanceTrace(d DominanceTrace) (DominanceRun, error) {
-	s := core.ForLoad(d.K, d.Rho, d.MuI, d.MuE)
+	m := workload.ModelForLoad(d.K, d.Rho, d.MuI, d.MuE)
 	// Policy instances are constructed per trace: stateful policies (FCFS,
 	// SRPT, LFF, SMF) hold reusable buffers that must not be shared.
-	a, err := s.PolicyByName(d.PolicyA)
+	a, err := policy.ByName(d.PolicyA, d.MuI, d.MuE)
 	if err != nil {
 		return DominanceRun{}, err
 	}
-	b, err := s.PolicyByName(d.PolicyB)
+	b, err := policy.ByName(d.PolicyB, d.MuI, d.MuE)
 	if err != nil {
 		return DominanceRun{}, err
 	}
-	trace := s.Model().Trace(d.Seed, d.Arrivals)
+	trace := m.Trace(d.Seed, d.Arrivals)
 	rep := sim.CompareWork(d.K, trace, a, b, d.Tol)
 	if rep.CompletedA == 0 || rep.CompletedB == 0 {
 		return DominanceRun{}, fmt.Errorf("trace of %d arrivals completed %d/%d jobs; too short to compare",

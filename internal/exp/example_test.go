@@ -37,3 +37,13 @@ func ExampleRun() {
 	// rho=0.7 E[T]=0.722
 	// rho=0.9 E[T]=1.662
 }
+
+// ExampleTheorem6 reproduces the counterexample of Section 4.3.
+func ExampleTheorem6() {
+	res, err := exp.Theorem6(1.0)
+	if err != nil {
+		panic(err)
+	}
+	fmt.Printf("IF=%.6f EF=%.6f\n", res.IFTotal, res.EFTotal)
+	// Output: IF=2.916667 EF=2.750000
+}

@@ -27,7 +27,10 @@
 //
 // The generic Map primitive underlies the figure drivers (Figure 4/5/6 heat
 // maps and curves, the Section 5 validation table, the busy-period ablation)
-// and the Theorem 3 coupled-trace dominance experiment.
+// and the Theorem 3 coupled-trace dominance experiment, beside the
+// single-configuration ones (Simulate, Theorem6, SRPTExperiment). Drivers
+// resolve policies through policy.ByName and hand them to the exact chain
+// through policy.CountRule.
 package exp
 
 import (
@@ -35,7 +38,7 @@ import (
 	"hash/fnv"
 	"math"
 
-	"repro/internal/core"
+	"repro/internal/policy"
 	"repro/internal/sim"
 	"repro/internal/workload"
 )
@@ -85,7 +88,7 @@ func (c Cell) validate() error {
 	if err != nil {
 		return err
 	}
-	if err := core.ValidatePolicyClasses(pol, classes); err != nil {
+	if err := policy.Validate(pol, classes); err != nil {
 		return fmt.Errorf("cell %v: %w", c, err)
 	}
 	return nil
@@ -118,7 +121,7 @@ func (c Cell) workload() (classes []sim.ClassSpec, source func(seed uint64) *wor
 		classes, source = model.Classes(), model.Source
 		muI, muE = c.MuI, c.MuE
 	}
-	pol, err = core.PolicyByName(c.Policy, muI, muE)
+	pol, err = policy.ByName(c.Policy, muI, muE)
 	return classes, source, pol, err
 }
 

@@ -107,6 +107,10 @@ func TestSweepValidate(t *testing.T) {
 		{"bad k", func(s *Sweep) { s.Grid.K = []int{0} }, "k"},
 		{"bad mu", func(s *Sweep) { s.Grid.MuI = []float64{-1} }, "service rates"},
 		{"bad policy", func(s *Sweep) { s.Grid.Policies = []string{"NOPE"} }, "unknown policy"},
+		{"fractional THRESH cap", func(s *Sweep) { s.Grid.Policies = []string{"THRESH:2.5"} }, "bad cap"},
+		{"THRESH cap with a tail", func(s *Sweep) { s.Grid.Policies = []string{"THRESH:2abc"} }, "bad cap"},
+		{"spaced THRESH cap", func(s *Sweep) { s.Grid.Policies = []string{"THRESH: 2"} }, "bad cap"},
+		{"negative THRESH cap", func(s *Sweep) { s.Grid.Policies = []string{"THRESH:-3"} }, "bad cap"},
 		{"bad scenario", func(s *Sweep) {
 			s.Grid = Grid{K: []int{2}, Rho: []float64{0.5}, Scenarios: []string{"nope"}}
 		}, "unknown scenario"},

@@ -7,7 +7,15 @@ import (
 	"sort"
 	"strings"
 
-	"repro/internal/core"
+	"repro/internal/ctmc"
+	"repro/internal/dist"
+	"repro/internal/mrt"
+	"repro/internal/policy"
+	"repro/internal/queueing"
+	"repro/internal/sim"
+	"repro/internal/srpt"
+	"repro/internal/workload"
+	"repro/internal/xrand"
 )
 
 // This file holds the paper's figure and table drivers, ported from their
@@ -18,7 +26,9 @@ import (
 // same points in the same order. Options.Cache (cell granularity) does not
 // apply to these drivers — their tasks belong to no Sweep cell — but
 // Options.TaskCache memoizes the individual grid points, keyed by
-// exp.TaskKey, so a re-run of a figure recomputes only what changed.
+// exp.TaskKey, so a re-run of a figure recomputes only what changed. The
+// single-configuration experiments (Simulate, Theorem6, SRPTExperiment)
+// sit beside them.
 
 // DefaultMuGrid reproduces the paper's 0.25..3.5 axes.
 func DefaultMuGrid() []float64 {
@@ -147,7 +157,7 @@ type ValidationRow struct {
 // ValidateAnalysis compares the matrix-analytic E[T] against long
 // simulations for both policies at each configuration. Each (muI, policy)
 // pair is one backend task; rows keep the serial driver's order.
-func ValidateAnalysis(ctx context.Context, k int, rho float64, muIs []float64, opt core.SimOptions, o Options) ([]ValidationRow, error) {
+func ValidateAnalysis(ctx context.Context, k int, rho float64, muIs []float64, opt SimOptions, o Options) ([]ValidationRow, error) {
 	pols := []string{"IF", "EF"}
 	tasks := make([]Task, len(muIs)*len(pols))
 	for i := range tasks {
@@ -167,9 +177,11 @@ func ValidateAnalysis(ctx context.Context, k int, rho float64, muIs []float64, o
 	return rows, nil
 }
 
-// BusyPeriodAblation fans the busy-period fit ablation (core.BusyPeriodAblation)
-// out over the muI grid, one backend task per point.
-func BusyPeriodAblation(ctx context.Context, k int, rho float64, muIs []float64, o Options) ([]core.AblationRow, error) {
+// BusyPeriodAblation compares the paper's 3-moment Coxian busy-period fit
+// against the mean-only exponential replacement, both measured against the
+// exact truncated chain, at each muI of the grid (muE = 1): one backend task
+// per point, rows IF then EF per point.
+func BusyPeriodAblation(ctx context.Context, k int, rho float64, muIs []float64, o Options) ([]AblationRow, error) {
 	tasks := make([]Task, len(muIs))
 	for i, muI := range muIs {
 		tasks[i] = Task{Ablation: &AblationPoint{K: k, Rho: rho, MuI: muI}}
@@ -178,9 +190,149 @@ func BusyPeriodAblation(ctx context.Context, k int, rho float64, muIs []float64,
 	if err != nil {
 		return nil, err
 	}
-	var rows []core.AblationRow
+	var rows []AblationRow
 	for _, out := range outs {
 		rows = append(rows, out.Ablation...)
+	}
+	return rows, nil
+}
+
+// SimOptions controls a simulation run.
+type SimOptions struct {
+	Seed       uint64
+	WarmupJobs int64
+	MaxJobs    int64
+}
+
+// Simulate runs the event-driven simulator on model m under policy p.
+func Simulate(m queueing.Model, p sim.Policy, opt SimOptions) sim.Result {
+	return sim.Run(sim.RunConfig{
+		K:          m.K,
+		Policy:     p,
+		Source:     workload.Model{Model: m}.Source(opt.Seed),
+		WarmupJobs: opt.WarmupJobs,
+		MaxJobs:    opt.MaxJobs,
+	})
+}
+
+// Theorem6Result carries the exact counterexample values.
+type Theorem6Result struct {
+	MuI, MuE           float64
+	IFTotal, EFTotal   float64
+	IFExpect, EFExpect float64
+}
+
+// Theorem6 computes the counterexample of Section 4.3 by first-step
+// analysis of the simulator's IF and EF policies: k = 2, muE = 2 muI, two
+// inelastic and one elastic job at time 0, no arrivals. The exact totals
+// are 35/12/muI (IF) and 33/12/muI (EF).
+func Theorem6(muI float64) (Theorem6Result, error) {
+	m := queueing.Model{K: 2, MuI: muI, MuE: 2 * muI}
+	var totals [2]float64 // IF, EF
+	for x, name := range []string{"IF", "EF"} {
+		rule, err := policy.CountRule(name, m.MuI, m.MuE)
+		if err == nil {
+			totals[x], err = ctmc.BatchTotalResponse(m, rule, 2, 1)
+		}
+		if err != nil {
+			return Theorem6Result{}, err
+		}
+	}
+	return Theorem6Result{
+		MuI: muI, MuE: 2 * muI,
+		IFTotal: totals[0], EFTotal: totals[1],
+		IFExpect: 35.0 / 12 / muI, EFExpect: 33.0 / 12 / muI,
+	}, nil
+}
+
+// SRPTRow is one instance family of the Appendix A experiment.
+type SRPTRow struct {
+	N, K       int
+	SizeDist   string
+	WorstRatio float64
+	MeanRatio  float64
+	Trials     int
+}
+
+// SRPTExperiment samples random batch instances and reports the SRPT-k
+// total response time relative to the LP lower bound; Theorem 9 guarantees
+// the ratio to optimal is at most 4.
+func SRPTExperiment(trials int, seed uint64) []SRPTRow {
+	type family struct {
+		n, k int
+		name string
+		mk   func() dist.Distribution
+	}
+	families := []family{
+		{8, 4, "exp(1)", func() dist.Distribution { return dist.NewExponential(1) }},
+		{16, 4, "exp(1)", func() dist.Distribution { return dist.NewExponential(1) }},
+		{16, 8, "pareto(1.5)", func() dist.Distribution { return dist.NewBoundedPareto(1.5, 0.1, 100) }},
+		{32, 8, "uniform(0.5,1.5)", func() dist.Distribution { return dist.NewUniform(0.5, 1.5) }},
+		{32, 16, "pareto(1.5)", func() dist.Distribution { return dist.NewBoundedPareto(1.5, 0.1, 100) }},
+	}
+	r := xrand.New(seed)
+	var rows []SRPTRow
+	for _, f := range families {
+		worst, sum := 0.0, 0.0
+		for trial := 0; trial < trials; trial++ {
+			batch := workload.RandomBatch(r, f.n, f.mk(), f.k)
+			ratio := srpt.ApproximationRatio(batch, f.k)
+			sum += ratio
+			if ratio > worst {
+				worst = ratio
+			}
+		}
+		rows = append(rows, SRPTRow{
+			N: f.n, K: f.k, SizeDist: f.name,
+			WorstRatio: worst, MeanRatio: sum / float64(trials), Trials: trials,
+		})
+	}
+	return rows
+}
+
+// AblationRow quantifies the busy-period fit design choice for one
+// configuration.
+type AblationRow struct {
+	Rho, MuI       float64
+	Policy         string
+	Exact          float64
+	Coxian3, Exp1  float64
+	ErrCox, ErrExp float64
+}
+
+// ablationRows compares the paper's 3-moment Coxian busy-period fit against
+// the mean-only exponential replacement at one muI (muE = 1), IF then EF,
+// both measured against the exact truncated chain of the same policy.
+func ablationRows(k int, rho, muI float64) ([]AblationRow, error) {
+	m := queueing.ForLoad(k, rho, muI, 1.0)
+	var rows []AblationRow
+	for _, pol := range []string{"IF", "EF"} {
+		analyze := mrt.IF
+		if pol == "EF" {
+			analyze = mrt.EF
+		}
+		rule, err := policy.CountRule(pol, m.MuI, m.MuE)
+		if err != nil {
+			return nil, err
+		}
+		exact, err := ctmc.AutoSolvePolicy(m, rule, 1e-10)
+		if err != nil {
+			return nil, err
+		}
+		cox, err := analyze(m, mrt.Coxian3Moment)
+		if err != nil {
+			return nil, err
+		}
+		expo, err := analyze(m, mrt.Exponential1Moment)
+		if err != nil {
+			return nil, err
+		}
+		rows = append(rows, AblationRow{
+			Rho: rho, MuI: muI, Policy: pol,
+			Exact: exact.MeanT, Coxian3: cox.T, Exp1: expo.T,
+			ErrCox: (cox.T - exact.MeanT) / exact.MeanT,
+			ErrExp: (expo.T - exact.MeanT) / exact.MeanT,
+		})
 	}
 	return rows, nil
 }
@@ -228,11 +380,10 @@ func Dominance(ctx context.Context, cfg DominanceConfig, o Options) ([]Dominance
 	// constructed inside each task (see runDominanceTrace) because stateful
 	// policies maintain reusable buffers that must not be shared across
 	// workers.
-	s := core.ForLoad(cfg.K, cfg.Rho, cfg.MuI, cfg.MuE)
-	if _, err := s.PolicyByName(cfg.PolicyA); err != nil {
+	if _, err := policy.ByName(cfg.PolicyA, cfg.MuI, cfg.MuE); err != nil {
 		return nil, err
 	}
-	if _, err := s.PolicyByName(cfg.PolicyB); err != nil {
+	if _, err := policy.ByName(cfg.PolicyB, cfg.MuI, cfg.MuE); err != nil {
 		return nil, err
 	}
 	tol := cfg.Tol

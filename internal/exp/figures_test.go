@@ -6,7 +6,8 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/core"
+	"repro/internal/policy"
+	"repro/internal/queueing"
 )
 
 // TestFigure4Theorem5Region: in the muI >= muE half of every heat map, IF
@@ -194,7 +195,7 @@ func TestValidateAnalysisWithinOnePercent(t *testing.T) {
 		t.Skip("long validation run")
 	}
 	rows, err := ValidateAnalysis(context.Background(), 4, 0.7, []float64{0.5, 1.0, 2.0},
-		core.SimOptions{Seed: 17, WarmupJobs: 30_000, MaxJobs: 600_000}, Options{})
+		SimOptions{Seed: 17, WarmupJobs: 30_000, MaxJobs: 600_000}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,7 +253,7 @@ func TestBusyPeriodAblationParallel(t *testing.T) {
 	if len(rows) != 2 { // IF and EF
 		t.Fatalf("want 2 rows, got %d", len(rows))
 	}
-	serial, err := core.BusyPeriodAblation(4, 0.8, []float64{1.0})
+	serial, err := ablationRows(4, 0.8, 1.0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,5 +261,57 @@ func TestBusyPeriodAblationParallel(t *testing.T) {
 		if rows[i] != serial[i] {
 			t.Fatalf("row %d differs from serial driver: %+v vs %+v", i, rows[i], serial[i])
 		}
+	}
+}
+
+func TestBusyPeriodAblationDriver(t *testing.T) {
+	rows, err := BusyPeriodAblation(context.Background(), 4, 0.8, []float64{1.0}, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range rows {
+		if math.Abs(r.ErrCox) > math.Abs(r.ErrExp)+1e-12 {
+			t.Fatalf("%s: 3-moment fit worse than 1-moment: %+v", r.Policy, r)
+		}
+		if math.Abs(r.ErrCox) > 0.01 {
+			t.Fatalf("%s: 3-moment error %v exceeds 1%%", r.Policy, r.ErrCox)
+		}
+	}
+}
+
+func TestTheorem6Driver(t *testing.T) {
+	res, err := Theorem6(1.0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if math.Abs(res.IFTotal-res.IFExpect) > 1e-9 || math.Abs(res.EFTotal-res.EFExpect) > 1e-9 {
+		t.Fatalf("counterexample mismatch: %+v", res)
+	}
+}
+
+func TestSRPTExperimentBounded(t *testing.T) {
+	rows := SRPTExperiment(50, 3)
+	if len(rows) == 0 {
+		t.Fatal("no rows")
+	}
+	for _, r := range rows {
+		if r.WorstRatio > 4 {
+			t.Fatalf("family %+v exceeded the factor-4 bound", r)
+		}
+		if r.MeanRatio < 1 {
+			t.Fatalf("family %+v has ratio < 1: bound broken", r)
+		}
+	}
+}
+
+func TestSimulateSmoke(t *testing.T) {
+	m := queueing.ForLoad(4, 0.5, 1, 1)
+	p, err := policy.ByName("IF", m.MuI, m.MuE)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := Simulate(m, p, SimOptions{Seed: 1, WarmupJobs: 1000, MaxJobs: 20000})
+	if res.MeanT <= 0 || math.IsNaN(res.MeanT) {
+		t.Fatalf("nonsense E[T] %v", res.MeanT)
 	}
 }

@@ -22,7 +22,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/exp"
 	"repro/internal/wire"
 )
@@ -163,7 +162,7 @@ func TestFabricTaskKindsMatchPool(t *testing.T) {
 
 	ctx := context.Background()
 	grid := []float64{0.5, 1.0, 2.0}
-	simOpt := core.SimOptions{Seed: 3, WarmupJobs: 500, MaxJobs: 5_000}
+	simOpt := exp.SimOptions{Seed: 3, WarmupJobs: 500, MaxJobs: 5_000}
 	sweepCells := func(sw exp.Sweep) func(exp.Backend) (any, error) {
 		return func(be exp.Backend) (any, error) {
 			rs, err := exp.Run(ctx, sw, exp.Options{Backend: be})

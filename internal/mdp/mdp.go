@@ -10,6 +10,9 @@
 // there is neither IF nor EF but a state-dependent switching curve, which
 // the OptimalPolicy type exposes for inspection.
 //
+// The model is a queueing.Model; the solved policy is a count rule
+// (OptimalPolicy.Alloc) the exact chain can re-evaluate.
+//
 // The action space in state (i, j) is the number of servers given to
 // inelastic jobs, aI in {0, ..., min(i, k)}, with the remaining k - aI
 // servers going to the head-of-line elastic job when j > 0. Because the
@@ -23,7 +26,7 @@ import (
 	"fmt"
 	"math"
 
-	"repro/internal/ctmc"
+	"repro/internal/queueing"
 )
 
 // ErrNotConverged reports that value iteration hit its iteration cap.
@@ -31,7 +34,7 @@ var ErrNotConverged = errors.New("mdp: relative value iteration did not converge
 
 // Config configures the solver.
 type Config struct {
-	Model ctmc.Model2D
+	Model queueing.Model
 	// CapI, CapE truncate the state space; arrivals at the boundary are
 	// dropped, matching ctmc.PolicyChain.
 	CapI, CapE int
@@ -56,8 +59,8 @@ type OptimalPolicy struct {
 	Iters int
 }
 
-// Alloc adapts the solved policy to the ctmc.Alloc interface so it can be
-// re-evaluated with the stationary chain solver.
+// Alloc is the solved policy as the exact chain's count rule (ctmc.Alloc),
+// so it can be re-evaluated with the stationary chain solver.
 func (p *OptimalPolicy) Alloc(k, i, j int) (float64, float64) {
 	ci := min(i, p.CapI)
 	cj := min(j, p.CapE)
@@ -98,8 +101,8 @@ func (p *OptimalPolicy) MatchesIF() float64 {
 // Solve runs relative value iteration.
 func Solve(cfg Config) (*OptimalPolicy, error) {
 	m := cfg.Model
-	if m.K < 1 || m.LambdaI <= 0 || m.LambdaE <= 0 || m.MuI <= 0 || m.MuE <= 0 {
-		return nil, fmt.Errorf("mdp: invalid model %+v", m)
+	if err := m.Validate(); err != nil {
+		return nil, fmt.Errorf("mdp: %w", err)
 	}
 	if m.Rho() >= 1 {
 		return nil, fmt.Errorf("mdp: unstable model (rho=%g)", m.Rho())

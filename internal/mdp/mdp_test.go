@@ -5,12 +5,18 @@ import (
 	"testing"
 
 	"repro/internal/ctmc"
+	"repro/internal/policy"
 	"repro/internal/queueing"
 )
 
-func model(k int, rho, muI, muE float64) ctmc.Model2D {
-	lI, lE := queueing.RatesForLoad(k, rho, muI, muE)
-	return ctmc.Model2D{K: k, LambdaI: lI, LambdaE: lE, MuI: muI, MuE: muE}
+// countRule is the registry policy name as the exact chain's rule on m.
+func countRule(t *testing.T, name string, m queueing.Model) ctmc.Alloc {
+	t.Helper()
+	rule, err := policy.CountRule(name, m.MuI, m.MuE)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rule
 }
 
 // TestOptimalEqualsIFWhenInelasticSmaller is the numerical face of
@@ -22,12 +28,12 @@ func TestOptimalEqualsIFWhenInelasticSmaller(t *testing.T) {
 		{0.6, 2.0, 1.0},
 		{0.8, 1.5, 1.0},
 	} {
-		m := model(4, tc.rho, tc.muI, tc.muE)
+		m := queueing.ForLoad(4, tc.rho, tc.muI, tc.muE)
 		opt, err := Solve(Config{Model: m, CapI: 60, CapE: 60, Tol: 1e-11})
 		if err != nil {
 			t.Fatalf("%+v: %v", tc, err)
 		}
-		ifPerf, err := ctmc.SolvePolicy(m, ctmc.IFAlloc, 60, 60)
+		ifPerf, err := ctmc.SolvePolicy(m, countRule(t, "IF", m), 60, 60)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -55,16 +61,16 @@ func TestOptimalNeverWorseThanIFOrEF(t *testing.T) {
 		{0.7, 0.5, 1.0}, // open regime
 		{0.7, 2.0, 1.0}, // IF-optimal regime
 	} {
-		m := model(4, tc.rho, tc.muI, tc.muE)
+		m := queueing.ForLoad(4, tc.rho, tc.muI, tc.muE)
 		opt, err := Solve(Config{Model: m, CapI: 80, CapE: 80, Tol: 1e-11})
 		if err != nil {
 			t.Fatal(err)
 		}
-		ifPerf, err := ctmc.SolvePolicy(m, ctmc.IFAlloc, 80, 80)
+		ifPerf, err := ctmc.SolvePolicy(m, countRule(t, "IF", m), 80, 80)
 		if err != nil {
 			t.Fatal(err)
 		}
-		efPerf, err := ctmc.SolvePolicy(m, ctmc.EFAlloc, 80, 80)
+		efPerf, err := ctmc.SolvePolicy(m, countRule(t, "EF", m), 80, 80)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -80,16 +86,16 @@ func TestOptimalNeverWorseThanIFOrEF(t *testing.T) {
 // optimal there, extending Theorem 6's message beyond the no-arrivals
 // counterexample).
 func TestOpenRegimeOptimalBeatsBoth(t *testing.T) {
-	m := model(4, 0.8, 0.4, 1.0)
+	m := queueing.ForLoad(4, 0.8, 0.4, 1.0)
 	opt, err := Solve(Config{Model: m, CapI: 100, CapE: 100, Tol: 1e-11})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ifPerf, err := ctmc.SolvePolicy(m, ctmc.IFAlloc, 100, 100)
+	ifPerf, err := ctmc.SolvePolicy(m, countRule(t, "IF", m), 100, 100)
 	if err != nil {
 		t.Fatal(err)
 	}
-	efPerf, err := ctmc.SolvePolicy(m, ctmc.EFAlloc, 100, 100)
+	efPerf, err := ctmc.SolvePolicy(m, countRule(t, "EF", m), 100, 100)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +109,7 @@ func TestOpenRegimeOptimalBeatsBoth(t *testing.T) {
 // through the independent stationary chain solver must reproduce the MDP's
 // average cost.
 func TestOptimalPolicyReEvaluation(t *testing.T) {
-	m := model(4, 0.7, 0.5, 1.0)
+	m := queueing.ForLoad(4, 0.7, 0.5, 1.0)
 	opt, err := Solve(Config{Model: m, CapI: 80, CapE: 80, Tol: 1e-11})
 	if err != nil {
 		t.Fatal(err)
@@ -121,7 +127,7 @@ func TestOptimalPolicyReEvaluation(t *testing.T) {
 // optimal cost approaches the M/M/1 value.
 func TestMM1Degenerate(t *testing.T) {
 	// Make elastic arrivals negligible.
-	m := ctmc.Model2D{K: 1, LambdaI: 0.6, LambdaE: 1e-8, MuI: 1, MuE: 1}
+	m := queueing.Model{K: 1, LambdaI: 0.6, LambdaE: 1e-8, MuI: 1, MuE: 1}
 	opt, err := Solve(Config{Model: m, CapI: 200, CapE: 2, Tol: 1e-11})
 	if err != nil {
 		t.Fatal(err)
@@ -136,7 +142,7 @@ func TestWorkConservingStructure(t *testing.T) {
 	// The optimal policy should never idle servers that an eligible job
 	// could use: in states with i >= k it must allocate all k to
 	// inelastic or split with elastic — total min(i+..., k).
-	m := model(4, 0.7, 1.5, 1.0)
+	m := queueing.ForLoad(4, 0.7, 1.5, 1.0)
 	opt, err := Solve(Config{Model: m, CapI: 40, CapE: 40, Tol: 1e-10})
 	if err != nil {
 		t.Fatal(err)
@@ -159,14 +165,14 @@ func TestWorkConservingStructure(t *testing.T) {
 }
 
 func TestSolveRejectsBadInput(t *testing.T) {
-	if _, err := Solve(Config{Model: ctmc.Model2D{K: 0}}); err == nil {
+	if _, err := Solve(Config{Model: queueing.Model{K: 0}}); err == nil {
 		t.Fatal("k=0 accepted")
 	}
-	m := ctmc.Model2D{K: 2, LambdaI: 3, LambdaE: 3, MuI: 1, MuE: 1}
+	m := queueing.Model{K: 2, LambdaI: 3, LambdaE: 3, MuI: 1, MuE: 1}
 	if _, err := Solve(Config{Model: m, CapI: 10, CapE: 10}); err == nil {
 		t.Fatal("unstable model accepted")
 	}
-	ok := model(2, 0.5, 1, 1)
+	ok := queueing.ForLoad(2, 0.5, 1, 1)
 	if _, err := Solve(Config{Model: ok, CapI: 1, CapE: 0}); err == nil {
 		t.Fatal("tiny caps accepted")
 	}

@@ -33,21 +33,10 @@ import (
 // per-class stability violation).
 var ErrUnstable = errors.New("mrt: configuration is unstable")
 
-// Params carries the model parameters.
-type Params struct {
-	K                int
-	LambdaI, LambdaE float64
-	MuI, MuE         float64
-}
-
-// Rho returns the system load of Eq. 1.
-func (p Params) Rho() float64 {
-	return queueing.SystemLoad(p.K, p.LambdaI, p.MuI, p.LambdaE, p.MuE)
-}
-
-func (p Params) validate() error {
-	if p.K < 1 || p.LambdaI <= 0 || p.LambdaE <= 0 || p.MuI <= 0 || p.MuE <= 0 {
-		return fmt.Errorf("mrt: invalid parameters %+v", p)
+// validate checks that p is a valid model with rho < 1.
+func validate(p queueing.Model) error {
+	if err := p.Validate(); err != nil {
+		return fmt.Errorf("mrt: %w", err)
 	}
 	if p.Rho() >= 1 {
 		return fmt.Errorf("%w: rho=%g", ErrUnstable, p.Rho())
@@ -104,7 +93,7 @@ func fitBusyPeriod(lambda, mu float64, fit BusyPeriodFit) (phaseCox, error) {
 // EF computes mean response times under Elastic-First: the inelastic class
 // from the chain of efChain, the elastic class as an M/M/1 with service
 // rate k*muE.
-func EF(p Params, fit BusyPeriodFit) (Result, error) {
+func EF(p queueing.Model, fit BusyPeriodFit) (Result, error) {
 	chain, err := efChain(p, fit)
 	if err != nil {
 		return Result{}, err
@@ -131,8 +120,8 @@ func EF(p Params, fit BusyPeriodFit) (Result, error) {
 // {0 = no elastic busy period, b1, b2}. Inelastic jobs are served only in
 // phase 0 (at rate min(level, k)*muI); an elastic arrival in phase 0 starts
 // a busy period of the elastic M/M/1 with service rate k*muE.
-func efChain(p Params, fit BusyPeriodFit) (*qbd.Chain, error) {
-	if err := p.validate(); err != nil {
+func efChain(p queueing.Model, fit BusyPeriodFit) (*qbd.Chain, error) {
+	if err := validate(p); err != nil {
 		return nil, err
 	}
 	kmuE := float64(p.K) * p.MuE
@@ -191,7 +180,7 @@ func efChain(p Params, fit BusyPeriodFit) (*qbd.Chain, error) {
 
 // IF computes mean response times under Inelastic-First: the elastic class
 // from the chain of ifChain, the inelastic class as an M/M/k.
-func IF(p Params, fit BusyPeriodFit) (Result, error) {
+func IF(p queueing.Model, fit BusyPeriodFit) (Result, error) {
 	chain, err := ifChain(p, fit)
 	if err != nil {
 		return Result{}, err
@@ -219,8 +208,8 @@ func IF(p Params, fit BusyPeriodFit) (Result, error) {
 // inelastic jobs}. Elastic jobs are served at rate (k-i)*muE in phase i and
 // not at all during the excess period, which is an M/M/1 busy period with
 // arrival lambdaI and service rate k*muI.
-func ifChain(p Params, fit BusyPeriodFit) (*qbd.Chain, error) {
-	if err := p.validate(); err != nil {
+func ifChain(p queueing.Model, fit BusyPeriodFit) (*qbd.Chain, error) {
+	if err := validate(p); err != nil {
 		return nil, err
 	}
 	kmuI := float64(p.K) * p.MuI
@@ -296,7 +285,7 @@ func ifChain(p Params, fit BusyPeriodFit) (*qbd.Chain, error) {
 }
 
 // Analyze computes both policies with the paper's three-moment fit.
-func Analyze(p Params) (ifRes, efRes Result, err error) {
+func Analyze(p queueing.Model) (ifRes, efRes Result, err error) {
 	ifRes, err = IF(p, Coxian3Moment)
 	if err != nil {
 		return Result{}, Result{}, err

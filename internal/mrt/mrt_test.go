@@ -6,16 +6,22 @@ import (
 	"testing"
 
 	"repro/internal/ctmc"
+	"repro/internal/policy"
 	"repro/internal/queueing"
 )
 
-func params(k int, rho, muI, muE float64) Params {
-	lI, lE := queueing.RatesForLoad(k, rho, muI, muE)
-	return Params{K: k, LambdaI: lI, LambdaE: lE, MuI: muI, MuE: muE}
-}
-
-func toModel2D(p Params) ctmc.Model2D {
-	return ctmc.Model2D{K: p.K, LambdaI: p.LambdaI, LambdaE: p.LambdaE, MuI: p.MuI, MuE: p.MuE}
+// exactPerf solves the exact truncated chain of registry policy name on p.
+func exactPerf(t *testing.T, p queueing.Model, name string, tol float64) ctmc.Perf {
+	t.Helper()
+	rule, err := policy.CountRule(name, p.MuI, p.MuE)
+	if err != nil {
+		t.Fatal(err)
+	}
+	perf, err := ctmc.AutoSolvePolicy(p, rule, tol)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return perf
 }
 
 func relErr(a, b float64) float64 { return math.Abs(a-b) / math.Abs(b) }
@@ -31,15 +37,12 @@ func TestEFMatchesGroundTruth(t *testing.T) {
 		{0.9, 1, 1},
 		{0.5, 3, 0.5},
 	} {
-		p := params(4, tc.rho, tc.muI, tc.muE)
+		p := queueing.ForLoad(4, tc.rho, tc.muI, tc.muE)
 		got, err := EF(p, Coxian3Moment)
 		if err != nil {
 			t.Fatalf("%+v: %v", tc, err)
 		}
-		want, err := ctmc.AutoSolvePolicy(toModel2D(p), ctmc.EFAlloc, 1e-11)
-		if err != nil {
-			t.Fatal(err)
-		}
+		want := exactPerf(t, p, "EF", 1e-11)
 		if relErr(got.T, want.MeanT) > 0.01 {
 			t.Fatalf("%+v: EF E[T] analysis %v vs exact %v (err %.2f%%)",
 				tc, got.T, want.MeanT, 100*relErr(got.T, want.MeanT))
@@ -60,15 +63,12 @@ func TestIFMatchesGroundTruth(t *testing.T) {
 		{0.9, 1, 1},
 		{0.5, 3, 0.5},
 	} {
-		p := params(4, tc.rho, tc.muI, tc.muE)
+		p := queueing.ForLoad(4, tc.rho, tc.muI, tc.muE)
 		got, err := IF(p, Coxian3Moment)
 		if err != nil {
 			t.Fatalf("%+v: %v", tc, err)
 		}
-		want, err := ctmc.AutoSolvePolicy(toModel2D(p), ctmc.IFAlloc, 1e-11)
-		if err != nil {
-			t.Fatal(err)
-		}
+		want := exactPerf(t, p, "IF", 1e-11)
 		if relErr(got.T, want.MeanT) > 0.01 {
 			t.Fatalf("%+v: IF E[T] analysis %v vs exact %v (err %.2f%%)",
 				tc, got.T, want.MeanT, 100*relErr(got.T, want.MeanT))
@@ -81,7 +81,7 @@ func TestIFMatchesGroundTruth(t *testing.T) {
 }
 
 func TestEFElasticSideIsMM1(t *testing.T) {
-	p := params(4, 0.7, 1, 1)
+	p := queueing.ForLoad(4, 0.7, 1, 1)
 	res, err := EF(p, Coxian3Moment)
 	if err != nil {
 		t.Fatal(err)
@@ -93,7 +93,7 @@ func TestEFElasticSideIsMM1(t *testing.T) {
 }
 
 func TestIFInelasticSideIsMMk(t *testing.T) {
-	p := params(4, 0.7, 1, 1)
+	p := queueing.ForLoad(4, 0.7, 1, 1)
 	res, err := IF(p, Coxian3Moment)
 	if err != nil {
 		t.Fatal(err)
@@ -107,15 +107,12 @@ func TestIFInelasticSideIsMMk(t *testing.T) {
 func TestK1EdgeCase(t *testing.T) {
 	// On one server elastic and inelastic jobs are interchangeable; both
 	// chains must still solve and IF must match the exact chain.
-	p := params(1, 0.6, 1.5, 1)
+	p := queueing.ForLoad(1, 0.6, 1.5, 1)
 	ifRes, efRes, err := Analyze(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := ctmc.AutoSolvePolicy(toModel2D(p), ctmc.IFAlloc, 1e-11)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := exactPerf(t, p, "IF", 1e-11)
 	if relErr(ifRes.T, want.MeanT) > 0.01 {
 		t.Fatalf("k=1 IF %v vs exact %v", ifRes.T, want.MeanT)
 	}
@@ -128,7 +125,7 @@ func TestTheorem5OrderingInAnalysis(t *testing.T) {
 	// Whenever muI >= muE, the analysis must rank IF <= EF.
 	for _, muI := range []float64{1.0, 1.5, 2.5, 3.5} {
 		for _, rho := range []float64{0.5, 0.7, 0.9} {
-			p := params(4, rho, muI, 1.0)
+			p := queueing.ForLoad(4, rho, muI, 1.0)
 			ifRes, efRes, err := Analyze(p)
 			if err != nil {
 				t.Fatal(err)
@@ -143,7 +140,7 @@ func TestTheorem5OrderingInAnalysis(t *testing.T) {
 
 func TestEFWinsSomewhere(t *testing.T) {
 	// Figure 4c's blue region: at high load and muI << muE, EF wins.
-	p := params(4, 0.9, 0.25, 1.0)
+	p := queueing.ForLoad(4, 0.9, 0.25, 1.0)
 	ifRes, efRes, err := Analyze(p)
 	if err != nil {
 		t.Fatal(err)
@@ -157,11 +154,8 @@ func TestEFWinsSomewhere(t *testing.T) {
 // makes: the Coxian 3-moment busy-period fit tracks the exact chain better
 // than a mean-only exponential replacement.
 func TestAblationThreeMomentsBeatOne(t *testing.T) {
-	p := params(4, 0.8, 1, 1)
-	exact, err := ctmc.AutoSolvePolicy(toModel2D(p), ctmc.EFAlloc, 1e-11)
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := queueing.ForLoad(4, 0.8, 1, 1)
+	exact := exactPerf(t, p, "EF", 1e-11)
 	cox, err := EF(p, Coxian3Moment)
 	if err != nil {
 		t.Fatal(err)
@@ -181,7 +175,7 @@ func TestAblationThreeMomentsBeatOne(t *testing.T) {
 }
 
 func TestUnstableRejected(t *testing.T) {
-	p := Params{K: 2, LambdaI: 3, LambdaE: 1, MuI: 1, MuE: 1}
+	p := queueing.Model{K: 2, LambdaI: 3, LambdaE: 1, MuI: 1, MuE: 1}
 	if _, err := IF(p, Coxian3Moment); !errors.Is(err, ErrUnstable) {
 		t.Fatalf("expected ErrUnstable, got %v", err)
 	}
@@ -191,16 +185,16 @@ func TestUnstableRejected(t *testing.T) {
 }
 
 func TestInvalidParamsRejected(t *testing.T) {
-	if _, err := IF(Params{K: 0, LambdaI: 1, LambdaE: 1, MuI: 1, MuE: 1}, Coxian3Moment); err == nil {
+	if _, err := IF(queueing.Model{K: 0, LambdaI: 1, LambdaE: 1, MuI: 1, MuE: 1}, Coxian3Moment); err == nil {
 		t.Fatal("k=0 accepted")
 	}
-	if _, err := EF(Params{K: 2, LambdaI: -1, LambdaE: 1, MuI: 1, MuE: 1}, Coxian3Moment); err == nil {
+	if _, err := EF(queueing.Model{K: 2, LambdaI: -1, LambdaE: 1, MuI: 1, MuE: 1}, Coxian3Moment); err == nil {
 		t.Fatal("negative rate accepted")
 	}
 }
 
 func TestResultInternallyConsistent(t *testing.T) {
-	p := params(4, 0.7, 2, 1)
+	p := queueing.ForLoad(4, 0.7, 2, 1)
 	ifRes, efRes, err := Analyze(p)
 	if err != nil {
 		t.Fatal(err)

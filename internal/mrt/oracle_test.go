@@ -3,7 +3,6 @@ package mrt
 import (
 	"testing"
 
-	"repro/internal/ctmc"
 	"repro/internal/queueing"
 )
 
@@ -19,7 +18,7 @@ func TestEFAtK1AgainstPriorityOracle(t *testing.T) {
 		{0.8, 2, 1},
 		{0.9, 1, 2},
 	} {
-		p := params(1, tc.rho, tc.muI, tc.muE)
+		p := queueing.ForLoad(1, tc.rho, tc.muI, tc.muE)
 		res, err := EF(p, Coxian3Moment)
 		if err != nil {
 			t.Fatalf("%+v: %v", tc, err)
@@ -42,12 +41,9 @@ func TestEFAtK1AgainstPriorityOracle(t *testing.T) {
 // exact truncated-chain solve, so the oracle and the pipeline are validated
 // independently.
 func TestPriorityOracleAgainstChain(t *testing.T) {
-	p := params(1, 0.7, 0.5, 1.0)
+	p := queueing.ForLoad(1, 0.7, 0.5, 1.0)
 	oracle := queueing.NewPreemptiveMM1(p.LambdaE, p.MuE, p.LambdaI, p.MuI)
-	exact, err := ctmc.AutoSolvePolicy(toModel2D(p), ctmc.EFAlloc, 1e-12)
-	if err != nil {
-		t.Fatal(err)
-	}
+	exact := exactPerf(t, p, "EF", 1e-12)
 	if relErr(oracle.MeanResponseLow(), exact.MeanTI) > 1e-6 {
 		t.Fatalf("oracle low-class %v vs exact chain %v", oracle.MeanResponseLow(), exact.MeanTI)
 	}

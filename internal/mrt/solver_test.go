@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/linalg"
 	"repro/internal/qbd"
+	"repro/internal/queueing"
 )
 
 // spectralRadiusFull runs all iters power iterations, allocating a fresh
@@ -54,20 +55,20 @@ func rotation() *linalg.Matrix {
 // are the Figure 4 cells at muE 1, so they add no chain.
 func goldenChains(t *testing.T) map[string]*qbd.Chain {
 	t.Helper()
-	var pts []Params
+	var pts []queueing.Model
 	grid := []float64{0.5, 1, 2}
 	for _, rho := range []float64{0.7, 0.9} {
 		for _, muI := range grid {
 			for _, muE := range grid {
-				pts = append(pts, params(4, rho, muI, muE))
+				pts = append(pts, queueing.ForLoad(4, rho, muI, muE))
 			}
 		}
 	}
 	for _, k := range []int{2, 4} {
-		pts = append(pts, params(k, 0.8, 0.5, 1))
+		pts = append(pts, queueing.ForLoad(k, 0.8, 0.5, 1))
 	}
 	for _, k := range []int{8, 16} {
-		pts = append(pts, params(k, 0.9, 0.5, 1))
+		pts = append(pts, queueing.ForLoad(k, 0.9, 0.5, 1))
 	}
 	chains := make(map[string]*qbd.Chain)
 	for _, p := range pts {
@@ -129,7 +130,7 @@ func TestSpectralRadiusMatchesFullLoop(t *testing.T) {
 // iteration, so a tighter tolerance or a higher iteration count costs no
 // allocation.
 func TestAnalysisAllocs(t *testing.T) {
-	c, err := ifChain(params(4, 0.9, 1, 1), Coxian3Moment)
+	c, err := ifChain(queueing.ForLoad(4, 0.9, 1, 1), Coxian3Moment)
 	if err != nil {
 		t.Fatal(err)
 	}

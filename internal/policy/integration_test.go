@@ -261,7 +261,7 @@ func relErr(got, want float64) float64 {
 }
 
 func ExampleInelasticFirst() {
-	model := workload.NewModel(4, 1, 1, 1, 1)
+	model := workload.Model{Model: queueing.Model{K: 4, LambdaI: 1, LambdaE: 1, MuI: 1, MuE: 1}}
 	res := sim.Run(sim.RunConfig{
 		K: model.K, Policy: InelasticFirst{}, Source: model.Source(1),
 		WarmupJobs: 1000, MaxJobs: 5000,

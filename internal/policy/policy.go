@@ -40,6 +40,10 @@
 // Under sim.Options.ForceDense / SIM_FORCE_DENSE the engine runs every
 // Allocate on its settle-all path, and the equivalence suite in
 // internal/sim holds each fast path to it.
+//
+// ByName is the one registry every layer resolves policy names through
+// (Validate checks a policy against a class set), and CountRule hands a
+// registry policy to the exact chain by running its own Allocate.
 package policy
 
 import (
@@ -101,7 +105,7 @@ func orderShadowed(exhaustedAt int, c sim.Class, order []int) bool {
 // ignored, a class listed twice is walked once (ws.Served), and classes
 // absent from a non-nil order receive nothing (strict priority over the
 // listed classes only); resolution layers validate full coverage up front
-// (core.ValidatePolicyClasses).
+// (Validate).
 func priorityAllocate(st *sim.State, ws *sim.ShareSet, order []int) {
 	remaining := float64(st.K)
 	n := len(st.Queues)
@@ -383,7 +387,11 @@ func (Equi) Name() string { return "EQUI" }
 // ClassShares, so the water-filling arithmetic exists once. The engine calls
 // it only under ForceDense; its fast path reads ClassShares directly.
 func (e Equi) Allocate(st *sim.State, ws *sim.ShareSet) {
-	shares := make([]float64, len(st.Queues))
+	var buf [8]float64 // keeps the call allocation-free; CountRule runs it per chain state
+	shares := buf[:min(len(st.Queues), len(buf))]
+	if len(st.Queues) > len(buf) {
+		shares = make([]float64, len(st.Queues))
+	}
 	e.ClassShares(st, shares)
 	for c, q := range st.Queues {
 		for _, j := range q {

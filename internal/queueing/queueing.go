@@ -1,6 +1,7 @@
-// Package queueing provides closed-form results from classical queueing
-// theory that the paper's analysis pipeline composes with matrix-analytic
-// solutions.
+// Package queueing holds the paper's model (Model, which every evaluator
+// takes: mrt, ctmc, mdp and workload's generator) and the closed-form
+// results from classical queueing theory that the analysis pipeline
+// composes with matrix-analytic solutions.
 //
 // Under Elastic-First, elastic jobs see an M/M/1 queue with service rate
 // k*muE (Observation 1 in Section 5.2); under Inelastic-First, inelastic
@@ -180,22 +181,42 @@ func LittleN(lambda, meanResponse float64) float64 { return lambda * meanRespons
 // LittleT returns E[T] = E[N] / lambda.
 func LittleT(lambda, meanJobs float64) float64 { return meanJobs / lambda }
 
-// SystemLoad returns the two-class load of the paper's model (Eq. 1):
-// rho = lambdaI/(k muI) + lambdaE/(k muE).
-func SystemLoad(k int, lambdaI, muI, lambdaE, muE float64) float64 {
-	return lambdaI/(float64(k)*muI) + lambdaE/(float64(k)*muE)
+// Model is the paper's model (Section 2): k servers; inelastic jobs arrive
+// as a Poisson process at rate LambdaI with Exp(MuI) sizes, elastic jobs at
+// rate LambdaE with Exp(MuE) sizes. The no-arrival batches of Theorem 6
+// leave both arrival rates zero.
+type Model struct {
+	K                int
+	LambdaI, LambdaE float64
+	MuI, MuE         float64
 }
 
-// RatesForLoad returns the per-class arrival rates (lambdaI, lambdaE) that
-// achieve total system load rho on k servers with lambdaI = lambdaE, the
-// convention used in every figure of the paper. From Eq. 1 with
-// lambdaI = lambdaE = lambda:
+// ForLoad returns the model with total load rho on k servers and
+// lambdaI = lambdaE, the parameterization of every figure in the paper.
+// From Eq. 1 with lambdaI = lambdaE = lambda:
 //
 //	lambda = rho * k / (1/muI + 1/muE)
-func RatesForLoad(k int, rho, muI, muE float64) (lambdaI, lambdaE float64) {
+//
+// It panics unless 0 < rho < 1.
+func ForLoad(k int, rho, muI, muE float64) Model {
 	if rho <= 0 || rho >= 1 {
-		panic("queueing: RatesForLoad requires 0 < rho < 1")
+		panic("queueing: ForLoad requires 0 < rho < 1")
 	}
 	lambda := rho * float64(k) / (1/muI + 1/muE)
-	return lambda, lambda
+	return Model{K: k, LambdaI: lambda, LambdaE: lambda, MuI: muI, MuE: muE}
+}
+
+// Rho returns the system load of Eq. 1:
+// rho = lambdaI/(k muI) + lambdaE/(k muE).
+func (m Model) Rho() float64 {
+	return m.LambdaI/(float64(m.K)*m.MuI) + m.LambdaE/(float64(m.K)*m.MuE)
+}
+
+// Validate reports an error unless k >= 1 and all four rates are positive.
+// It checks no stability: an evaluator that needs rho < 1 checks Rho.
+func (m Model) Validate() error {
+	if m.K < 1 || m.LambdaI <= 0 || m.LambdaE <= 0 || m.MuI <= 0 || m.MuE <= 0 {
+		return fmt.Errorf("queueing: invalid model %+v", m)
+	}
+	return nil
 }

@@ -150,7 +150,8 @@ func TestMMkWaitMonotoneInK(t *testing.T) {
 
 func TestSystemLoad(t *testing.T) {
 	// k=4, lambdaI=lambdaE=1, muI=muE=1 => rho = 1/4 + 1/4 = 0.5.
-	if got := SystemLoad(4, 1, 1, 1, 1); math.Abs(got-0.5) > 1e-12 {
+	m := Model{K: 4, LambdaI: 1, LambdaE: 1, MuI: 1, MuE: 1}
+	if got := m.Rho(); math.Abs(got-0.5) > 1e-12 {
 		t.Fatalf("system load %v", got)
 	}
 }
@@ -160,11 +161,11 @@ func TestRatesForLoadRoundTrip(t *testing.T) {
 		rho := 0.05 + 0.9*float64(rq)/65536
 		muI := 0.1 + 3.4*float64(m1q)/65536
 		muE := 0.1 + 3.4*float64(m2q)/65536
-		lI, lE := RatesForLoad(4, rho, muI, muE)
-		if lI != lE {
+		m := ForLoad(4, rho, muI, muE)
+		if m.LambdaI != m.LambdaE || m.MuI != muI || m.MuE != muE {
 			return false
 		}
-		return math.Abs(SystemLoad(4, lI, muI, lE, muE)-rho) < 1e-9
+		return math.Abs(m.Rho()-rho) < 1e-9
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -177,7 +178,27 @@ func TestRatesForLoadPanics(t *testing.T) {
 			t.Fatal("rho >= 1 did not panic")
 		}
 	}()
-	RatesForLoad(4, 1.0, 1, 1)
+	ForLoad(4, 1.0, 1, 1)
+}
+
+func TestModelValidate(t *testing.T) {
+	if err := ForLoad(4, 0.7, 2, 1).Validate(); err != nil {
+		t.Fatal(err)
+	}
+	valid := Model{K: 4, LambdaI: 1, LambdaE: 1, MuI: 1, MuE: 1}
+	for _, bad := range []func(*Model){
+		func(m *Model) { m.K = 0 },
+		func(m *Model) { m.LambdaI = 0 },
+		func(m *Model) { m.LambdaE = -1 },
+		func(m *Model) { m.MuI = 0 },
+		func(m *Model) { m.MuE = math.Inf(-1) },
+	} {
+		m := valid
+		bad(&m)
+		if m.Validate() == nil {
+			t.Errorf("invalid model %+v accepted", m)
+		}
+	}
 }
 
 func TestLittleHelpers(t *testing.T) {

@@ -19,7 +19,6 @@ import (
 	"testing"
 	"testing/quick"
 
-	"repro/internal/core"
 	"repro/internal/dist"
 	"repro/internal/policy"
 	"repro/internal/sim"
@@ -85,11 +84,11 @@ func equivPolicies(t testing.TB, classes []sim.ClassSpec) []string {
 	names = append(names, prio)
 	var out []string
 	for _, name := range names {
-		pol, err := core.PolicyByName(name, 1.5, 1.0)
+		pol, err := policy.ByName(name, 1.5, 1.0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if core.ValidatePolicyClasses(pol, classes) != nil {
+		if policy.Validate(pol, classes) != nil {
 			continue // e.g. THRESH/GREEDY on an N-class mix
 		}
 		out = append(out, name)
@@ -101,7 +100,7 @@ func equivPolicies(t testing.TB, classes []sim.ClassSpec) []string {
 // it, returning the completion sequence and the system for metric checks.
 func engineTrace(t testing.TB, opts sim.Options, k int, classes []sim.ClassSpec, polName string, trace []sim.Arrival) ([]sim.Completion, *sim.System) {
 	t.Helper()
-	pol, err := core.PolicyByName(polName, 1.5, 1.0)
+	pol, err := policy.ByName(polName, 1.5, 1.0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -23,7 +23,7 @@ import (
 	"strconv"
 	"testing"
 
-	"repro/internal/core"
+	"repro/internal/policy"
 	"repro/internal/sim"
 	"repro/internal/workload"
 )
@@ -63,8 +63,7 @@ const goldenTracePrefix = 256
 func computeGoldenTrace(t *testing.T, polName string) goldenTrace {
 	t.Helper()
 	model := workload.ModelForLoad(4, 0.8, 1.5, 1.0)
-	pol, err := core.System{K: 4, LambdaI: model.LambdaI, LambdaE: model.LambdaE,
-		MuI: model.MuI, MuE: model.MuE}.PolicyByName(polName)
+	pol, err := policy.ByName(polName, model.MuI, model.MuE)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,8 +215,7 @@ func computeRunCells(t *testing.T) []runCell {
 	for _, muI := range []float64{0.5, 2.0} {
 		for _, polName := range []string{"IF", "EF"} {
 			model := workload.ModelForLoad(4, 0.7, muI, 1.0)
-			pol, err := core.System{K: 4, LambdaI: model.LambdaI, LambdaE: model.LambdaE,
-				MuI: model.MuI, MuE: model.MuE}.PolicyByName(polName)
+			pol, err := policy.ByName(polName, model.MuI, model.MuE)
 			if err != nil {
 				t.Fatal(err)
 			}

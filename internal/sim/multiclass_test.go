@@ -225,7 +225,6 @@ func TestMultiClassPanicsOnBadInput(t *testing.T) {
 		},
 		"bad cap":    func() { sim.CappedSpeedup(0) },
 		"bad amdahl": func() { sim.AmdahlSpeedup(1) },
-		"bad power":  func() { sim.PowerSpeedup(0) },
 	} {
 		func() {
 			defer func() {
@@ -276,8 +275,6 @@ func TestSpeedupShapes(t *testing.T) {
 		{sim.InelasticSpeedup(), 7, 1},
 		{sim.AmdahlSpeedup(0.5), 0.25, 0.25},
 		{sim.AmdahlSpeedup(0.5), 2, 1 / (0.5 + 0.25)},
-		{sim.PowerSpeedup(0.5), 4, 2},
-		{sim.PowerSpeedup(0.5), 0.81, 0.81},
 	}
 	for _, c := range cases {
 		if got := c.s.Rate(c.a); math.Abs(got-c.want) > 1e-12 {

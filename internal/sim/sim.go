@@ -3,8 +3,8 @@
 // classes each carry a speedup function s(a) mapping a (possibly fractional)
 // server allocation to a service rate. The paper's two-class model — elastic
 // jobs that parallelize linearly and inelastic jobs capped at one server —
-// is the preset returned by TwoClassSpecs (see preset.go); capped, Amdahl
-// and power-law speedups model the Section 2 and Section 6 extensions
+// is the preset returned by TwoClassSpecs (see preset.go); capped and
+// Amdahl speedups model the Section 2 and Section 6 extensions
 // (jobs elastic up to C servers, partial elasticity). An allocation policy
 // is re-consulted at every arrival and departure, exactly as in the paper's
 // preemptible fluid model.
@@ -52,7 +52,7 @@ type ClassSpec struct {
 	// MaxServers optionally bounds the allocation of a single job of this
 	// class (the per-job parallelizability bound k_j of Appendix A); 0
 	// means unbounded. For strictly increasing but saturating speedups
-	// (Amdahl, power-law) it keeps strict-priority policies from parking
+	// (Amdahl) it keeps strict-priority policies from parking
 	// an entire cluster on one job far past its efficient operating point.
 	MaxServers float64
 	// Lambda is the class's Poisson arrival rate; used by the stochastic

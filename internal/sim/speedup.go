@@ -13,7 +13,6 @@ const (
 	speedupLinear speedupKind = iota
 	speedupCapped
 	speedupAmdahl
-	speedupPower
 )
 
 // Speedup is a class's speedup function s(a): the service rate a single job
@@ -25,13 +24,12 @@ const (
 //
 // The paper's two classes are Linear (elastic: s(a) = a for all a) and
 // Capped(1) (inelastic: s(a) = min(a, 1)). Capped(C) is the Section 2
-// extension where a job can use up to C servers, and Amdahl/Power are the
-// Section 6 partially elastic classes with diminishing returns.
+// extension where a job can use up to C servers, and Amdahl is the
+// Section 6 partially elastic class with diminishing returns.
 type Speedup struct {
 	kind speedupKind
-	// c is the cap for Capped; sigma the serial fraction for Amdahl; alpha
-	// the exponent for Power.
-	c, sigma, alpha float64
+	// c is the cap for Capped; sigma the serial fraction for Amdahl.
+	c, sigma float64
 }
 
 // LinearSpeedup returns the fully elastic speedup s(a) = a.
@@ -59,15 +57,6 @@ func AmdahlSpeedup(sigma float64) Speedup {
 	return Speedup{kind: speedupAmdahl, sigma: sigma}
 }
 
-// PowerSpeedup returns the concave power-law s(a) = a for a <= 1 and
-// s(a) = a^alpha beyond, with alpha in (0, 1]. Alpha 1 reduces to Linear.
-func PowerSpeedup(alpha float64) Speedup {
-	if alpha <= 0 || alpha > 1 {
-		panic(fmt.Sprintf("sim: power-law exponent must be in (0,1] (got %v)", alpha))
-	}
-	return Speedup{kind: speedupPower, alpha: alpha}
-}
-
 // Rate returns the service rate s(a) for an allocation of a servers. The
 // engine guarantees a >= 0 (and a <= Cap() for capped classes) before
 // calling.
@@ -83,11 +72,6 @@ func (s Speedup) Rate(a float64) float64 {
 			return a
 		}
 		return 1 / (s.sigma + (1-s.sigma)/a)
-	case speedupPower:
-		if a <= 1 {
-			return a
-		}
-		return math.Pow(a, s.alpha)
 	default: // linear
 		return a
 	}
@@ -111,8 +95,6 @@ func (s Speedup) String() string {
 		return fmt.Sprintf("capped(%g)", s.c)
 	case speedupAmdahl:
 		return fmt.Sprintf("amdahl(%g)", s.sigma)
-	case speedupPower:
-		return fmt.Sprintf("power(%g)", s.alpha)
 	default:
 		return "linear"
 	}

@@ -10,7 +10,7 @@ import (
 // Mix is a named N-class stochastic workload: one sim.ClassSpec per class
 // with Lambda (Poisson arrival rate) and Size (job-size distribution) set.
 // It generalizes the two-class Model/Scenario to the Section 6 extensions:
-// arbitrary class counts with capped, Amdahl or power-law speedups.
+// arbitrary class counts with capped or Amdahl speedups.
 type Mix struct {
 	Name    string
 	Classes []sim.ClassSpec

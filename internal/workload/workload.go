@@ -7,49 +7,22 @@
 package workload
 
 import (
-	"fmt"
-
 	"repro/internal/dist"
 	"repro/internal/queueing"
 	"repro/internal/sim"
 	"repro/internal/xrand"
 )
 
-// Model is the paper's stochastic model: independent Poisson arrivals for
-// each class with exponential sizes.
+// Model generates the arrivals of the paper's model (queueing.Model):
+// independent Poisson arrivals for each class with exponential sizes.
 type Model struct {
-	K                int
-	LambdaI, LambdaE float64
-	MuI, MuE         float64
+	queueing.Model
 }
 
-// NewModel returns a validated model; it panics on non-positive parameters.
-func NewModel(k int, lambdaI, muI, lambdaE, muE float64) Model {
-	m := Model{K: k, LambdaI: lambdaI, LambdaE: lambdaE, MuI: muI, MuE: muE}
-	m.mustValidate()
-	return m
-}
-
-// ModelForLoad returns the model with total load rho on k servers and
-// lambdaI = lambdaE, the convention used by every figure in the paper.
+// ModelForLoad returns the generator of queueing.ForLoad(k, rho, muI, muE).
 func ModelForLoad(k int, rho, muI, muE float64) Model {
-	lI, lE := queueing.RatesForLoad(k, rho, muI, muE)
-	return NewModel(k, lI, muI, lE, muE)
+	return Model{queueing.ForLoad(k, rho, muI, muE)}
 }
-
-func (m Model) mustValidate() {
-	if m.K < 1 || m.LambdaI <= 0 || m.LambdaE <= 0 || m.MuI <= 0 || m.MuE <= 0 {
-		panic(fmt.Sprintf("workload: invalid model %+v", m))
-	}
-}
-
-// Rho returns the system load of Eq. 1.
-func (m Model) Rho() float64 {
-	return queueing.SystemLoad(m.K, m.LambdaI, m.MuI, m.LambdaE, m.MuE)
-}
-
-// Stable reports whether rho < 1.
-func (m Model) Stable() bool { return m.Rho() < 1 }
 
 // Classes returns the model's two job classes (the sim.TwoClassSpecs
 // preset) with their arrival rates and exponential sizes attached.
@@ -61,9 +34,11 @@ func (m Model) Classes() []sim.ClassSpec {
 }
 
 // Source returns an unbounded streaming arrival source for the model, on
-// RNG streams from base 1.
+// RNG streams from base 1. It panics on an invalid model.
 func (m Model) Source(seed uint64) *Source {
-	m.mustValidate()
+	if err := m.Validate(); err != nil {
+		panic(err)
+	}
 	return newSource(seed, 1, m.Classes())
 }
 

@@ -54,13 +54,6 @@ func NewStream(seed, stream uint64) *Rand {
 	return r
 }
 
-// Split derives a new independent generator from r. The derived generator's
-// stream is drawn from r, so repeated Split calls yield distinct streams
-// while preserving reproducibility of the parent sequence.
-func (r *Rand) Split() *Rand {
-	return NewStream(r.Uint64(), r.Uint64())
-}
-
 func splitMix64(x uint64) uint64 {
 	x += 0x9e3779b97f4a7c15
 	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
@@ -182,87 +175,4 @@ func (r *Rand) Normal() float64 {
 	r.spare = mag * math.Sin(2*math.Pi*v)
 	r.hasSpare = true
 	return mag * math.Cos(2*math.Pi*v)
-}
-
-// Poisson returns a Poisson-distributed integer with the given mean. For
-// small means it uses Knuth's product method; for large means a
-// transformed-rejection method keeps the cost bounded.
-func (r *Rand) Poisson(mean float64) int {
-	if mean < 0 {
-		panic("xrand: Poisson with negative mean")
-	}
-	if mean == 0 {
-		return 0
-	}
-	if mean < 30 {
-		// Knuth's method.
-		l := math.Exp(-mean)
-		k := 0
-		p := 1.0
-		for {
-			p *= r.Float64Open()
-			if p <= l {
-				return k
-			}
-			k++
-		}
-	}
-	// Normal approximation with continuity correction, resampled until
-	// non-negative; accurate to well under the statistical noise of any
-	// experiment in this repository for mean >= 30.
-	for {
-		v := math.Floor(mean + math.Sqrt(mean)*r.Normal() + 0.5)
-		if v >= 0 {
-			return int(v)
-		}
-	}
-}
-
-// Gamma returns a Gamma(shape, rate)-distributed value using the
-// Marsaglia-Tsang method (with Ahrens-Dieter boosting for shape < 1).
-func (r *Rand) Gamma(shape, rate float64) float64 {
-	if shape <= 0 || rate <= 0 {
-		panic("xrand: Gamma with non-positive parameter")
-	}
-	if shape < 1 {
-		// Boost: Gamma(a) = Gamma(a+1) * U^(1/a).
-		u := r.Float64Open()
-		return r.Gamma(shape+1, rate) * math.Pow(u, 1/shape)
-	}
-	d := shape - 1.0/3.0
-	c := 1 / math.Sqrt(9*d)
-	for {
-		x := r.Normal()
-		v := 1 + c*x
-		if v <= 0 {
-			continue
-		}
-		v = v * v * v
-		u := r.Float64Open()
-		if u < 1-0.0331*x*x*x*x {
-			return d * v / rate
-		}
-		if math.Log(u) < 0.5*x*x+d*(1-v+math.Log(v)) {
-			return d * v / rate
-		}
-	}
-}
-
-// Shuffle permutes the first n elements using the Fisher-Yates algorithm,
-// calling swap(i, j) for each exchange.
-func (r *Rand) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		swap(i, j)
-	}
-}
-
-// Perm returns a random permutation of [0, n).
-func (r *Rand) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		p[i] = i
-	}
-	r.Shuffle(n, func(i, j int) { p[i], p[j] = p[j], p[i] })
-	return p
 }

@@ -29,6 +29,16 @@ if grep -rn --include='*.go' '"repro/internal/mcsim"' . ; then
   exit 1
 fi
 
+echo "==> one-model gate (internal/core is three forwards for benchmark/ only; the model is queueing.Model, the registry policy.ByName; no second copy of a policy)"
+if grep -rln --include='*.go' '"repro/internal/core"' . | grep -v '^\./benchmark/\|^\./internal/core/'; then
+  echo "FAIL: a package outside benchmark/ imports repro/internal/core (use queueing.Model, policy.ByName and exp's drivers)" >&2
+  exit 1
+fi
+if grep -rnwE --include='*.go' 'Model2D|mrt\.Params|IFAlloc|EFAlloc|ThresholdAlloc|DeferAlloc|core\.NewSystem|PolicyByName|ValidatePolicyClasses' . | grep -v '^\./benchmark/\|^\./internal/core/'; then
+  echo "FAIL: a second model type, count-rule copy of a policy or core registry name reappeared (use queueing.Model and policy.CountRule)" >&2
+  exit 1
+fi
+
 echo "==> go build ./..."
 go build ./...
 
@@ -43,8 +53,9 @@ go test ./internal/sim -run 'TestGolden' -count=1
 go test ./internal/exp -run 'TestGoldenFigure' -count=1
 go test ./internal/workload -run TestGoldenArrivals -count=1
 
-echo "==> exact-chain gate (banded GTH bit-identical to the dense loop; shorter-axis numbering only relabels; non-finite and band-storage guards; Appendix B; QBD vs CTMC; Theorem 6)"
-go test ./internal/ctmc -run 'TestStationaryMatchesDenseGTH|TestPolicyChainNumbering|TestStationaryNonFiniteIsError|TestAutoSolveNamesLastSolvedCaps|TestDeferDominatedByIF|TestTheorem6Counterexample' -count=1
+echo "==> exact-chain gate (banded GTH bit-identical to the dense loop; shorter-axis numbering only relabels; non-finite and band-storage guards; Appendix B; QBD vs CTMC; Theorem 6; the count-rule adapter runs the simulator's own policies: bit-identical to the deleted count rules, every registry name count-Markov or refused, zero allocations per state, every accepted policy solved)"
+go test ./internal/ctmc -run 'TestStationaryMatchesDenseGTH|TestPolicyChainNumbering|TestStationaryNonFiniteIsError|TestAutoSolveNamesLastSolvedCaps|TestDeferDominatedByIF|TestTheorem6Counterexample|TestCountRuleSolvesRegistry' -count=1
+go test ./internal/policy -run 'TestCountRuleMatchesReferenceRules|TestRegistryCountMarkov|TestCountRuleRefuses|TestCountRuleAllocs' -count=1
 go test ./internal/qbd -run 'TestQBDMatchesCTMCOnRandomChains' -count=1
 
 echo "==> sparse-vs-dense equivalence gate (fast paths vs the oracle, the engine's settle-all ForceDense path running the same Allocate: identical completion sequences, stats to 1e-9; each policy's one Allocate)"
