@@ -47,11 +47,10 @@ func main() {
 	if flag.NArg() > 0 {
 		log.Fatalf("unexpected arguments: %v", flag.Args())
 	}
-	var be exp.Backend
+	opt := exp.Options{Backend: exp.PoolBackend{Workers: *workers}}
 	if *dispatch != "" {
-		be = &fabric.Backend{Addr: *dispatch, Name: "dominance"}
+		opt.Backend = &fabric.Backend{Addr: *dispatch, Name: "dominance"}
 	}
-	var oc exp.OutcomeCache
 	if *cache != "" {
 		fc, err := exp.OpenFileCache(*cache)
 		if err != nil {
@@ -61,7 +60,7 @@ func main() {
 			log.Print(msg)
 		}
 		defer fc.Close()
-		oc = fc
+		opt.Cache = fc
 	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
@@ -71,7 +70,7 @@ func main() {
 		K: *k, Rho: *rho, MuI: *muI, MuE: *muE,
 		PolicyA: *polA, PolicyB: *polB,
 		Arrivals: *n, Seeds: *seeds,
-	}, exp.Options{Workers: *workers, Backend: be, TaskCache: oc})
+	}, opt)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -10,7 +10,8 @@
 //
 // Sweeps are submitted either attached, from any driver with
 // `-dispatcher host:port` (simulate, figures, dominance, resultd), or
-// detached via cmd/psq. Workers heartbeat while connected and reconnect
+// detached with `simulate -dispatcher host:port -detach`; cmd/psq lists,
+// inspects and cancels them. Workers heartbeat while connected and reconnect
 // with exponential backoff; the dispatcher re-queues the in-flight task of
 // a lost worker, so killing a worker mid-sweep changes nothing about the
 // results — every backend is bit-identical by construction.

@@ -76,7 +76,7 @@ func main() {
 	if *svg && *outdir == "" {
 		log.Fatal("-svg requires -outdir")
 	}
-	opt := exp.Options{Workers: *workers}
+	opt := exp.Options{Backend: exp.PoolBackend{Workers: *workers}}
 	if *dispatch != "" {
 		opt.Backend = &fabric.Backend{Addr: *dispatch, Name: "figures"}
 	}
@@ -93,7 +93,6 @@ func main() {
 		// cells, the point drivers (Figures 4-6, validation, ablation)
 		// cache task outcomes keyed by exp.TaskKey.
 		opt.Cache = fc
-		opt.TaskCache = fc
 	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)

@@ -133,7 +133,7 @@ func main() {
 	}
 
 	opts := serve.Options{
-		Exp:          exp.Options{Workers: *workers},
+		Exp:          exp.Options{Backend: exp.PoolBackend{Workers: *workers}},
 		MaxEntries:   *maxEntries,
 		MaxBytes:     *maxBytes,
 		MaxCells:     *maxCells,

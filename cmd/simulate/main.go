@@ -13,12 +13,18 @@
 //	simulate -k 8 -rho 0.5,0.7 -mix threeclass,partialelastic -policy LFF,EQUI,EF
 //	simulate -k 4 -rho 0.9 -muI 1 -muE 1 -policy IF -cache sweep.jsonl -csv out.csv
 //	simulate -k 4 -rho 0.7,0.9 -mix threeclass -policy LFF,EQUI -tail -dispatcher 127.0.0.1:9071
+//	simulate -k 8 -rho 0.9 -policy IF -reps 5 -dispatcher 127.0.0.1:9071 -detach
 //	simulate -k 16 -rho 0.98 -muI 1 -muE 1 -policy IF -jobs 2000000
 //	simulate -k 4 -rho 0.9 -mix threeclass -policy LFF -quantiles 0.5,0.95,0.99,0.999
 //
 // -dispatcher host:port submits the (cell, replication) tasks to a
 // networked fabric dispatcher (cmd/fabricd) instead of the default
-// goroutine pool; results are bit-identical either way.
+// goroutine pool; results are bit-identical either way, and Ctrl-C cancels
+// the job on the dispatcher. Adding -detach submits the same tasks as a job
+// that runs with no client attached: simulate prints the job id and exits,
+// the sweep warms the dispatcher's outcome cache, and a later run of the
+// same flags with -dispatcher is answered from that cache. cmd/psq lists,
+// inspects and cancels such jobs.
 // -tail adds reservoir-sampled p99 response times, overall
 // and per class; -quantiles widens that to any quantile set. Stepping costs
 // O(changed·log n) per event, so near-saturation sweeps with many resident
@@ -96,6 +102,7 @@ func main() {
 		reps     = flag.Int("reps", 1, "independent replications per cell")
 		workers  = flag.Int("workers", 0, "worker pool size when -dispatcher is unset (0 = GOMAXPROCS)")
 		dispatch = flag.String("dispatcher", "", "run on the fabric dispatcher at this address (host:port) instead of the in-process pool")
+		detach   = flag.Bool("detach", false, "with -dispatcher: submit the sweep as a detached job, print its id and exit")
 		tail     = flag.Bool("tail", false, "also report p99 response times, overall and per class")
 		quants   = flag.String("quantiles", "", "tail quantiles in (0,1), e.g. 0.5,0.95,0.99,0.999 (implies -tail)")
 		cache    = flag.String("cache", "", "JSONL result cache; completed cells are reused across runs")
@@ -108,6 +115,9 @@ func main() {
 	flag.Parse()
 	if flag.NArg() > 0 {
 		log.Fatalf("unexpected arguments: %v", flag.Args())
+	}
+	if *detach && (*dispatch == "" || *cache != "" || *csvPath != "" || *jsonPath != "") {
+		log.Fatal("-detach needs -dispatcher and takes no -cache, -csv or -json (no results come back)")
 	}
 	defer startProfiling(*cpuProf, *memProf, *mtxProf)()
 	if *reps < 1 {
@@ -161,9 +171,28 @@ func main() {
 		})
 	}
 
-	opt := exp.Options{Workers: *workers}
+	// Ctrl-C cancels the sweep (a detached one only until the dispatcher
+	// has acknowledged it); completed cells are already in the cache, so
+	// the next run resumes where this one stopped.
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
+	defer stop()
+
+	if *detach {
+		tasks, err := sweep.Tasks()
+		if err != nil {
+			log.Fatal(err)
+		}
+		id, err := (&fabric.Client{Addr: *dispatch}).SubmitDetached(ctx, sweep.Name, exp.Env{Sweep: &sweep}, tasks)
+		if err != nil {
+			log.Fatal(err)
+		}
+		fmt.Printf("submitted %s (%d tasks); watch it with: psq -dispatcher %s list\n", id, len(tasks), *dispatch)
+		return
+	}
+
+	opt := exp.Options{Backend: exp.PoolBackend{Workers: *workers}}
 	if *dispatch != "" {
-		opt.Backend = &fabric.Backend{Addr: *dispatch, Name: "simulate"}
+		opt.Backend = &fabric.Backend{Addr: *dispatch, Name: sweep.Name}
 	}
 	if *cache != "" {
 		fc, err := exp.OpenFileCache(*cache)
@@ -176,11 +205,6 @@ func main() {
 		defer fc.Close()
 		opt.Cache = fc
 	}
-
-	// Ctrl-C cancels the sweep; completed cells are already in the cache,
-	// so the next run resumes where this one stopped.
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
-	defer stop()
 
 	rs, err := exp.Run(ctx, sweep, opt)
 	if err != nil {

@@ -368,18 +368,20 @@ func CachedOutcome(c OutcomeCache, t Task) (Outcome, bool) {
 
 // submitAll submits tasks on opt's backend and collects the outcomes in
 // task order — the convenience used by the figure drivers, which have no
-// per-task streaming needs. When Options.TaskCache is set it is consulted
-// first (CachedOutcome) and only the misses reach the backend. Each
-// outcome is checked against its task's kind, so a misbehaving custom
-// backend (or a drifted worker binary that answers with empty outcomes)
-// surfaces as a clear error instead of a nil dereference in the driver.
+// per-task streaming needs. When Options.Cache also implements
+// OutcomeCache it is consulted first (CachedOutcome), only the misses
+// reach the backend, and each new outcome is stored in it. Each outcome is
+// checked against its task's kind, so a misbehaving custom backend (or a
+// drifted worker binary that answers with empty outcomes) surfaces as a
+// clear error instead of a nil dereference in the driver.
 func submitAll(ctx context.Context, opt Options, env Env, tasks []Task) ([]Outcome, error) {
+	oc, _ := opt.Cache.(OutcomeCache)
 	out := make([]Outcome, len(tasks))
 	missing := make([]int, 0, len(tasks))
 	var sub []Task
 	for i, t := range tasks {
-		if opt.TaskCache != nil {
-			if o, hit := CachedOutcome(opt.TaskCache, t); hit {
+		if oc != nil {
+			if o, hit := CachedOutcome(oc, t); hit {
 				out[i] = o
 				continue
 			}
@@ -399,9 +401,9 @@ func submitAll(ctx context.Context, opt Options, env Env, tasks []Task) ([]Outco
 		if err := tasks[i].checkOutcome(tr.Outcome); err != nil {
 			return err
 		}
-		if opt.TaskCache != nil {
+		if oc != nil {
 			if key, ok := TaskKey(tasks[i]); ok {
-				if err := opt.TaskCache.PutOutcome(key, tr.Outcome); err != nil {
+				if err := oc.PutOutcome(key, tr.Outcome); err != nil {
 					return fmt.Errorf("exp: caching %s: %w", tasks[i].Label(), err)
 				}
 			}

@@ -140,11 +140,10 @@ func TestTaskKeysPinned(t *testing.T) {
 }
 
 // TestPoolBackendMatchesLegacyRun: the Backend refactor must be invisible —
-// Options{Workers: n} (implicit PoolBackend) and an explicit PoolBackend
-// must agree bit-for-bit for every worker count.
+// PoolBackend runs must agree bit-for-bit for every worker count.
 func TestPoolBackendMatchesLegacyRun(t *testing.T) {
 	sw := smallSweep()
-	implicit, err := Run(context.Background(), sw, Options{Workers: 3})
+	implicit, err := Run(context.Background(), sw, Options{Backend: PoolBackend{Workers: 3}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +204,7 @@ func TestDegenerateCellBackendParity(t *testing.T) {
 		Grid: Grid{K: []int{4}, Rho: []float64{0.9}, MuI: []float64{1}, MuE: []float64{1}, Policies: []string{"EF"}},
 		Jobs: 1,
 	}
-	pool, err := Run(context.Background(), sw, Options{Workers: 2})
+	pool, err := Run(context.Background(), sw, Options{Backend: PoolBackend{Workers: 2}})
 	if err != nil {
 		t.Fatalf("pool: %v", err)
 	}

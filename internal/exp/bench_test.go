@@ -36,7 +36,7 @@ func benchSweep(b *testing.B, workers int) {
 	sw := figureScaleSweep(10_000)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Run(context.Background(), sw, Options{Workers: workers}); err != nil {
+		if _, err := Run(context.Background(), sw, Options{Backend: PoolBackend{Workers: workers}}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -60,7 +60,7 @@ func TestParallelSpeedup(t *testing.T) {
 	sw := figureScaleSweep(20_000)
 	timeIt := func(workers int) time.Duration {
 		start := time.Now()
-		if _, err := Run(context.Background(), sw, Options{Workers: workers}); err != nil {
+		if _, err := Run(context.Background(), sw, Options{Backend: PoolBackend{Workers: workers}}); err != nil {
 			t.Fatal(err)
 		}
 		return time.Since(start)

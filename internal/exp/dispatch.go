@@ -94,26 +94,19 @@ func protect[T any](i int, fn func(int) (T, error)) (v T, err error) {
 
 // Options configure the dispatcher.
 type Options struct {
-	// Workers is the pool size of the default PoolBackend; <= 0 means
-	// GOMAXPROCS. Ignored when Backend is set.
-	Workers int
+	// Backend executes the tasks; nil means PoolBackend{} (goroutines of
+	// this process, GOMAXPROCS of them). Use a fabric.Backend to run them
+	// on a networked dispatcher's workers.
+	Backend Backend
 	// Cache, when non-nil, is consulted before running a cell and updated
 	// the moment a cell's last replication finishes — so a canceled sweep
-	// still banks its completed cells and a re-run is incremental. The
-	// cache is only ever touched by the submitting process, never by a
-	// backend's workers.
+	// still banks its completed cells and a re-run is incremental. When it
+	// also implements OutcomeCache (FileCache does, MemCache does not), the
+	// point drivers (figures, validation, ablation, dominance; see
+	// submitAll), whose tasks belong to no Sweep cell, memoize each task
+	// outcome in it as well. The cache is only ever touched by the
+	// submitting process, never by a backend's workers.
 	Cache Cache
-	// TaskCache, when non-nil, memoizes individual task outcomes keyed by
-	// TaskKey. It is consulted by the point drivers (figures, validation,
-	// ablation, dominance — see submitAll), whose tasks never belong to a
-	// Sweep cell and so cannot land in Cache; sweeps keep their coarser
-	// cell-granularity caching. Like Cache it is only touched by the
-	// submitting process.
-	TaskCache OutcomeCache
-	// Backend executes the tasks; nil means PoolBackend{Workers: Workers}
-	// (goroutines of this process). Use a fabric.Backend to run them on a
-	// networked dispatcher's workers.
-	Backend Backend
 }
 
 // backend resolves the effective Backend.
@@ -121,14 +114,14 @@ func (o Options) backend() Backend {
 	if o.Backend != nil {
 		return o.Backend
 	}
-	return PoolBackend{Workers: o.Workers}
+	return PoolBackend{}
 }
 
 // Tasks validates the sweep and expands it into its full task list — one
 // Sim task per (cell, replication) pair, with the seed and cache key
 // precomputed exactly as Run would. This is the submission payload for
-// detached fabric jobs (cmd/psq), where no Run loop is present on the
-// client to build tasks lazily.
+// detached fabric jobs (simulate -detach), where no Run loop is present on
+// the client to build tasks lazily.
 func (sw Sweep) Tasks() ([]Task, error) {
 	if err := sw.validate(); err != nil {
 		return nil, err

@@ -25,7 +25,7 @@ func ExampleRun() {
 		Warmup:   2_000,
 		Jobs:     30_000,
 	}
-	rs, err := exp.Run(context.Background(), sweep, exp.Options{Workers: 4})
+	rs, err := exp.Run(context.Background(), sweep, exp.Options{Backend: exp.PoolBackend{Workers: 4}})
 	if err != nil {
 		panic(err)
 	}

@@ -111,6 +111,7 @@ func TestSweepValidate(t *testing.T) {
 		{"THRESH cap with a tail", func(s *Sweep) { s.Grid.Policies = []string{"THRESH:2abc"} }, "bad cap"},
 		{"spaced THRESH cap", func(s *Sweep) { s.Grid.Policies = []string{"THRESH: 2"} }, "bad cap"},
 		{"negative THRESH cap", func(s *Sweep) { s.Grid.Policies = []string{"THRESH:-3"} }, "bad cap"},
+		{"spaced PRIO order", func(s *Sweep) { s.Grid.Policies = []string{"PRIO: 1 > 0"} }, "bad priority order"},
 		{"bad scenario", func(s *Sweep) {
 			s.Grid = Grid{K: []int{2}, Rho: []float64{0.5}, Scenarios: []string{"nope"}}
 		}, "unknown scenario"},
@@ -139,7 +140,7 @@ func TestDeterministicAcrossWorkerCounts(t *testing.T) {
 	sw := smallSweep()
 	var sets []*ResultSet
 	for _, workers := range []int{1, 3, 8} {
-		rs, err := Run(context.Background(), sw, Options{Workers: workers})
+		rs, err := Run(context.Background(), sw, Options{Backend: PoolBackend{Workers: workers}})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -155,7 +156,7 @@ func TestDeterministicAcrossWorkerCounts(t *testing.T) {
 // TestReplicationSeedsDistinct: every (cell, replication) pair must draw an
 // independent stream.
 func TestReplicationSeedsDistinct(t *testing.T) {
-	rs, err := Run(context.Background(), smallSweep(), Options{Workers: 4})
+	rs, err := Run(context.Background(), smallSweep(), Options{Backend: PoolBackend{Workers: 4}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,14 +215,14 @@ func (c *countingCache) Put(key string, cr CellResult) error {
 func TestCacheMakesRerunsIncremental(t *testing.T) {
 	sw := smallSweep()
 	cache := &countingCache{inner: NewMemCache()}
-	first, err := Run(context.Background(), sw, Options{Workers: 4, Cache: cache})
+	first, err := Run(context.Background(), sw, Options{Backend: PoolBackend{Workers: 4}, Cache: cache})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := cache.puts.Load(); got != int64(len(first.Cells)) {
 		t.Fatalf("first run put %d cells, want %d", got, len(first.Cells))
 	}
-	second, err := Run(context.Background(), sw, Options{Workers: 4, Cache: cache})
+	second, err := Run(context.Background(), sw, Options{Backend: PoolBackend{Workers: 4}, Cache: cache})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,7 +238,7 @@ func TestCacheMakesRerunsIncremental(t *testing.T) {
 	// A different budget must not hit the old entries.
 	swLonger := sw
 	swLonger.Jobs *= 2
-	if _, err := Run(context.Background(), swLonger, Options{Workers: 4, Cache: cache}); err != nil {
+	if _, err := Run(context.Background(), swLonger, Options{Backend: PoolBackend{Workers: 4}, Cache: cache}); err != nil {
 		t.Fatal(err)
 	}
 	if got := cache.puts.Load(); got != 2*int64(len(first.Cells)) {
@@ -276,7 +277,7 @@ func TestCancellationLeavesCacheConsistent(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	trigger := &cancelAfterCache{inner: mem, cancel: cancel, nputs: 2}
-	_, err := Run(ctx, sw, Options{Workers: 2, Cache: trigger})
+	_, err := Run(ctx, sw, Options{Backend: PoolBackend{Workers: 2}, Cache: trigger})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("want context.Canceled, got %v", err)
 	}
@@ -288,11 +289,11 @@ func TestCancellationLeavesCacheConsistent(t *testing.T) {
 		t.Skip("sweep finished before cancellation took effect")
 	}
 
-	resumed, err := Run(context.Background(), sw, Options{Workers: 2, Cache: mem})
+	resumed, err := Run(context.Background(), sw, Options{Backend: PoolBackend{Workers: 2}, Cache: mem})
 	if err != nil {
 		t.Fatal(err)
 	}
-	fresh, err := Run(context.Background(), sw, Options{Workers: 2})
+	fresh, err := Run(context.Background(), sw, Options{Backend: PoolBackend{Workers: 2}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -310,7 +311,7 @@ func TestFileCacheRoundtrip(t *testing.T) {
 	sw := smallSweep()
 	sw.Reps = 1
 	sw.Jobs = 1_000
-	first, err := Run(context.Background(), sw, Options{Workers: 2, Cache: fc})
+	first, err := Run(context.Background(), sw, Options{Backend: PoolBackend{Workers: 2}, Cache: fc})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -599,7 +600,7 @@ func TestMapFirstErrorCancels(t *testing.T) {
 func TestCachePutErrorSurfaced(t *testing.T) {
 	sw := smallSweep()
 	sw.Reps = 1
-	_, err := Run(context.Background(), sw, Options{Workers: 2, Cache: failingCache{}})
+	_, err := Run(context.Background(), sw, Options{Backend: PoolBackend{Workers: 2}, Cache: failingCache{}})
 	if err == nil || !strings.Contains(err.Error(), "caching cell") {
 		t.Fatalf("cache failure not surfaced: %v", err)
 	}
@@ -632,13 +633,13 @@ func TestWorkerPoolStressRace(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if _, err := Run(context.Background(), sw, Options{Workers: 16, Cache: cache}); err != nil {
+			if _, err := Run(context.Background(), sw, Options{Backend: PoolBackend{Workers: 16}, Cache: cache}); err != nil {
 				t.Errorf("stress run: %v", err)
 			}
 		}()
 	}
 	wg.Wait()
-	rs, err := Run(context.Background(), sw, Options{Workers: 16, Cache: cache})
+	rs, err := Run(context.Background(), sw, Options{Backend: PoolBackend{Workers: 16}, Cache: cache})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -658,7 +659,7 @@ func TestAutoWarmupAndBatchCI(t *testing.T) {
 		AutoWarmup: true,
 		Batches:    10,
 	}
-	rs, err := Run(context.Background(), sw, Options{Workers: 2})
+	rs, err := Run(context.Background(), sw, Options{Backend: PoolBackend{Workers: 2}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -694,7 +695,7 @@ func TestScenarioSweepRuns(t *testing.T) {
 		Reps: 1,
 		Jobs: 2_000,
 	}
-	rs, err := Run(context.Background(), sw, Options{Workers: 4})
+	rs, err := Run(context.Background(), sw, Options{Backend: PoolBackend{Workers: 4}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -709,7 +710,7 @@ func TestResultSetEmitters(t *testing.T) {
 	sw := smallSweep()
 	sw.Reps = 2
 	sw.Jobs = 1_000
-	rs, err := Run(context.Background(), sw, Options{Workers: 4})
+	rs, err := Run(context.Background(), sw, Options{Backend: PoolBackend{Workers: 4}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -23,9 +23,9 @@ import (
 // serializable task submitted to opt's Backend (the in-process goroutine
 // pool by default, or a networked fabric dispatcher), so a
 // figure-scale sweep scales with the hardware while producing exactly the
-// same points in the same order. Options.Cache (cell granularity) does not
-// apply to these drivers — their tasks belong to no Sweep cell — but
-// Options.TaskCache memoizes the individual grid points, keyed by
+// same points in the same order. Their tasks belong to no Sweep cell, so
+// Options.Cache holds no cells for them; when it is also an OutcomeCache
+// (a FileCache) it memoizes the individual grid points, keyed by
 // exp.TaskKey, so a re-run of a figure recomputes only what changed. The
 // single-configuration experiments (Simulate, Theorem6, SRPTExperiment)
 // sit beside them.
@@ -365,9 +365,9 @@ type DominanceRun struct {
 }
 
 // Dominance runs the coupled experiment, one trace per backend task (seeds
-// 1..Seeds, in order). o.TaskCache memoizes per-trace outcomes, so
-// repeating the experiment (or extending Seeds) recomputes only the missing
-// traces.
+// 1..Seeds, in order). An o.Cache that is also an OutcomeCache memoizes
+// per-trace outcomes, so repeating the experiment (or extending Seeds)
+// recomputes only the missing traces.
 func Dominance(ctx context.Context, cfg DominanceConfig, o Options) ([]DominanceRun, error) {
 	if cfg.K < 1 || cfg.Arrivals < 1 || cfg.Seeds < 1 {
 		return nil, fmt.Errorf("exp: dominance needs k, arrivals and seeds >= 1 (got k=%d n=%d seeds=%d)",
@@ -376,15 +376,18 @@ func Dominance(ctx context.Context, cfg DominanceConfig, o Options) ([]Dominance
 	if !(cfg.Rho > 0 && cfg.Rho < 1) || cfg.MuI <= 0 || cfg.MuE <= 0 {
 		return nil, fmt.Errorf("exp: dominance needs rho in (0,1) and positive service rates")
 	}
-	// Validate the policy names up front; per-trace instances are
-	// constructed inside each task (see runDominanceTrace) because stateful
-	// policies maintain reusable buffers that must not be shared across
-	// workers.
-	if _, err := policy.ByName(cfg.PolicyA, cfg.MuI, cfg.MuE); err != nil {
-		return nil, err
-	}
-	if _, err := policy.ByName(cfg.PolicyB, cfg.MuI, cfg.MuE); err != nil {
-		return nil, err
+	// Validate both policies against the classes the traces run on, as a
+	// sweep cell's are. Per-trace instances are built inside each task (see
+	// runDominanceTrace): stateful policies hold buffers no two may share.
+	classes := workload.ModelForLoad(cfg.K, cfg.Rho, cfg.MuI, cfg.MuE).Classes()
+	for _, name := range []string{cfg.PolicyA, cfg.PolicyB} {
+		p, err := policy.ByName(name, cfg.MuI, cfg.MuE)
+		if err != nil {
+			return nil, err
+		}
+		if err := policy.Validate(p, classes); err != nil {
+			return nil, fmt.Errorf("exp: dominance: %w", err)
+		}
 	}
 	tol := cfg.Tol
 	if tol == 0 {

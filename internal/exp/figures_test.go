@@ -59,11 +59,11 @@ func TestFigure4EFRegionGrowsWithLoad(t *testing.T) {
 // serial loop's points in the serial loop's order, for any worker count.
 func TestFigure4ParallelMatchesSerial(t *testing.T) {
 	grid := []float64{0.5, 1.0, 2.0}
-	serial, err := Figure4(context.Background(), 4, 0.7, grid, Options{Workers: 1})
+	serial, err := Figure4(context.Background(), 4, 0.7, grid, Options{Backend: PoolBackend{Workers: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := Figure4(context.Background(), 4, 0.7, grid, Options{Workers: 8})
+	parallel, err := Figure4(context.Background(), 4, 0.7, grid, Options{Backend: PoolBackend{Workers: 8}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,6 +242,26 @@ func TestDominanceRejectsBadConfig(t *testing.T) {
 		if _, err := Dominance(context.Background(), cfg, Options{}); err == nil {
 			t.Fatalf("config %d accepted: %+v", i, cfg)
 		}
+	}
+}
+
+// TestDominanceValidatesPolicyClasses: both policies are checked against
+// the two classes the traces run on before any task is built, as a sweep
+// cell's policy is. PRIO:0 never serves class 1; unchecked, it ran and
+// reported ratios over the completed class-0 jobs alone.
+func TestDominanceValidatesPolicyClasses(t *testing.T) {
+	be := &countingBackend{inner: PoolBackend{}}
+	for _, cfg := range []DominanceConfig{
+		{K: 2, Rho: 0.5, MuI: 1, MuE: 1, PolicyA: "PRIO:0", PolicyB: "EF", Arrivals: 200, Seeds: 2},
+		{K: 2, Rho: 0.5, MuI: 1, MuE: 1, PolicyA: "IF", PolicyB: "PRIO:0", Arrivals: 200, Seeds: 2},
+	} {
+		_, err := Dominance(context.Background(), cfg, Options{Backend: be})
+		if err == nil || !strings.Contains(err.Error(), "class 1") {
+			t.Errorf("%s vs %s: error %v does not name class 1", cfg.PolicyA, cfg.PolicyB, err)
+		}
+	}
+	if n := be.submitted.Load(); n != 0 {
+		t.Fatalf("backend received %d tasks, want 0", n)
 	}
 }
 

@@ -23,7 +23,7 @@ func TestMixSweepEndToEnd(t *testing.T) {
 		},
 		Reps: 2, Warmup: 2_000, Jobs: 20_000,
 	}
-	rs, err := Run(context.Background(), sw, Options{Workers: 4})
+	rs, err := Run(context.Background(), sw, Options{Backend: PoolBackend{Workers: 4}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,11 +72,11 @@ func TestMixSweepDeterminism(t *testing.T) {
 		},
 		Reps: 2, Warmup: 500, Jobs: 5_000,
 	}
-	a, err := Run(context.Background(), sw, Options{Workers: 1})
+	a, err := Run(context.Background(), sw, Options{Backend: PoolBackend{Workers: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Run(context.Background(), sw, Options{Workers: 8})
+	b, err := Run(context.Background(), sw, Options{Backend: PoolBackend{Workers: 8}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,15 +113,15 @@ func TestMixPolicyValidation(t *testing.T) {
 		t.Fatal("Scenarios+Mixes accepted")
 	}
 	sw.Grid.Scenarios = nil
-	for _, pol := range []string{"THRESH:2", "GREEDY", "PRIO:0,1", "PRIO:0,1,2,3", "PRIO:0,0,1,2"} {
+	for _, pol := range []string{"THRESH:2", "GREEDY", "PRIO:0>1", "PRIO:0>1>2>3", "PRIO:0>0>1>2"} {
 		sw.Grid.Policies = []string{pol}
 		if _, err := Run(context.Background(), sw, Options{}); err == nil {
 			t.Fatalf("two-class-only or non-covering policy %q accepted for a 3-class mix", pol)
 		}
 	}
-	sw.Grid.Policies = []string{"PRIO:2,1,0"}
+	sw.Grid.Policies = []string{"PRIO:2>1>0"}
 	sw.Jobs = 2_000
-	if _, err := Run(context.Background(), sw, Options{Workers: 2}); err != nil {
+	if _, err := Run(context.Background(), sw, Options{Backend: PoolBackend{Workers: 2}}); err != nil {
 		t.Fatalf("covering PRIO rejected: %v", err)
 	}
 }
@@ -157,7 +157,7 @@ func TestMixTailPercentiles(t *testing.T) {
 		Reps: 2, Warmup: 1_000, Jobs: 10_000,
 		Tail: true,
 	}
-	rs, err := Run(context.Background(), sw, Options{Workers: 4})
+	rs, err := Run(context.Background(), sw, Options{Backend: PoolBackend{Workers: 4}})
 	if err != nil {
 		t.Fatal(err)
 	}

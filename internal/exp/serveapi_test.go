@@ -24,7 +24,7 @@ func progressSweep() Sweep {
 func TestRunProgressStreamsPartialAggregates(t *testing.T) {
 	sw := progressSweep()
 	var events []Progress
-	rs, err := RunProgress(context.Background(), sw, Options{Workers: 2}, func(p Progress) {
+	rs, err := RunProgress(context.Background(), sw, Options{Backend: PoolBackend{Workers: 2}}, func(p Progress) {
 		events = append(events, p)
 	})
 	if err != nil {
@@ -162,7 +162,7 @@ func TestTaskCacheMemoizesPointDrivers(t *testing.T) {
 		t.Fatal(err)
 	}
 	be := &countingBackend{inner: PoolBackend{}}
-	opt := Options{TaskCache: fc, Backend: be}
+	opt := Options{Cache: fc, Backend: be}
 	muIs := []float64{0.5, 1, 2}
 	cold, err := Figure5(context.Background(), 2, 0.5, muIs, opt)
 	if err != nil {
@@ -180,7 +180,7 @@ func TestTaskCacheMemoizesPointDrivers(t *testing.T) {
 	if fc2.OutcomeLen() != len(muIs) {
 		t.Fatalf("reloaded cache holds %d outcomes, want %d", fc2.OutcomeLen(), len(muIs))
 	}
-	warm, err := Figure5(context.Background(), 2, 0.5, muIs, Options{TaskCache: fc2, Backend: be})
+	warm, err := Figure5(context.Background(), 2, 0.5, muIs, Options{Cache: fc2, Backend: be})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,6 +189,36 @@ func TestTaskCacheMemoizesPointDrivers(t *testing.T) {
 	}
 	if !reflect.DeepEqual(cold, warm) {
 		t.Fatal("warm (cached) Figure5 points differ from the cold run")
+	}
+}
+
+// TestCellsOnlyCacheLeavesPointDriversAlone: a Cache that is no
+// OutcomeCache (MemCache keeps cells only) changes nothing for the point
+// drivers: the same points as with no cache, every task reaches the
+// backend, and nothing is stored.
+func TestCellsOnlyCacheLeavesPointDriversAlone(t *testing.T) {
+	mem := NewMemCache()
+	if _, ok := any(mem).(OutcomeCache); ok {
+		t.Fatal("MemCache implements OutcomeCache; this test needs a cells-only cache")
+	}
+	muIs := []float64{0.5, 1, 2}
+	plain, err := Figure5(context.Background(), 2, 0.5, muIs, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	be := &countingBackend{inner: PoolBackend{}}
+	got, err := Figure5(context.Background(), 2, 0.5, muIs, Options{Cache: mem, Backend: be})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(plain, got) {
+		t.Fatal("Figure5 with a cells-only cache differs from the run without one")
+	}
+	if n := be.submitted.Load(); n != int64(len(muIs)) {
+		t.Fatalf("submitted %d tasks, want %d", n, len(muIs))
+	}
+	if mem.Len() != 0 {
+		t.Fatalf("cells-only cache stored %d entries, want 0", mem.Len())
 	}
 }
 

@@ -152,7 +152,8 @@ func (b *Backend) abandon(jobID string, cause error) error {
 	return cause
 }
 
-// Client issues psq-style control operations against a running dispatcher.
+// Client submits detached jobs to a running dispatcher (simulate -detach)
+// and lists, inspects and cancels its jobs (cmd/psq).
 type Client struct {
 	// Addr is the dispatcher's host:port.
 	Addr string

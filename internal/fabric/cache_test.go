@@ -53,7 +53,7 @@ func sortedLines(t *testing.T, path string) []string {
 // byte-identical to the pool and no cache hit is counted.
 func TestDispatcherCacheWrongKindIsMiss(t *testing.T) {
 	sw := fabricSweep()
-	pool, err := exp.Run(context.Background(), sw, exp.Options{Workers: 4})
+	pool, err := exp.Run(context.Background(), sw, exp.Options{Backend: exp.PoolBackend{Workers: 4}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +100,7 @@ func TestDispatcherCacheWrongKindIsMiss(t *testing.T) {
 // writes exactly that shape.
 func TestDispatcherCacheAcrossRestart(t *testing.T) {
 	sw := fabricSweep()
-	pool, err := exp.Run(context.Background(), sw, exp.Options{Workers: 4})
+	pool, err := exp.Run(context.Background(), sw, exp.Options{Backend: exp.PoolBackend{Workers: 4}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -23,13 +23,14 @@
 //   - workers heartbeat while connected (including mid-task), so a slow
 //     task does not look like a dead worker, and reconnect with exponential
 //     backoff when the dispatcher restarts or the link drops;
-//   - clients (Backend, the exp.Backend implementation behind the drivers'
-//     `-dispatcher` flag, and cmd/psq) submit task batches as jobs, stream
-//     results back, and can list or cancel jobs on a running dispatcher.
+//   - clients submit task batches as jobs: Backend, the exp.Backend
+//     implementation behind the drivers' `-dispatcher` flag, streams
+//     results back; Client submits detached jobs (simulate -detach) and
+//     lists, inspects or cancels jobs on a running dispatcher (cmd/psq).
 //
 // Entry points: NewDispatcher + Dispatcher.Serve (cmd/fabricd -role
 // dispatcher), Worker.Run (cmd/fabricd -role worker), Backend (drivers),
-// Client (cmd/psq).
+// Client (simulate -detach, cmd/psq).
 package fabric
 
 import (

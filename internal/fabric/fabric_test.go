@@ -129,7 +129,7 @@ func waitFor(t *testing.T, what string, timeout time.Duration, cond func() bool)
 // JSON serialization is byte-for-byte the in-process pool's.
 func TestFabricBitIdenticalToPool(t *testing.T) {
 	sw := fabricSweep()
-	pool, err := exp.Run(context.Background(), sw, exp.Options{Workers: 4})
+	pool, err := exp.Run(context.Background(), sw, exp.Options{Backend: exp.PoolBackend{Workers: 4}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,7 +233,7 @@ func TestFabricTaskKindsMatchPool(t *testing.T) {
 // pair could drain the sweep before the doomed worker got that assignment.)
 func TestFabricWorkerKilledMidTask(t *testing.T) {
 	sw := fabricSweep()
-	pool, err := exp.Run(context.Background(), sw, exp.Options{Workers: 4})
+	pool, err := exp.Run(context.Background(), sw, exp.Options{Backend: exp.PoolBackend{Workers: 4}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -313,7 +313,7 @@ func TestDispatcherLiveRetryBudget(t *testing.T) {
 // complete, byte-identical.
 func TestFabricWorkerReconnectResumes(t *testing.T) {
 	sw := fabricSweep()
-	pool, err := exp.Run(context.Background(), sw, exp.Options{Workers: 4})
+	pool, err := exp.Run(context.Background(), sw, exp.Options{Backend: exp.PoolBackend{Workers: 4}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -342,7 +342,7 @@ func TestFabricWorkerReconnectResumes(t *testing.T) {
 // finish the sweep.
 func TestFabricFrozenWorkerReaped(t *testing.T) {
 	sw := fabricSweep()
-	pool, err := exp.Run(context.Background(), sw, exp.Options{Workers: 4})
+	pool, err := exp.Run(context.Background(), sw, exp.Options{Backend: exp.PoolBackend{Workers: 4}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -370,7 +370,7 @@ func TestFabricSlowWorkerNotReaped(t *testing.T) {
 	sw.Jobs = 40_000 // one task now far outlasts the 150ms heartbeat timeout
 	sw.Grid.Rho = []float64{0.7}
 	sw.Grid.MuI = []float64{2}
-	pool, err := exp.Run(context.Background(), sw, exp.Options{Workers: 4})
+	pool, err := exp.Run(context.Background(), sw, exp.Options{Backend: exp.PoolBackend{Workers: 4}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -585,7 +585,7 @@ func TestFabricClientDisconnectCancelsJob(t *testing.T) {
 // cache — byte-identical to a pool run — plus the cancel error paths.
 func TestFabricDetachedLifecycleAndCache(t *testing.T) {
 	sw := fabricSweep()
-	pool, err := exp.Run(context.Background(), sw, exp.Options{Workers: 4})
+	pool, err := exp.Run(context.Background(), sw, exp.Options{Backend: exp.PoolBackend{Workers: 4}})
 	if err != nil {
 		t.Fatal(err)
 	}

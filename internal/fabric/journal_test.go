@@ -504,7 +504,7 @@ func TestDispatcherJournalReplayMatchesLive(t *testing.T) {
 func TestFabricDispatcherCrashFailover(t *testing.T) {
 	sw := fabricSweep()
 	sw.Jobs = 50_000 // long enough to still be mid-flight at the kill
-	pool, err := exp.Run(context.Background(), sw, exp.Options{Workers: 4})
+	pool, err := exp.Run(context.Background(), sw, exp.Options{Backend: exp.PoolBackend{Workers: 4}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -620,7 +620,7 @@ func TestDispatcherDrain(t *testing.T) {
 func TestFabricWorkerDrain(t *testing.T) {
 	sw := fabricSweep()
 	sw.Jobs = 20_000
-	pool, err := exp.Run(context.Background(), sw, exp.Options{Workers: 4})
+	pool, err := exp.Run(context.Background(), sw, exp.Options{Backend: exp.PoolBackend{Workers: 4}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -657,7 +657,7 @@ func TestFabricWorkerDrain(t *testing.T) {
 // budget and the sweep completes byte-identically on the healthy worker.
 func TestFabricTaskDeadline(t *testing.T) {
 	sw := fabricSweep()
-	pool, err := exp.Run(context.Background(), sw, exp.Options{Workers: 4})
+	pool, err := exp.Run(context.Background(), sw, exp.Options{Backend: exp.PoolBackend{Workers: 4}})
 	if err != nil {
 		t.Fatal(err)
 	}

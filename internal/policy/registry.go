@@ -25,11 +25,12 @@ var registry = map[string]func(muI, muE float64) sim.Policy{
 // ByName returns one of the built-in allocation policies. Recognized names:
 // IF, EF, FCFS, EQUI, GREEDY, DEFER, SRPT, LFF, SMF, THRESH:<cap> with a
 // non-negative decimal cap (no sign, no leading zeros), and
-// PRIO:<c0>,<c1>,... (strict class priority in the given order; '>'
-// separates as well as ','). muI and muE parameterize GREEDY; pass zeros
-// when it is not used. Each call returns a fresh policy instance: stateful
-// policies maintain reusable buffers, so instances must not be shared
-// across concurrently running systems.
+// PRIO:<c0>><c1>>... (strict class priority in the given order: class
+// indices in the same decimal form, joined by '>' alone, exactly as
+// ClassPriority.Name spells them). muI and muE parameterize GREEDY; pass
+// zeros when it is not used. Each call returns a fresh policy instance:
+// stateful policies maintain reusable buffers, so instances must not be
+// shared across concurrently running systems.
 func ByName(name string, muI, muE float64) (sim.Policy, error) {
 	if mk, ok := registry[name]; ok {
 		return mk(muI, muE), nil
@@ -45,18 +46,22 @@ func ByName(name string, muI, muE float64) (sim.Policy, error) {
 		return Threshold{Cap: capN}, nil
 	}
 	if rest, ok := strings.CutPrefix(name, "PRIO:"); ok {
-		var order []int
-		for _, part := range strings.FieldsFunc(rest, func(r rune) bool { return r == ',' || r == '>' }) {
-			c, err := strconv.Atoi(strings.TrimSpace(part))
+		// As for THRESH, the name must be the order's one spelling: a
+		// lenient parse would run "PRIO:1>0", "PRIO:1,0" and "PRIO: 1 > 0"
+		// as one policy under three labels, seeds and cache keys.
+		var p ClassPriority
+		for _, part := range strings.Split(rest, ">") {
+			c, err := strconv.Atoi(part)
 			if err != nil || c < 0 {
-				return nil, fmt.Errorf("policy: bad class index %q in policy %q", part, name)
+				p.Order = nil
+				break
 			}
-			order = append(order, c)
+			p.Order = append(p.Order, c)
 		}
-		if len(order) == 0 {
-			return nil, fmt.Errorf("policy: empty priority order in policy %q", name)
+		if p.Order == nil || p.Name() != name {
+			return nil, fmt.Errorf("policy: bad priority order %q in policy %q (want class indices joined by '>', e.g. PRIO:1>0)", rest, name)
 		}
-		return ClassPriority{Order: order}, nil
+		return p, nil
 	}
 	return nil, fmt.Errorf("policy: unknown policy %q", name)
 }

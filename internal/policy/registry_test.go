@@ -2,6 +2,7 @@ package policy
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
 )
 
@@ -35,6 +36,25 @@ func TestByNameRefusesMalformedThreshold(t *testing.T) {
 		p, err := ByName(fmt.Sprintf("THRESH:%d", c), 1, 1)
 		if err != nil || p != (Threshold{Cap: c}) {
 			t.Errorf("THRESH:%d resolved to %v, %v", c, p, err)
+		}
+	}
+}
+
+// TestByNameRefusesMalformedPriority: a PRIO order is class indices in
+// canonical decimal joined by '>' alone, as ClassPriority.Name spells it. A
+// lenient parse ran each of these as PRIO:1>0 under a label, seed and cache
+// key of its own.
+func TestByNameRefusesMalformedPriority(t *testing.T) {
+	for _, name := range []string{"PRIO: 1 > 0", "PRIO:1>>0", "PRIO:1,0", "PRIO:01>0", "PRIO:+1>0", "PRIO:1>0>"} {
+		if p, err := ByName(name, 1, 1); err == nil {
+			t.Errorf("%q accepted as %s", name, p.Name())
+		}
+	}
+	for _, order := range [][]int{{0}, {1, 0}, {2, 0, 1}, {10, 3}} {
+		want := ClassPriority{Order: order}
+		p, err := ByName(want.Name(), 1, 1)
+		if err != nil || !reflect.DeepEqual(p, want) {
+			t.Errorf("%s resolved to %v, %v", want.Name(), p, err)
 		}
 	}
 }

@@ -79,9 +79,9 @@ const (
 // Options configure a Server. The zero value serves on the in-process pool
 // with default caps.
 type Options struct {
-	// Exp configures how misses are computed: Workers, Cache (the
-	// cell-granularity layer under the response cache) and Backend (pool
-	// or fabric) — exactly the knobs cmd/simulate exposes.
+	// Exp configures how misses are computed: Backend (pool or fabric)
+	// and Cache (the cell-granularity layer under the response cache) —
+	// exactly the choices cmd/simulate exposes.
 	Exp exp.Options
 	// MaxEntries and MaxBytes cap the rendered-response LRU; <= 0 picks the
 	// defaults (16Ki entries, 256 MiB). The raw-body memo in front of it is

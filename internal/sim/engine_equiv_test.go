@@ -77,7 +77,7 @@ func equivPolicies(t testing.TB, classes []sim.ClassSpec) []string {
 	prio := "PRIO:"
 	for c := len(classes) - 1; c >= 0; c-- {
 		if c < len(classes)-1 {
-			prio += ","
+			prio += ">"
 		}
 		prio += fmt.Sprint(c)
 	}

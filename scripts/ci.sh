@@ -81,7 +81,7 @@ sweep_flags="-k 2 -rho 0.5,0.7 -muI 1,2 -muE 1 -policy IF,EF -reps 2 -warmup 200
 "$tmp/simulate" $sweep_flags -json "$tmp/pool.json" >/dev/null
 echo "    pool reference ResultSet recorded ($(wc -c < "$tmp/pool.json") bytes)"
 
-echo "==> networked fabric gate (every task kind pool-identical in-process; fabricd dispatcher with an outcome cache + 2 worker daemons on loopback)"
+echo "==> networked fabric gate (every task kind pool-identical in-process; fabricd dispatcher with an outcome cache + 2 worker daemons on loopback; a detached simulate job warms the cache; psq only observes and cancels)"
 go test ./internal/fabric -run 'TestFabricBitIdenticalToPool|TestFabricTaskKindsMatchPool' -count=1
 go build -o "$tmp/fabricd" ./cmd/fabricd
 go build -o "$tmp/psq" ./cmd/psq
@@ -122,6 +122,37 @@ if [ "${cache_hits:-0}" -le 0 ]; then
   exit 1
 fi
 echo "    re-run served from the dispatcher's outcome cache ($cache_hits hits), byte-identical"
+# A detached submission warms the same cache: simulate -detach prints the
+# job id and exits; once psq list shows that job done, the same flags run
+# attached are answered from the cache (one hit per task) and are still
+# byte-identical to the pool.
+"$tmp/simulate" $sweep_flags -seed 2 -json "$tmp/pool_seed2.json" >/dev/null
+"$tmp/simulate" $sweep_flags -seed 2 -dispatcher "$addr" -detach | tee "$tmp/detach.out"
+job="$(awk '$1 == "submitted" {print $2}' "$tmp/detach.out")"
+[ -n "$job" ] || { echo "FAIL: simulate -detach printed no job id" >&2; exit 1; }
+job_done() { awk -v j="$job" '$1 == j && $3 == "done" {ok = 1} END {exit !ok}' "$tmp/detach_psq.out"; }
+for _ in $(seq 1 300); do
+  "$tmp/psq" -dispatcher "$addr" list >"$tmp/detach_psq.out"
+  job_done && break
+  sleep 0.1
+done
+if ! job_done; then
+  echo "FAIL: detached job $job was not done within 30 s" >&2
+  cat "$tmp/detach_psq.out" >&2
+  exit 1
+fi
+hits_before="$("$tmp/psq" -dispatcher "$addr" stats | awk '$1 == "cache" && $2 == "hits" {print $3}')"
+"$tmp/simulate" $sweep_flags -seed 2 -dispatcher "$addr" -json "$tmp/fabric_seed2.json" >/dev/null
+hits_after="$("$tmp/psq" -dispatcher "$addr" stats | awk '$1 == "cache" && $2 == "hits" {print $3}')"
+if ! cmp "$tmp/pool_seed2.json" "$tmp/fabric_seed2.json"; then
+  echo "FAIL: the sweep answered from a detached job's outcomes differs from the pool" >&2
+  exit 1
+fi
+if [ "$((hits_after - hits_before))" -ne 16 ]; then
+  echo "FAIL: the attached re-run of detached job $job took $((hits_after - hits_before)) cache hits, want the sweep's 16 tasks" >&2
+  exit 1
+fi
+echo "    detached job $job warmed the cache: its attached re-run took 16 of 16 hits, byte-identical"
 # Fault injection, the honest way: SIGKILL one worker daemon while a longer
 # sweep is in flight. The dispatcher re-queues whatever it held; the sweep
 # must complete on the survivor, still byte-identical to the pool. The sweep
@@ -138,16 +169,25 @@ if ! cmp "$tmp/pool_kill.json" "$tmp/fabric_kill.json"; then
   exit 1
 fi
 echo "    sweep survived SIGKILL of a worker daemon, byte-identical ($(wc -c < "$tmp/fabric_kill.json") bytes)"
-# psq smoke: the finished jobs are visible, canceling a bogus id fails, and
-# a redial budget <= 0 is rejected.
+# psq smoke: the finished jobs are visible, canceling a bogus id fails,
+# psq has no submit command, and simulate refuses -detach without
+# -dispatcher or with an output file nothing would fill.
 "$tmp/psq" -dispatcher "$addr" list | tee "$tmp/psq.out"
 grep -q "done" "$tmp/psq.out" || { echo "FAIL: psq list shows no finished jobs" >&2; exit 1; }
 if "$tmp/psq" -dispatcher "$addr" cancel no-such-job >/dev/null 2>&1; then
   echo "FAIL: psq cancel of an unknown job succeeded" >&2
   exit 1
 fi
-if "$tmp/psq" -dispatcher "$addr" -redial 0 list >/dev/null 2>&1; then
-  echo "FAIL: psq accepted -redial 0" >&2
+if "$tmp/psq" -dispatcher "$addr" submit >/dev/null 2>&1; then
+  echo "FAIL: psq accepted submit (simulate -dispatcher submits sweeps)" >&2
+  exit 1
+fi
+if "$tmp/simulate" $sweep_flags -detach >/dev/null 2>&1; then
+  echo "FAIL: simulate accepted -detach without -dispatcher" >&2
+  exit 1
+fi
+if "$tmp/simulate" $sweep_flags -dispatcher "$addr" -detach -json "$tmp/detach.json" >/dev/null 2>&1; then
+  echo "FAIL: simulate accepted -detach with -json" >&2
   exit 1
 fi
 kill "$disp_pid" "$w2_pid" 2>/dev/null || true
