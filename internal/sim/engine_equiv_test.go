@@ -16,6 +16,7 @@ import (
 	"math/rand"
 	"runtime"
 	"runtime/debug"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -163,10 +164,13 @@ func diffEngines(t testing.TB, k int, classes []sim.ClassSpec, polName string, t
 // TestEngineEquivalenceMatrix is the acceptance matrix: every preset
 // (twoclass, threeclass, partialelastic, cappedladder) under every named
 // policy applicable to it, on a fixed 2500-arrival trace at rho = 0.9.
+// Subtests name a PRIO order with commas (PRIO:3,2,1,0), the IDs this
+// matrix has always reported; the policy itself is built from the '>'
+// spelling policy.ByName accepts.
 func TestEngineEquivalenceMatrix(t *testing.T) {
 	for _, p := range equivPresets(t, 4, 0.9, 2500, 17) {
 		for _, polName := range equivPolicies(t, p.classes) {
-			t.Run(p.name+"/"+polName, func(t *testing.T) {
+			t.Run(p.name+"/"+strings.ReplaceAll(polName, ">", ","), func(t *testing.T) {
 				if err := diffEngines(t, 4, p.classes, polName, p.trace); err != nil {
 					t.Fatal(err)
 				}
