@@ -140,10 +140,11 @@ func TestTaskKeysPinned(t *testing.T) {
 }
 
 // TestPoolBackendMatchesLegacyRun: the Backend refactor must be invisible —
-// PoolBackend runs must agree bit-for-bit for every worker count.
+// Options{} (a nil Backend: the GOMAXPROCS PoolBackend) and an explicit
+// PoolBackend must agree bit-for-bit.
 func TestPoolBackendMatchesLegacyRun(t *testing.T) {
 	sw := smallSweep()
-	implicit, err := Run(context.Background(), sw, Options{Backend: PoolBackend{Workers: 3}})
+	implicit, err := Run(context.Background(), sw, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

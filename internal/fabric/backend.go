@@ -51,7 +51,7 @@ func newSubmitRef() string {
 	return "r" + hex.EncodeToString(buf[:])
 }
 
-// redialBudget applies the 30s default to a client's RedialBudget.
+// redialBudget applies the 30s default to a Backend's RedialBudget.
 func redialBudget(budget time.Duration) time.Duration {
 	if budget <= 0 {
 		return defaultRedialBudget
@@ -157,21 +157,20 @@ func (b *Backend) abandon(jobID string, cause error) error {
 type Client struct {
 	// Addr is the dispatcher's host:port.
 	Addr string
-	// RedialBudget bounds how long SubmitDetached redials an unreachable or
-	// restarting dispatcher, resubmitting under one idempotency ref, before
-	// it fails with an error wrapping exp.ErrBackendUnavailable; a completed
-	// handshake resets it. <= 0 means 30s, as for Backend. List, Stats and
-	// Cancel always fail fast — they are observations of a live dispatcher.
-	RedialBudget time.Duration
 }
 
 // SubmitDetached registers a job that runs with no client attached: the
 // dispatcher executes it to completion (filling its outcome cache), and
-// `psq list` tracks its progress. Returns the job ID.
+// `psq list` tracks its progress. Returns the job ID. It redials an
+// unreachable or restarting dispatcher, resubmitting under one idempotency
+// ref, for up to 30s of continuous outage (a completed handshake resets the
+// clock) before it fails with an error wrapping exp.ErrBackendUnavailable.
+// List, Stats and Cancel always fail fast — they are observations of a live
+// dispatcher.
 func (c *Client) SubmitDetached(ctx context.Context, name string, env exp.Env, tasks []exp.Task) (string, error) {
 	req := clientReq{Submit: &submitReq{Name: name, Env: env, Tasks: tasks, Detach: true, Ref: newSubmitRef()}}
 	var id string
-	err := redial(ctx, c.Addr, helloMsg{Role: roleClient}, 0, redialBudget(c.RedialBudget), nil,
+	err := redial(ctx, c.Addr, helloMsg{Role: roleClient}, 0, defaultRedialBudget, nil,
 		func(s *session) (bool, error) {
 			resp, answered, err := s.roundTrip(req)
 			if !answered || err != nil {

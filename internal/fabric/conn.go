@@ -24,7 +24,8 @@ const (
 	// handshake resets it.
 	redialBackoff    = 250 * time.Millisecond
 	maxRedialBackoff = 15 * time.Second
-	// defaultRedialBudget is what a client RedialBudget <= 0 means.
+	// defaultRedialBudget is what a Backend RedialBudget <= 0 means, and
+	// the budget of every detached submit.
 	defaultRedialBudget = 30 * time.Second
 )
 

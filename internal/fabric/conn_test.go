@@ -1,8 +1,9 @@
 package fabric
 
 // The client connection rules, shared by the attached Backend and the
-// detached Client submit: an answer from the dispatcher is final, and a
-// RedialBudget <= 0 means the 30 s default for both.
+// detached Client submit: an answer from the dispatcher is final, and both
+// redial for 30 s by default (a Backend RedialBudget <= 0; a detached submit
+// always).
 
 import (
 	"context"
@@ -35,7 +36,7 @@ func TestSubmitRefusalIsFinal(t *testing.T) {
 		submit func(context.Context) error
 	}{
 		{"detached", func(ctx context.Context) error {
-			_, err := (&Client{Addr: addr, RedialBudget: budget}).SubmitDetached(ctx, "refused", env, tasks)
+			_, err := (&Client{Addr: addr}).SubmitDetached(ctx, "refused", env, tasks)
 			return err
 		}},
 		{"attached", func(ctx context.Context) error {
@@ -44,8 +45,12 @@ func TestSubmitRefusalIsFinal(t *testing.T) {
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
+			// The detached submit redials for 30 s; the deadline turns a
+			// redial after the answer into a prompt failure, not a hang.
+			ctx, cancel := context.WithTimeout(context.Background(), 2*budget)
+			defer cancel()
 			start := time.Now()
-			err := tc.submit(context.Background())
+			err := tc.submit(ctx)
 			elapsed := time.Since(start)
 			if err == nil || !strings.Contains(err.Error(), "draining") {
 				t.Fatalf("submit to a draining dispatcher: got %v, want the dispatcher's draining refusal", err)
@@ -60,9 +65,9 @@ func TestSubmitRefusalIsFinal(t *testing.T) {
 	}
 }
 
-// TestZeroRedialBudgetWaits: a zero RedialBudget is the 30 s default for
-// both submit paths, so a dispatcher that comes up 400 ms after the submit
-// still gets the job.
+// TestZeroRedialBudgetWaits: a Backend's zero RedialBudget is the 30 s
+// default, the detached submit's budget, so on both submit paths a
+// dispatcher that comes up 400 ms after the submit still gets the job.
 func TestZeroRedialBudgetWaits(t *testing.T) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -96,7 +101,7 @@ func TestZeroRedialBudgetWaits(t *testing.T) {
 	d := NewDispatcher(DispatcherOptions{})
 	serveDispatcherOn(t, d, addr)
 	if err := <-detached; err != nil {
-		t.Fatalf("detached submit with a zero RedialBudget gave up on a dispatcher that started 400 ms later: %v", err)
+		t.Fatalf("detached submit gave up on a dispatcher that started 400 ms later: %v", err)
 	}
 	if err := <-attached; err != nil {
 		t.Fatalf("attached submit with a zero RedialBudget gave up on a dispatcher that started 400 ms later: %v", err)
