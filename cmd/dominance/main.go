@@ -47,6 +47,9 @@ func main() {
 	if flag.NArg() > 0 {
 		log.Fatalf("unexpected arguments: %v", flag.Args())
 	}
+	if err := exp.CheckWorkers(*workers, *dispatch); err != nil {
+		log.Fatal(err)
+	}
 	opt := exp.Options{Backend: exp.PoolBackend{Workers: *workers}}
 	if *dispatch != "" {
 		opt.Backend = &fabric.Backend{Addr: *dispatch, Name: "dominance"}

@@ -73,6 +73,9 @@ func main() {
 	if flag.NArg() > 0 {
 		log.Fatalf("unexpected arguments: %v", flag.Args())
 	}
+	if err := exp.CheckWorkers(*workers, *dispatch); err != nil {
+		log.Fatal(err)
+	}
 	if *svg && *outdir == "" {
 		log.Fatal("-svg requires -outdir")
 	}

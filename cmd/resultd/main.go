@@ -131,6 +131,9 @@ func main() {
 	if flag.NArg() > 0 {
 		log.Fatalf("unexpected arguments: %v", flag.Args())
 	}
+	if err := exp.CheckWorkers(*workers, *dispatch); err != nil {
+		log.Fatal(err)
+	}
 
 	opts := serve.Options{
 		Exp:          exp.Options{Backend: exp.PoolBackend{Workers: *workers}},

@@ -116,6 +116,9 @@ func main() {
 	if flag.NArg() > 0 {
 		log.Fatalf("unexpected arguments: %v", flag.Args())
 	}
+	if err := exp.CheckWorkers(*workers, *dispatch); err != nil {
+		log.Fatal(err)
+	}
 	if *detach && (*dispatch == "" || *cache != "" || *csvPath != "" || *jsonPath != "") {
 		log.Fatal("-detach needs -dispatcher and takes no -cache, -csv or -json (no results come back)")
 	}

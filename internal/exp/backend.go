@@ -231,6 +231,22 @@ func (p PoolBackend) Submit(ctx context.Context, env Env, tasks []Task, emit fun
 	return err
 }
 
+// CheckWorkers validates a command's -workers flag against its -dispatcher
+// flag. A negative pool size is refused, and so is a nonzero one beside a
+// dispatcher address, because -workers sizes only the in-process pool.
+// simulate, figures, dominance and resultd all check through it, so they
+// refuse alike; library callers of Map and PoolBackend keep "<= 0 means
+// GOMAXPROCS".
+func CheckWorkers(workers int, dispatcher string) error {
+	if workers < 0 {
+		return fmt.Errorf("-workers must be >= 0 (got %d)", workers)
+	}
+	if workers != 0 && dispatcher != "" {
+		return fmt.Errorf("-workers %d sizes the in-process pool, which -dispatcher replaces", workers)
+	}
+	return nil
+}
+
 // ExecuteTask runs one task in this process. It is the single executor
 // shared by every backend — PoolBackend calls it on a goroutine,
 // internal/fabric's worker daemons call it for every assignment — so all

@@ -219,3 +219,24 @@ func TestDegenerateCellBackendParity(t *testing.T) {
 		t.Fatalf("NaN leaked into replication: %+v", r)
 	}
 }
+
+// TestCheckWorkers: the commands' -workers check accepts zero and positive
+// pool sizes without a dispatcher and only zero with one.
+func TestCheckWorkers(t *testing.T) {
+	for _, c := range []struct {
+		workers    int
+		dispatcher string
+		ok         bool
+	}{
+		{0, "", true},
+		{3, "", true},
+		{0, "127.0.0.1:9071", true},
+		{-1, "", false},
+		{-1, "127.0.0.1:9071", false},
+		{2, "127.0.0.1:9071", false},
+	} {
+		if err := CheckWorkers(c.workers, c.dispatcher); (err == nil) != c.ok {
+			t.Errorf("CheckWorkers(%d, %q) = %v, want ok %v", c.workers, c.dispatcher, err, c.ok)
+		}
+	}
+}

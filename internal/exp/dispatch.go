@@ -5,13 +5,19 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
 )
 
 // Map runs fn(0), …, fn(n-1) on a worker pool and returns the results in
-// index order. workers <= 0 means GOMAXPROCS. The first error (or recovered
-// panic) cancels the remaining tasks and is returned; cancellation of ctx
-// stops feeding tasks and returns ctx's error. Map is the generic primitive
-// behind the figure drivers and the dominance experiment.
+// index order. workers <= 0 means GOMAXPROCS. Each worker takes the next
+// index from a shared atomic counter, so a task starts as soon as a worker
+// is free, with no hand-off through a feeding goroutine. Each index runs at
+// most once, and every index runs unless Map stops early. The first error
+// (or recovered panic) cancels the remaining tasks and is returned;
+// cancellation of ctx stops workers from taking further indices and
+// returns ctx's error, so a ctx canceled before the call runs nothing. Map
+// is the generic primitive behind the figure drivers and the dominance
+// experiment.
 func Map[T any](ctx context.Context, workers, n int, fn func(i int) (T, error)) ([]T, error) {
 	if n < 0 {
 		return nil, fmt.Errorf("exp: negative task count %d", n)
@@ -31,6 +37,7 @@ func Map[T any](ctx context.Context, workers, n int, fn func(i int) (T, error)) 
 	defer cancel()
 	var (
 		wg       sync.WaitGroup
+		next     atomic.Int64
 		mu       sync.Mutex
 		firstErr error
 	)
@@ -43,33 +50,24 @@ func Map[T any](ctx context.Context, workers, n int, fn func(i int) (T, error)) 
 		mu.Unlock()
 	}
 
-	tasks := make(chan int)
+	wg.Add(workers)
 	for w := 0; w < workers; w++ {
-		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := range tasks {
-				if ctx.Err() != nil {
-					continue // drain quickly once canceled
+			for ctx.Err() == nil {
+				i := int(next.Add(1) - 1)
+				if i >= n {
+					return
 				}
 				v, err := protect(i, fn)
 				if err != nil {
 					fail(err)
-					continue
+					return
 				}
 				out[i] = v
 			}
 		}()
 	}
-feed:
-	for i := 0; i < n; i++ {
-		select {
-		case tasks <- i:
-		case <-ctx.Done():
-			break feed
-		}
-	}
-	close(tasks)
 	wg.Wait()
 
 	if firstErr != nil {

@@ -597,6 +597,44 @@ func TestMapFirstErrorCancels(t *testing.T) {
 	}
 }
 
+// TestMapRunsEachIndexOnce: for every worker count from 1 to 8 and every
+// task count from 0 to 50, each index runs exactly once and its result
+// lands at its index; a context canceled before the call runs nothing and
+// returns its error.
+func TestMapRunsEachIndexOnce(t *testing.T) {
+	for workers := 1; workers <= 8; workers++ {
+		for n := 0; n <= 50; n++ {
+			runs := make([]atomic.Int32, n)
+			got, err := Map(context.Background(), workers, n, func(i int) (int, error) {
+				runs[i].Add(1)
+				return i, nil
+			})
+			if err != nil || len(got) != n {
+				t.Fatalf("workers %d, n %d: %d results, err %v", workers, n, len(got), err)
+			}
+			for i := range runs {
+				if c := runs[i].Load(); c != 1 || got[i] != i {
+					t.Fatalf("workers %d, n %d: index %d ran %d times, out[%d] = %d", workers, n, i, c, i, got[i])
+				}
+			}
+		}
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for workers := 1; workers <= 8; workers++ {
+		for _, n := range []int{0, 1, 10} {
+			var ran atomic.Int32
+			_, err := Map(ctx, workers, n, func(i int) (int, error) {
+				ran.Add(1)
+				return i, nil
+			})
+			if !errors.Is(err, context.Canceled) || ran.Load() != 0 {
+				t.Fatalf("canceled ctx, workers %d, n %d: err %v, %d tasks ran", workers, n, err, ran.Load())
+			}
+		}
+	}
+}
+
 func TestCachePutErrorSurfaced(t *testing.T) {
 	sw := smallSweep()
 	sw.Reps = 1

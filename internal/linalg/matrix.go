@@ -3,14 +3,24 @@
 //
 // The matrices in this repository are tiny by numerical-computing standards
 // (the QBD phase dimension is k+2 for the Inelastic-First chain and 3 for
-// the Elastic-First chain), so clarity and numerical robustness win over
-// blocking or SIMD tricks: LU with partial pivoting, explicit error
-// reporting for singular systems, and one triple-loop multiplication
-// kernel, MulInto, which writes into the caller's buffer so that an
-// iteration allocates nothing (Mul allocates the result and calls it).
-// SpectralRadius reuses its vectors too, and stops as soon as its power
-// iterate repeats one of its last few values bit for bit, returning exactly
-// the norm the full iteration count would end on.
+// the Elastic-First chain), so clarity and numerical robustness win almost
+// everywhere: LU with partial pivoting and explicit error reporting for
+// singular systems. The exception is the one multiplication kernel,
+// MulColsInto (MulInto is its all-columns form; Mul allocates the result
+// and calls it). The R iteration of package qbd runs it twice per step, for
+// some 350,000 steps per set of the paper's figures, and there it is most
+// of the CPU time. So it is register-blocked: it keeps the sums of two rows
+// by up to four columns in local variables while it runs over the inner
+// index. Blocking changes which sums are in flight, never an entry's
+// arithmetic. Each entry is accumulated from +0 over the inner index in
+// ascending order, skipping a's zero entries, with one rounding per
+// multiply and per add, and every multiply-add keeps the acc += x*y form.
+// So every caller gets the textbook triple loop's bits, and a compiler that
+// fuses x*y+z fuses the same operations. The kernel writes into the
+// caller's buffer, so an iteration allocates nothing. SpectralRadius reuses
+// its vectors too, and stops as soon as its power iterate repeats one of
+// its last few values bit for bit, returning exactly the norm the full
+// iteration count would end on.
 package linalg
 
 import (
@@ -107,26 +117,147 @@ func Mul(a, b *Matrix) *Matrix {
 
 // MulInto stores a*b in dst and returns dst, so an iteration can reuse one
 // buffer. dst must be a.Rows x b.Cols and share no storage with a or b. It
-// panics on shape mismatch, like Mul.
+// panics on shape mismatch, like Mul. It is MulColsInto over every column.
 func MulInto(dst, a, b *Matrix) *Matrix {
-	if a.Cols != b.Rows || dst.Rows != a.Rows || dst.Cols != b.Cols {
+	MulColsInto(dst, a, b, 0, b.Cols)
+	return dst
+}
+
+// MulColsInto stores columns lo..hi-1 of a*b in dst and leaves dst's other
+// columns as they were. It returns the largest change it made to an entry,
+// max |new - old| with NaN differences ignored as MaxAbsDiff ignores them,
+// so an iteration that overwrites its previous iterate gets its
+// convergence metric from the stores. dst must be a.Rows x b.Cols and share
+// no storage with a or b; it panics on a shape mismatch or a column range
+// outside 0..b.Cols.
+//
+// Each entry is sum_kk a[i][kk]*b[kk][j], accumulated from +0 in ascending
+// kk with a's zero entries skipped, one rounding per multiply and per add:
+// exactly the bits of the textbook triple loop. (Skipping matters for a
+// non-finite b entry, since 0*Inf is NaN.) The kernel computes two rows of
+// a block of four, then two, then one columns at a time, keeping the
+// block's sums in registers across kk; an odd last row goes one entry at a
+// time.
+func MulColsInto(dst, a, b *Matrix, lo, hi int) float64 {
+	if a.Cols != b.Rows || dst.Rows != a.Rows || dst.Cols != b.Cols || lo < 0 || lo > hi || hi > b.Cols {
 		panic(ErrShape)
 	}
-	clear(dst.Data)
-	for i := 0; i < a.Rows; i++ {
-		arow := a.Data[i*a.Cols : (i+1)*a.Cols]
-		orow := dst.Data[i*dst.Cols : (i+1)*dst.Cols]
-		for kk, av := range arow {
-			if av == 0 {
-				continue
-			}
-			brow := b.Data[kk*b.Cols : (kk+1)*b.Cols]
-			for j, bv := range brow {
-				orow[j] += av * bv
-			}
+	n, p, rows := a.Cols, b.Cols, a.Rows
+	ad, bd, dd := a.Data, b.Data, dst.Data
+	change := 0.0
+	i := 0
+	for ; i+2 <= rows; i += 2 {
+		a0, a1 := ad[i*n:i*n+n], ad[i*n+n:i*n+2*n]
+		d0, d1 := dd[i*p:i*p+p], dd[i*p+p:i*p+2*p]
+		j := lo
+		for ; j+4 <= hi; j += 4 {
+			s00, s01, s02, s03, s10, s11, s12, s13 := dot2x4(a0, a1, bd[j:], p)
+			change = put(d0, j, change, s00)
+			change = put(d0, j+1, change, s01)
+			change = put(d0, j+2, change, s02)
+			change = put(d0, j+3, change, s03)
+			change = put(d1, j, change, s10)
+			change = put(d1, j+1, change, s11)
+			change = put(d1, j+2, change, s12)
+			change = put(d1, j+3, change, s13)
+		}
+		if j+2 <= hi {
+			s00, s01, s10, s11 := dot2x2(a0, a1, bd[j:], p)
+			change = put(d0, j, change, s00)
+			change = put(d0, j+1, change, s01)
+			change = put(d1, j, change, s10)
+			change = put(d1, j+1, change, s11)
+			j += 2
+		}
+		if j < hi {
+			s00, s10 := dot2x1(a0, a1, bd[j:], p)
+			change = put(d0, j, change, s00)
+			change = put(d1, j, change, s10)
 		}
 	}
-	return dst
+	if i < rows { // an odd last row, one entry at a time
+		a0, d0 := ad[i*n:i*n+n], dd[i*p:i*p+p]
+		for j := lo; j < hi; j++ {
+			s, off := 0.0, j
+			for _, x := range a0 {
+				if x != 0 {
+					s += x * bd[off]
+				}
+				off += p
+			}
+			change = put(d0, j, change, s)
+		}
+	}
+	return change
+}
+
+// dot2x4 returns the sums of rows a0 and a1 against columns 0..3 of b,
+// whose row kk starts at b[kk*p].
+func dot2x4(a0, a1, b []float64, p int) (s00, s01, s02, s03, s10, s11, s12, s13 float64) {
+	a1 = a1[:len(a0)]
+	off := 0
+	for kk, x := range a0 {
+		bk := b[off : off+4 : off+4]
+		off += p
+		if x != 0 {
+			s00 += x * bk[0]
+			s01 += x * bk[1]
+			s02 += x * bk[2]
+			s03 += x * bk[3]
+		}
+		if y := a1[kk]; y != 0 {
+			s10 += y * bk[0]
+			s11 += y * bk[1]
+			s12 += y * bk[2]
+			s13 += y * bk[3]
+		}
+	}
+	return
+}
+
+// dot2x2 is dot2x4 for two columns.
+func dot2x2(a0, a1, b []float64, p int) (s00, s01, s10, s11 float64) {
+	a1 = a1[:len(a0)]
+	off := 0
+	for kk, x := range a0 {
+		bk := b[off : off+2 : off+2]
+		off += p
+		if x != 0 {
+			s00 += x * bk[0]
+			s01 += x * bk[1]
+		}
+		if y := a1[kk]; y != 0 {
+			s10 += y * bk[0]
+			s11 += y * bk[1]
+		}
+	}
+	return
+}
+
+// dot2x1 is dot2x4 for one column.
+func dot2x1(a0, a1, b []float64, p int) (s00, s10 float64) {
+	a1 = a1[:len(a0)]
+	off := 0
+	for kk, x := range a0 {
+		bv := b[off]
+		off += p
+		if x != 0 {
+			s00 += x * bv
+		}
+		if y := a1[kk]; y != 0 {
+			s10 += y * bv
+		}
+	}
+	return
+}
+
+// put stores v in d[j] and returns the larger of change and |v - d[j]|.
+func put(d []float64, j int, change, v float64) float64 {
+	if c := math.Abs(v - d[j]); c > change {
+		change = c
+	}
+	d[j] = v
+	return change
 }
 
 // AddM returns a+b elementwise.
@@ -175,6 +306,7 @@ func MulVec(a *Matrix, x []float64) []float64 {
 // mulVecInto stores a*x in dst, which must have a.Rows entries and share no
 // storage with x.
 func mulVecInto(dst []float64, a *Matrix, x []float64) {
+	x = x[:a.Cols]
 	for i := range dst {
 		s := 0.0
 		row := a.Data[i*a.Cols : (i+1)*a.Cols]
@@ -203,8 +335,9 @@ func VecMul(x []float64, a *Matrix) []float64 {
 	return out
 }
 
-// MaxAbsDiff returns max_ij |a_ij - b_ij|; it is the convergence metric for
-// the R-matrix fixed-point iteration.
+// MaxAbsDiff returns max_ij |a_ij - b_ij|, ignoring NaN differences: the
+// textbook R-matrix iteration's convergence metric, which MulColsInto's
+// returned change reproduces from its stores.
 func MaxAbsDiff(a, b *Matrix) float64 {
 	if a.Rows != b.Rows || a.Cols != b.Cols {
 		panic(ErrShape)
@@ -289,11 +422,18 @@ func Factor(a *Matrix) (*LU, error) {
 
 // Solve returns x with a*x = b for the factored matrix.
 func (f *LU) Solve(b []float64) []float64 {
-	n := f.lu.Rows
-	if len(b) != n {
+	if len(b) != f.lu.Rows {
 		panic(ErrShape)
 	}
-	x := make([]float64, n)
+	x := make([]float64, len(b))
+	f.solveInto(x, b)
+	return x
+}
+
+// solveInto stores the x with a*x = b in x, which must have b's length and
+// share no storage with it.
+func (f *LU) solveInto(x, b []float64) {
+	n := f.lu.Rows
 	for i := 0; i < n; i++ {
 		x[i] = b[f.piv[i]]
 	}
@@ -313,7 +453,6 @@ func (f *LU) Solve(b []float64) []float64 {
 		}
 		x[i] = s / f.lu.At(i, i)
 	}
-	return x
 }
 
 // Det returns the determinant of the factored matrix.
@@ -344,12 +483,12 @@ func SolveMatrix(a, b *Matrix) (*Matrix, error) {
 		return nil, err
 	}
 	out := NewMatrix(a.Rows, b.Cols)
-	col := make([]float64, b.Rows)
+	col, x := make([]float64, b.Rows), make([]float64, b.Rows)
 	for j := 0; j < b.Cols; j++ {
 		for i := 0; i < b.Rows; i++ {
 			col[i] = b.At(i, j)
 		}
-		x := f.Solve(col)
+		f.solveInto(x, col)
 		for i := 0; i < a.Rows; i++ {
 			out.Set(i, j, x[i])
 		}

@@ -2,6 +2,7 @@ package linalg
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -44,8 +45,11 @@ func TestMulKnown(t *testing.T) {
 
 func TestMulShapePanics(t *testing.T) {
 	for name, mul := range map[string]func(){
-		"Mul":         func() { Mul(NewMatrix(2, 3), NewMatrix(2, 3)) },
-		"MulInto dst": func() { MulInto(NewMatrix(3, 3), NewMatrix(2, 2), NewMatrix(2, 2)) },
+		"Mul":                   func() { Mul(NewMatrix(2, 3), NewMatrix(2, 3)) },
+		"MulInto dst":           func() { MulInto(NewMatrix(3, 3), NewMatrix(2, 2), NewMatrix(2, 2)) },
+		"MulColsInto lo < 0":    func() { MulColsInto(NewMatrix(2, 2), NewMatrix(2, 2), NewMatrix(2, 2), -1, 1) },
+		"MulColsInto lo > hi":   func() { MulColsInto(NewMatrix(2, 2), NewMatrix(2, 2), NewMatrix(2, 2), 2, 1) },
+		"MulColsInto hi > cols": func() { MulColsInto(NewMatrix(2, 2), NewMatrix(2, 2), NewMatrix(2, 2), 0, 3) },
 	} {
 		func() {
 			defer func() {
@@ -66,6 +70,84 @@ func TestMulIntoOverwritesDst(t *testing.T) {
 	dst := randomMatrix(r, 4)
 	if got := MulInto(dst, a, b); got != dst || MaxAbsDiff(dst, Mul(a, b)) != 0 {
 		t.Fatalf("MulInto into a dirty buffer:\n%v\nwant\n%v", dst, Mul(a, b))
+	}
+}
+
+// oddMatrix fills a rows x cols matrix with a mix of +0, -0, subnormals
+// and ordinary values of both signs; with inf set, some entries are
+// infinite, so a product that multiplied a zero by one would read NaN.
+func oddMatrix(r *xrand.Rand, rows, cols int, inf bool) *Matrix {
+	m := NewMatrix(rows, cols)
+	for i := range m.Data {
+		switch u := r.Float64(); {
+		case u < 0.2:
+			m.Data[i] = 0
+		case u < 0.3:
+			m.Data[i] = math.Copysign(0, -1)
+		case u < 0.4:
+			m.Data[i] = float64(r.Intn(1000)-500) * math.SmallestNonzeroFloat64
+		case inf && u < 0.43:
+			m.Data[i] = math.Inf(1 - 2*r.Intn(2))
+		default:
+			m.Data[i] = math.Ldexp(2*r.Float64()-1, r.Intn(40)-20)
+		}
+	}
+	return m
+}
+
+// TestMulIntoMatchesDotProducts pins the blocked kernel to the per-entry
+// dot product, summed from +0 in kk order over a's nonzero entries, bit for
+// bit, on every product shape up to 20 x 20 x 20. The column-range form
+// must leave the other columns of dst untouched and return the largest
+// change it made.
+func TestMulIntoMatchesDotProducts(t *testing.T) {
+	r := xrand.New(11)
+	for rows := 1; rows <= 20; rows++ {
+		for inner := 1; inner <= 20; inner++ {
+			for cols := 1; cols <= 20; cols++ {
+				a, b := oddMatrix(r, rows, inner, false), oddMatrix(r, inner, cols, true)
+				want := NewMatrix(rows, cols)
+				for i := 0; i < rows; i++ {
+					for j := 0; j < cols; j++ {
+						s := 0.0
+						for kk := 0; kk < inner; kk++ {
+							if x := a.At(i, kk); x != 0 {
+								s += x * b.At(kk, j)
+							}
+						}
+						want.Set(i, j, s)
+					}
+				}
+				shape := fmt.Sprintf("%dx%d times %dx%d", rows, inner, inner, cols)
+				got := MulInto(oddMatrix(r, rows, cols, false), a, b)
+				if !sameBits(got.Data, want.Data) {
+					t.Fatalf("MulInto, %s:\n%v\nwant\n%v", shape, got, want)
+				}
+				lo := r.Intn(cols + 1)
+				hi := lo + r.Intn(cols-lo+1)
+				dst := oddMatrix(r, rows, cols, false)
+				old := dst.Clone()
+				change := MulColsInto(dst, a, b, lo, hi)
+				wantChange := 0.0
+				for i := 0; i < rows; i++ {
+					for j := 0; j < cols; j++ {
+						w := old.At(i, j)
+						if lo <= j && j < hi {
+							w = want.At(i, j)
+							if d := math.Abs(w - old.At(i, j)); d > wantChange {
+								wantChange = d
+							}
+						}
+						if g := dst.At(i, j); math.Float64bits(g) != math.Float64bits(w) {
+							t.Fatalf("MulColsInto %d..%d, %s: entry (%d, %d) is %v, want %v", lo, hi, shape, i, j, g, w)
+						}
+					}
+				}
+				if math.Float64bits(change) != math.Float64bits(wantChange) {
+					t.Fatalf("MulColsInto %d..%d, %s: change %v, want %v", lo, hi, shape, change, wantChange)
+				}
+			}
+		}
 	}
 }
 

@@ -152,3 +152,114 @@ func TestAnalysisAllocs(t *testing.T) {
 		t.Errorf("SpectralRadius on the rotation: %v allocs at iters 10, %v at 2000", few, many)
 	}
 }
+
+// textbookR runs the functional iteration R <- (A0 + R^2 A2)(-A1)^{-1} from
+// R = 0 as the textbook writes it, allocating every product, until two
+// iterates differ by less than tol. It returns R and the iteration count;
+// qbd.SolveR must return this R bit for bit.
+func textbookR(c *qbd.Chain, tol float64) (*linalg.Matrix, int, error) {
+	negA1Inv, err := linalg.Inverse(linalg.Scale(-1, c.A1))
+	if err != nil {
+		return nil, 0, err
+	}
+	r := linalg.NewMatrix(c.Phases, c.Phases)
+	for iter := 1; iter <= 1_000_000; iter++ {
+		next := linalg.Mul(linalg.AddM(c.A0, linalg.Mul(linalg.Mul(r, r), c.A2)), negA1Inv)
+		if linalg.MaxAbsDiff(next, r) < tol {
+			return next, iter, nil
+		}
+		r = next
+	}
+	return nil, 0, qbd.ErrNotConverged
+}
+
+// figureChains adds to goldenChains the IF and EF chains of the full k-4
+// Figure 4 grid at rho 0.5, 0.7 and 0.9 and of Figure 6's k in {2, 4, 8,
+// 16} at muI 0.25 and 3.25 (rho 0.9, muE 1). Shared points share a key.
+func figureChains(t *testing.T) map[string]*qbd.Chain {
+	t.Helper()
+	chains := goldenChains(t)
+	var pts []queueing.Model
+	for _, rho := range []float64{0.5, 0.7, 0.9} {
+		for i := 1; i <= 14; i++ {
+			for j := 1; j <= 14; j++ {
+				pts = append(pts, queueing.ForLoad(4, rho, 0.25*float64(i), 0.25*float64(j)))
+			}
+		}
+	}
+	for _, muI := range []float64{0.25, 3.25} {
+		for _, k := range []int{2, 4, 8, 16} {
+			pts = append(pts, queueing.ForLoad(k, 0.9, muI, 1))
+		}
+	}
+	for _, p := range pts {
+		ifc, err := ifChain(p, Coxian3Moment)
+		if err != nil {
+			t.Fatal(err)
+		}
+		efc, err := efChain(p, Coxian3Moment)
+		if err != nil {
+			t.Fatal(err)
+		}
+		chains[fmt.Sprintf("IF %+v", p)] = ifc
+		chains[fmt.Sprintf("EF %+v", p)] = efc
+	}
+	return chains
+}
+
+// TestSolveRMatchesTextbookIteration pins qbd.SolveR, whatever buffers,
+// sparsity and column restriction it uses, to the allocating textbook loop
+// on every chain behind the figures and the golden cells: every entry of R
+// must carry the same bits.
+func TestSolveRMatchesTextbookIteration(t *testing.T) {
+	iters := 0
+	chains := figureChains(t)
+	for name, c := range chains {
+		want, n, err := textbookR(c, 1e-14)
+		if err != nil {
+			t.Fatalf("%s: textbook loop: %v", name, err)
+		}
+		iters += n
+		got, err := qbd.SolveR(c.A0, c.A1, c.A2, 1e-14, 1_000_000)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		for i, w := range want.Data {
+			if g := got.Data[i]; math.Float64bits(g) != math.Float64bits(w) {
+				t.Errorf("%s: R entry (%d, %d) is %v (%#x), the textbook loop gives %v (%#x)",
+					name, i/c.Phases, i%c.Phases, g, math.Float64bits(g), w, math.Float64bits(w))
+				break
+			}
+		}
+	}
+	t.Logf("%d chains, %d iterations", len(chains), iters)
+}
+
+// BenchmarkSolveRFigureChains times the R iteration alone on figure chains
+// at rho 0.9 and muI = muE = 1: IF and EF at k 4 (442 and 433 iterations)
+// and IF at k 16, the largest phase count the figure set solves.
+func BenchmarkSolveRFigureChains(b *testing.B) {
+	k4, k16 := queueing.ForLoad(4, 0.9, 1, 1), queueing.ForLoad(16, 0.9, 1, 1)
+	for _, bc := range []struct {
+		name  string
+		chain func(queueing.Model, BusyPeriodFit) (*qbd.Chain, error)
+		p     queueing.Model
+	}{
+		{"IF-k4", ifChain, k4},
+		{"EF-k4", efChain, k4},
+		{"IF-k16", ifChain, k16},
+	} {
+		c, err := bc.chain(bc.p, Coxian3Moment)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for b.Loop() {
+				if _, err := qbd.SolveR(c.A0, c.A1, c.A2, 1e-14, 1_000_000); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

@@ -14,10 +14,13 @@
 // (the tests keep logarithmic reduction as an independent reference), solves
 // the finite boundary system, and exposes level moments in closed form.
 //
-// The functional iteration computes into buffers allocated once per solve
-// and multiplies by A2 through an index of its nonzero entries, and the
-// sp(R) check uses linalg.SpectralRadius's exact early exit. All three give
-// the same bits as the dense iteration that allocates at every step.
+// The functional iteration computes R^2 only on the columns that A2 reads,
+// adds A0 to the product by A2's nonzero entries in one pass per row, and
+// overwrites R in place, taking its convergence check from that product's
+// stores; its buffers are allocated once per solve. The sp(R) check uses
+// linalg.SpectralRadius's exact early exit. All of it gives the same bits
+// as the textbook iteration that allocates at every step (package mrt's
+// TestSolveRMatchesTextbookIteration pins that on the figures' chains).
 package qbd
 
 import (
@@ -60,35 +63,35 @@ func (c *Chain) Validate(tol float64) error {
 	if m <= 0 {
 		return fmt.Errorf("qbd: non-positive phase count")
 	}
-	check := func(name string, mat *linalg.Matrix) error {
+	// check names Boundary[level].name, or name for level < 0; the name is
+	// only formatted on failure.
+	check := func(name string, level int, mat *linalg.Matrix) error {
+		if mat != nil && mat.Rows == m && mat.Cols == m {
+			return nil
+		}
+		if level >= 0 {
+			name = fmt.Sprintf("Boundary[%d].%s", level, name)
+		}
 		if mat == nil {
 			return fmt.Errorf("qbd: missing block %s", name)
 		}
-		if mat.Rows != m || mat.Cols != m {
-			return fmt.Errorf("qbd: block %s is %dx%d, want %dx%d", name, mat.Rows, mat.Cols, m, m)
-		}
-		return nil
+		return fmt.Errorf("qbd: block %s is %dx%d, want %dx%d", name, mat.Rows, mat.Cols, m, m)
 	}
-	for _, name := range []string{"A0", "A1", "A2"} {
-		var mat *linalg.Matrix
-		switch name {
-		case "A0":
-			mat = c.A0
-		case "A1":
-			mat = c.A1
-		case "A2":
-			mat = c.A2
-		}
-		if err := check(name, mat); err != nil {
+	for _, b := range [...]struct {
+		name string
+		mat  *linalg.Matrix
+	}{{"A0", c.A0}, {"A1", c.A1}, {"A2", c.A2}} {
+		if err := check(b.name, -1, b.mat); err != nil {
 			return err
 		}
 	}
 	if len(c.Boundary) == 0 {
 		return fmt.Errorf("qbd: need at least boundary level 0")
 	}
-	// Row sums per level.
+	// Row sums per level, into one buffer.
+	sums := make([]float64, m)
 	rowSums := func(mats ...*linalg.Matrix) []float64 {
-		sums := make([]float64, m)
+		clear(sums)
 		for _, mat := range mats {
 			if mat == nil {
 				continue
@@ -102,17 +105,17 @@ func (c *Chain) Validate(tol float64) error {
 		return sums
 	}
 	for l, b := range c.Boundary {
-		if err := check(fmt.Sprintf("Boundary[%d].U", l), b.U); err != nil {
+		if err := check("U", l, b.U); err != nil {
 			return err
 		}
-		if err := check(fmt.Sprintf("Boundary[%d].Local", l), b.Local); err != nil {
+		if err := check("Local", l, b.Local); err != nil {
 			return err
 		}
 		if l == 0 {
 			if b.D != nil {
 				return fmt.Errorf("qbd: level 0 cannot have a down block")
 			}
-		} else if err := check(fmt.Sprintf("Boundary[%d].D", l), b.D); err != nil {
+		} else if err := check("D", l, b.D); err != nil {
 			return err
 		}
 		for i, s := range rowSums(b.U, b.Local, b.D) {
@@ -131,8 +134,11 @@ func (c *Chain) Validate(tol float64) error {
 
 // SolveR computes the minimal nonnegative solution of A0 + R A1 + R^2 A2 = 0
 // by functional iteration, R <- (A0 + R^2 A2)(-A1)^{-1} from R = 0: simple
-// and robust, with linear convergence. It runs in four buffers allocated
-// once per solve, so its cost does not grow with the iteration count.
+// and robust, with linear convergence. Each iteration computes R^2 only on
+// the columns that A2's nonzero rows select, adds A0 to R^2 A2 row by row,
+// and overwrites R with the product, whose stores yield the change that
+// stops the loop. The three buffers are allocated once per solve, so the
+// cost does not grow with the iteration count.
 func SolveR(a0, a1, a2 *linalg.Matrix, tol float64, maxIter int) (*linalg.Matrix, error) {
 	negA1Inv, err := linalg.Inverse(linalg.Scale(-1, a1))
 	if err != nil {
@@ -140,21 +146,19 @@ func SolveR(a0, a1, a2 *linalg.Matrix, tol float64, maxIter int) (*linalg.Matrix
 	}
 	m := a0.Rows
 	r := linalg.Mul(a0, negA1Inv) // R_1 with R_0 = 0
-	r2 := linalg.NewMatrix(m, m)
-	sum := linalg.NewMatrix(m, m) // R^2 A2, then A0 + R^2 A2
-	next := linalg.NewMatrix(m, m)
-	a2nz := nonzeros(a2)
+	r2 := linalg.NewMatrix(m, m)  // R^2 on columns lo..hi-1
+	sum := linalg.NewMatrix(m, m) // A0 + R^2 A2
+	nz := nonzeros(a2)
+	lo, hi := 0, 0 // A2's nonzero entries lie in rows lo..hi-1
+	if len(nz) > 0 {
+		lo, hi = nz[0].row, nz[len(nz)-1].row+1
+	}
 	for iter := 0; iter < maxIter; iter++ {
-		linalg.MulInto(r2, r, r)
-		mulSparseInto(sum, r2, a2nz)
-		for i, v := range a0.Data {
-			sum.Data[i] = v + sum.Data[i]
+		linalg.MulColsInto(r2, r, r, lo, hi)
+		addSparseProduct(sum, a0, r2, nz)
+		if linalg.MulColsInto(r, sum, negA1Inv, 0, m) < tol {
+			return r, nil
 		}
-		linalg.MulInto(next, sum, negA1Inv)
-		if linalg.MaxAbsDiff(next, r) < tol {
-			return next, nil
-		}
-		r, next = next, r
 	}
 	return nil, ErrNotConverged
 }
@@ -179,21 +183,29 @@ func nonzeros(b *linalg.Matrix) []entry {
 	return nz
 }
 
-// mulSparseInto stores a*b in dst, where nz = nonzeros(b). Row-major order
-// adds each dst entry's terms in linalg.MulInto's order; the terms of b's
-// zero entries, which it skips, are exact zeros for a finite a, so the two
-// can differ only in the sign of an entry that is zero. Adding A0 and
-// multiplying by (-A1)^{-1}, which skips zero entries of either sign,
-// erase that sign.
-func mulSparseInto(dst, a *linalg.Matrix, nz []entry) {
-	clear(dst.Data)
-	for i := 0; i < a.Rows; i++ {
-		arow := a.Data[i*a.Cols : (i+1)*a.Cols]
-		orow := dst.Data[i*dst.Cols : (i+1)*dst.Cols]
+// addSparseProduct stores c + a*b in dst, where nz = nonzeros(b), one row
+// at a time: the row's product terms are summed from +0 in nz's row-major
+// order, which is linalg.MulInto's order, and then added to c's entries,
+// as AddM(c, Mul(a, b)) adds them. It reads a only in the columns that
+// nz's rows name. The terms of b's zero entries, which it skips, are exact
+// zeros for a finite a, so the product can differ from MulInto's only in
+// the sign of an entry that is zero; adding c and then multiplying by
+// (-A1)^{-1}, which skips zero entries of either sign, erase that sign.
+func addSparseProduct(dst, c, a *linalg.Matrix, nz []entry) {
+	m, n := dst.Cols, a.Cols
+	ad, cd, od := a.Data, c.Data, dst.Data
+	clear(od)
+	for i := 0; i < dst.Rows; i++ {
+		arow, crow := ad[i*n:i*n+n], cd[i*m:i*m+m]
+		orow := od[i*m : i*m+m]
 		for _, e := range nz {
 			if av := arow[e.row]; av != 0 {
 				orow[e.col] += av * e.v
 			}
+		}
+		orow = orow[:len(crow)]
+		for j, v := range crow {
+			orow[j] = v + orow[j]
 		}
 	}
 }

@@ -192,16 +192,19 @@ func TestRSatisfiesQuadratic(t *testing.T) {
 	}
 }
 
-// TestSparseProductMatchesDense: the product over b's nonzero entries equals
-// the dense product entry for entry; only a zero's sign may differ, which ==
-// ignores.
+// TestSparseProductMatchesDense: c plus the product over b's nonzero
+// entries equals AddM(c, Mul(a, b)) entry for entry; only a zero's sign may
+// differ, which == ignores.
 func TestSparseProductMatchesDense(t *testing.T) {
 	r := xrand.New(5)
 	const m = 6
-	a := linalg.NewMatrix(m, m)
+	a, c := linalg.NewMatrix(m, m), linalg.NewMatrix(m, m)
 	for i := range a.Data {
 		if r.Float64() < 0.7 {
 			a.Data[i] = 2*r.Float64() - 1
+		}
+		if r.Float64() < 0.5 {
+			c.Data[i] = 2*r.Float64() - 1
 		}
 	}
 	diag, single, scattered := linalg.NewMatrix(m, m), linalg.NewMatrix(m, m), linalg.NewMatrix(m, m)
@@ -216,8 +219,8 @@ func TestSparseProductMatchesDense(t *testing.T) {
 	}
 	dst := linalg.NewMatrix(m, m)
 	for name, b := range map[string]*linalg.Matrix{"diagonal": diag, "single": single, "scattered": scattered, "zero": linalg.NewMatrix(m, m)} {
-		mulSparseInto(dst, a, nonzeros(b))
-		want := linalg.Mul(a, b)
+		addSparseProduct(dst, c, a, nonzeros(b))
+		want := linalg.AddM(c, linalg.Mul(a, b))
 		for i := range want.Data {
 			if dst.Data[i] != want.Data[i] {
 				t.Fatalf("%s: entry %d is %v, dense product %v", name, i, dst.Data[i], want.Data[i])

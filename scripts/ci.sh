@@ -48,10 +48,12 @@ go vet ./...
 echo "==> go test -race ./..."
 go test -race ./...
 
-echo "==> golden gate (engine goldens bit-frozen; frozen rebuild-engine traces matched: identical completion sequences, stats to 1e-9; every arrival stream frozen)"
+echo "==> golden gate (engine goldens bit-frozen; frozen rebuild-engine traces matched: identical completion sequences, stats to 1e-9; every arrival stream frozen; the R iteration bit-identical to the textbook loop on the figures' chains; the blocked multiply bit-identical to per-entry dot products)"
 go test ./internal/sim -run 'TestGolden' -count=1
 go test ./internal/exp -run 'TestGoldenFigure' -count=1
 go test ./internal/workload -run TestGoldenArrivals -count=1
+go test ./internal/mrt -run 'TestSolveRMatchesTextbookIteration' -count=1
+go test ./internal/linalg -run 'TestMulIntoMatchesDotProducts' -count=1
 
 echo "==> exact-chain gate (banded GTH bit-identical to the dense loop; shorter-axis numbering only relabels; non-finite and band-storage guards; Appendix B; QBD vs CTMC; Theorem 6; the count-rule adapter runs the simulator's own policies: bit-identical to the deleted count rules, every registry name count-Markov or refused, zero allocations per state, every accepted policy solved)"
 go test ./internal/ctmc -run 'TestStationaryMatchesDenseGTH|TestPolicyChainNumbering|TestStationaryNonFiniteIsError|TestAutoSolveNamesLastSolvedCaps|TestDeferDominatedByIF|TestTheorem6Counterexample|TestCountRuleSolvesRegistry' -count=1
@@ -69,8 +71,9 @@ go test ./internal/sim ./internal/mrt -run 'TestSteadyStateAllocs|TestSteadyStat
 echo "==> arena recycle gate (recycled job slots never alias a live handle in any hot structure)"
 go test ./internal/sim -run 'TestArena' -count=1
 
-echo "==> exp worker-pool race stress"
+echo "==> exp worker-pool race stress (workers take indices from an atomic counter: every index runs exactly once)"
 go test -race -run 'TestWorkerPoolStressRace' -count=2 ./internal/exp
+go test -race -run 'TestMapRunsEachIndexOnce' -count=20 ./internal/exp
 
 echo "==> dispatch-backend gate (seed/key contract and drift tripwire; pool reference run for the byte-identity diffs below)"
 go test ./internal/exp -run 'TestKeyAndRepSeedPinned|TestSeedDriftRefused|TestTaskErrorIdentity|TestDegenerateCellBackendParity' -count=1
@@ -170,8 +173,9 @@ if ! cmp "$tmp/pool_kill.json" "$tmp/fabric_kill.json"; then
 fi
 echo "    sweep survived SIGKILL of a worker daemon, byte-identical ($(wc -c < "$tmp/fabric_kill.json") bytes)"
 # psq smoke: the finished jobs are visible, canceling a bogus id fails,
-# psq has no submit command, and simulate refuses -detach without
-# -dispatcher or with an output file nothing would fill.
+# psq has no submit command, simulate refuses -detach without -dispatcher
+# or with an output file nothing would fill, and the drivers refuse a
+# negative -workers and a -workers beside -dispatcher.
 "$tmp/psq" -dispatcher "$addr" list | tee "$tmp/psq.out"
 grep -q "done" "$tmp/psq.out" || { echo "FAIL: psq list shows no finished jobs" >&2; exit 1; }
 if "$tmp/psq" -dispatcher "$addr" cancel no-such-job >/dev/null 2>&1; then
@@ -188,6 +192,24 @@ if "$tmp/simulate" $sweep_flags -detach >/dev/null 2>&1; then
 fi
 if "$tmp/simulate" $sweep_flags -dispatcher "$addr" -detach -json "$tmp/detach.json" >/dev/null 2>&1; then
   echo "FAIL: simulate accepted -detach with -json" >&2
+  exit 1
+fi
+go build -o "$tmp/figures" ./cmd/figures
+go build -o "$tmp/dominance" ./cmd/dominance
+if "$tmp/simulate" $sweep_flags -workers -1 >/dev/null 2>&1; then
+  echo "FAIL: simulate accepted -workers -1" >&2
+  exit 1
+fi
+if "$tmp/simulate" $sweep_flags -dispatcher "$addr" -workers 2 >/dev/null 2>&1; then
+  echo "FAIL: simulate accepted -workers with -dispatcher" >&2
+  exit 1
+fi
+if "$tmp/figures" -fig 6 -workers -1 >/dev/null 2>&1; then
+  echo "FAIL: figures accepted -workers -1" >&2
+  exit 1
+fi
+if "$tmp/dominance" -workers -1 >/dev/null 2>&1; then
+  echo "FAIL: dominance accepted -workers -1" >&2
   exit 1
 fi
 kill "$disp_pid" "$w2_pid" 2>/dev/null || true
