@@ -139,9 +139,10 @@ func (t Task) Label() string {
 // (Sweep.Key, which covers every parameter that determines the numbers)
 // plus the replication index, the exact format the fabric dispatcher has
 // always used; the other kinds key as their kind name plus the spec's
-// canonical JSON (struct field order is fixed, so the encoding is stable).
-// A task with no identity (an empty task, or a Sim spec submitted without
-// its precomputed Key) reports false and is never cached.
+// canonical JSON (struct field order is fixed, so the encoding is stable),
+// behind analysisKeyVersion for the kinds whose outcomes come from package
+// mrt. A task with no identity (an empty task, or a Sim spec submitted
+// without its precomputed Key) reports false and is never cached.
 func TaskKey(t Task) (string, bool) {
 	switch {
 	case t.Sim != nil:
@@ -150,16 +151,22 @@ func TaskKey(t Task) (string, bool) {
 		}
 		return fmt.Sprintf("%s|rep=%d", t.Sim.Key, t.Sim.Rep), true
 	case t.Analyze != nil:
-		return specKey("analyze", t.Analyze)
+		return specKey(analysisKeyVersion+"analyze", t.Analyze)
 	case t.Validate != nil:
-		return specKey("validate", t.Validate)
+		return specKey(analysisKeyVersion+"validate", t.Validate)
 	case t.Ablation != nil:
-		return specKey("ablation", t.Ablation)
+		return specKey(analysisKeyVersion+"ablation", t.Ablation)
 	case t.Dominance != nil:
 		return specKey("dominance", t.Dominance)
 	}
 	return "", false
 }
+
+// analysisKeyVersion prefixes the keys of the analyze, validate and
+// ablation tasks. mrt2 marks outcomes whose R came from logarithmic
+// reduction; the unprefixed keys named the functional iteration's, whose
+// low bits differ, and must not be served in their place.
+const analysisKeyVersion = "mrt2|"
 
 func specKey(kind string, spec any) (string, bool) {
 	b, err := json.Marshal(spec)

@@ -100,19 +100,20 @@ func TestKeyAndRepSeedPinned(t *testing.T) {
 // outcomes in figures -cache files and the fabric dispatcher's outcome
 // cache, and the ablation outcome's JSON is what those files hold. Moving a
 // task's types between packages must change neither, or every cached file
-// is silently orphaned.
+// is silently orphaned. A change that moves the outcomes' bits bumps
+// analysisKeyVersion instead, so that no cache serves the old bits.
 func TestTaskKeysPinned(t *testing.T) {
 	cases := []struct {
 		task Task
 		key  string
 	}{
 		{Task{Analyze: &AnalyzePoint{K: 4, Rho: 0.7, MuI: 2, MuE: 1}},
-			`analyze|{"k":4,"rho":0.7,"muI":2,"muE":1}`},
+			`mrt2|analyze|{"k":4,"rho":0.7,"muI":2,"muE":1}`},
 		{Task{Validate: &ValidatePoint{K: 4, Rho: 0.9, MuI: 0.5, MuE: 1, Policy: "EF",
 			Opt: SimOptions{Seed: 7, WarmupJobs: 50_000, MaxJobs: 1_000_000}}},
-			`validate|{"k":4,"rho":0.9,"muI":0.5,"muE":1,"policy":"EF","opt":{"Seed":7,"WarmupJobs":50000,"MaxJobs":1000000}}`},
+			`mrt2|validate|{"k":4,"rho":0.9,"muI":0.5,"muE":1,"policy":"EF","opt":{"Seed":7,"WarmupJobs":50000,"MaxJobs":1000000}}`},
 		{Task{Ablation: &AblationPoint{K: 4, Rho: 0.8, MuI: 1.5}},
-			`ablation|{"k":4,"rho":0.8,"muI":1.5}`},
+			`mrt2|ablation|{"k":4,"rho":0.8,"muI":1.5}`},
 		{Task{Dominance: &DominanceTrace{K: 4, Rho: 0.8, MuI: 1.5, MuE: 1, PolicyA: "IF", PolicyB: "EF",
 			Arrivals: 2000, Tol: 1e-7, Seed: 3}},
 			`dominance|{"k":4,"rho":0.8,"muI":1.5,"muE":1,"policyA":"IF","policyB":"EF","arrivals":2000,"tol":1e-7,"seed":3}`},
@@ -132,8 +133,8 @@ func TestTaskKeysPinned(t *testing.T) {
 		t.Fatal(err)
 	}
 	const want = `{"ablation":[` +
-		`{"Rho":0.5,"MuI":1.5,"Policy":"IF","Exact":0.9192265551959541,"Coxian3":0.9192259937771909,"Exp1":0.9135771181011589,"ErrCox":-6.107512451330626e-7,"ErrExp":-0.006145859323647199},` +
-		`{"Rho":0.5,"MuI":1.5,"Policy":"EF","Exact":1.0742944876179514,"Coxian3":1.0743853096794278,"Exp1":1.012433862433862,"ErrCox":0.00008454112212541555,"ErrExp":-0.057582558504282996}]}`
+		`{"Rho":0.5,"MuI":1.5,"Policy":"IF","Exact":0.9192265551959541,"Coxian3":0.9192259937771954,"Exp1":0.9135771181011593,"ErrCox":-6.107512403019446e-7,"ErrExp":-0.006145859323646837},` +
+		`{"Rho":0.5,"MuI":1.5,"Policy":"EF","Exact":1.0742944876179514,"Coxian3":1.0743853096794278,"Exp1":1.0124338624338622,"ErrCox":0.00008454112212541555,"ErrExp":-0.05758255850428279}]}`
 	if string(got) != want {
 		t.Errorf("ablation outcome JSON drifted:\n got %s\nwant %s", got, want)
 	}

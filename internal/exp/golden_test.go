@@ -26,7 +26,7 @@ type goldenFigures struct {
 	Figure4 [][3]string `json:"figure4"` // muI|muE key, TIF, TEF
 	Figure5 [][3]string `json:"figure5"` // muI key, TIF, TEF
 	Figure6 [][3]string `json:"figure6"` // k key, TIF, TEF
-	// The high-load cells, where the R iteration runs longest and the IF
+	// The high-load cells, where the R solve runs longest and the IF
 	// chain is widest (k+2 = 18 phases at k 16).
 	Figure4HighLoad [][3]string `json:"figure4_rho0.9"` // muI|muE key, TIF, TEF
 	Figure6HighLoad [][3]string `json:"figure6_rho0.9"` // k key, TIF, TEF

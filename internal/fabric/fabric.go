@@ -192,13 +192,15 @@ const (
 )
 
 // EnvProbe fingerprints this binary's seeding and cache-key derivation by
-// evaluating the contract pinned in exp's TestKeyAndRepSeedPinned on a
-// canonical probe cell. Two binaries with equal probes derive identical
-// seeds and cache keys for every task, which is exactly the invariant that
-// makes distributing tasks safe; a worker whose probe differs would compute
-// different numbers, so the dispatcher refuses its hello.
+// evaluating the contracts pinned in exp's TestKeyAndRepSeedPinned and
+// TestTaskKeysPinned on a canonical probe cell and analysis point. Two
+// binaries with equal probes derive identical seeds and cache keys for every
+// task, which is exactly the invariant that makes distributing tasks safe; a
+// worker whose probe differs would compute different numbers (the analysis
+// key's version names the R solver), so the dispatcher refuses its hello.
 func EnvProbe() string {
 	sw := exp.Sweep{Name: "fabric-probe", Reps: 2, BaseSeed: 7, Warmup: 100, Jobs: 1000}
 	c := exp.Cell{K: 4, Rho: 0.7, MuI: 2, MuE: 1, Policy: "IF"}
-	return fmt.Sprintf("v%d|%s|%016x|%016x", protoVersion, sw.Key(c), sw.RepSeed(c, 0), sw.RepSeed(c, 1))
+	analyze, _ := exp.TaskKey(exp.Task{Analyze: &exp.AnalyzePoint{K: 4, Rho: 0.7, MuI: 2, MuE: 1}})
+	return fmt.Sprintf("v%d|%s|%016x|%016x|%s", protoVersion, sw.Key(c), sw.RepSeed(c, 0), sw.RepSeed(c, 1), analyze)
 }

@@ -488,6 +488,22 @@ func TestFabricEnvProbeDriftRefused(t *testing.T) {
 	}
 }
 
+// TestFabricPreLogReductionWorkerRefused: a worker built before the R
+// solver moved to logarithmic reduction answers analyze tasks with the
+// functional iteration's bits. Its hello carries that build's exact probe,
+// which names no analysis key version, and must be refused.
+func TestFabricPreLogReductionWorkerRefused(t *testing.T) {
+	const parentProbe = "v1|8366008bb4d3084c|287dc4e28724f83c|48b9e8c7aa36213c"
+	d, addr := startDispatcher(t, DispatcherOptions{})
+	err := (&Worker{Dispatcher: addr, Name: "functional-iteration", probeOverride: parentProbe}).Run(context.Background())
+	if !errors.Is(err, errHandshakeRefused) || !strings.Contains(err.Error(), "drift") {
+		t.Fatalf("want a drift refusal, got %v", err)
+	}
+	if d.Refusals() != 1 || d.Handshakes() != 0 {
+		t.Fatalf("Refusals = %d, Handshakes = %d; want 1 and 0", d.Refusals(), d.Handshakes())
+	}
+}
+
 // TestFabricDeterministicTaskErrorNoRetry submits a task that fails
 // deterministically (an unknown policy). The error must surface exactly
 // once, carrying the cell and replication identity, with zero re-queues —

@@ -6,20 +6,22 @@
 // the Elastic-First chain), so clarity and numerical robustness win almost
 // everywhere: LU with partial pivoting and explicit error reporting for
 // singular systems. The exception is the one multiplication kernel,
-// MulColsInto (MulInto is its all-columns form; Mul allocates the result
-// and calls it). The R iteration of package qbd runs it twice per step, for
-// some 350,000 steps per set of the paper's figures, and there it is most
-// of the CPU time. So it is register-blocked: it keeps the sums of two rows
-// by up to four columns in local variables while it runs over the inner
-// index. Blocking changes which sums are in flight, never an entry's
-// arithmetic. Each entry is accumulated from +0 over the inner index in
-// ascending order, skipping a's zero entries, with one rounding per
-// multiply and per add, and every multiply-add keeps the acc += x*y form.
-// So every caller gets the textbook triple loop's bits, and a compiler that
-// fuses x*y+z fuses the same operations. The kernel writes into the
-// caller's buffer, so an iteration allocates nothing. SpectralRadius reuses
-// its vectors too, and stops as soon as its power iterate repeats one of
-// its last few values bit for bit, returning exactly the norm the full
+// MulInto (Mul allocates the result and calls it). Package qbd's
+// logarithmic reduction runs it eight times per doubling, beside one
+// InverseInto, for some 9,600 doublings per set of the paper's figures,
+// and there it is the largest share of the CPU time. So it is
+// register-blocked: it keeps the sums of two rows by up to four columns in
+// local variables while it runs over the inner index. Blocking changes
+// which sums are in flight, never an entry's arithmetic. Each entry is
+// accumulated from +0 over the inner index in ascending order, skipping a's
+// zero entries, with one rounding per multiply and per add, and every
+// multiply-add keeps the acc += x*y form. So every caller gets the textbook
+// triple loop's bits, and a compiler that fuses x*y+z fuses the same
+// operations. MulInto, AddInto, SubInto and InverseInto (with an LU from
+// NewLU) write into the caller's buffers, so an iteration allocates
+// nothing, and InverseInto gives Inverse's bits. SpectralRadius reuses its
+// vectors too, and stops as soon as its power iterate repeats one of its
+// last few values bit for bit, returning exactly the norm the full
 // iteration count would end on.
 package linalg
 
@@ -117,19 +119,7 @@ func Mul(a, b *Matrix) *Matrix {
 
 // MulInto stores a*b in dst and returns dst, so an iteration can reuse one
 // buffer. dst must be a.Rows x b.Cols and share no storage with a or b. It
-// panics on shape mismatch, like Mul. It is MulColsInto over every column.
-func MulInto(dst, a, b *Matrix) *Matrix {
-	MulColsInto(dst, a, b, 0, b.Cols)
-	return dst
-}
-
-// MulColsInto stores columns lo..hi-1 of a*b in dst and leaves dst's other
-// columns as they were. It returns the largest change it made to an entry,
-// max |new - old| with NaN differences ignored as MaxAbsDiff ignores them,
-// so an iteration that overwrites its previous iterate gets its
-// convergence metric from the stores. dst must be a.Rows x b.Cols and share
-// no storage with a or b; it panics on a shape mismatch or a column range
-// outside 0..b.Cols.
+// panics on shape mismatch, like Mul.
 //
 // Each entry is sum_kk a[i][kk]*b[kk][j], accumulated from +0 in ascending
 // kk with a's zero entries skipped, one rounding per multiply and per add:
@@ -138,46 +128,31 @@ func MulInto(dst, a, b *Matrix) *Matrix {
 // a block of four, then two, then one columns at a time, keeping the
 // block's sums in registers across kk; an odd last row goes one entry at a
 // time.
-func MulColsInto(dst, a, b *Matrix, lo, hi int) float64 {
-	if a.Cols != b.Rows || dst.Rows != a.Rows || dst.Cols != b.Cols || lo < 0 || lo > hi || hi > b.Cols {
+func MulInto(dst, a, b *Matrix) *Matrix {
+	if a.Cols != b.Rows || dst.Rows != a.Rows || dst.Cols != b.Cols {
 		panic(ErrShape)
 	}
 	n, p, rows := a.Cols, b.Cols, a.Rows
 	ad, bd, dd := a.Data, b.Data, dst.Data
-	change := 0.0
 	i := 0
 	for ; i+2 <= rows; i += 2 {
 		a0, a1 := ad[i*n:i*n+n], ad[i*n+n:i*n+2*n]
 		d0, d1 := dd[i*p:i*p+p], dd[i*p+p:i*p+2*p]
-		j := lo
-		for ; j+4 <= hi; j += 4 {
-			s00, s01, s02, s03, s10, s11, s12, s13 := dot2x4(a0, a1, bd[j:], p)
-			change = put(d0, j, change, s00)
-			change = put(d0, j+1, change, s01)
-			change = put(d0, j+2, change, s02)
-			change = put(d0, j+3, change, s03)
-			change = put(d1, j, change, s10)
-			change = put(d1, j+1, change, s11)
-			change = put(d1, j+2, change, s12)
-			change = put(d1, j+3, change, s13)
+		j := 0
+		for ; j+4 <= p; j += 4 {
+			d0[j], d0[j+1], d0[j+2], d0[j+3], d1[j], d1[j+1], d1[j+2], d1[j+3] = dot2x4(a0, a1, bd[j:], p)
 		}
-		if j+2 <= hi {
-			s00, s01, s10, s11 := dot2x2(a0, a1, bd[j:], p)
-			change = put(d0, j, change, s00)
-			change = put(d0, j+1, change, s01)
-			change = put(d1, j, change, s10)
-			change = put(d1, j+1, change, s11)
+		if j+2 <= p {
+			d0[j], d0[j+1], d1[j], d1[j+1] = dot2x2(a0, a1, bd[j:], p)
 			j += 2
 		}
-		if j < hi {
-			s00, s10 := dot2x1(a0, a1, bd[j:], p)
-			change = put(d0, j, change, s00)
-			change = put(d1, j, change, s10)
+		if j < p {
+			d0[j], d1[j] = dot2x1(a0, a1, bd[j:], p)
 		}
 	}
 	if i < rows { // an odd last row, one entry at a time
 		a0, d0 := ad[i*n:i*n+n], dd[i*p:i*p+p]
-		for j := lo; j < hi; j++ {
+		for j := range d0 {
 			s, off := 0.0, j
 			for _, x := range a0 {
 				if x != 0 {
@@ -185,10 +160,10 @@ func MulColsInto(dst, a, b *Matrix, lo, hi int) float64 {
 				}
 				off += p
 			}
-			change = put(d0, j, change, s)
+			d0[j] = s
 		}
 	}
-	return change
+	return dst
 }
 
 // dot2x4 returns the sums of rows a0 and a1 against columns 0..3 of b,
@@ -251,37 +226,36 @@ func dot2x1(a0, a1, b []float64, p int) (s00, s10 float64) {
 	return
 }
 
-// put stores v in d[j] and returns the larger of change and |v - d[j]|.
-func put(d []float64, j int, change, v float64) float64 {
-	if c := math.Abs(v - d[j]); c > change {
-		change = c
-	}
-	d[j] = v
-	return change
-}
-
 // AddM returns a+b elementwise.
-func AddM(a, b *Matrix) *Matrix {
-	if a.Rows != b.Rows || a.Cols != b.Cols {
-		panic(ErrShape)
-	}
-	out := NewMatrix(a.Rows, a.Cols)
-	for i := range a.Data {
-		out.Data[i] = a.Data[i] + b.Data[i]
-	}
-	return out
-}
+func AddM(a, b *Matrix) *Matrix { return AddInto(NewMatrix(a.Rows, a.Cols), a, b) }
 
 // SubM returns a-b elementwise.
-func SubM(a, b *Matrix) *Matrix {
-	if a.Rows != b.Rows || a.Cols != b.Cols {
+func SubM(a, b *Matrix) *Matrix { return SubInto(NewMatrix(a.Rows, a.Cols), a, b) }
+
+// AddInto stores a+b in dst and returns dst. dst may be a or b; all three
+// must share one shape.
+func AddInto(dst, a, b *Matrix) *Matrix {
+	sameShape(a, b, dst)
+	for i, v := range a.Data {
+		dst.Data[i] = v + b.Data[i]
+	}
+	return dst
+}
+
+// SubInto stores a-b in dst and returns dst, like AddInto.
+func SubInto(dst, a, b *Matrix) *Matrix {
+	sameShape(a, b, dst)
+	for i, v := range a.Data {
+		dst.Data[i] = v - b.Data[i]
+	}
+	return dst
+}
+
+// sameShape panics unless a, b and c share one shape.
+func sameShape(a, b, c *Matrix) {
+	if a.Rows != b.Rows || a.Cols != b.Cols || c.Rows != a.Rows || c.Cols != a.Cols {
 		panic(ErrShape)
 	}
-	out := NewMatrix(a.Rows, a.Cols)
-	for i := range a.Data {
-		out.Data[i] = a.Data[i] - b.Data[i]
-	}
-	return out
 }
 
 // Scale returns s*a.
@@ -336,12 +310,9 @@ func VecMul(x []float64, a *Matrix) []float64 {
 }
 
 // MaxAbsDiff returns max_ij |a_ij - b_ij|, ignoring NaN differences: the
-// textbook R-matrix iteration's convergence metric, which MulColsInto's
-// returned change reproduces from its stores.
+// R solver's convergence metric.
 func MaxAbsDiff(a, b *Matrix) float64 {
-	if a.Rows != b.Rows || a.Cols != b.Cols {
-		panic(ErrShape)
-	}
+	sameShape(a, b, b)
 	max := 0.0
 	for i := range a.Data {
 		if d := math.Abs(a.Data[i] - b.Data[i]); d > max {
@@ -366,22 +337,51 @@ func (m *Matrix) InfNorm() float64 {
 	return max
 }
 
-// LU holds an LU factorization with partial pivoting of a square matrix.
+// LU holds an LU factorization with partial pivoting of a square matrix,
+// and two column buffers for solving against it.
 type LU struct {
-	lu   *Matrix
-	piv  []int
-	sign int
+	lu     Matrix
+	piv    []int
+	sign   int
+	col, x []float64
+}
+
+// NewLU returns an LU with buffers for n x n matrices, for InverseInto to
+// factor into again and again.
+func NewLU(n int) *LU {
+	data := make([]float64, n*n+2*n)
+	return &LU{
+		lu:  Matrix{Rows: n, Cols: n, Data: data[:n*n]},
+		piv: make([]int, n),
+		col: data[n*n : n*n+n], x: data[n*n+n:],
+	}
 }
 
 // Factor computes the LU factorization of a. It returns ErrSingular when a
 // pivot underflows working precision.
 func Factor(a *Matrix) (*LU, error) {
-	if a.Rows != a.Cols {
-		return nil, fmt.Errorf("%w: LU of %dx%d", ErrShape, a.Rows, a.Cols)
+	if err := square(a); err != nil {
+		return nil, err
 	}
-	n := a.Rows
-	lu := a.Clone()
-	piv := make([]int, n)
+	f := NewLU(a.Rows)
+	if err := f.factor(a); err != nil {
+		return nil, err
+	}
+	return f, nil
+}
+
+func square(a *Matrix) error {
+	if a.Rows != a.Cols {
+		return fmt.Errorf("%w: LU of %dx%d", ErrShape, a.Rows, a.Cols)
+	}
+	return nil
+}
+
+// factor overwrites f with the factorization of a, which must have f's
+// size.
+func (f *LU) factor(a *Matrix) error {
+	n, lu, piv := a.Rows, &f.lu, f.piv
+	copy(lu.Data, a.Data)
 	for i := range piv {
 		piv[i] = i
 	}
@@ -396,7 +396,7 @@ func Factor(a *Matrix) (*LU, error) {
 			}
 		}
 		if max < 1e-300 {
-			return nil, ErrSingular
+			return ErrSingular
 		}
 		if p != col {
 			for j := 0; j < n; j++ {
@@ -417,7 +417,8 @@ func Factor(a *Matrix) (*LU, error) {
 			}
 		}
 	}
-	return &LU{lu: lu, piv: piv, sign: sign}, nil
+	f.sign = sign
+	return nil
 }
 
 // Solve returns x with a*x = b for the factored matrix.
@@ -483,22 +484,53 @@ func SolveMatrix(a, b *Matrix) (*Matrix, error) {
 		return nil, err
 	}
 	out := NewMatrix(a.Rows, b.Cols)
-	col, x := make([]float64, b.Rows), make([]float64, b.Rows)
 	for j := 0; j < b.Cols; j++ {
-		for i := 0; i < b.Rows; i++ {
-			col[i] = b.At(i, j)
+		for i := range f.col {
+			f.col[i] = b.At(i, j)
 		}
-		f.solveInto(x, col)
-		for i := 0; i < a.Rows; i++ {
-			out.Set(i, j, x[i])
-		}
+		f.solveColumn(out, j)
 	}
 	return out, nil
 }
 
+// solveColumn stores the x with a*x = f.col in column j of dst.
+func (f *LU) solveColumn(dst *Matrix, j int) {
+	f.solveInto(f.x, f.col)
+	for i, v := range f.x {
+		dst.Set(i, j, v)
+	}
+}
+
 // Inverse returns a^{-1}.
 func Inverse(a *Matrix) (*Matrix, error) {
-	return SolveMatrix(a, Identity(a.Rows))
+	if err := square(a); err != nil {
+		return nil, err
+	}
+	dst := NewMatrix(a.Rows, a.Cols)
+	if err := InverseInto(dst, a, NewLU(a.Rows)); err != nil {
+		return nil, err
+	}
+	return dst, nil
+}
+
+// InverseInto stores a^{-1} in dst, factoring a into f, so a loop that
+// inverts a matrix at every step allocates nothing. a, dst and f (from
+// NewLU) must share one size, and dst no storage with a; it panics on a
+// shape mismatch. The bits are SolveMatrix(a, Identity(n))'s: the same
+// pivoting, then one solve per identity column.
+func InverseInto(dst, a *Matrix, f *LU) error {
+	if n := f.lu.Rows; a.Rows != n || a.Cols != n || dst.Rows != n || dst.Cols != n {
+		panic(ErrShape)
+	}
+	if err := f.factor(a); err != nil {
+		return err
+	}
+	for j := range f.col {
+		clear(f.col)
+		f.col[j] = 1
+		f.solveColumn(dst, j)
+	}
+	return nil
 }
 
 // cycleWindow is how many earlier power iterates SpectralRadius compares each

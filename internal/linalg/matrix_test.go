@@ -45,11 +45,8 @@ func TestMulKnown(t *testing.T) {
 
 func TestMulShapePanics(t *testing.T) {
 	for name, mul := range map[string]func(){
-		"Mul":                   func() { Mul(NewMatrix(2, 3), NewMatrix(2, 3)) },
-		"MulInto dst":           func() { MulInto(NewMatrix(3, 3), NewMatrix(2, 2), NewMatrix(2, 2)) },
-		"MulColsInto lo < 0":    func() { MulColsInto(NewMatrix(2, 2), NewMatrix(2, 2), NewMatrix(2, 2), -1, 1) },
-		"MulColsInto lo > hi":   func() { MulColsInto(NewMatrix(2, 2), NewMatrix(2, 2), NewMatrix(2, 2), 2, 1) },
-		"MulColsInto hi > cols": func() { MulColsInto(NewMatrix(2, 2), NewMatrix(2, 2), NewMatrix(2, 2), 0, 3) },
+		"Mul":         func() { Mul(NewMatrix(2, 3), NewMatrix(2, 3)) },
+		"MulInto dst": func() { MulInto(NewMatrix(3, 3), NewMatrix(2, 2), NewMatrix(2, 2)) },
 	} {
 		func() {
 			defer func() {
@@ -97,9 +94,7 @@ func oddMatrix(r *xrand.Rand, rows, cols int, inf bool) *Matrix {
 
 // TestMulIntoMatchesDotProducts pins the blocked kernel to the per-entry
 // dot product, summed from +0 in kk order over a's nonzero entries, bit for
-// bit, on every product shape up to 20 x 20 x 20. The column-range form
-// must leave the other columns of dst untouched and return the largest
-// change it made.
+// bit, on every product shape up to 20 x 20 x 20.
 func TestMulIntoMatchesDotProducts(t *testing.T) {
 	r := xrand.New(11)
 	for rows := 1; rows <= 20; rows++ {
@@ -122,29 +117,6 @@ func TestMulIntoMatchesDotProducts(t *testing.T) {
 				got := MulInto(oddMatrix(r, rows, cols, false), a, b)
 				if !sameBits(got.Data, want.Data) {
 					t.Fatalf("MulInto, %s:\n%v\nwant\n%v", shape, got, want)
-				}
-				lo := r.Intn(cols + 1)
-				hi := lo + r.Intn(cols-lo+1)
-				dst := oddMatrix(r, rows, cols, false)
-				old := dst.Clone()
-				change := MulColsInto(dst, a, b, lo, hi)
-				wantChange := 0.0
-				for i := 0; i < rows; i++ {
-					for j := 0; j < cols; j++ {
-						w := old.At(i, j)
-						if lo <= j && j < hi {
-							w = want.At(i, j)
-							if d := math.Abs(w - old.At(i, j)); d > wantChange {
-								wantChange = d
-							}
-						}
-						if g := dst.At(i, j); math.Float64bits(g) != math.Float64bits(w) {
-							t.Fatalf("MulColsInto %d..%d, %s: entry (%d, %d) is %v, want %v", lo, hi, shape, i, j, g, w)
-						}
-					}
-				}
-				if math.Float64bits(change) != math.Float64bits(wantChange) {
-					t.Fatalf("MulColsInto %d..%d, %s: change %v, want %v", lo, hi, shape, change, wantChange)
 				}
 			}
 		}
@@ -218,6 +190,39 @@ func TestInverseProperty(t *testing.T) {
 		if MaxAbsDiff(Mul(inv, a), Identity(n)) > 1e-9 {
 			t.Fatalf("a^-1*a != I for n=%d", n)
 		}
+	}
+}
+
+// TestInverseIntoMatchesInverse: one LU and one dirty output buffer, reused
+// across matrices of a size, give SolveMatrix(a, Identity(n))'s bits, the
+// inverse's textbook form; a singular matrix reports ErrSingular.
+func TestInverseIntoMatchesInverse(t *testing.T) {
+	r := xrand.New(13)
+	for n := 1; n <= 20; n++ {
+		f, dst := NewLU(n), oddMatrix(r, n, n, false)
+		for trial := 0; trial < 5; trial++ {
+			a := NewMatrix(n, n) // no dominant diagonal, so rows get swapped
+			for i := range a.Data {
+				a.Data[i] = 2*r.Float64() - 1
+			}
+			want, err := SolveMatrix(a, Identity(n))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := InverseInto(dst, a, f); err != nil {
+				t.Fatal(err)
+			}
+			inv, err := Inverse(a)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !sameBits(dst.Data, want.Data) || !sameBits(inv.Data, want.Data) {
+				t.Fatalf("n %d, trial %d: InverseInto\n%v\nInverse\n%v\nwant\n%v", n, trial, dst, inv, want)
+			}
+		}
+	}
+	if err := InverseInto(NewMatrix(2, 2), FromRows([][]float64{{1, 2}, {2, 4}}), NewLU(2)); !errors.Is(err, ErrSingular) {
+		t.Fatalf("singular matrix: got %v, want ErrSingular", err)
 	}
 }
 

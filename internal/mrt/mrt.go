@@ -134,34 +134,35 @@ func efChain(p queueing.Model, fit BusyPeriodFit) (*qbd.Chain, error) {
 	}
 
 	const m = 3 // phases: 0, b1, b2
-	phaseGen := func() *linalg.Matrix {
-		g := linalg.NewMatrix(m, m)
-		// 0 -> b1: elastic arrival opens a busy period.
-		g.Add(0, 1, p.LambdaE)
-		g.Add(0, 0, -p.LambdaE)
-		// b1 -> 0 and b1 -> b2.
-		g.Add(1, 0, cox.g1)
-		g.Add(1, 2, cox.g2)
-		g.Add(1, 1, -(cox.g1 + cox.g2))
-		// b2 -> 0.
-		g.Add(2, 0, cox.g3)
-		g.Add(2, 2, -cox.g3)
-		return g
+	// The level-independent blocks, built once and shared by every level
+	// (qbd only reads them): the up block and the phase generator less the
+	// inelastic arrivals, which each level clones before taking out its
+	// departures.
+	up := linalg.Scale(p.LambdaI, linalg.Identity(m))
+	base := linalg.NewMatrix(m, m)
+	// 0 -> b1: elastic arrival opens a busy period.
+	base.Add(0, 1, p.LambdaE)
+	base.Add(0, 0, -p.LambdaE)
+	// b1 -> 0 and b1 -> b2.
+	base.Add(1, 0, cox.g1)
+	base.Add(1, 2, cox.g2)
+	base.Add(1, 1, -(cox.g1 + cox.g2))
+	// b2 -> 0.
+	base.Add(2, 0, cox.g3)
+	base.Add(2, 2, -cox.g3)
+	for ph := 0; ph < m; ph++ {
+		base.Add(ph, ph, -p.LambdaI)
 	}
 
 	mkLevel := func(downRate float64) qbd.BoundaryLevel {
-		u := linalg.Scale(p.LambdaI, linalg.Identity(m))
-		local := phaseGen()
-		for ph := 0; ph < m; ph++ {
-			local.Add(ph, ph, -p.LambdaI)
-		}
+		local := base.Clone()
 		var d *linalg.Matrix
 		if downRate > 0 {
 			d = linalg.NewMatrix(m, m)
 			d.Set(0, 0, downRate) // inelastic served only in phase 0
 			local.Add(0, 0, -downRate)
 		}
-		return qbd.BoundaryLevel{U: u, Local: local, D: d}
+		return qbd.BoundaryLevel{U: up, Local: local, D: d}
 	}
 
 	boundary := make([]qbd.BoundaryLevel, p.K)
@@ -223,29 +224,31 @@ func ifChain(p queueing.Model, fit BusyPeriodFit) (*qbd.Chain, error) {
 
 	m := p.K + 2 // phases 0..k-1, b1 = k, b2 = k+1
 	b1, b2 := p.K, p.K+1
-	phaseGen := func() *linalg.Matrix {
-		g := linalg.NewMatrix(m, m)
-		for i := 0; i < p.K; i++ {
-			// Inelastic arrival.
-			if i < p.K-1 {
-				g.Add(i, i+1, p.LambdaI)
-			} else {
-				g.Add(i, b1, p.LambdaI)
-			}
-			g.Add(i, i, -p.LambdaI)
-			// Inelastic departure.
-			if i > 0 {
-				g.Add(i, i-1, float64(i)*p.MuI)
-				g.Add(i, i, -float64(i)*p.MuI)
-			}
+	// Level 0's local block: the phase generator less the elastic arrivals.
+	// The repeating level clones it before taking out its departures.
+	local0 := linalg.NewMatrix(m, m)
+	for i := 0; i < p.K; i++ {
+		// Inelastic arrival.
+		if i < p.K-1 {
+			local0.Add(i, i+1, p.LambdaI)
+		} else {
+			local0.Add(i, b1, p.LambdaI)
 		}
-		// Excess-period Coxian: exits return to k-1 inelastic jobs.
-		g.Add(b1, p.K-1, cox.g1)
-		g.Add(b1, b2, cox.g2)
-		g.Add(b1, b1, -(cox.g1 + cox.g2))
-		g.Add(b2, p.K-1, cox.g3)
-		g.Add(b2, b2, -cox.g3)
-		return g
+		local0.Add(i, i, -p.LambdaI)
+		// Inelastic departure.
+		if i > 0 {
+			local0.Add(i, i-1, float64(i)*p.MuI)
+			local0.Add(i, i, -float64(i)*p.MuI)
+		}
+	}
+	// Excess-period Coxian: exits return to k-1 inelastic jobs.
+	local0.Add(b1, p.K-1, cox.g1)
+	local0.Add(b1, b2, cox.g2)
+	local0.Add(b1, b1, -(cox.g1 + cox.g2))
+	local0.Add(b2, p.K-1, cox.g3)
+	local0.Add(b2, b2, -cox.g3)
+	for ph := 0; ph < m; ph++ {
+		local0.Add(ph, ph, -p.LambdaE)
 	}
 
 	elasticRate := func(ph int) float64 {
@@ -255,21 +258,12 @@ func ifChain(p queueing.Model, fit BusyPeriodFit) (*qbd.Chain, error) {
 		return float64(p.K-ph) * p.MuE
 	}
 
-	// Boundary level 0: no elastic jobs, no down transitions.
-	local0 := phaseGen()
-	for ph := 0; ph < m; ph++ {
-		local0.Add(ph, ph, -p.LambdaE)
-	}
-	boundary := []qbd.BoundaryLevel{{
-		U:     linalg.Scale(p.LambdaE, linalg.Identity(m)),
-		Local: local0,
-	}}
-
-	// Repeating levels >= 1.
-	a1 := phaseGen()
+	// Boundary level 0 (no elastic jobs, no down transitions) and the
+	// repeating levels >= 1 share the up block.
+	up := linalg.Scale(p.LambdaE, linalg.Identity(m))
+	a1 := local0.Clone()
 	a2 := linalg.NewMatrix(m, m)
 	for ph := 0; ph < m; ph++ {
-		a1.Add(ph, ph, -p.LambdaE)
 		if r := elasticRate(ph); r > 0 {
 			a2.Set(ph, ph, r)
 			a1.Add(ph, ph, -r)
@@ -277,8 +271,8 @@ func ifChain(p queueing.Model, fit BusyPeriodFit) (*qbd.Chain, error) {
 	}
 	return &qbd.Chain{
 		Phases:   m,
-		Boundary: boundary,
-		A0:       linalg.Scale(p.LambdaE, linalg.Identity(m)),
+		Boundary: []qbd.BoundaryLevel{{U: up, Local: local0}},
+		A0:       up,
 		A1:       a1,
 		A2:       a2,
 	}, nil

@@ -101,7 +101,7 @@ func TestSpectralRadiusMatchesFullLoop(t *testing.T) {
 		"zero":        linalg.NewMatrix(3, 3),
 	}
 	for name, c := range goldenChains(t) {
-		r, err := qbd.SolveR(c.A0, c.A1, c.A2, 1e-14, 1_000_000)
+		r, err := qbd.SolveR(c.A0, c.A1, c.A2, 1e-14)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -125,10 +125,9 @@ func TestSpectralRadiusMatchesFullLoop(t *testing.T) {
 	}
 }
 
-// TestAnalysisAllocs gates allocations on the analysis path: the R
-// iteration and the power iteration allocate per call, never per
-// iteration, so a tighter tolerance or a higher iteration count costs no
-// allocation.
+// TestAnalysisAllocs gates allocations on the analysis path: the R solve
+// and the power iteration allocate per call, never per iteration, so a
+// tighter tolerance or a higher iteration count costs no allocation.
 func TestAnalysisAllocs(t *testing.T) {
 	c, err := ifChain(queueing.ForLoad(4, 0.9, 1, 1), Coxian3Moment)
 	if err != nil {
@@ -136,7 +135,7 @@ func TestAnalysisAllocs(t *testing.T) {
 	}
 	solveAllocs := func(tol float64) float64 {
 		return testing.AllocsPerRun(5, func() {
-			if _, err := qbd.SolveR(c.A0, c.A1, c.A2, tol, 1_000_000); err != nil {
+			if _, err := qbd.SolveR(c.A0, c.A1, c.A2, tol); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -153,24 +152,67 @@ func TestAnalysisAllocs(t *testing.T) {
 	}
 }
 
-// textbookR runs the functional iteration R <- (A0 + R^2 A2)(-A1)^{-1} from
-// R = 0 as the textbook writes it, allocating every product, until two
-// iterates differ by less than tol. It returns R and the iteration count;
-// qbd.SolveR must return this R bit for bit.
+// textbookR runs the logarithmic reduction of Latouche & Ramaswami as the
+// textbook writes it, allocating every product and inverse: with
+// N = (-A1)^{-1}, H = N A0, L = N A2, G = L and T = H, each doubling sets
+// U = HL + LH, H <- (I-U)^{-1} H^2, L <- (I-U)^{-1} L^2, G <- G + TL and
+// T <- TH until G moves by less than tol, and R = A0 (-(A1 + A0 G))^{-1}.
+// It returns R and the doubling count; qbd.SolveR must return this R bit
+// for bit.
 func textbookR(c *qbd.Chain, tol float64) (*linalg.Matrix, int, error) {
 	negA1Inv, err := linalg.Inverse(linalg.Scale(-1, c.A1))
 	if err != nil {
 		return nil, 0, err
 	}
+	h := linalg.Mul(negA1Inv, c.A0)
+	l := linalg.Mul(negA1Inv, c.A2)
+	g, t := l.Clone(), h.Clone()
+	for iter := 1; iter <= 64; iter++ {
+		u := linalg.AddM(linalg.Mul(h, l), linalg.Mul(l, h))
+		iu, err := linalg.Inverse(linalg.SubM(linalg.Identity(c.Phases), u))
+		if err != nil {
+			return nil, 0, err
+		}
+		h = linalg.Mul(iu, linalg.Mul(h, h))
+		l = linalg.Mul(iu, linalg.Mul(l, l))
+		gNext := linalg.AddM(g, linalg.Mul(t, l))
+		t = linalg.Mul(t, h)
+		if linalg.MaxAbsDiff(gNext, g) < tol {
+			denom, err := linalg.Inverse(linalg.Scale(-1, linalg.AddM(c.A1, linalg.Mul(c.A0, gNext))))
+			if err != nil {
+				return nil, 0, err
+			}
+			return linalg.Mul(c.A0, denom), iter, nil
+		}
+		g = gNext
+	}
+	return nil, 0, qbd.ErrNotConverged
+}
+
+// functionalR is the independent reference for qbd.SolveR: the functional
+// iteration R <- (A0 + R^2 A2)(-A1)^{-1} from R = 0, linearly convergent,
+// until two iterates differ by less than tol. (It was the production
+// solver before logarithmic reduction; at tol 1e-14 it gives that solver's
+// R bit for bit.)
+func functionalR(c *qbd.Chain, tol float64) (*linalg.Matrix, error) {
+	negA1Inv, err := linalg.Inverse(linalg.Scale(-1, c.A1))
+	if err != nil {
+		return nil, err
+	}
 	r := linalg.NewMatrix(c.Phases, c.Phases)
-	for iter := 1; iter <= 1_000_000; iter++ {
+	for iter := 1; iter <= 10_000_000; iter++ {
 		next := linalg.Mul(linalg.AddM(c.A0, linalg.Mul(linalg.Mul(r, r), c.A2)), negA1Inv)
 		if linalg.MaxAbsDiff(next, r) < tol {
-			return next, iter, nil
+			return next, nil
 		}
 		r = next
 	}
-	return nil, 0, qbd.ErrNotConverged
+	return nil, qbd.ErrNotConverged
+}
+
+// residual returns ||A0 + R A1 + R^2 A2||_inf.
+func residual(c *qbd.Chain, r *linalg.Matrix) float64 {
+	return linalg.AddM(c.A0, linalg.AddM(linalg.Mul(r, c.A1), linalg.Mul(linalg.Mul(r, r), c.A2))).InfNorm()
 }
 
 // figureChains adds to goldenChains the IF and EF chains of the full k-4
@@ -207,20 +249,19 @@ func figureChains(t *testing.T) map[string]*qbd.Chain {
 	return chains
 }
 
-// TestSolveRMatchesTextbookIteration pins qbd.SolveR, whatever buffers,
-// sparsity and column restriction it uses, to the allocating textbook loop
-// on every chain behind the figures and the golden cells: every entry of R
-// must carry the same bits.
-func TestSolveRMatchesTextbookIteration(t *testing.T) {
-	iters := 0
+// TestSolveRMatchesTextbookLogReduction pins qbd.SolveR, whatever buffers
+// it reuses, to the allocating textbook loop on every chain behind the
+// figures and the golden cells: every entry of R must carry the same bits.
+func TestSolveRMatchesTextbookLogReduction(t *testing.T) {
+	doublings := 0
 	chains := figureChains(t)
 	for name, c := range chains {
 		want, n, err := textbookR(c, 1e-14)
 		if err != nil {
 			t.Fatalf("%s: textbook loop: %v", name, err)
 		}
-		iters += n
-		got, err := qbd.SolveR(c.A0, c.A1, c.A2, 1e-14, 1_000_000)
+		doublings += n
+		got, err := qbd.SolveR(c.A0, c.A1, c.A2, 1e-14)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -232,12 +273,69 @@ func TestSolveRMatchesTextbookIteration(t *testing.T) {
 			}
 		}
 	}
-	t.Logf("%d chains, %d iterations", len(chains), iters)
+	t.Logf("%d chains, %d doublings", len(chains), doublings)
 }
 
-// BenchmarkSolveRFigureChains times the R iteration alone on figure chains
-// at rho 0.9 and muI = muE = 1: IF and EF at k 4 (442 and 433 iterations)
-// and IF at k 16, the largest phase count the figure set solves.
+// highLoadChains returns the IF and EF chains at rho 0.95, 0.99 and 0.999,
+// k 4 and 16, muI 0.25 and 3.25 (muE 1), where the functional iteration
+// converges slowest.
+func highLoadChains(t *testing.T) map[string]*qbd.Chain {
+	t.Helper()
+	chains := make(map[string]*qbd.Chain)
+	for _, rho := range []float64{0.95, 0.99, 0.999} {
+		for _, k := range []int{4, 16} {
+			for _, muI := range []float64{0.25, 3.25} {
+				p := queueing.ForLoad(k, rho, muI, 1)
+				ifc, err := ifChain(p, Coxian3Moment)
+				if err != nil {
+					t.Fatal(err)
+				}
+				efc, err := efChain(p, Coxian3Moment)
+				if err != nil {
+					t.Fatal(err)
+				}
+				chains[fmt.Sprintf("IF %+v", p)] = ifc
+				chains[fmt.Sprintf("EF %+v", p)] = efc
+			}
+		}
+	}
+	return chains
+}
+
+// TestRMethodsAgree holds qbd.SolveR to the functional iteration within
+// 1e-10 on every figure and golden chain and on the high-load set. On all
+// of them its residual ||A0 + R A1 + R^2 A2||_inf is at most 1e-12 and no
+// larger than the functional iteration's.
+func TestRMethodsAgree(t *testing.T) {
+	chains := figureChains(t)
+	for name, c := range highLoadChains(t) {
+		chains[name] = c
+	}
+	worstDiff, worstRes := 0.0, 0.0
+	for name, c := range chains {
+		want, err := functionalR(c, 1e-14)
+		if err != nil {
+			t.Fatalf("%s: functional iteration: %v", name, err)
+		}
+		got, err := qbd.SolveR(c.A0, c.A1, c.A2, 1e-14)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		d, res := linalg.MaxAbsDiff(got, want), residual(c, got)
+		if d > 1e-10 {
+			t.Errorf("%s: R differs from the functional iteration's by %v", name, d)
+		}
+		if ref := residual(c, want); res > 1e-12 || res > ref {
+			t.Errorf("%s: residual %v, the functional iteration's %v", name, res, ref)
+		}
+		worstDiff, worstRes = math.Max(worstDiff, d), math.Max(worstRes, res)
+	}
+	t.Logf("%d chains: largest difference %.3g, largest residual %.3g", len(chains), worstDiff, worstRes)
+}
+
+// BenchmarkSolveRFigureChains times the R solve alone on figure chains at
+// rho 0.9 and muI = muE = 1: IF and EF at k 4 and IF at k 16, the largest
+// phase count the figure set solves.
 func BenchmarkSolveRFigureChains(b *testing.B) {
 	k4, k16 := queueing.ForLoad(4, 0.9, 1, 1), queueing.ForLoad(16, 0.9, 1, 1)
 	for _, bc := range []struct {
@@ -256,7 +354,7 @@ func BenchmarkSolveRFigureChains(b *testing.B) {
 		b.Run(bc.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for b.Loop() {
-				if _, err := qbd.SolveR(c.A0, c.A1, c.A2, 1e-14, 1_000_000); err != nil {
+				if _, err := qbd.SolveR(c.A0, c.A1, c.A2, 1e-14); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -2,13 +2,11 @@ package qbd
 
 import (
 	"errors"
-	"fmt"
 	"math"
 	"testing"
 
 	"repro/internal/linalg"
 	"repro/internal/queueing"
-	"repro/internal/xrand"
 )
 
 // mm1Chain encodes M/M/1 as a trivial one-phase QBD.
@@ -122,110 +120,15 @@ func TestMH21PollaczekKhinchine(t *testing.T) {
 	}
 }
 
-// solveRLogReduction is the test-only reference for SolveR: the
-// logarithmic-reduction algorithm of Latouche & Ramaswami for the G matrix,
-// converted to R via R = A0 (-A1 - A0 G)^{-1}. It converges quadratically,
-// by a recursion independent of the functional iteration.
-func solveRLogReduction(a0, a1, a2 *linalg.Matrix, tol float64, maxIter int) (*linalg.Matrix, error) {
-	negA1Inv, err := linalg.Inverse(linalg.Scale(-1, a1))
-	if err != nil {
-		return nil, fmt.Errorf("qbd: A1 singular: %w", err)
-	}
-	m := a0.Rows
-	// Note the orientation: for computing G (first passage to the level
-	// below), the "down" block drives the recursion.
-	h := linalg.Mul(negA1Inv, a0) // up
-	l := linalg.Mul(negA1Inv, a2) // down
-	g := l.Clone()
-	t := h.Clone()
-	for iter := 0; iter < maxIter; iter++ {
-		u := linalg.AddM(linalg.Mul(h, l), linalg.Mul(l, h))
-		iu, err := linalg.Inverse(linalg.SubM(linalg.Identity(m), u))
-		if err != nil {
-			return nil, fmt.Errorf("qbd: log-reduction pivot singular: %w", err)
-		}
-		h = linalg.Mul(iu, linalg.Mul(h, h))
-		l = linalg.Mul(iu, linalg.Mul(l, l))
-		gNext := linalg.AddM(g, linalg.Mul(t, l))
-		t = linalg.Mul(t, h)
-		if linalg.MaxAbsDiff(gNext, g) < tol {
-			g = gNext
-			break
-		}
-		g = gNext
-		if iter == maxIter-1 {
-			return nil, ErrNotConverged
-		}
-	}
-	denom, err := linalg.Inverse(linalg.Scale(-1, linalg.AddM(a1, linalg.Mul(a0, g))))
-	if err != nil {
-		return nil, fmt.Errorf("qbd: R conversion singular: %w", err)
-	}
-	return linalg.Mul(a0, denom), nil
-}
-
-// TestRMethodsAgree holds SolveR to the logarithmic-reduction reference.
-func TestRMethodsAgree(t *testing.T) {
-	c := mh2Chain(0.5, 0.4, 2.0, 0.5)
-	r1, err := SolveR(c.A0, c.A1, c.A2, 1e-14, 1_000_000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r2, err := solveRLogReduction(c.A0, c.A1, c.A2, 1e-14, 200)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if linalg.MaxAbsDiff(r1, r2) > 1e-10 {
-		t.Fatalf("R matrices differ by %v", linalg.MaxAbsDiff(r1, r2))
-	}
-}
-
 func TestRSatisfiesQuadratic(t *testing.T) {
 	c := mh2Chain(0.7, 0.3, 3.0, 0.6)
-	r, err := SolveR(c.A0, c.A1, c.A2, 1e-14, 1_000_000)
+	r, err := SolveR(c.A0, c.A1, c.A2, 1e-14)
 	if err != nil {
 		t.Fatal(err)
 	}
 	res := linalg.AddM(c.A0, linalg.AddM(linalg.Mul(r, c.A1), linalg.Mul(linalg.Mul(r, r), c.A2)))
 	if res.InfNorm() > 1e-10 {
 		t.Fatalf("residual of R equation %v", res.InfNorm())
-	}
-}
-
-// TestSparseProductMatchesDense: c plus the product over b's nonzero
-// entries equals AddM(c, Mul(a, b)) entry for entry; only a zero's sign may
-// differ, which == ignores.
-func TestSparseProductMatchesDense(t *testing.T) {
-	r := xrand.New(5)
-	const m = 6
-	a, c := linalg.NewMatrix(m, m), linalg.NewMatrix(m, m)
-	for i := range a.Data {
-		if r.Float64() < 0.7 {
-			a.Data[i] = 2*r.Float64() - 1
-		}
-		if r.Float64() < 0.5 {
-			c.Data[i] = 2*r.Float64() - 1
-		}
-	}
-	diag, single, scattered := linalg.NewMatrix(m, m), linalg.NewMatrix(m, m), linalg.NewMatrix(m, m)
-	for i := 0; i < m; i++ {
-		diag.Set(i, i, r.Float64())
-	}
-	single.Set(0, 0, 3)
-	for i := range scattered.Data {
-		if r.Float64() < 0.3 {
-			scattered.Data[i] = 2*r.Float64() - 1
-		}
-	}
-	dst := linalg.NewMatrix(m, m)
-	for name, b := range map[string]*linalg.Matrix{"diagonal": diag, "single": single, "scattered": scattered, "zero": linalg.NewMatrix(m, m)} {
-		addSparseProduct(dst, c, a, nonzeros(b))
-		want := linalg.AddM(c, linalg.Mul(a, b))
-		for i := range want.Data {
-			if dst.Data[i] != want.Data[i] {
-				t.Fatalf("%s: entry %d is %v, dense product %v", name, i, dst.Data[i], want.Data[i])
-			}
-		}
 	}
 }
 
@@ -299,21 +202,10 @@ func TestLevelProbDecays(t *testing.T) {
 	}
 }
 
-func BenchmarkSolveRIteration(b *testing.B) {
+func BenchmarkSolveR(b *testing.B) {
 	c := mh2Chain(0.9, 0.4, 2.0, 0.5)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := SolveR(c.A0, c.A1, c.A2, 1e-13, 1_000_000); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkSolveRLogReduction(b *testing.B) {
-	c := mh2Chain(0.9, 0.4, 2.0, 0.5)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := solveRLogReduction(c.A0, c.A1, c.A2, 1e-13, 200); err != nil {
+	for b.Loop() {
+		if _, err := SolveR(c.A0, c.A1, c.A2, 1e-13); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -2,7 +2,7 @@
 # Engine benchmark harness: runs the hot-path benchmarks (two-class and
 # multi-class stepping, the occupancy scaling under IF, EQUI and SRPT at
 # n in {10, 100, 1k, 10k}, the end-to-end simulator throughput, the QBD R
-# iteration alone on three figure chains, and the internal/serve loopback
+# solve alone on three figure chains, and the internal/serve loopback
 # serving path — cache-hit and coalesced req/sec) and
 # APPENDS one dated entry to BENCH_engine.json via cmd/benchlog, so the
 # perf trajectory across PRs is preserved (a legacy single-snapshot file is
@@ -56,8 +56,8 @@ go test . -run '^$' -bench 'BenchmarkSimulatorThroughput' -timeout 0 \
   -benchmem -benchtime "$BENCHTIME" -count "$BENCH_COUNT" | tee -a "$RAW"
 
 echo "==> go test -bench BenchmarkSolveRFigureChains (-benchtime $BENCHTIME, best of $BENCH_COUNT)"
-# The R iteration that ends every Figure 4-6 point: IF and EF at k 4, IF at
-# k 16, rho 0.9.
+# The R solve (logarithmic reduction) that ends every Figure 4-6 point: IF
+# and EF at k 4, IF at k 16, rho 0.9.
 go test ./internal/mrt -run '^$' -bench 'BenchmarkSolveRFigureChains' -timeout 0 \
   -benchmem -benchtime "$BENCHTIME" -count "$BENCH_COUNT" | tee -a "$RAW"
 

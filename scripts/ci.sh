@@ -48,11 +48,11 @@ go vet ./...
 echo "==> go test -race ./..."
 go test -race ./...
 
-echo "==> golden gate (engine goldens bit-frozen; frozen rebuild-engine traces matched: identical completion sequences, stats to 1e-9; every arrival stream frozen; the R iteration bit-identical to the textbook loop on the figures' chains; the blocked multiply bit-identical to per-entry dot products)"
+echo "==> golden gate (engine goldens bit-frozen; frozen rebuild-engine traces matched: identical completion sequences, stats to 1e-9; every arrival stream frozen; the R solve bit-identical to the textbook logarithmic-reduction loop on the figures' chains and within 1e-10 of the functional iteration, residual <= 1e-12; the blocked multiply bit-identical to per-entry dot products)"
 go test ./internal/sim -run 'TestGolden' -count=1
 go test ./internal/exp -run 'TestGoldenFigure' -count=1
 go test ./internal/workload -run TestGoldenArrivals -count=1
-go test ./internal/mrt -run 'TestSolveRMatchesTextbookIteration' -count=1
+go test ./internal/mrt -run 'TestSolveRMatchesTextbookLogReduction|TestRMethodsAgree' -count=1
 go test ./internal/linalg -run 'TestMulIntoMatchesDotProducts' -count=1
 
 echo "==> exact-chain gate (banded GTH bit-identical to the dense loop; shorter-axis numbering only relabels; non-finite and band-storage guards; Appendix B; QBD vs CTMC; Theorem 6; the count-rule adapter runs the simulator's own policies: bit-identical to the deleted count rules, every registry name count-Markov or refused, zero allocations per state, every accepted policy solved)"
@@ -65,7 +65,7 @@ go test ./internal/sim -run 'TestEngineEquivalenceMatrix|TestEngineEquivalenceQu
 go test ./internal/exp -run 'TestEngineSweepEquivalence|TestTailQuantiles' -count=1
 go test ./internal/policy -count=1
 
-echo "==> allocation-regression gate (steady-state stepping <= 1 alloc/event; arena path bounded at n in {100, 10k}; the R and power iterations allocate per solve, not per iteration)"
+echo "==> allocation-regression gate (steady-state stepping <= 1 alloc/event; arena path bounded at n in {100, 10k}; the R solve and the power iteration allocate per solve, not per doubling or iteration)"
 go test ./internal/sim ./internal/mrt -run 'TestSteadyStateAllocs|TestSteadyStateBytes|TestAnalysisAllocs' -count=1
 
 echo "==> arena recycle gate (recycled job slots never alias a live handle in any hot structure)"
@@ -83,6 +83,17 @@ go build -o "$tmp/simulate" ./cmd/simulate
 sweep_flags="-k 2 -rho 0.5,0.7 -muI 1,2 -muE 1 -policy IF,EF -reps 2 -warmup 200 -jobs 2000 -tail"
 "$tmp/simulate" $sweep_flags -json "$tmp/pool.json" >/dev/null
 echo "    pool reference ResultSet recorded ($(wc -c < "$tmp/pool.json") bytes)"
+
+echo "==> printed-figures gate (figures -fig 4, 5, 6 and ablation print exactly the bytes in cmd/figures/testdata, which the functional-iteration solver wrote)"
+go build -o "$tmp/figures" ./cmd/figures
+for fig in 4 5 6 ablation; do
+  "$tmp/figures" -fig "$fig" >"$tmp/fig$fig.txt"
+  if ! cmp "cmd/figures/testdata/fig$fig.txt" "$tmp/fig$fig.txt"; then
+    echo "FAIL: figures -fig $fig printed bytes that differ from cmd/figures/testdata/fig$fig.txt" >&2
+    exit 1
+  fi
+done
+echo "    figures -fig 4, 5, 6 and ablation byte-identical to the checked-in output"
 
 echo "==> networked fabric gate (every task kind pool-identical in-process; fabricd dispatcher with an outcome cache + 2 worker daemons on loopback; a detached simulate job warms the cache; psq only observes and cancels)"
 go test ./internal/fabric -run 'TestFabricBitIdenticalToPool|TestFabricTaskKindsMatchPool' -count=1
@@ -194,7 +205,6 @@ if "$tmp/simulate" $sweep_flags -dispatcher "$addr" -detach -json "$tmp/detach.j
   echo "FAIL: simulate accepted -detach with -json" >&2
   exit 1
 fi
-go build -o "$tmp/figures" ./cmd/figures
 go build -o "$tmp/dominance" ./cmd/dominance
 if "$tmp/simulate" $sweep_flags -workers -1 >/dev/null 2>&1; then
   echo "FAIL: simulate accepted -workers -1" >&2
