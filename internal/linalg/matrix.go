@@ -7,19 +7,18 @@
 // everywhere: LU with partial pivoting and explicit error reporting for
 // singular systems. The exception is the one multiplication kernel,
 // MulInto (Mul allocates the result and calls it). Package qbd's
-// logarithmic reduction runs it eight times per doubling, beside one
-// InverseInto, for some 9,600 doublings per set of the paper's figures,
-// and there it is the largest share of the CPU time. So it is
-// register-blocked: it keeps the sums of two rows by up to four columns in
-// local variables while it runs over the inner index. Blocking changes
-// which sums are in flight, never an entry's arithmetic. Each entry is
-// accumulated from +0 over the inner index in ascending order, skipping a's
-// zero entries, with one rounding per multiply and per add, and every
-// multiply-add keeps the acc += x*y form. So every caller gets the textbook
-// triple loop's bits, and a compiler that fuses x*y+z fuses the same
-// operations. MulInto, AddInto, SubInto and InverseInto (with an LU from
-// NewLU) write into the caller's buffers, so an iteration allocates
-// nothing, and InverseInto gives Inverse's bits. SpectralRadius reuses its
+// logarithmic reduction runs it eight times per doubling, for some 9,600
+// doublings per set of the paper's figures, and there it is the largest
+// single cost. So it is register-blocked: it keeps the sums of two rows by
+// up to four columns in local variables while it runs over the inner
+// index. Blocking changes which sums are in flight, never an entry's
+// arithmetic. Each entry is accumulated from +0 over the inner index in
+// ascending order, skipping a's zero entries, with one rounding per
+// multiply and per add, and every multiply-add keeps the acc += x*y form.
+// So every caller gets the textbook triple loop's bits, and a compiler that
+// fuses x*y+z fuses the same operations. The *Into functions write into the
+// caller's buffers (InverseInto, with Inverse's bits, factors into an LU
+// from NewLU), so an iteration allocates nothing. SpectralRadius reuses its
 // vectors too, and stops as soon as its power iterate repeats one of its
 // last few values bit for bit, returning exactly the norm the full
 // iteration count would end on.
@@ -349,32 +348,21 @@ type LU struct {
 // NewLU returns an LU with buffers for n x n matrices, for InverseInto to
 // factor into again and again.
 func NewLU(n int) *LU {
-	data := make([]float64, n*n+2*n)
-	return &LU{
-		lu:  Matrix{Rows: n, Cols: n, Data: data[:n*n]},
-		piv: make([]int, n),
-		col: data[n*n : n*n+n], x: data[n*n+n:],
-	}
+	d := make([]float64, n*n+2*n)
+	return &LU{lu: Matrix{Rows: n, Cols: n, Data: d[:n*n]}, piv: make([]int, n), col: d[n*n : n*n+n], x: d[n*n+n:]}
 }
 
 // Factor computes the LU factorization of a. It returns ErrSingular when a
 // pivot underflows working precision.
 func Factor(a *Matrix) (*LU, error) {
-	if err := square(a); err != nil {
-		return nil, err
+	if a.Rows != a.Cols {
+		return nil, fmt.Errorf("%w: LU of %dx%d", ErrShape, a.Rows, a.Cols)
 	}
 	f := NewLU(a.Rows)
 	if err := f.factor(a); err != nil {
 		return nil, err
 	}
 	return f, nil
-}
-
-func square(a *Matrix) error {
-	if a.Rows != a.Cols {
-		return fmt.Errorf("%w: LU of %dx%d", ErrShape, a.Rows, a.Cols)
-	}
-	return nil
 }
 
 // factor overwrites f with the factorization of a, which must have f's
@@ -503,21 +491,14 @@ func (f *LU) solveColumn(dst *Matrix, j int) {
 
 // Inverse returns a^{-1}.
 func Inverse(a *Matrix) (*Matrix, error) {
-	if err := square(a); err != nil {
-		return nil, err
-	}
-	dst := NewMatrix(a.Rows, a.Cols)
-	if err := InverseInto(dst, a, NewLU(a.Rows)); err != nil {
-		return nil, err
-	}
-	return dst, nil
+	return SolveMatrix(a, Identity(a.Rows))
 }
 
 // InverseInto stores a^{-1} in dst, factoring a into f, so a loop that
 // inverts a matrix at every step allocates nothing. a, dst and f (from
 // NewLU) must share one size, and dst no storage with a; it panics on a
-// shape mismatch. The bits are SolveMatrix(a, Identity(n))'s: the same
-// pivoting, then one solve per identity column.
+// shape mismatch. The bits are Inverse's: the same pivoting, then one
+// solve per identity column.
 func InverseInto(dst, a *Matrix, f *LU) error {
 	if n := f.lu.Rows; a.Rows != n || a.Cols != n || dst.Rows != n || dst.Cols != n {
 		panic(ErrShape)

@@ -194,8 +194,8 @@ func TestInverseProperty(t *testing.T) {
 }
 
 // TestInverseIntoMatchesInverse: one LU and one dirty output buffer, reused
-// across matrices of a size, give SolveMatrix(a, Identity(n))'s bits, the
-// inverse's textbook form; a singular matrix reports ErrSingular.
+// across matrices of a size, give Inverse's bits; a singular matrix reports
+// ErrSingular.
 func TestInverseIntoMatchesInverse(t *testing.T) {
 	r := xrand.New(13)
 	for n := 1; n <= 20; n++ {
@@ -205,19 +205,15 @@ func TestInverseIntoMatchesInverse(t *testing.T) {
 			for i := range a.Data {
 				a.Data[i] = 2*r.Float64() - 1
 			}
-			want, err := SolveMatrix(a, Identity(n))
+			want, err := Inverse(a)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if err := InverseInto(dst, a, f); err != nil {
 				t.Fatal(err)
 			}
-			inv, err := Inverse(a)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !sameBits(dst.Data, want.Data) || !sameBits(inv.Data, want.Data) {
-				t.Fatalf("n %d, trial %d: InverseInto\n%v\nInverse\n%v\nwant\n%v", n, trial, dst, inv, want)
+			if !sameBits(dst.Data, want.Data) {
+				t.Fatalf("n %d, trial %d: InverseInto\n%v\nInverse\n%v", n, trial, dst, want)
 			}
 		}
 	}

@@ -48,12 +48,12 @@ go vet ./...
 echo "==> go test -race ./..."
 go test -race ./...
 
-echo "==> golden gate (engine goldens bit-frozen; frozen rebuild-engine traces matched: identical completion sequences, stats to 1e-9; every arrival stream frozen; the R solve bit-identical to the textbook logarithmic-reduction loop on the figures' chains and within 1e-10 of the functional iteration, residual <= 1e-12; the blocked multiply bit-identical to per-entry dot products)"
+echo "==> golden gate (engine goldens bit-frozen; frozen rebuild-engine traces matched: identical completion sequences, stats to 1e-9; every arrival stream frozen; the R solve bit-identical to the textbook logarithmic-reduction loop on the figures' chains and within 1e-10 of the functional iteration, residual <= 1e-12; the blocked multiply bit-identical to per-entry dot products and InverseInto to Inverse)"
 go test ./internal/sim -run 'TestGolden' -count=1
 go test ./internal/exp -run 'TestGoldenFigure' -count=1
 go test ./internal/workload -run TestGoldenArrivals -count=1
 go test ./internal/mrt -run 'TestSolveRMatchesTextbookLogReduction|TestRMethodsAgree' -count=1
-go test ./internal/linalg -run 'TestMulIntoMatchesDotProducts' -count=1
+go test ./internal/linalg -run 'TestMulIntoMatchesDotProducts|TestInverseIntoMatchesInverse' -count=1
 
 echo "==> exact-chain gate (banded GTH bit-identical to the dense loop; shorter-axis numbering only relabels; non-finite and band-storage guards; Appendix B; QBD vs CTMC; Theorem 6; the count-rule adapter runs the simulator's own policies: bit-identical to the deleted count rules, every registry name count-Markov or refused, zero allocations per state, every accepted policy solved)"
 go test ./internal/ctmc -run 'TestStationaryMatchesDenseGTH|TestPolicyChainNumbering|TestStationaryNonFiniteIsError|TestAutoSolveNamesLastSolvedCaps|TestDeferDominatedByIF|TestTheorem6Counterexample|TestCountRuleSolvesRegistry' -count=1
