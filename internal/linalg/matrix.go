@@ -311,7 +311,9 @@ func VecMul(x []float64, a *Matrix) []float64 {
 // MaxAbsDiff returns max_ij |a_ij - b_ij|, ignoring NaN differences: the
 // R solver's convergence metric.
 func MaxAbsDiff(a, b *Matrix) float64 {
-	sameShape(a, b, b)
+	if a.Rows != b.Rows || a.Cols != b.Cols {
+		panic(ErrShape)
+	}
 	max := 0.0
 	for i := range a.Data {
 		if d := math.Abs(a.Data[i] - b.Data[i]); d > max {

@@ -7,6 +7,7 @@ package mrt
 
 import (
 	"fmt"
+	"maps"
 	"math"
 	"testing"
 
@@ -70,7 +71,13 @@ func goldenChains(t *testing.T) map[string]*qbd.Chain {
 	for _, k := range []int{8, 16} {
 		pts = append(pts, queueing.ForLoad(k, 0.9, 0.5, 1))
 	}
-	chains := make(map[string]*qbd.Chain)
+	return addChains(t, make(map[string]*qbd.Chain), pts)
+}
+
+// addChains adds the IF and EF chains of every model in pts to chains,
+// keyed by policy and model, and returns chains.
+func addChains(t *testing.T, chains map[string]*qbd.Chain, pts []queueing.Model) map[string]*qbd.Chain {
+	t.Helper()
 	for _, p := range pts {
 		ifc, err := ifChain(p, Coxian3Moment)
 		if err != nil {
@@ -191,9 +198,7 @@ func textbookR(c *qbd.Chain, tol float64) (*linalg.Matrix, int, error) {
 
 // functionalR is the independent reference for qbd.SolveR: the functional
 // iteration R <- (A0 + R^2 A2)(-A1)^{-1} from R = 0, linearly convergent,
-// until two iterates differ by less than tol. (It was the production
-// solver before logarithmic reduction; at tol 1e-14 it gives that solver's
-// R bit for bit.)
+// until two iterates differ by less than tol.
 func functionalR(c *qbd.Chain, tol float64) (*linalg.Matrix, error) {
 	negA1Inv, err := linalg.Inverse(linalg.Scale(-1, c.A1))
 	if err != nil {
@@ -220,7 +225,6 @@ func residual(c *qbd.Chain, r *linalg.Matrix) float64 {
 // 16} at muI 0.25 and 3.25 (rho 0.9, muE 1). Shared points share a key.
 func figureChains(t *testing.T) map[string]*qbd.Chain {
 	t.Helper()
-	chains := goldenChains(t)
 	var pts []queueing.Model
 	for _, rho := range []float64{0.5, 0.7, 0.9} {
 		for i := 1; i <= 14; i++ {
@@ -234,19 +238,7 @@ func figureChains(t *testing.T) map[string]*qbd.Chain {
 			pts = append(pts, queueing.ForLoad(k, 0.9, muI, 1))
 		}
 	}
-	for _, p := range pts {
-		ifc, err := ifChain(p, Coxian3Moment)
-		if err != nil {
-			t.Fatal(err)
-		}
-		efc, err := efChain(p, Coxian3Moment)
-		if err != nil {
-			t.Fatal(err)
-		}
-		chains[fmt.Sprintf("IF %+v", p)] = ifc
-		chains[fmt.Sprintf("EF %+v", p)] = efc
-	}
-	return chains
+	return addChains(t, goldenChains(t), pts)
 }
 
 // TestSolveRMatchesTextbookLogReduction pins qbd.SolveR, whatever buffers
@@ -281,25 +273,15 @@ func TestSolveRMatchesTextbookLogReduction(t *testing.T) {
 // converges slowest.
 func highLoadChains(t *testing.T) map[string]*qbd.Chain {
 	t.Helper()
-	chains := make(map[string]*qbd.Chain)
+	var pts []queueing.Model
 	for _, rho := range []float64{0.95, 0.99, 0.999} {
 		for _, k := range []int{4, 16} {
 			for _, muI := range []float64{0.25, 3.25} {
-				p := queueing.ForLoad(k, rho, muI, 1)
-				ifc, err := ifChain(p, Coxian3Moment)
-				if err != nil {
-					t.Fatal(err)
-				}
-				efc, err := efChain(p, Coxian3Moment)
-				if err != nil {
-					t.Fatal(err)
-				}
-				chains[fmt.Sprintf("IF %+v", p)] = ifc
-				chains[fmt.Sprintf("EF %+v", p)] = efc
+				pts = append(pts, queueing.ForLoad(k, rho, muI, 1))
 			}
 		}
 	}
-	return chains
+	return addChains(t, make(map[string]*qbd.Chain), pts)
 }
 
 // TestRMethodsAgree holds qbd.SolveR to the functional iteration within
@@ -308,9 +290,7 @@ func highLoadChains(t *testing.T) map[string]*qbd.Chain {
 // larger than the functional iteration's.
 func TestRMethodsAgree(t *testing.T) {
 	chains := figureChains(t)
-	for name, c := range highLoadChains(t) {
-		chains[name] = c
-	}
+	maps.Copy(chains, highLoadChains(t))
 	worstDiff, worstRes := 0.0, 0.0
 	for name, c := range chains {
 		want, err := functionalR(c, 1e-14)

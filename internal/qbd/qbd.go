@@ -161,8 +161,7 @@ func SolveR(a0, a1, a2 *linalg.Matrix, tol float64) (*linalg.Matrix, error) {
 	if err := linalg.InverseInto(negA1Inv, linalg.Scale(-1, a1), f); err != nil {
 		return nil, fmt.Errorf("qbd: A1 singular: %w", err)
 	}
-	h := linalg.MulInto(buf(), negA1Inv, a0)
-	l := linalg.MulInto(buf(), negA1Inv, a2)
+	h, l := linalg.Mul(negA1Inv, a0), linalg.Mul(negA1Inv, a2)
 	g, t := l.Clone(), h.Clone()
 	eye, u, iu, p, next := linalg.Identity(m), buf(), buf(), buf(), buf()
 	for range maxDoublings {
