@@ -18,10 +18,7 @@
 // So every caller gets the textbook triple loop's bits, and a compiler that
 // fuses x*y+z fuses the same operations. The *Into functions write into the
 // caller's buffers (InverseInto, with Inverse's bits, factors into an LU
-// from NewLU), so an iteration allocates nothing. SpectralRadius reuses its
-// vectors too, and stops as soon as its power iterate repeats one of its
-// last few values bit for bit, returning exactly the norm the full
-// iteration count would end on.
+// from NewLU), so an iteration allocates nothing.
 package linalg
 
 import (
@@ -272,22 +269,15 @@ func MulVec(a *Matrix, x []float64) []float64 {
 		panic(ErrShape)
 	}
 	out := make([]float64, a.Rows)
-	mulVecInto(out, a, x)
-	return out
-}
-
-// mulVecInto stores a*x in dst, which must have a.Rows entries and share no
-// storage with x.
-func mulVecInto(dst []float64, a *Matrix, x []float64) {
-	x = x[:a.Cols]
-	for i := range dst {
+	for i := range out {
 		s := 0.0
 		row := a.Data[i*a.Cols : (i+1)*a.Cols]
 		for j, v := range row {
 			s += v * x[j]
 		}
-		dst[i] = s
+		out[i] = s
 	}
+	return out
 }
 
 // VecMul returns x^T * a for a row vector x.
@@ -343,7 +333,6 @@ func (m *Matrix) InfNorm() float64 {
 type LU struct {
 	lu     Matrix
 	piv    []int
-	sign   int
 	col, x []float64
 }
 
@@ -375,7 +364,6 @@ func (f *LU) factor(a *Matrix) error {
 	for i := range piv {
 		piv[i] = i
 	}
-	sign := 1
 	for col := 0; col < n; col++ {
 		// Partial pivot: largest magnitude in column at or below diag.
 		p := col
@@ -393,7 +381,6 @@ func (f *LU) factor(a *Matrix) error {
 				lu.Data[p*n+j], lu.Data[col*n+j] = lu.Data[col*n+j], lu.Data[p*n+j]
 			}
 			piv[p], piv[col] = piv[col], piv[p]
-			sign = -sign
 		}
 		inv := 1 / lu.At(col, col)
 		for r := col + 1; r < n; r++ {
@@ -407,7 +394,6 @@ func (f *LU) factor(a *Matrix) error {
 			}
 		}
 	}
-	f.sign = sign
 	return nil
 }
 
@@ -444,15 +430,6 @@ func (f *LU) solveInto(x, b []float64) {
 		}
 		x[i] = s / f.lu.At(i, i)
 	}
-}
-
-// Det returns the determinant of the factored matrix.
-func (f *LU) Det() float64 {
-	d := float64(f.sign)
-	for i := 0; i < f.lu.Rows; i++ {
-		d *= f.lu.At(i, i)
-	}
-	return d
 }
 
 // Solve returns x with a*x = b.
@@ -514,78 +491,4 @@ func InverseInto(dst, a *Matrix, f *LU) error {
 		f.solveColumn(dst, j)
 	}
 	return nil
-}
-
-// cycleWindow is how many earlier power iterates SpectralRadius compares each
-// new one against. A longer cycle simply runs to the iteration cap.
-const cycleWindow = 4
-
-// SpectralRadius estimates the largest-magnitude eigenvalue of a by power
-// iteration. It is used to verify that the QBD rate matrix R satisfies
-// sp(R) < 1 (the stability condition) before summing the geometric tail.
-//
-// The result is the norm of the iters-th product a*x, exactly as a loop
-// that runs all iters iterations would return it. Each iterate is a
-// deterministic function of the previous one's bits, so once an iterate
-// equals one of the last cycleWindow iterates bit for bit, every later
-// iterate and norm repeats that cycle, and the norm at iteration iters is
-// read off the cycle instead of being computed.
-func SpectralRadius(a *Matrix, iters int) float64 {
-	if a.Rows != a.Cols {
-		panic(ErrShape)
-	}
-	n := a.Rows
-	// Ring of the current iterate and the cycleWindow before it: iterate t
-	// lives in slot t%slots, as does norms[t%slots], the norm that produced
-	// it (slot 0's norm is unused: iterate 0 is the start vector).
-	const slots = cycleWindow + 1
-	ring := make([]float64, slots*n)
-	var norms [slots]float64
-	iterate := func(t int) []float64 {
-		s := t % slots
-		return ring[s*n : (s+1)*n]
-	}
-	x0 := iterate(0)
-	for i := range x0 {
-		x0[i] = 1 / float64(n)
-	}
-	radius := 0.0
-	for it := 1; it <= iters; it++ {
-		y := iterate(it)
-		mulVecInto(y, a, iterate(it-1))
-		norm := 0.0
-		for _, v := range y {
-			norm += v * v
-		}
-		norm = math.Sqrt(norm)
-		if norm == 0 {
-			return 0
-		}
-		for i := range y {
-			y[i] /= norm
-		}
-		radius = norm
-		norms[it%slots] = norm
-		for p := 1; p <= cycleWindow && p <= it; p++ {
-			if sameBits(y, iterate(it-p)) {
-				// Norms repeat with period p from iteration it-p+1 on:
-				// return the one in [it-p+1, it] congruent to iters.
-				if e := (iters - it) % p; e > 0 {
-					return norms[(it+e-p)%slots]
-				}
-				return norm
-			}
-		}
-	}
-	return radius
-}
-
-// sameBits reports whether x and y hold bit-identical values.
-func sameBits(x, y []float64) bool {
-	for i, v := range x {
-		if math.Float64bits(v) != math.Float64bits(y[i]) {
-			return false
-		}
-	}
-	return true
 }

@@ -1,11 +1,12 @@
 package mrt
 
-// The solver kernels under the analysis (qbd.SolveR and
-// linalg.SpectralRadius) pinned on the chains this package builds. They are
-// tested here, not in their own packages, because mrt is the lowest package
-// that sees both the kernels and the paper's chains.
+// The solver kernels under the analysis (qbd.SolveR and the mean-drift
+// stability check of qbd.(*Chain).Solve) pinned on the chains this package
+// builds. They are tested here, not in their own packages, because mrt is
+// the lowest package that sees both the kernels and the paper's chains.
 
 import (
+	"errors"
 	"fmt"
 	"maps"
 	"math"
@@ -16,9 +17,9 @@ import (
 	"repro/internal/queueing"
 )
 
-// spectralRadiusFull runs all iters power iterations, allocating a fresh
-// vector each. linalg.SpectralRadius stops early on a cycle and must still
-// return this loop's value bit for bit.
+// spectralRadiusFull estimates sp(a) by running all iters power
+// iterations, allocating a fresh vector each: the reference that the
+// mean-drift check is held to (TestDriftAgreesWithSpectralRadius).
 func spectralRadiusFull(a *linalg.Matrix, iters int) float64 {
 	n := a.Rows
 	x := make([]float64, n)
@@ -43,12 +44,6 @@ func spectralRadiusFull(a *linalg.Matrix, iters int) float64 {
 		radius = norm
 	}
 	return radius
-}
-
-// rotation turns by one radian, so its power iterates never repeat.
-func rotation() *linalg.Matrix {
-	c, s := math.Cos(1), math.Sin(1)
-	return linalg.FromRows([][]float64{{c, -s}, {s, c}})
 }
 
 // goldenChains returns the IF and EF chains behind every cell of the
@@ -93,48 +88,9 @@ func addChains(t *testing.T, chains map[string]*qbd.Chain, pts []queueing.Model)
 	return chains
 }
 
-// TestSpectralRadiusMatchesFullLoop pins SpectralRadius's cycle exit to the
-// full loop on the R of every golden chain and on matrices whose iterates
-// reach a fixed point, alternate, cycle with period 3, never repeat, or
-// vanish.
-func TestSpectralRadiusMatchesFullLoop(t *testing.T) {
-	twoCycle := linalg.FromRows([][]float64{{0, 2}, {1, 0}})
-	cases := map[string]*linalg.Matrix{
-		"fixed point": linalg.FromRows([][]float64{{0.5, 0}, {0, 0.25}}),
-		"stochastic":  linalg.FromRows([][]float64{{0.9, 0.1}, {0.4, 0.6}}),
-		"2-cycle":     twoCycle,
-		"3-cycle":     linalg.FromRows([][]float64{{0, 0, 3}, {1, 0, 0}, {0, 2, 0}}),
-		"rotation":    rotation(),
-		"zero":        linalg.NewMatrix(3, 3),
-	}
-	for name, c := range goldenChains(t) {
-		r, err := qbd.SolveR(c.A0, c.A1, c.A2, 1e-14)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		cases["R of "+name] = r
-	}
-	iters := []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 1996, 1997, 1998, 1999, 2000}
-	for name, a := range cases {
-		for _, n := range iters {
-			got, want := linalg.SpectralRadius(a, n), spectralRadiusFull(a, n)
-			if math.Float64bits(got) != math.Float64bits(want) {
-				t.Errorf("%s, iters %d: got %v, the full loop gives %v", name, n, got, want)
-			}
-		}
-	}
-	// The alternating iterate ends on a different norm at odd and even
-	// iteration counts.
-	for n, want := range map[int]float64{1999: math.Sqrt(2.5), 2000: math.Sqrt(1.6)} {
-		if got := linalg.SpectralRadius(twoCycle, n); math.Abs(got-want) > 1e-12 {
-			t.Errorf("2-cycle, iters %d: got %v, want %v", n, got, want)
-		}
-	}
-}
-
 // TestAnalysisAllocs gates allocations on the analysis path: the R solve
-// and the power iteration allocate per call, never per iteration, so a
-// tighter tolerance or a higher iteration count costs no allocation.
+// allocates per call, never per doubling, so a tighter tolerance costs no
+// allocation.
 func TestAnalysisAllocs(t *testing.T) {
 	c, err := ifChain(queueing.ForLoad(4, 0.9, 1, 1), Coxian3Moment)
 	if err != nil {
@@ -149,13 +105,6 @@ func TestAnalysisAllocs(t *testing.T) {
 	}
 	if loose, tight := solveAllocs(1e-8), solveAllocs(1e-14); loose != tight {
 		t.Errorf("SolveR on the IF chain: %v allocs at tol 1e-8, %v at 1e-14", loose, tight)
-	}
-	rot := rotation()
-	radiusAllocs := func(iters int) float64 {
-		return testing.AllocsPerRun(5, func() { linalg.SpectralRadius(rot, iters) })
-	}
-	if few, many := radiusAllocs(10), radiusAllocs(2000); few != many {
-		t.Errorf("SpectralRadius on the rotation: %v allocs at iters 10, %v at 2000", few, many)
 	}
 }
 
@@ -311,6 +260,97 @@ func TestRMethodsAgree(t *testing.T) {
 		worstDiff, worstRes = math.Max(worstDiff, d), math.Max(worstRes, res)
 	}
 	t.Logf("%d chains: largest difference %.3g, largest residual %.3g", len(chains), worstDiff, worstRes)
+}
+
+// oneMomentChains returns the IF and EF chains of the one-moment busy-period
+// fit (Exponential1Moment), in which phase b2 is never entered, at k 1, 2,
+// 4, 8 and 16, rho 0.5, 0.7, 0.9 and 0.99 and muI 0.25, 1 and 3.25 (muE 1).
+func oneMomentChains(t *testing.T) map[string]*qbd.Chain {
+	t.Helper()
+	chains := make(map[string]*qbd.Chain)
+	for _, k := range []int{1, 2, 4, 8, 16} {
+		for _, rho := range []float64{0.5, 0.7, 0.9, 0.99} {
+			for _, muI := range []float64{0.25, 1, 3.25} {
+				p := queueing.ForLoad(k, rho, muI, 1)
+				ifc, err := ifChain(p, Exponential1Moment)
+				if err != nil {
+					t.Fatal(err)
+				}
+				efc, err := efChain(p, Exponential1Moment)
+				if err != nil {
+					t.Fatal(err)
+				}
+				chains[fmt.Sprintf("IF one-moment %+v", p)] = ifc
+				chains[fmt.Sprintf("EF one-moment %+v", p)] = efc
+			}
+		}
+	}
+	return chains
+}
+
+// scaleArrivals returns c with its repeating levels' up block A0 scaled by
+// s and A1's diagonal rebalanced, so that the rows still sum to zero.
+func scaleArrivals(c *qbd.Chain, s float64) *qbd.Chain {
+	a0, a1 := linalg.Scale(s, c.A0), c.A1.Clone()
+	for i := 0; i < c.Phases; i++ {
+		for j := 0; j < c.Phases; j++ {
+			a1.Add(i, i, c.A0.At(i, j)-a0.At(i, j))
+		}
+	}
+	return &qbd.Chain{Phases: c.Phases, Boundary: c.Boundary, A0: a0, A1: a1, A2: c.A2}
+}
+
+// TestDriftAgreesWithSpectralRadius holds qbd.(*Chain).Solve's mean-drift
+// stability check to sp(R), taken by the full 2000-step power iteration on
+// qbd.SolveR's R. Every figure, golden, high-load and one-moment chain
+// passes it. On the golden chains with their arrivals scaled by 0.5, 0.9,
+// 1.1, 1.5 and 3, Solve refuses a chain with ErrUnstable exactly when
+// sp(R) >= 1 - 1e-10, and it refuses every chain whose reduction does not
+// converge.
+func TestDriftAgreesWithSpectralRadius(t *testing.T) {
+	chains := figureChains(t)
+	maps.Copy(chains, highLoadChains(t))
+	maps.Copy(chains, oneMomentChains(t))
+	margin := math.Inf(1)
+	for name, c := range chains {
+		up, down, err := c.Drift()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		margin = math.Min(margin, (down-up)/down)
+		if _, err := c.Solve(); err != nil {
+			t.Errorf("%s: %v", name, err)
+		}
+	}
+	t.Logf("%d stable chains: smallest relative drift margin %.3g", len(chains), margin)
+
+	scaled, refused, diverged := 0, 0, 0
+	for name, golden := range goldenChains(t) {
+		for _, s := range []float64{0.5, 0.9, 1.1, 1.5, 3} {
+			c := scaleArrivals(golden, s)
+			scaled++
+			_, err := c.Solve()
+			unstable := errors.Is(err, qbd.ErrUnstable)
+			if unstable {
+				refused++
+			} else if err != nil {
+				t.Errorf("%s, arrivals x%g: %v", name, s, err)
+				continue
+			}
+			r, err := qbd.SolveR(c.A0, c.A1, c.A2, 1e-14)
+			if err != nil {
+				diverged++
+				if !unstable {
+					t.Errorf("%s, arrivals x%g: the drift check accepts a chain whose reduction fails: %v", name, s, err)
+				}
+				continue
+			}
+			if sp := spectralRadiusFull(r, 2000); unstable != (sp >= 1-1e-10) {
+				t.Errorf("%s, arrivals x%g: sp(R) = %v, refused by the drift check: %v", name, s, sp, unstable)
+			}
+		}
+	}
+	t.Logf("%d scaled golden chains: %d refused, %d of them without a converged R", scaled, refused, diverged)
 }
 
 // BenchmarkSolveRFigureChains times the R solve alone on figure chains at

@@ -21,8 +21,13 @@
 // linalg.InverseInto into buffers allocated once per solve, and gives the
 // same bits as the textbook loop that allocates every product and inverse
 // (package mrt's TestSolveRMatchesTextbookLogReduction pins that on the
-// figures' chains). The sp(R) check uses linalg.SpectralRadius's exact
-// early exit.
+// figures' chains).
+//
+// Solve decides stability before it looks for R, by the mean drift of the
+// level (Neuts; Latouche & Ramaswami): when the phase generator
+// A = A0 + A1 + A2 has one closed class, with stationary vector alpha, the
+// chain is positive recurrent exactly when alpha A0 1 < alpha A2 1. So an
+// unstable chain never runs the reduction.
 package qbd
 
 import (
@@ -36,9 +41,9 @@ import (
 // ErrNotConverged reports that logarithmic reduction hit maxDoublings.
 var ErrNotConverged = errors.New("qbd: logarithmic reduction did not converge")
 
-// ErrUnstable reports sp(R) >= 1, i.e. the chain has no stationary
-// distribution.
-var ErrUnstable = errors.New("qbd: spectral radius of R is >= 1 (unstable chain)")
+// ErrUnstable reports that the level does not drift down in the repeating
+// levels, i.e. the chain has no stationary distribution.
+var ErrUnstable = errors.New("qbd: the level does not drift down (unstable chain)")
 
 // BoundaryLevel holds the generator blocks of one non-repeating level l:
 // U maps level l to l+1, Local is the within-level block including the
@@ -58,9 +63,13 @@ type Chain struct {
 	A0, A1, A2 *linalg.Matrix
 }
 
+// rowSumTol is how far from zero Validate lets a generator row sum.
+const rowSumTol = 1e-8
+
 // Validate checks block shapes and that every level's generator rows sum to
-// zero (within tol), which catches most construction bugs immediately.
-func (c *Chain) Validate(tol float64) error {
+// zero (within rowSumTol), which catches most construction bugs
+// immediately.
+func (c *Chain) Validate() error {
 	m := c.Phases
 	if m <= 0 {
 		return fmt.Errorf("qbd: non-positive phase count")
@@ -121,17 +130,79 @@ func (c *Chain) Validate(tol float64) error {
 			return err
 		}
 		for i, s := range rowSums(b.U, b.Local, b.D) {
-			if math.Abs(s) > tol {
+			if math.Abs(s) > rowSumTol {
 				return fmt.Errorf("qbd: boundary level %d row %d sums to %g", l, i, s)
 			}
 		}
 	}
 	for i, s := range rowSums(c.A0, c.A1, c.A2) {
-		if math.Abs(s) > tol {
+		if math.Abs(s) > rowSumTol {
 			return fmt.Errorf("qbd: repeating row %d sums to %g", i, s)
 		}
 	}
 	return nil
+}
+
+// driftTol is the relative margin by which Solve wants the level's mean
+// upward drift below its downward drift. For the one-phase M/M/1 chain
+// their ratio is lambda/mu, which is sp(R).
+const driftTol = 1e-10
+
+// Drift returns the mean rates at which the level rises and falls in the
+// repeating levels, alpha A0 1 and alpha A2 1, where alpha solves
+// alpha A = 0 and alpha 1 = 1 for the phase generator A = A0 + A1 + A2.
+// Transient phases are allowed (alpha is 0 there), but an A with more than
+// one closed class has no unique alpha and is refused: every phase must
+// reach, over A's positive off-diagonal rates, the phase where alpha is
+// largest, which then lies in every closed class. c must pass Validate.
+func (c *Chain) Drift() (up, down float64, err error) {
+	m := c.Phases
+	rate := func(i, j int) float64 { return c.A0.At(i, j) + c.A1.At(i, j) + c.A2.At(i, j) }
+	// Row j of A's transpose is equation j of alpha A = 0; the last one,
+	// implied by the others since A 1 = 0, gives way to alpha 1 = 1.
+	at, b := linalg.NewMatrix(m, m), make([]float64, m)
+	for i := 0; i < m; i++ {
+		for j := 0; j < m-1; j++ {
+			at.Set(j, i, rate(i, j))
+		}
+		at.Set(m-1, i, 1)
+	}
+	b[m-1] = 1
+	alpha, err := linalg.Solve(at, b)
+	top := 0 // phase 0 when the solve failed
+	for i, v := range alpha {
+		if v > alpha[top] {
+			top = i
+		}
+	}
+	// One backward search from top over the rates into each reached phase.
+	reach, stack := make([]bool, m), make([]int, 1, m)
+	reach[top], stack[0] = true, top
+	for len(stack) > 0 {
+		j := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		for i := range reach {
+			if !reach[i] && rate(i, j) > 0 {
+				reach[i] = true
+				stack = append(stack, i)
+			}
+		}
+	}
+	for i, ok := range reach {
+		if !ok {
+			return 0, 0, fmt.Errorf("qbd: phase %d cannot reach phase %d under A0+A1+A2, which has more than one closed class", i, top)
+		}
+	}
+	if err != nil {
+		return 0, 0, fmt.Errorf("qbd: stationary vector of A0+A1+A2: %w", err)
+	}
+	for i, w := range alpha {
+		for j := 0; j < m; j++ {
+			up += w * c.A0.At(i, j)
+			down += w * c.A2.At(i, j)
+		}
+	}
+	return up, down, nil
 }
 
 // maxDoublings caps logarithmic reduction. Doubling d accounts for first
@@ -204,18 +275,24 @@ type Solution struct {
 	IminusRInv *linalg.Matrix
 }
 
-// Solve computes the stationary distribution.
+// Solve computes the stationary distribution. It returns ErrUnstable,
+// before any R is sought, unless the level's mean upward drift is below
+// (1 - driftTol) times its downward drift (see Drift).
 func (c *Chain) Solve() (*Solution, error) {
-	if err := c.Validate(1e-8); err != nil {
+	if err := c.Validate(); err != nil {
 		return nil, err
+	}
+	up, down, err := c.Drift()
+	if err != nil {
+		return nil, err
+	}
+	if !(up < (1-driftTol)*down) {
+		return nil, fmt.Errorf("%w: mean drift up %g, down %g", ErrUnstable, up, down)
 	}
 	m := c.Phases
 	r, err := SolveR(c.A0, c.A1, c.A2, 1e-14)
 	if err != nil {
 		return nil, err
-	}
-	if sp := linalg.SpectralRadius(r, 2000); sp >= 1-1e-10 {
-		return nil, fmt.Errorf("%w: sp(R)=%g", ErrUnstable, sp)
 	}
 	iminusRInv, err := linalg.Inverse(linalg.SubM(linalg.Identity(m), r))
 	if err != nil {

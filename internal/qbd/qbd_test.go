@@ -2,11 +2,13 @@ package qbd
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"testing"
 
 	"repro/internal/linalg"
 	"repro/internal/queueing"
+	"repro/internal/xrand"
 )
 
 // mm1Chain encodes M/M/1 as a trivial one-phase QBD.
@@ -143,10 +145,117 @@ func TestUnstableDetected(t *testing.T) {
 	}
 }
 
+// TestNearCriticalUnstableRefused: chains just past, or at, critical load
+// are refused with ErrUnstable. Near sp(R) = 1 logarithmic reduction finds
+// R only to about 1e-9, so a check of sp(R) accepted some of these and
+// returned mean levels near 1e9; a chain just below critical still solves.
+func TestNearCriticalUnstableRefused(t *testing.T) {
+	for name, c := range map[string]*Chain{
+		"M/M/1, rho 1+1e-6":  mm1Chain(1+1e-6, 1),
+		"M/M/1, rho 1+1e-7":  mm1Chain(1+1e-7, 1),
+		"M/M/1, rho 1+1e-8":  mm1Chain(1+1e-8, 1),
+		"M/M/1, rho 1":       mm1Chain(1, 1),
+		"M/H2/1, rho 1+1e-7": mh2Chain((1+1e-7)/1.4, 0.4, 2, 0.5),
+	} {
+		sol, err := c.Solve()
+		if sol != nil {
+			t.Errorf("%s: solved, mean level %g", name, sol.MeanLevel())
+		} else if !errors.Is(err, ErrUnstable) {
+			t.Errorf("%s: got %v, want ErrUnstable", name, err)
+		}
+	}
+	if _, err := mm1Chain(1-1e-7, 1).Solve(); err != nil {
+		t.Errorf("M/M/1, rho 1-1e-7: %v", err)
+	}
+}
+
+// twoClassChain returns a QBD whose phase generator has one closed class
+// per label in class (labels 0 and 1), with random rates drawn from r
+// between the phases of a class, in all three repeating blocks.
+func twoClassChain(r *xrand.Rand, class []int) *Chain {
+	m := len(class)
+	a0, a1, a2 := linalg.NewMatrix(m, m), linalg.NewMatrix(m, m), linalg.NewMatrix(m, m)
+	for i := 0; i < m; i++ {
+		for j := 0; j < m; j++ {
+			if class[i] != class[j] {
+				continue
+			}
+			a0.Set(i, j, r.Float64())
+			a2.Set(i, j, r.Float64())
+			if i != j {
+				a1.Set(i, j, r.Float64())
+			}
+		}
+	}
+	local := linalg.NewMatrix(m, m)
+	for i := 0; i < m; i++ {
+		out := 0.0
+		for j := 0; j < m; j++ {
+			out += a0.At(i, j) + a1.At(i, j) + a2.At(i, j)
+		}
+		a1.Set(i, i, -out)
+		for j := 0; j < m; j++ {
+			local.Set(i, j, a1.At(i, j)+a2.At(i, j))
+		}
+	}
+	return &Chain{Phases: m, Boundary: []BoundaryLevel{{U: a0, Local: local}}, A0: a0, A1: a1, A2: a2}
+}
+
+// TestPhaseGeneratorClosedClasses: a phase that A = A0 + A1 + A2 only
+// leaves is allowed, but an A with two closed classes is refused before any
+// R is sought, with an error that names a phase of one class that cannot
+// reach a phase of the other, and is not ErrUnstable.
+func TestPhaseGeneratorClosedClasses(t *testing.T) {
+	// Phase 1 moves to phase 0 at rate 0.3 and is never entered, so the
+	// level is an M/M/1 queue in phase 0.
+	lambda, mu := 0.6, 1.0
+	diag := func(v float64) *linalg.Matrix { return linalg.FromRows([][]float64{{v, 0}, {0, v}}) }
+	transient := &Chain{
+		Phases: 2,
+		Boundary: []BoundaryLevel{{
+			U:     diag(lambda),
+			Local: linalg.FromRows([][]float64{{-lambda, 0}, {0.3, -lambda - 0.3}}),
+		}},
+		A0: diag(lambda),
+		A1: linalg.FromRows([][]float64{{-lambda - mu, 0}, {0.3, -lambda - mu - 0.3}}),
+		A2: diag(mu),
+	}
+	sol, err := transient.Solve()
+	if err != nil {
+		t.Fatalf("transient phase: %v", err)
+	}
+	if got, want := sol.MeanLevel(), lambda/(mu-lambda); math.Abs(got-want) > 1e-10 {
+		t.Errorf("transient phase: mean level %v, want %v", got, want)
+	}
+
+	refused := func(name string, c *Chain, class []int) {
+		t.Helper()
+		_, err := c.Solve()
+		var p, q int
+		if err == nil || errors.Is(err, ErrUnstable) {
+			t.Errorf("%s: got %v, want a closed-class refusal", name, err)
+		} else if _, serr := fmt.Sscanf(err.Error(), "qbd: phase %d cannot reach phase %d", &p, &q); serr != nil || class[p] == class[q] {
+			t.Errorf("%s (classes %v): %v does not name a phase that cannot reach the other class", name, class, err)
+		}
+	}
+	r := xrand.New(26)
+	refused("classes {0, 1} and {2, 3}", twoClassChain(r, []int{0, 0, 1, 1}), []int{0, 0, 1, 1})
+	for trial := range 200 {
+		m := 2 + r.Intn(7)
+		class := make([]int, m)
+		for i := range class {
+			class[i] = r.Intn(2)
+		}
+		a := r.Intn(m) // both classes get a phase
+		class[a], class[(a+1+r.Intn(m-1))%m] = 0, 1
+		refused(fmt.Sprintf("random generator %d", trial), twoClassChain(r, class), class)
+	}
+}
+
 func TestValidateCatchesBadRowSums(t *testing.T) {
 	c := mm1Chain(0.5, 1.0)
 	c.A1 = linalg.FromRows([][]float64{{-1}}) // breaks conservation
-	if err := c.Validate(1e-8); err == nil {
+	if err := c.Validate(); err == nil {
 		t.Fatal("Validate accepted a non-conservative generator")
 	}
 }
@@ -154,17 +263,17 @@ func TestValidateCatchesBadRowSums(t *testing.T) {
 func TestValidateShapeErrors(t *testing.T) {
 	c := mm1Chain(0.5, 1.0)
 	c.A0 = linalg.NewMatrix(2, 2)
-	if err := c.Validate(1e-8); err == nil {
+	if err := c.Validate(); err == nil {
 		t.Fatal("Validate accepted mismatched block shapes")
 	}
 	c = mm1Chain(0.5, 1.0)
 	c.Boundary = nil
-	if err := c.Validate(1e-8); err == nil {
+	if err := c.Validate(); err == nil {
 		t.Fatal("Validate accepted empty boundary")
 	}
 	c = mm1Chain(0.5, 1.0)
 	c.Boundary[0].D = linalg.FromRows([][]float64{{1}})
-	if err := c.Validate(1e-8); err == nil {
+	if err := c.Validate(); err == nil {
 		t.Fatal("Validate accepted a down block on level 0")
 	}
 }

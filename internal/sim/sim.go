@@ -360,15 +360,6 @@ func (s *System) Clock() float64 { return s.clock }
 // Policy returns the governing policy.
 func (s *System) Policy() Policy { return s.policy }
 
-// NumClass returns the number of class-c jobs in system (0 for a class the
-// system does not have).
-func (s *System) NumClass(c Class) int {
-	if c < 0 || int(c) >= len(s.queues) {
-		return 0
-	}
-	return len(s.queues[c])
-}
-
 // NumJobs returns the total number of jobs in system.
 func (s *System) NumJobs() int { return s.numJobs }
 
