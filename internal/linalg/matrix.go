@@ -17,8 +17,12 @@
 // multiply and per add, and every multiply-add keeps the acc += x*y form.
 // So every caller gets the textbook triple loop's bits, and a compiler that
 // fuses x*y+z fuses the same operations. The *Into functions write into the
-// caller's buffers (InverseInto, with Inverse's bits, factors into an LU
-// from NewLU), so an iteration allocates nothing.
+// caller's buffers, each with the bits of the function it mirrors
+// (InverseInto and SolveInto factor into a caller's LU, whose storage only
+// grows), so package qbd's solves allocate nothing once their buffers have
+// held the largest chain. The LU kernels take each row as a slice once per
+// loop and keep the textbook's expressions and order (TestLUMatchesTextbook
+// pins them against At and Set loops).
 package linalg
 
 import (
@@ -255,47 +259,38 @@ func sameShape(a, b, c *Matrix) {
 }
 
 // Scale returns s*a.
-func Scale(s float64, a *Matrix) *Matrix {
-	out := NewMatrix(a.Rows, a.Cols)
-	for i := range a.Data {
-		out.Data[i] = s * a.Data[i]
+func Scale(s float64, a *Matrix) *Matrix { return ScaleInto(NewMatrix(a.Rows, a.Cols), s, a) }
+
+// ScaleInto stores s*a in dst and returns dst. dst may be a; both must
+// share one shape.
+func ScaleInto(dst *Matrix, s float64, a *Matrix) *Matrix {
+	if dst.Rows != a.Rows || dst.Cols != a.Cols {
+		panic(ErrShape)
 	}
-	return out
+	for i, v := range a.Data {
+		dst.Data[i] = s * v
+	}
+	return dst
 }
 
 // MulVec returns a*x for a column vector x.
-func MulVec(a *Matrix, x []float64) []float64 {
-	if a.Cols != len(x) {
+func MulVec(a *Matrix, x []float64) []float64 { return MulVecInto(make([]float64, a.Rows), a, x) }
+
+// MulVecInto stores a*x in dst and returns dst. dst must have a.Rows
+// entries and share no storage with x.
+func MulVecInto(dst []float64, a *Matrix, x []float64) []float64 {
+	if a.Cols != len(x) || a.Rows != len(dst) {
 		panic(ErrShape)
 	}
-	out := make([]float64, a.Rows)
-	for i := range out {
+	for i := range dst {
 		s := 0.0
 		row := a.Data[i*a.Cols : (i+1)*a.Cols]
 		for j, v := range row {
 			s += v * x[j]
 		}
-		out[i] = s
+		dst[i] = s
 	}
-	return out
-}
-
-// VecMul returns x^T * a for a row vector x.
-func VecMul(x []float64, a *Matrix) []float64 {
-	if a.Rows != len(x) {
-		panic(ErrShape)
-	}
-	out := make([]float64, a.Cols)
-	for i, xv := range x {
-		if xv == 0 {
-			continue
-		}
-		row := a.Data[i*a.Cols : (i+1)*a.Cols]
-		for j, v := range row {
-			out[j] += xv * v
-		}
-	}
-	return out
+	return dst
 }
 
 // MaxAbsDiff returns max_ij |a_ij - b_ij|, ignoring NaN differences: the
@@ -329,18 +324,28 @@ func (m *Matrix) InfNorm() float64 {
 }
 
 // LU holds an LU factorization with partial pivoting of a square matrix,
-// and two column buffers for solving against it.
+// and two column buffers for solving against it. Its zero value is ready
+// for InverseInto and SolveInto, which size it to their matrix; its storage
+// only grows, so once it has held the largest matrix of a loop, factoring
+// any of them allocates nothing.
 type LU struct {
 	lu     Matrix
 	piv    []int
 	col, x []float64
+	buf    []float64 // backs lu.Data, col and x
 }
 
-// NewLU returns an LU with buffers for n x n matrices, for InverseInto to
-// factor into again and again.
-func NewLU(n int) *LU {
-	d := make([]float64, n*n+2*n)
-	return &LU{lu: Matrix{Rows: n, Cols: n, Data: d[:n*n]}, piv: make([]int, n), col: d[n*n : n*n+n], x: d[n*n+n:]}
+// size makes f an LU for n x n matrices, reusing its storage when it has
+// room.
+func (f *LU) size(n int) {
+	if f.lu.Rows == n {
+		return
+	}
+	if cap(f.piv) < n {
+		f.buf, f.piv = make([]float64, n*n+2*n), make([]int, n)
+	}
+	f.lu = Matrix{Rows: n, Cols: n, Data: f.buf[:n*n]}
+	f.piv, f.col, f.x = f.piv[:n], f.buf[n*n:n*n+n], f.buf[n*n+n:n*n+2*n]
 }
 
 // Factor computes the LU factorization of a. It returns ErrSingular when a
@@ -349,48 +354,58 @@ func Factor(a *Matrix) (*LU, error) {
 	if a.Rows != a.Cols {
 		return nil, fmt.Errorf("%w: LU of %dx%d", ErrShape, a.Rows, a.Cols)
 	}
-	f := NewLU(a.Rows)
+	f := new(LU)
 	if err := f.factor(a); err != nil {
 		return nil, err
 	}
 	return f, nil
 }
 
-// factor overwrites f with the factorization of a, which must have f's
-// size.
+// factor overwrites f with the factorization of a, which must be square.
+// Row r is updated as rr[j] += -f * v over the pivot row's entries v right
+// of the diagonal, skipping a zero multiplier f.
 func (f *LU) factor(a *Matrix) error {
-	n, lu, piv := a.Rows, &f.lu, f.piv
-	copy(lu.Data, a.Data)
+	n := a.Rows
+	f.size(n)
+	d, piv := f.lu.Data, f.piv
+	copy(d, a.Data)
 	for i := range piv {
 		piv[i] = i
 	}
 	for col := 0; col < n; col++ {
 		// Partial pivot: largest magnitude in column at or below diag.
 		p := col
-		max := math.Abs(lu.At(col, col))
+		max := math.Abs(d[col*n+col])
 		for r := col + 1; r < n; r++ {
-			if v := math.Abs(lu.At(r, col)); v > max {
+			if v := math.Abs(d[r*n+col]); v > max {
 				max, p = v, r
 			}
 		}
 		if max < 1e-300 {
 			return ErrSingular
 		}
+		pr := d[col*n : col*n+n]
 		if p != col {
-			for j := 0; j < n; j++ {
-				lu.Data[p*n+j], lu.Data[col*n+j] = lu.Data[col*n+j], lu.Data[p*n+j]
+			other := d[p*n : p*n+n]
+			other = other[:len(pr)]
+			for j, v := range pr {
+				other[j], pr[j] = v, other[j]
 			}
 			piv[p], piv[col] = piv[col], piv[p]
 		}
-		inv := 1 / lu.At(col, col)
+		inv := 1 / pr[col]
+		right := pr[col+1:]
 		for r := col + 1; r < n; r++ {
-			f := lu.At(r, col) * inv
-			lu.Set(r, col, f)
+			row := d[r*n : r*n+n]
+			f := row[col] * inv
+			row[col] = f
 			if f == 0 {
 				continue
 			}
-			for j := col + 1; j < n; j++ {
-				lu.Add(r, j, -f*lu.At(col, j))
+			rr := row[col+1:]
+			rr = rr[:len(right)]
+			for j, v := range right {
+				rr[j] += -f * v
 			}
 		}
 	}
@@ -408,27 +423,32 @@ func (f *LU) Solve(b []float64) []float64 {
 }
 
 // solveInto stores the x with a*x = b in x, which must have b's length and
-// share no storage with it.
+// share no storage with it. Each row of the triangles is one slice, summed
+// as s -= v * x[j] in ascending j.
 func (f *LU) solveInto(x, b []float64) {
-	n := f.lu.Rows
-	for i := 0; i < n; i++ {
-		x[i] = b[f.piv[i]]
+	n, d := f.lu.Rows, f.lu.Data
+	x = x[:n]
+	for i, p := range f.piv {
+		x[i] = b[p]
 	}
 	// Forward substitution with unit lower triangle.
 	for i := 1; i < n; i++ {
-		s := x[i]
-		for j := 0; j < i; j++ {
-			s -= f.lu.At(i, j) * x[j]
+		row := d[i*n : i*n+i]
+		left, s := x[:len(row)], x[i]
+		for j, v := range row {
+			s -= v * left[j]
 		}
 		x[i] = s
 	}
 	// Back substitution.
 	for i := n - 1; i >= 0; i-- {
-		s := x[i]
-		for j := i + 1; j < n; j++ {
-			s -= f.lu.At(i, j) * x[j]
+		row := d[i*n+i+1 : i*n+n]
+		right, s := x[i+1:], x[i]
+		right = right[:len(row)]
+		for j, v := range row {
+			s -= v * right[j]
 		}
-		x[i] = s / f.lu.At(i, i)
+		x[i] = s / d[i*n+i]
 	}
 }
 
@@ -441,7 +461,24 @@ func Solve(a *Matrix, b []float64) ([]float64, error) {
 	return f.Solve(b), nil
 }
 
-// SolveMatrix returns X with a*X = B, solving column by column.
+// SolveInto stores the x with a*x = b in x, factoring a into f, so a loop
+// that solves a system at every step allocates nothing. a must be square,
+// x and b must have its size, and x share no storage with b; it panics on a
+// shape mismatch. The bits are Solve's.
+func SolveInto(x []float64, a *Matrix, b []float64, f *LU) error {
+	if n := a.Rows; a.Cols != n || len(b) != n || len(x) != n {
+		panic(ErrShape)
+	}
+	if err := f.factor(a); err != nil {
+		return err
+	}
+	f.solveInto(x, b)
+	return nil
+}
+
+// SolveMatrix returns X with a*X = B, solving column by column. No
+// production code calls it: it and Inverse are the tests' reference for
+// InverseInto and for package mrt's textbook logarithmic reduction.
 func SolveMatrix(a, b *Matrix) (*Matrix, error) {
 	if a.Rows != b.Rows {
 		return nil, ErrShape
@@ -468,18 +505,19 @@ func (f *LU) solveColumn(dst *Matrix, j int) {
 	}
 }
 
-// Inverse returns a^{-1}.
+// Inverse returns a^{-1}. Like SolveMatrix, it is kept as the tests'
+// reference; production code inverts with InverseInto.
 func Inverse(a *Matrix) (*Matrix, error) {
 	return SolveMatrix(a, Identity(a.Rows))
 }
 
 // InverseInto stores a^{-1} in dst, factoring a into f, so a loop that
-// inverts a matrix at every step allocates nothing. a, dst and f (from
-// NewLU) must share one size, and dst no storage with a; it panics on a
-// shape mismatch. The bits are Inverse's: the same pivoting, then one
-// solve per identity column.
+// inverts a matrix at every step allocates nothing. a and dst must share
+// one square shape, and dst no storage with a; it panics on a shape
+// mismatch. The bits are Inverse's: the same pivoting, then one solve per
+// identity column.
 func InverseInto(dst, a *Matrix, f *LU) error {
-	if n := f.lu.Rows; a.Rows != n || a.Cols != n || dst.Rows != n || dst.Cols != n {
+	if n := a.Rows; a.Cols != n || dst.Rows != n || dst.Cols != n {
 		panic(ErrShape)
 	}
 	if err := f.factor(a); err != nil {

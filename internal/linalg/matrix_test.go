@@ -209,7 +209,7 @@ func TestInverseProperty(t *testing.T) {
 func TestInverseIntoMatchesInverse(t *testing.T) {
 	r := xrand.New(13)
 	for n := 1; n <= 20; n++ {
-		f, dst := NewLU(n), oddMatrix(r, n, n, false)
+		f, dst := new(LU), oddMatrix(r, n, n, false)
 		for trial := 0; trial < 5; trial++ {
 			a := NewMatrix(n, n) // no dominant diagonal, so rows get swapped
 			for i := range a.Data {
@@ -227,8 +227,199 @@ func TestInverseIntoMatchesInverse(t *testing.T) {
 			}
 		}
 	}
-	if err := InverseInto(NewMatrix(2, 2), FromRows([][]float64{{1, 2}, {2, 4}}), NewLU(2)); !errors.Is(err, ErrSingular) {
+	if err := InverseInto(NewMatrix(2, 2), FromRows([][]float64{{1, 2}, {2, 4}}), new(LU)); !errors.Is(err, ErrSingular) {
 		t.Fatalf("singular matrix: got %v, want ErrSingular", err)
+	}
+}
+
+// textbookLU factors a copy of a by partial pivoting, entry by entry with
+// At and Set: the largest magnitude at or below the diagonal pivots (the
+// first of equals), the two rows swap whole, and each row below becomes
+// a[r][j] + -f*a[col][j] right of the diagonal, skipped when its multiplier
+// f is zero. It also returns how many multipliers were zero.
+func textbookLU(a *Matrix) (lu *Matrix, piv []int, zeros int, err error) {
+	n := a.Rows
+	lu, piv = a.Clone(), make([]int, n)
+	for i := range piv {
+		piv[i] = i
+	}
+	for col := 0; col < n; col++ {
+		p := col
+		for r := col + 1; r < n; r++ {
+			if math.Abs(lu.At(r, col)) > math.Abs(lu.At(p, col)) {
+				p = r
+			}
+		}
+		if math.Abs(lu.At(p, col)) < 1e-300 {
+			return nil, nil, 0, ErrSingular
+		}
+		if p != col {
+			for j := 0; j < n; j++ {
+				v := lu.At(p, j)
+				lu.Set(p, j, lu.At(col, j))
+				lu.Set(col, j, v)
+			}
+			piv[p], piv[col] = piv[col], piv[p]
+		}
+		inv := 1 / lu.At(col, col)
+		for r := col + 1; r < n; r++ {
+			f := lu.At(r, col) * inv
+			lu.Set(r, col, f)
+			if f == 0 {
+				zeros++
+				continue
+			}
+			for j := col + 1; j < n; j++ {
+				lu.Set(r, j, lu.At(r, j)+-f*lu.At(col, j))
+			}
+		}
+	}
+	return lu, piv, zeros, nil
+}
+
+// textbookSolve solves against textbookLU's factors: b permuted, forward
+// substitution through the unit lower triangle, then back substitution,
+// each sum taken in ascending column order.
+func textbookSolve(lu *Matrix, piv []int, b []float64) []float64 {
+	n := lu.Rows
+	x := make([]float64, n)
+	for i := range x {
+		x[i] = b[piv[i]]
+	}
+	for i := 1; i < n; i++ {
+		s := x[i]
+		for j := 0; j < i; j++ {
+			s -= lu.At(i, j) * x[j]
+		}
+		x[i] = s
+	}
+	for i := n - 1; i >= 0; i-- {
+		s := x[i]
+		for j := i + 1; j < n; j++ {
+			s -= lu.At(i, j) * x[j]
+		}
+		x[i] = s / lu.At(i, i)
+	}
+	return x
+}
+
+// luMatrix returns an n x n matrix of entries in [-1, 1] with no dominant
+// diagonal, so rows get swapped, about a fifth of them +0 or -0, and a
+// zero lower-left block in about half of them, so that multipliers are
+// zero past the first column too.
+func luMatrix(r *xrand.Rand, n int) *Matrix {
+	a := NewMatrix(n, n)
+	for i := range a.Data {
+		switch u := r.Float64(); {
+		case u < 0.1:
+			a.Data[i] = 0
+		case u < 0.2:
+			a.Data[i] = math.Copysign(0, -1)
+		default:
+			a.Data[i] = 2*r.Float64() - 1
+		}
+	}
+	if n > 2 && r.Intn(2) == 0 {
+		rows, cols := 1+r.Intn(n/2), 1+r.Intn(n/2)
+		for i := n - rows; i < n; i++ {
+			for j := 0; j < cols; j++ {
+				a.Set(i, j, math.Copysign(0, float64(r.Intn(2))-0.5))
+			}
+		}
+	}
+	return a
+}
+
+// TestLUMatchesTextbook pins the LU kernels on their own: Solve, SolveInto
+// and InverseInto give textbookLU's and textbookSolve's bits for n 1 to 60,
+// with one LU and one dirty inverse buffer reused across all sizes in
+// shuffled order, and each reports ErrSingular on a singular matrix.
+func TestLUMatchesTextbook(t *testing.T) {
+	r := xrand.New(27)
+	sizes := make([]int, 60)
+	for i := range sizes {
+		sizes[i] = i + 1
+	}
+	for i := len(sizes) - 1; i > 0; i-- {
+		j := r.Intn(i + 1)
+		sizes[i], sizes[j] = sizes[j], sizes[i]
+	}
+	var f LU
+	// singular checks that every form refuses a matrix textbookLU finds
+	// singular.
+	singular := func(name string, a *Matrix) {
+		t.Helper()
+		n := a.Rows
+		if _, err := Solve(a, make([]float64, n)); !errors.Is(err, ErrSingular) {
+			t.Errorf("%s: Solve: got %v, want ErrSingular", name, err)
+		}
+		if err := SolveInto(make([]float64, n), a, make([]float64, n), &f); !errors.Is(err, ErrSingular) {
+			t.Errorf("%s: SolveInto: got %v, want ErrSingular", name, err)
+		}
+		if err := InverseInto(NewMatrix(n, n), a, &f); !errors.Is(err, ErrSingular) {
+			t.Errorf("%s: InverseInto: got %v, want ErrSingular", name, err)
+		}
+	}
+	swapped, zeros, refused := 0, 0, 0
+	for _, n := range sizes {
+		for trial := 0; trial < 3; trial++ {
+			a, b := luMatrix(r, n), make([]float64, n)
+			for i := range b {
+				b[i] = 2*r.Float64() - 1
+			}
+			b[r.Intn(n)] = math.Copysign(0, -1)
+			lu, piv, z, err := textbookLU(a)
+			if err != nil { // so many zeros can make a small matrix singular
+				singular(fmt.Sprintf("n %d, trial %d", n, trial), a)
+				refused++
+				continue
+			}
+			zeros += z
+			for i, p := range piv {
+				if i != p {
+					swapped++
+					break
+				}
+			}
+			want := textbookSolve(lu, piv, b)
+			got, err := Solve(a, b)
+			if err != nil || !sameBits(got, want) {
+				t.Fatalf("n %d, trial %d: Solve %v (%v), textbook %v", n, trial, got, err, want)
+			}
+			got = oddMatrix(r, 1, n, false).Data
+			if err := SolveInto(got, a, b, &f); err != nil || !sameBits(got, want) {
+				t.Fatalf("n %d, trial %d: SolveInto %v (%v), textbook %v", n, trial, got, err, want)
+			}
+			inv := oddMatrix(r, n, n, false)
+			if err := InverseInto(inv, a, &f); err != nil {
+				t.Fatalf("n %d, trial %d: InverseInto: %v", n, trial, err)
+			}
+			e := make([]float64, n)
+			for j := 0; j < n; j++ {
+				clear(e)
+				e[j] = 1
+				for i, v := range textbookSolve(lu, piv, e) {
+					if g := inv.At(i, j); math.Float64bits(g) != math.Float64bits(v) {
+						t.Fatalf("n %d, trial %d: InverseInto entry (%d, %d) is %v, textbook %v", n, trial, i, j, g, v)
+					}
+				}
+			}
+		}
+	}
+	if swapped == 0 || zeros == 0 {
+		t.Fatalf("%d factorizations swapped rows and %d multipliers were zero; want both", swapped, zeros)
+	}
+	t.Logf("%d matrices: %d singular, %d with rows swapped, %d zero multipliers", 3*len(sizes), refused, swapped, zeros)
+
+	zeroColumn := luMatrix(r, 7)
+	for i := 0; i < 7; i++ {
+		zeroColumn.Set(i, 3, 0)
+	}
+	for name, a := range map[string]*Matrix{"rank 1": FromRows([][]float64{{1, 2}, {2, 4}}), "zero column": zeroColumn} {
+		if _, _, _, err := textbookLU(a); !errors.Is(err, ErrSingular) {
+			t.Fatalf("%s: textbook LU: got %v, want ErrSingular", name, err)
+		}
+		singular(name, a)
 	}
 }
 
@@ -239,18 +430,11 @@ func TestSingularDetected(t *testing.T) {
 	}
 }
 
-func TestVecMulMulVec(t *testing.T) {
+func TestMulVec(t *testing.T) {
 	a := FromRows([][]float64{{1, 2, 3}, {4, 5, 6}})
 	got := MulVec(a, []float64{1, 1, 1})
 	if !almostEq(got[0], 6, 0) || !almostEq(got[1], 15, 0) {
 		t.Fatalf("MulVec %v", got)
-	}
-	row := VecMul([]float64{1, 1}, a)
-	want := []float64{5, 7, 9}
-	for i := range want {
-		if !almostEq(row[i], want[i], 0) {
-			t.Fatalf("VecMul %v", row)
-		}
 	}
 }
 

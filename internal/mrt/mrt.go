@@ -17,11 +17,19 @@
 //
 // The paper reports this approximation matches simulation within 1%; the
 // test suite and the validation benchmark reproduce that comparison.
+//
+// IF and EF build their chain and solve it in a workspace taken from a
+// sync.Pool and put back before they return: the chain's blocks, the
+// boundary levels and a qbd.Workspace, all on storage that only grows. So
+// every goroutine that runs analysis points, a pool worker of package exp
+// or a fabric worker, reuses buffers from one point to the next, and a
+// warm call allocates nothing (TestAnalysisAllocs).
 package mrt
 
 import (
 	"errors"
 	"fmt"
+	"sync"
 
 	"repro/internal/dist"
 	"repro/internal/linalg"
@@ -90,15 +98,59 @@ func fitBusyPeriod(lambda, mu float64, fit BusyPeriodFit) (phaseCox, error) {
 	return phaseCox{}, fmt.Errorf("mrt: unknown busy-period fit %d", fit)
 }
 
+// workspace is what one IF or EF call builds and solves its chain in. Its
+// zero value is ready to use; it is not safe for concurrent use.
+type workspace struct {
+	solver qbd.Workspace
+	data   []float64 // the blocks' entries
+	blocks []linalg.Matrix
+	levels []qbd.BoundaryLevel
+	chain  qbd.Chain
+}
+
+// workspaces keeps workspaces between IF and EF calls.
+var workspaces = sync.Pool{New: func() any { return new(workspace) }}
+
+// newBlocks returns n zero m x m matrices on w's storage, which only grows,
+// the first set to the identity.
+func (w *workspace) newBlocks(n, m int) []linalg.Matrix {
+	size := m * m
+	if cap(w.data) < n*size {
+		w.data = make([]float64, n*size)
+	}
+	if cap(w.blocks) < n {
+		w.blocks = make([]linalg.Matrix, n)
+	}
+	data, blocks := w.data[:n*size], w.blocks[:n]
+	clear(data)
+	for i := range blocks {
+		blocks[i] = linalg.Matrix{Rows: m, Cols: m, Data: data[i*size : (i+1)*size]}
+	}
+	for i := 0; i < m; i++ {
+		blocks[0].Set(i, i, 1)
+	}
+	return blocks
+}
+
+// newLevels returns n boundary levels on w's storage, which only grows.
+func (w *workspace) newLevels(n int) []qbd.BoundaryLevel {
+	if cap(w.levels) < n {
+		w.levels = make([]qbd.BoundaryLevel, n)
+	}
+	return w.levels[:n]
+}
+
 // EF computes mean response times under Elastic-First: the inelastic class
 // from the chain of efChain, the elastic class as an M/M/1 with service
 // rate k*muE.
 func EF(p queueing.Model, fit BusyPeriodFit) (Result, error) {
-	chain, err := efChain(p, fit)
+	w := workspaces.Get().(*workspace)
+	defer workspaces.Put(w)
+	chain, err := w.efChain(p, fit)
 	if err != nil {
 		return Result{}, err
 	}
-	sol, err := chain.Solve()
+	sol, err := w.solver.Solve(chain)
 	if err != nil {
 		return Result{}, fmt.Errorf("mrt: EF chain solve: %w", err)
 	}
@@ -114,13 +166,14 @@ func EF(p queueing.Model, fit BusyPeriodFit) (Result, error) {
 	}, nil
 }
 
-// efChain builds the QBD chain EF solves.
+// efChain builds the QBD chain EF solves in w, where it stays valid until
+// w's next chain.
 //
 // Chain structure (Figure 3c): level = number of inelastic jobs; phases
 // {0 = no elastic busy period, b1, b2}. Inelastic jobs are served only in
 // phase 0 (at rate min(level, k)*muI); an elastic arrival in phase 0 starts
 // a busy period of the elastic M/M/1 with service rate k*muE.
-func efChain(p queueing.Model, fit BusyPeriodFit) (*qbd.Chain, error) {
+func (w *workspace) efChain(p queueing.Model, fit BusyPeriodFit) (*qbd.Chain, error) {
 	if err := validate(p); err != nil {
 		return nil, err
 	}
@@ -134,12 +187,14 @@ func efChain(p queueing.Model, fit BusyPeriodFit) (*qbd.Chain, error) {
 	}
 
 	const m = 3 // phases: 0, b1, b2
-	// The level-independent blocks, built once and shared by every level
-	// (qbd only reads them): the up block and the phase generator less the
-	// inelastic arrivals, which each level clones before taking out its
-	// departures.
-	up := linalg.Scale(p.LambdaI, linalg.Identity(m))
-	base := linalg.NewMatrix(m, m)
+	// The identity, then the level-independent blocks, built once and
+	// shared by every level (qbd only reads them): the up block and the
+	// phase generator less the inelastic arrivals, which each level copies
+	// before taking out its departures. Then a local block per level, and a
+	// down block per level but level 0.
+	blocks := w.newBlocks(2*p.K+4, m)
+	up := linalg.ScaleInto(&blocks[1], p.LambdaI, &blocks[0])
+	base, next := &blocks[2], 3
 	// 0 -> b1: elastic arrival opens a busy period.
 	base.Add(0, 1, p.LambdaE)
 	base.Add(0, 0, -p.LambdaE)
@@ -155,38 +210,44 @@ func efChain(p queueing.Model, fit BusyPeriodFit) (*qbd.Chain, error) {
 	}
 
 	mkLevel := func(downRate float64) qbd.BoundaryLevel {
-		local := base.Clone()
+		local := &blocks[next]
+		next++
+		copy(local.Data, base.Data)
 		var d *linalg.Matrix
 		if downRate > 0 {
-			d = linalg.NewMatrix(m, m)
+			d = &blocks[next]
+			next++
 			d.Set(0, 0, downRate) // inelastic served only in phase 0
 			local.Add(0, 0, -downRate)
 		}
 		return qbd.BoundaryLevel{U: up, Local: local, D: d}
 	}
 
-	boundary := make([]qbd.BoundaryLevel, p.K)
+	boundary := w.newLevels(p.K)
 	for l := 0; l < p.K; l++ {
 		boundary[l] = mkLevel(float64(l) * p.MuI)
 	}
 	rep := mkLevel(float64(p.K) * p.MuI)
-	return &qbd.Chain{
+	w.chain = qbd.Chain{
 		Phases:   m,
 		Boundary: boundary,
 		A0:       rep.U,
 		A1:       rep.Local,
 		A2:       rep.D,
-	}, nil
+	}
+	return &w.chain, nil
 }
 
 // IF computes mean response times under Inelastic-First: the elastic class
 // from the chain of ifChain, the inelastic class as an M/M/k.
 func IF(p queueing.Model, fit BusyPeriodFit) (Result, error) {
-	chain, err := ifChain(p, fit)
+	w := workspaces.Get().(*workspace)
+	defer workspaces.Put(w)
+	chain, err := w.ifChain(p, fit)
 	if err != nil {
 		return Result{}, err
 	}
-	sol, err := chain.Solve()
+	sol, err := w.solver.Solve(chain)
 	if err != nil {
 		return Result{}, fmt.Errorf("mrt: IF chain solve: %w", err)
 	}
@@ -202,14 +263,15 @@ func IF(p queueing.Model, fit BusyPeriodFit) (Result, error) {
 	}, nil
 }
 
-// ifChain builds the QBD chain IF solves.
+// ifChain builds the QBD chain IF solves in w, where it stays valid until
+// w's next chain.
 //
 // Chain structure (Figure 7c): level = number of elastic jobs; phases
 // {0..k-1 = number of inelastic jobs, b1, b2 = the excess period with >= k
 // inelastic jobs}. Elastic jobs are served at rate (k-i)*muE in phase i and
 // not at all during the excess period, which is an M/M/1 busy period with
 // arrival lambdaI and service rate k*muI.
-func ifChain(p queueing.Model, fit BusyPeriodFit) (*qbd.Chain, error) {
+func (w *workspace) ifChain(p queueing.Model, fit BusyPeriodFit) (*qbd.Chain, error) {
 	if err := validate(p); err != nil {
 		return nil, err
 	}
@@ -224,9 +286,11 @@ func ifChain(p queueing.Model, fit BusyPeriodFit) (*qbd.Chain, error) {
 
 	m := p.K + 2 // phases 0..k-1, b1 = k, b2 = k+1
 	b1, b2 := p.K, p.K+1
+	// The identity, then the up, level-0 local, A1 and A2 blocks.
+	blocks := w.newBlocks(5, m)
 	// Level 0's local block: the phase generator less the elastic arrivals.
-	// The repeating level clones it before taking out its departures.
-	local0 := linalg.NewMatrix(m, m)
+	// The repeating level copies it before taking out its departures.
+	local0 := &blocks[2]
 	for i := 0; i < p.K; i++ {
 		// Inelastic arrival.
 		if i < p.K-1 {
@@ -260,22 +324,25 @@ func ifChain(p queueing.Model, fit BusyPeriodFit) (*qbd.Chain, error) {
 
 	// Boundary level 0 (no elastic jobs, no down transitions) and the
 	// repeating levels >= 1 share the up block.
-	up := linalg.Scale(p.LambdaE, linalg.Identity(m))
-	a1 := local0.Clone()
-	a2 := linalg.NewMatrix(m, m)
+	up := linalg.ScaleInto(&blocks[1], p.LambdaE, &blocks[0])
+	a1, a2 := &blocks[3], &blocks[4]
+	copy(a1.Data, local0.Data)
 	for ph := 0; ph < m; ph++ {
 		if r := elasticRate(ph); r > 0 {
 			a2.Set(ph, ph, r)
 			a1.Add(ph, ph, -r)
 		}
 	}
-	return &qbd.Chain{
+	boundary := w.newLevels(1)
+	boundary[0] = qbd.BoundaryLevel{U: up, Local: local0}
+	w.chain = qbd.Chain{
 		Phases:   m,
-		Boundary: []qbd.BoundaryLevel{{U: up, Local: local0}},
+		Boundary: boundary,
 		A0:       up,
 		A1:       a1,
 		A2:       a2,
-	}, nil
+	}
+	return &w.chain, nil
 }
 
 // Analyze computes both policies with the paper's three-moment fit.

@@ -46,6 +46,16 @@ func spectralRadiusFull(a *linalg.Matrix, iters int) float64 {
 	return radius
 }
 
+// ifChain and efChain build a chain in a workspace of its own, so that a
+// test can hold many.
+func ifChain(p queueing.Model, fit BusyPeriodFit) (*qbd.Chain, error) {
+	return new(workspace).ifChain(p, fit)
+}
+
+func efChain(p queueing.Model, fit BusyPeriodFit) (*qbd.Chain, error) {
+	return new(workspace).efChain(p, fit)
+}
+
 // goldenChains returns the IF and EF chains behind every cell of the
 // internal/exp figure goldens (TestGoldenFigureCells). The Figure 5 cells
 // are the Figure 4 cells at muE 1, so they add no chain.
@@ -90,7 +100,10 @@ func addChains(t *testing.T, chains map[string]*qbd.Chain, pts []queueing.Model)
 
 // TestAnalysisAllocs gates allocations on the analysis path: the R solve
 // allocates per call, never per doubling, so a tighter tolerance costs no
-// allocation.
+// allocation; and IF and EF, once warm, allocate nothing at all, at a
+// Figure 4 point (k 4, rho 0.9) and at Figure 6's k 16. The second half
+// measures IF and EF themselves, pool included, so it is skipped under the
+// race detector, which makes sync.Pool drop Puts at random.
 func TestAnalysisAllocs(t *testing.T) {
 	c, err := ifChain(queueing.ForLoad(4, 0.9, 1, 1), Coxian3Moment)
 	if err != nil {
@@ -105,6 +118,25 @@ func TestAnalysisAllocs(t *testing.T) {
 	}
 	if loose, tight := solveAllocs(1e-8), solveAllocs(1e-14); loose != tight {
 		t.Errorf("SolveR on the IF chain: %v allocs at tol 1e-8, %v at 1e-14", loose, tight)
+	}
+
+	if raceEnabled {
+		t.Skip("sync.Pool drops Puts at random under the race detector")
+	}
+	for point, p := range map[string]queueing.Model{
+		"k 4, rho 0.9, muI 1, muE 1":     queueing.ForLoad(4, 0.9, 1, 1),
+		"k 16, rho 0.9, muI 0.25, muE 1": queueing.ForLoad(16, 0.9, 0.25, 1),
+	} {
+		for name, analyze := range map[string]func(queueing.Model, BusyPeriodFit) (Result, error){"IF": IF, "EF": EF} {
+			// AllocsPerRun makes one call to warm up before it counts.
+			if n := testing.AllocsPerRun(20, func() {
+				if _, err := analyze(p, Coxian3Moment); err != nil {
+					t.Fatal(err)
+				}
+			}); n != 0 {
+				t.Errorf("%s at %s: %v allocations per warm call, want 0", name, point, n)
+			}
+		}
 	}
 }
 

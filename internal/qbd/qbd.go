@@ -18,10 +18,15 @@
 // Logarithmic reduction converges quadratically: a set of the paper's
 // figures takes 6 to 12 doublings per solve where the functional iteration
 // took 277 steps on average. Each doubling runs linalg.MulInto and
-// linalg.InverseInto into buffers allocated once per solve, and gives the
-// same bits as the textbook loop that allocates every product and inverse
-// (package mrt's TestSolveRMatchesTextbookLogReduction pins that on the
-// figures' chains).
+// linalg.InverseInto into a Workspace's buffers, and gives the same bits as
+// the textbook loop that allocates every product and inverse (package mrt's
+// TestSolveRMatchesTextbookLogReduction pins that on the figures' chains).
+//
+// A Workspace holds every buffer a solve touches, on storage that only
+// grows, so a caller that keeps one (package mrt keeps a sync.Pool of them)
+// solves chain after chain, of any size it has already seen, without
+// allocating. The Solution it returns lives in those buffers until its next
+// solve. Chain.Solve and SolveR run on a fresh Workspace.
 //
 // Solve decides stability before it looks for R, by the mean drift of the
 // level (Neuts; Latouche & Ramaswami): when the phase generator
@@ -69,7 +74,10 @@ const rowSumTol = 1e-8
 // Validate checks block shapes and that every level's generator rows sum to
 // zero (within rowSumTol), which catches most construction bugs
 // immediately.
-func (c *Chain) Validate() error {
+func (c *Chain) Validate() error { return new(Workspace).validate(c) }
+
+// validate is Validate, summing rows into w's buffer.
+func (w *Workspace) validate(c *Chain) error {
 	m := c.Phases
 	if m <= 0 {
 		return fmt.Errorf("qbd: non-positive phase count")
@@ -100,7 +108,7 @@ func (c *Chain) Validate() error {
 		return fmt.Errorf("qbd: need at least boundary level 0")
 	}
 	// Row sums per level, into one buffer.
-	sums := make([]float64, m)
+	sums := grow(&w.sums, m)
 	rowSums := func(mats ...*linalg.Matrix) []float64 {
 		clear(sums)
 		for _, mat := range mats {
@@ -155,12 +163,15 @@ const driftTol = 1e-10
 // one closed class has no unique alpha and is refused: every phase must
 // reach, over A's positive off-diagonal rates, the phase where alpha is
 // largest, which then lies in every closed class. c must pass Validate.
-func (c *Chain) Drift() (up, down float64, err error) {
+func (c *Chain) Drift() (up, down float64, err error) { return new(Workspace).drift(c) }
+
+// drift is Drift, in w's buffers.
+func (w *Workspace) drift(c *Chain) (up, down float64, err error) {
 	m := c.Phases
 	rate := func(i, j int) float64 { return c.A0.At(i, j) + c.A1.At(i, j) + c.A2.At(i, j) }
 	// Row j of A's transpose is equation j of alpha A = 0; the last one,
 	// implied by the others since A 1 = 0, gives way to alpha 1 = 1.
-	at, b := linalg.NewMatrix(m, m), make([]float64, m)
+	at, b, alpha := shape(&w.at, m, m), grow(&w.rhs, m), grow(&w.alpha, m)
 	for i := 0; i < m; i++ {
 		for j := 0; j < m-1; j++ {
 			at.Set(j, i, rate(i, j))
@@ -168,15 +179,17 @@ func (c *Chain) Drift() (up, down float64, err error) {
 		at.Set(m-1, i, 1)
 	}
 	b[m-1] = 1
-	alpha, err := linalg.Solve(at, b)
+	err = linalg.SolveInto(alpha, at, b, &w.lu)
 	top := 0 // phase 0 when the solve failed
-	for i, v := range alpha {
-		if v > alpha[top] {
-			top = i
+	if err == nil {
+		for i, v := range alpha {
+			if v > alpha[top] {
+				top = i
+			}
 		}
 	}
 	// One backward search from top over the rates into each reached phase.
-	reach, stack := make([]bool, m), make([]int, 1, m)
+	reach, stack := grow(&w.reach, m), grow(&w.stack, m)[:1]
 	reach[top], stack[0] = true, top
 	for len(stack) > 0 {
 		j := stack[len(stack)-1]
@@ -196,10 +209,10 @@ func (c *Chain) Drift() (up, down float64, err error) {
 	if err != nil {
 		return 0, 0, fmt.Errorf("qbd: stationary vector of A0+A1+A2: %w", err)
 	}
-	for i, w := range alpha {
+	for i, ai := range alpha {
 		for j := 0; j < m; j++ {
-			up += w * c.A0.At(i, j)
-			down += w * c.A2.At(i, j)
+			up += ai * c.A0.At(i, j)
+			down += ai * c.A2.At(i, j)
 		}
 	}
 	return up, down, nil
@@ -217,54 +230,65 @@ const maxDoublings = 64
 // down), then returns R = A0 (-(A1 + A0 G))^{-1}. With N = (-A1)^{-1},
 // H = N A0, L = N A2, G = L and T = H, each doubling sets
 //
-//	U = H L + L H, H <- (I-U)^{-1} H^2, L <- (I-U)^{-1} L^2,
-//	G <- G + T L, T <- T H,
+//	U = H L + L H, L <- (I-U)^{-1} L^2, G <- G + T L,
 //
 // and the loop stops once G moves by less than tol (MaxAbsDiff); the error
-// shrinks quadratically. The buffers and the LU are allocated once per
-// solve, so the cost does not grow with the doubling count. A chain that
-// has not converged after maxDoublings gets ErrNotConverged.
+// shrinks quadratically. Only a doubling that goes on then sets
+// H <- (I-U)^{-1} H^2 and T <- T H, which the last one would throw away.
+// A chain that has not converged after maxDoublings gets ErrNotConverged.
+// SolveR runs on a fresh Workspace, so its R is the caller's.
 func SolveR(a0, a1, a2 *linalg.Matrix, tol float64) (*linalg.Matrix, error) {
+	return new(Workspace).solveR(a0, a1, a2, tol)
+}
+
+// solveR is SolveR in w's buffers; R is w.r.
+func (w *Workspace) solveR(a0, a1, a2 *linalg.Matrix, tol float64) (*linalg.Matrix, error) {
 	m := a0.Rows
-	f := linalg.NewLU(m)
-	buf := func() *linalg.Matrix { return linalg.NewMatrix(m, m) }
-	negA1Inv := buf()
-	if err := linalg.InverseInto(negA1Inv, linalg.Scale(-1, a1), f); err != nil {
+	buf := func(b *linalg.Matrix) *linalg.Matrix { return shape(b, m, m) }
+	negA1Inv, h, l, g, t := buf(&w.negA1Inv), buf(&w.h), buf(&w.l), buf(&w.g), buf(&w.t)
+	eye, u, iu, p, next := buf(&w.eye), buf(&w.u), buf(&w.iu), buf(&w.p), buf(&w.next)
+	for i := 0; i < m; i++ {
+		eye.Set(i, i, 1)
+	}
+	if err := linalg.InverseInto(negA1Inv, linalg.ScaleInto(u, -1, a1), &w.lu); err != nil {
 		return nil, fmt.Errorf("qbd: A1 singular: %w", err)
 	}
-	h, l := linalg.Mul(negA1Inv, a0), linalg.Mul(negA1Inv, a2)
-	g, t := l.Clone(), h.Clone()
-	eye, u, iu, p, next := linalg.Identity(m), buf(), buf(), buf(), buf()
+	linalg.MulInto(h, negA1Inv, a0)
+	linalg.MulInto(l, negA1Inv, a2)
+	copy(g.Data, l.Data)
+	copy(t.Data, h.Data)
 	for range maxDoublings {
 		linalg.MulInto(u, h, l)
 		linalg.MulInto(p, l, h)
 		linalg.AddInto(u, u, p)
 		linalg.SubInto(u, eye, u)
-		if err := linalg.InverseInto(iu, u, f); err != nil {
+		if err := linalg.InverseInto(iu, u, &w.lu); err != nil {
 			return nil, fmt.Errorf("qbd: log-reduction pivot singular: %w", err)
 		}
-		linalg.MulInto(p, h, h)
-		linalg.MulInto(h, iu, p)
 		linalg.MulInto(p, l, l)
 		linalg.MulInto(l, iu, p)
 		linalg.MulInto(p, t, l)
 		linalg.AddInto(next, g, p)
-		linalg.MulInto(p, t, h)
-		t, p = p, t
 		done := linalg.MaxAbsDiff(next, g) < tol
 		g, next = next, g
 		if done {
 			linalg.MulInto(p, a0, g)
-			if err := linalg.InverseInto(iu, linalg.Scale(-1, linalg.AddInto(u, a1, p)), f); err != nil {
+			if err := linalg.InverseInto(iu, linalg.ScaleInto(u, -1, linalg.AddInto(u, a1, p)), &w.lu); err != nil {
 				return nil, fmt.Errorf("qbd: R conversion singular: %w", err)
 			}
-			return linalg.Mul(a0, iu), nil
+			return linalg.MulInto(buf(&w.r), a0, iu), nil
 		}
+		linalg.MulInto(p, h, h)
+		linalg.MulInto(h, iu, p)
+		linalg.MulInto(p, t, h)
+		t, p = p, t
 	}
 	return nil, ErrNotConverged
 }
 
-// Solution is the stationary distribution of a QBD chain.
+// Solution is the stationary distribution of a QBD chain. Its slices and
+// matrices live in the Workspace that solved it, until that Workspace's
+// next solve.
 type Solution struct {
 	// Pi holds pi_0 .. pi_r where r = len(Boundary) is the first
 	// repeating level.
@@ -273,16 +297,47 @@ type Solution struct {
 	R *linalg.Matrix
 	// IminusRInv caches (I-R)^{-1}.
 	IminusRInv *linalg.Matrix
+
+	w *Workspace // the solver, whose buffers MeanLevel also uses
 }
 
-// Solve computes the stationary distribution. It returns ErrUnstable,
-// before any R is sought, unless the level's mean upward drift is below
-// (1 - driftTol) times its downward drift (see Drift).
-func (c *Chain) Solve() (*Solution, error) {
-	if err := c.Validate(); err != nil {
+// Workspace holds every buffer a solve touches. Each buffer's storage only
+// grows, so once a Workspace has solved a chain of some size, solving any
+// chain up to that size allocates nothing. Its zero value is ready to use;
+// it is not safe for concurrent use.
+type Workspace struct {
+	// Validate's row sums.
+	sums []float64
+	// The drift check: A's transpose with its last equation replaced, the
+	// right-hand side, alpha, and the backward search's reach set and stack.
+	at         linalg.Matrix
+	rhs, alpha []float64
+	reach      []bool
+	stack      []int
+	// SolveR's buffers and R, and the m x m LU that the drift check, SolveR
+	// and (I-R)^{-1} share.
+	negA1Inv, h, l, g, t, eye, u, iu, p, next, r linalg.Matrix
+	lu                                           linalg.LU
+	// (I-R)^{-1}, A1 + R A2, and the boundary system a x = b with its own
+	// LU.
+	iminusRInv, tail, a linalg.Matrix
+	aLU                 linalg.LU
+	b, x                []float64
+	// A vector of ones, and the row sums taken against it.
+	one, rowSums []float64
+	pi           [][]float64
+	sol          Solution
+}
+
+// Solve computes the stationary distribution of c in w's buffers. It
+// returns ErrUnstable, before any R is sought, unless the level's mean
+// upward drift is below (1 - driftTol) times its downward drift (see
+// Drift). The Solution aliases w: it stays valid until w's next solve.
+func (w *Workspace) Solve(c *Chain) (*Solution, error) {
+	if err := w.validate(c); err != nil {
 		return nil, err
 	}
-	up, down, err := c.Drift()
+	up, down, err := w.drift(c)
 	if err != nil {
 		return nil, err
 	}
@@ -290,20 +345,21 @@ func (c *Chain) Solve() (*Solution, error) {
 		return nil, fmt.Errorf("%w: mean drift up %g, down %g", ErrUnstable, up, down)
 	}
 	m := c.Phases
-	r, err := SolveR(c.A0, c.A1, c.A2, 1e-14)
+	r, err := w.solveR(c.A0, c.A1, c.A2, 1e-14)
 	if err != nil {
 		return nil, err
 	}
-	iminusRInv, err := linalg.Inverse(linalg.SubM(linalg.Identity(m), r))
-	if err != nil {
+	// (I-R)^{-1}, with SolveR's identity and a scratch buffer of its.
+	iminusRInv := shape(&w.iminusRInv, m, m)
+	if err := linalg.InverseInto(iminusRInv, linalg.SubInto(&w.u, &w.eye, r), &w.lu); err != nil {
 		return nil, err
 	}
 
 	// Unknowns: pi_0..pi_rs stacked, rs = len(Boundary).
 	rs := len(c.Boundary)
 	n := (rs + 1) * m
-	a := linalg.NewMatrix(n, n) // transposed balance equations: a * x = b
-	b := make([]float64, n)
+	a := shape(&w.a, n, n) // transposed balance equations: a * x = b
+	b := grow(&w.b, n)
 
 	// Column block for the balance equations of level l:
 	//   sum_l' pi_l' Q_{l',l} = 0.
@@ -350,7 +406,8 @@ func (c *Chain) Solve() (*Solution, error) {
 		} else {
 			// Level rs balance folds the geometric tail:
 			// pi_{rs-1} U + pi_rs (A1 + R A2) = 0.
-			addBlock(base, rs, linalg.AddM(c.A1, linalg.Mul(r, c.A2)))
+			tail := shape(&w.tail, m, m)
+			addBlock(base, rs, linalg.AddInto(tail, c.A1, linalg.MulInto(&w.p, r, c.A2)))
 		}
 		eq += m
 	}
@@ -365,7 +422,7 @@ func (c *Chain) Solve() (*Solution, error) {
 			a.Set(last, l*m+p, 1)
 		}
 	}
-	rowSum1 := linalg.MulVec(iminusRInv, ones(m))
+	rowSum1 := linalg.MulVecInto(grow(&w.rowSums, m), iminusRInv, w.ones(m))
 	for p := 0; p < m; p++ {
 		a.Set(last, rs*m+p, rowSum1[p])
 	}
@@ -373,82 +430,73 @@ func (c *Chain) Solve() (*Solution, error) {
 
 	// The balance equations are transposed (variables are row vectors):
 	// we built sum_p x_p block[p][q] = 0, i.e. A^T x = b with our fill
-	// pattern, which is already what linalg.Solve expects.
-	x, err := linalg.Solve(a, b)
-	if err != nil {
+	// pattern, which is already what linalg.SolveInto expects.
+	x := grow(&w.x, n)
+	if err := linalg.SolveInto(x, a, b, &w.aLU); err != nil {
 		return nil, fmt.Errorf("qbd: boundary solve failed: %w", err)
 	}
-	sol := &Solution{R: r, IminusRInv: iminusRInv}
-	for l := 0; l <= rs; l++ {
-		sol.Pi = append(sol.Pi, x[l*m:(l+1)*m])
+	pi := grow(&w.pi, rs+1)
+	for l := range pi {
+		pi[l] = x[l*m : (l+1)*m]
 	}
-	return sol, nil
+	w.sol = Solution{Pi: pi, R: r, IminusRInv: iminusRInv, w: w}
+	return &w.sol, nil
 }
 
-// LevelProb returns the total stationary probability of level l.
-func (s *Solution) LevelProb(l int) float64 {
-	rs := len(s.Pi) - 1
-	if l < rs {
-		return sum(s.Pi[l])
-	}
-	// pi_{rs+n} = pi_rs R^n.
-	v := append([]float64(nil), s.Pi[rs]...)
-	for i := rs; i < l; i++ {
-		v = linalg.VecMul(v, s.R)
-	}
-	return sum(v)
-}
-
-// PhaseMarginal returns the stationary phase distribution aggregated over
-// all levels.
-func (s *Solution) PhaseMarginal() []float64 {
-	rs := len(s.Pi) - 1
-	m := len(s.Pi[0])
-	out := make([]float64, m)
-	for l := 0; l < rs; l++ {
-		for p, v := range s.Pi[l] {
-			out[p] += v
-		}
-	}
-	tail := linalg.VecMul(s.Pi[rs], s.IminusRInv)
-	for p, v := range tail {
-		out[p] += v
-	}
-	return out
-}
+// Solve computes the stationary distribution on a fresh Workspace (see
+// Workspace.Solve).
+func (c *Chain) Solve() (*Solution, error) { return new(Workspace).Solve(c) }
 
 // MeanLevel returns E[level] = sum_l l * P(level = l), evaluated in closed
 // form over the geometric tail:
 //
 //	sum_{l<rs} l pi_l 1 + pi_rs [ rs (I-R)^{-1} + R (I-R)^{-2} ] 1.
+//
+// It computes in the buffers of the Workspace that made s, so, like that
+// Workspace, it is not safe for concurrent use.
 func (s *Solution) MeanLevel() float64 {
 	rs := len(s.Pi) - 1
 	total := 0.0
 	for l := 0; l < rs; l++ {
 		total += float64(l) * sum(s.Pi[l])
 	}
-	m := len(s.Pi[0])
-	tailA := linalg.Scale(float64(rs), s.IminusRInv)
-	tailB := linalg.Mul(s.R, linalg.Mul(s.IminusRInv, s.IminusRInv))
-	weights := linalg.MulVec(linalg.AddM(tailA, tailB), ones(m))
-	for p, w := range weights {
-		total += s.Pi[rs][p] * w
+	m, w := len(s.Pi[0]), s.w
+	// SolveR's scratch buffers are free once R is found.
+	tailA := linalg.ScaleInto(&w.u, float64(rs), s.IminusRInv)
+	tailB := linalg.MulInto(&w.iu, s.R, linalg.MulInto(&w.p, s.IminusRInv, s.IminusRInv))
+	weights := linalg.MulVecInto(grow(&w.rowSums, m), linalg.AddInto(tailA, tailA, tailB), w.ones(m))
+	for p, wt := range weights {
+		total += s.Pi[rs][p] * wt
 	}
 	return total
 }
 
-// TotalProb returns the total probability mass (should be 1); exposed for
-// verification in tests.
-func (s *Solution) TotalProb() float64 {
-	return sum(s.PhaseMarginal())
-}
-
-func ones(n int) []float64 {
-	v := make([]float64, n)
+// ones returns a vector of n ones in w's storage.
+func (w *Workspace) ones(n int) []float64 {
+	v := grow(&w.one, n)
 	for i := range v {
 		v[i] = 1
 	}
 	return v
+}
+
+// grow sets *s to n zero entries on its storage, allocating only when its
+// capacity is short of n, and returns it.
+func grow[T any](s *[]T, n int) []T {
+	if cap(*s) < n {
+		*s = make([]T, n)
+	}
+	*s = (*s)[:n]
+	clear(*s)
+	return *s
+}
+
+// shape makes *a a zero rows x cols matrix on its storage, like grow, and
+// returns a.
+func shape(a *linalg.Matrix, rows, cols int) *linalg.Matrix {
+	a.Data = grow(&a.Data, rows*cols)
+	a.Rows, a.Cols = rows, cols
+	return a
 }
 
 func sum(v []float64) float64 {

@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # Engine benchmark harness: runs the hot-path benchmarks (two-class and
 # multi-class stepping, the occupancy scaling under IF, EQUI and SRPT at
-# n in {10, 100, 1k, 10k}, the end-to-end simulator throughput, the QBD R
-# solve alone on three figure chains, and the internal/serve loopback
-# serving path — cache-hit and coalesced req/sec) and
+# n in {10, 100, 1k, 10k}, the end-to-end simulator throughput, the
+# Figure 4c heat map with its allocations, the QBD R solve alone on three
+# figure chains, and the internal/serve loopback serving path — cache-hit
+# and coalesced req/sec) and
 # APPENDS one dated entry to BENCH_engine.json via cmd/benchlog, so the
 # perf trajectory across PRs is preserved (a legacy single-snapshot file is
 # migrated into the history's first entry automatically).
@@ -52,7 +53,9 @@ echo "==> go test -bench Engine/Throughput (-benchtime $BENCHTIME, best of $BENC
 # raised BENCH_COUNT must not trip go test's default 10m package timeout.
 go test ./internal/sim -run '^$' -bench 'BenchmarkEngineEvent' -timeout 0 \
   -benchmem -benchtime "$BENCHTIME" -count "$BENCH_COUNT" | tee -a "$RAW"
-go test . -run '^$' -bench 'BenchmarkSimulatorThroughput' -timeout 0 \
+# BenchmarkFigure4cHighLoad: the 196 analysis points of Figure 4c on the
+# default pool; its allocs/op tracks the analysis path's buffer reuse.
+go test . -run '^$' -bench 'BenchmarkSimulatorThroughput|BenchmarkFigure4cHighLoad' -timeout 0 \
   -benchmem -benchtime "$BENCHTIME" -count "$BENCH_COUNT" | tee -a "$RAW"
 
 echo "==> go test -bench BenchmarkSolveRFigureChains (-benchtime $BENCHTIME, best of $BENCH_COUNT)"

@@ -48,12 +48,12 @@ go vet ./...
 echo "==> go test -race ./..."
 go test -race ./...
 
-echo "==> golden gate (engine goldens bit-frozen; frozen rebuild-engine traces matched: identical completion sequences, stats to 1e-9; every arrival stream frozen; the R solve bit-identical to the textbook logarithmic-reduction loop on the figures' chains and within 1e-10 of the functional iteration, residual <= 1e-12; the mean-drift stability check passes every figure chain and agrees with a 2000-step power iteration on sp(R); the blocked multiply bit-identical to per-entry dot products and InverseInto to Inverse)"
+echo "==> golden gate (engine goldens bit-frozen; frozen rebuild-engine traces matched: identical completion sequences, stats to 1e-9; every arrival stream frozen; the R solve bit-identical to the textbook logarithmic-reduction loop on the figures' chains and within 1e-10 of the functional iteration, residual <= 1e-12; the mean-drift stability check passes every figure chain and agrees with a 2000-step power iteration on sp(R); the blocked multiply bit-identical to per-entry dot products and InverseInto to Inverse; the LU kernels under Solve, SolveInto and InverseInto bit-identical to a textbook At/Set loop)"
 go test ./internal/sim -run 'TestGolden' -count=1
 go test ./internal/exp -run 'TestGoldenFigure' -count=1
 go test ./internal/workload -run TestGoldenArrivals -count=1
 go test ./internal/mrt -run 'TestSolveRMatchesTextbookLogReduction|TestRMethodsAgree|TestDriftAgreesWithSpectralRadius' -count=1
-go test ./internal/linalg -run 'TestMulIntoMatchesDotProducts|TestInverseIntoMatchesInverse' -count=1
+go test ./internal/linalg -run 'TestMulIntoMatchesDotProducts|TestInverseIntoMatchesInverse|TestLUMatchesTextbook' -count=1
 
 echo "==> exact-chain gate (banded GTH bit-identical to the dense loop; shorter-axis numbering only relabels; non-finite and band-storage guards; Appendix B; QBD vs CTMC; near-critical and multi-class QBDs refused before the R solve; Theorem 6; the count-rule adapter runs the simulator's own policies: bit-identical to the deleted count rules, every registry name count-Markov or refused, zero allocations per state, every accepted policy solved)"
 go test ./internal/ctmc -run 'TestStationaryMatchesDenseGTH|TestPolicyChainNumbering|TestStationaryNonFiniteIsError|TestAutoSolveNamesLastSolvedCaps|TestDeferDominatedByIF|TestTheorem6Counterexample|TestCountRuleSolvesRegistry' -count=1
@@ -66,15 +66,16 @@ go test ./internal/sim -run 'TestEngineEquivalenceMatrix|TestEngineEquivalenceQu
 go test ./internal/exp -run 'TestEngineSweepEquivalence|TestTailQuantiles' -count=1
 go test ./internal/policy -count=1
 
-echo "==> allocation-regression gate (steady-state stepping <= 1 alloc/event; arena path bounded at n in {100, 10k}; the R solve allocates per solve, not per doubling)"
+echo "==> allocation-regression gate (steady-state stepping <= 1 alloc/event; arena path bounded at n in {100, 10k}; the R solve allocates per solve, not per doubling; 0 allocations per analysis call once warm)"
 go test ./internal/sim ./internal/mrt -run 'TestSteadyStateAllocs|TestSteadyStateBytes|TestAnalysisAllocs' -count=1
 
 echo "==> arena recycle gate (recycled job slots never alias a live handle in any hot structure)"
 go test ./internal/sim -run 'TestArena' -count=1
 
-echo "==> exp worker-pool race stress (workers take indices from an atomic counter: every index runs exactly once)"
+echo "==> exp worker-pool race stress (workers take indices from an atomic counter: every index runs exactly once; pooled analysis workspaces: concurrent Analyze bit-identical to serial)"
 go test -race -run 'TestWorkerPoolStressRace' -count=2 ./internal/exp
 go test -race -run 'TestMapRunsEachIndexOnce' -count=20 ./internal/exp
+go test -race -run 'TestAnalyzeConcurrentMatchesSerial' -count=10 ./internal/mrt
 
 echo "==> dispatch-backend gate (seed/key contract and drift tripwire; pool reference run for the byte-identity diffs below)"
 go test ./internal/exp -run 'TestKeyAndRepSeedPinned|TestSeedDriftRefused|TestTaskErrorIdentity|TestDegenerateCellBackendParity' -count=1
