@@ -41,7 +41,7 @@ import (
 
 const (
 	// readHeaderTimeout bounds how long a client may take to send a request
-	// header, as the fabric's HandshakeTimeout bounds its hello; without it
+	// header, as the fabric's handshake timeout bounds its hello; without it
 	// a client that never finishes its header holds a connection and a
 	// goroutine forever.
 	readHeaderTimeout = 5 * time.Second

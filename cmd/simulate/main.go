@@ -28,7 +28,7 @@
 // -tail adds reservoir-sampled p99 response times, overall
 // and per class; -quantiles widens that to any quantile set. Stepping costs
 // O(changed·log n) per event, so near-saturation sweeps with many resident
-// jobs stay tractable; SIM_FORCE_DENSE=1 reruns them on the settle-all oracle.
+// jobs stay tractable.
 // -cpuprofile/-memprofile/-mutexprofile write go-tool-pprof-loadable
 // profiles of the sweep (profile.go), the same wiring `scripts/bench.sh
 // profile` uses for the benchmark hot path.

@@ -4,7 +4,9 @@
 // simultaneous events dequeue in scheduling order and runs are exactly
 // reproducible. A dense position index lets a superseded event be
 // rescheduled or unscheduled in place, so the heap depth is the live event
-// count and Peek/Pop never filter stale entries.
+// count and Peek/Pop never filter stale entries. The engine's EQUI path
+// also keeps one queue per class whose "time" is a job's completion
+// coordinate on the class's virtual-time axis.
 package eventq
 
 // hEvent is one heap entry: 24 bytes, pointer-free.

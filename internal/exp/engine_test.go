@@ -9,6 +9,7 @@ package exp
 // pins agreement, not byte identity.
 
 import (
+	"bytes"
 	"context"
 	"math"
 	"strings"
@@ -83,6 +84,8 @@ func diffResultSets(t *testing.T, aName, bName string, ra, rb *ResultSet) {
 // shares, SRPT's indexed heap, the write-set protocol) must be invisible at
 // sweep level compared to the settle-all path. A second grid covers a
 // class mix so capped and partially elastic classes cross the gate too.
+// The two paths round differently, so a dense leg whose JSON equals the
+// fast leg's byte for byte proves the oracle never ran, and fails.
 func TestEngineSweepEquivalence(t *testing.T) {
 	grids := []Grid{
 		engineGateSweep().Grid,
@@ -103,6 +106,16 @@ func TestEngineSweepEquivalence(t *testing.T) {
 			t.Fatal(err)
 		}
 		diffResultSets(t, "sparse", "dense", rsFast, rsDense)
+		var fastJSON, denseJSON bytes.Buffer
+		if err := rsFast.WriteJSON(&fastJSON); err != nil {
+			t.Fatal(err)
+		}
+		if err := rsDense.WriteJSON(&denseJSON); err != nil {
+			t.Fatal(err)
+		}
+		if bytes.Equal(fastJSON.Bytes(), denseJSON.Bytes()) {
+			t.Errorf("grid %+v: the dense leg's JSON equals the fast leg's, so SIM_FORCE_DENSE did not reach the engine", grid)
+		}
 	}
 }
 

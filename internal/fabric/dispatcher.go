@@ -27,10 +27,6 @@ type DispatcherOptions struct {
 	// re-queued; <= 0 means 15s. Workers heartbeat while executing, so a
 	// slow-but-alive worker is never reaped.
 	HeartbeatTimeout time.Duration
-	// HandshakeTimeout bounds the hello exchange on a fresh connection,
-	// so a slow-loris peer (or a port scanner) cannot hold a connection
-	// open indefinitely without completing a handshake; <= 0 means 5s.
-	HandshakeTimeout time.Duration
 	// TaskDeadline, when > 0, bounds one task execution end to end: an
 	// assignment unanswered after this long closes the worker's connection
 	// and funnels through the same re-queue path (and the same
@@ -63,13 +59,20 @@ type DispatcherOptions struct {
 	Clock func() time.Time
 }
 
+// handshakeTimeout bounds the hello exchange on a fresh connection, so a
+// slow-loris peer (or a port scanner) cannot hold a connection open
+// indefinitely without completing a handshake.
+const handshakeTimeout = 5 * time.Second
+
 // Dispatcher owns the fabric's task queue, job registry and result cache,
 // and serves worker and client connections over TCP. See the package
 // comment for the protocol; construct with NewDispatcher, run with Serve,
 // stop with Close (or Drain then Close for a clean shutdown).
 type Dispatcher struct {
 	opts DispatcherOptions
-	live *liveness
+	// handshakeTimeout is the constant handshakeTimeout; tests shorten it.
+	handshakeTimeout time.Duration
+	live             *liveness
 
 	mu   sync.Mutex
 	cond *sync.Cond
@@ -257,9 +260,6 @@ func NewDispatcher(opts DispatcherOptions) *Dispatcher {
 	if opts.HeartbeatTimeout <= 0 {
 		opts.HeartbeatTimeout = 15 * time.Second
 	}
-	if opts.HandshakeTimeout <= 0 {
-		opts.HandshakeTimeout = 5 * time.Second
-	}
 	if opts.Logf == nil {
 		opts.Logf = func(string, ...any) {}
 	}
@@ -267,12 +267,13 @@ func NewDispatcher(opts DispatcherOptions) *Dispatcher {
 		opts.Clock = time.Now
 	}
 	d := &Dispatcher{
-		opts:     opts,
-		live:     newLiveness(opts.HeartbeatTimeout),
-		registry: newRegistry(),
-		workers:  make(map[int64]*workerLink),
-		conns:    make(map[net.Conn]struct{}),
-		closedCh: make(chan struct{}),
+		opts:             opts,
+		handshakeTimeout: handshakeTimeout,
+		live:             newLiveness(opts.HeartbeatTimeout),
+		registry:         newRegistry(),
+		workers:          make(map[int64]*workerLink),
+		conns:            make(map[net.Conn]struct{}),
+		closedCh:         make(chan struct{}),
 	}
 	d.cond = sync.NewCond(&d.mu)
 	if opts.Journal != nil {
@@ -560,7 +561,7 @@ func (d *Dispatcher) handleConn(conn net.Conn) {
 	// The handshake deadline uses the real clock, not opts.Clock: socket
 	// deadlines are interpreted against real time by the runtime, and Clock
 	// only virtualizes liveness decisions.
-	conn.SetDeadline(time.Now().Add(d.opts.HandshakeTimeout))
+	conn.SetDeadline(time.Now().Add(d.handshakeTimeout))
 	br := bufio.NewReader(conn)
 	bw := bufio.NewWriter(conn)
 	var hello helloMsg

@@ -49,11 +49,18 @@ func fabricSweep() exp.Sweep {
 // address. It is torn down when the test ends.
 func startDispatcher(t *testing.T, opts DispatcherOptions) (*Dispatcher, string) {
 	t.Helper()
+	d := NewDispatcher(opts)
+	return d, serveDispatcher(t, d)
+}
+
+// serveDispatcher runs d on a fresh loopback listener until the test ends
+// and returns its address.
+func serveDispatcher(t *testing.T, d *Dispatcher) string {
+	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := NewDispatcher(opts)
 	done := make(chan error, 1)
 	go func() { done <- d.Serve(ln) }()
 	t.Cleanup(func() {
@@ -62,7 +69,7 @@ func startDispatcher(t *testing.T, opts DispatcherOptions) (*Dispatcher, string)
 			t.Errorf("dispatcher Serve: %v", err)
 		}
 	})
-	return d, ln.Addr().String()
+	return ln.Addr().String()
 }
 
 // startWorker runs w against the dispatcher until the test ends (or the
@@ -327,11 +334,11 @@ func TestFabricWorkerReconnectResumes(t *testing.T) {
 	if resultJSON(t, pool) != resultJSON(t, fab) {
 		t.Fatal("results differ across reconnects")
 	}
-	if w.Sessions() < 2 {
-		t.Fatalf("flaky worker should have reconnected: sessions = %d", w.Sessions())
+	if w.sessions.Load() < 2 {
+		t.Fatalf("flaky worker should have reconnected: sessions = %d", w.sessions.Load())
 	}
-	if d.Handshakes() != w.Sessions() {
-		t.Fatalf("dispatcher saw %d handshakes, worker counts %d sessions", d.Handshakes(), w.Sessions())
+	if d.Handshakes() != w.sessions.Load() {
+		t.Fatalf("dispatcher saw %d handshakes, worker counts %d sessions", d.Handshakes(), w.sessions.Load())
 	}
 }
 
@@ -385,8 +392,8 @@ func TestFabricSlowWorkerNotReaped(t *testing.T) {
 	if d.Requeues() != 0 {
 		t.Fatalf("slow-but-heartbeating worker was reaped: Requeues = %d", d.Requeues())
 	}
-	if w.Sessions() != 1 {
-		t.Fatalf("slow worker should have kept one session, got %d", w.Sessions())
+	if w.sessions.Load() != 1 {
+		t.Fatalf("slow worker should have kept one session, got %d", w.sessions.Load())
 	}
 }
 
@@ -534,7 +541,9 @@ func TestFabricDeterministicTaskErrorNoRetry(t *testing.T) {
 // completing a hello. The dispatcher must cut them off at the handshake
 // deadline and stay fully serviceable for honest peers throughout.
 func TestFabricSlowLorisHandshake(t *testing.T) {
-	_, addr := startDispatcher(t, DispatcherOptions{HandshakeTimeout: 150 * time.Millisecond})
+	d := NewDispatcher(DispatcherOptions{})
+	d.handshakeTimeout = 150 * time.Millisecond
+	addr := serveDispatcher(t, d)
 	var wg sync.WaitGroup
 	for i := 0; i < 4; i++ {
 		conn, err := net.Dial("tcp", addr)

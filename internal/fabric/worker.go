@@ -103,10 +103,6 @@ func (w *Worker) draining() bool {
 	}
 }
 
-// Sessions reports how many sessions reached a completed handshake —
-// observability for the reconnect tests.
-func (w *Worker) Sessions() int64 { return w.sessions.Load() }
-
 // Served reports how many task results this worker has sent.
 func (w *Worker) Served() int64 { return w.served.Load() }
 

@@ -385,10 +385,11 @@ func TestDriftAgreesWithSpectralRadius(t *testing.T) {
 	t.Logf("%d scaled golden chains: %d refused, %d of them without a converged R", scaled, refused, diverged)
 }
 
-// BenchmarkSolveRFigureChains times the R solve alone on figure chains at
-// rho 0.9 and muI = muE = 1: IF and EF at k 4 and IF at k 16, the largest
-// phase count the figure set solves.
-func BenchmarkSolveRFigureChains(b *testing.B) {
+// BenchmarkSolveFigureChains times the solve the figures run, w.Solve on
+// one held qbd.Workspace, on figure chains at rho 0.9 and muI = muE = 1: IF
+// and EF at k 4 and IF at k 16, the largest phase count the figure set
+// solves. Once the workspace is warm a solve allocates nothing.
+func BenchmarkSolveFigureChains(b *testing.B) {
 	k4, k16 := queueing.ForLoad(4, 0.9, 1, 1), queueing.ForLoad(16, 0.9, 1, 1)
 	for _, bc := range []struct {
 		name  string
@@ -404,9 +405,13 @@ func BenchmarkSolveRFigureChains(b *testing.B) {
 			b.Fatal(err)
 		}
 		b.Run(bc.name, func(b *testing.B) {
+			var w qbd.Workspace
+			if _, err := w.Solve(c); err != nil { // warm the workspace
+				b.Fatal(err)
+			}
 			b.ReportAllocs()
 			for b.Loop() {
-				if _, err := qbd.SolveR(c.A0, c.A1, c.A2, 1e-14); err != nil {
+				if _, err := w.Solve(c); err != nil {
 					b.Fatal(err)
 				}
 			}

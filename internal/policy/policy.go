@@ -27,8 +27,9 @@
 // maintained across events rather than re-sorted per event, keeping every
 // Allocate call allocation-free in steady state.
 //
-// Each policy has exactly one Allocate. For the class-priority family,
-// FCFS, THRESH, GREEDY and DEFER the served set is small regardless of
+// Each policy implements sim.Policy's two methods, Name and one Allocate;
+// only EQUI and SRPT-k add a facet. For the class-priority family, FCFS,
+// THRESH, GREEDY and DEFER the served set is small regardless of
 // occupancy, which is what lets the engine step in O(changed · log n) by
 // diffing the write-set. EQUI's equal split touches every job, so it also
 // implements sim.ClassSharePolicy: ClassShares reports the water-filled
@@ -37,9 +38,9 @@
 // settled remaining sizes, so it is marked sim.RemainingOrderedPolicy and
 // the engine executes its rule natively on an indexed heap; SRPTK.Allocate
 // keeps the plain insertion-sort walk as the heap's independent reference.
-// Under sim.Options.ForceDense / SIM_FORCE_DENSE the engine runs every
-// Allocate on its settle-all path, and the equivalence suite in
-// internal/sim holds each fast path to it.
+// Under sim.Options.ForceDense the engine runs every Allocate on its
+// settle-all path, and the equivalence suite in internal/sim holds each
+// fast path to it.
 //
 // ByName is the one registry every layer resolves policy names through
 // (Validate checks a policy against a class set), and CountRule hands a
@@ -61,43 +62,6 @@ var (
 	_ sim.ClassSharePolicy       = Equi{}
 	_ sim.RemainingOrderedPolicy = (*SRPTK)(nil)
 )
-
-// The strict class-priority family additionally implements
-// sim.ArrivalShadowPolicy: its walk order is a function of the class set
-// alone (never of arrival times or sizes), so "would a tail arrival to
-// class c receive anything" reduces to comparing c's walk position against
-// the position where the previous walk's budget ran out. FCFS, THRESH and
-// DEFER are deliberately excluded — their walks depend on arrival-time
-// ties or on which classes are occupied, which a single walk position
-// cannot summarize soundly.
-var (
-	_ sim.ArrivalShadowPolicy = InelasticFirst{}
-	_ sim.ArrivalShadowPolicy = ElasticFirst{}
-	_ sim.ArrivalShadowPolicy = ClassPriority{}
-	_ sim.ArrivalShadowPolicy = (*LeastFlexibleFirst)(nil)
-	_ sim.ArrivalShadowPolicy = (*SmallestMeanFirst)(nil)
-	_ sim.ArrivalShadowPolicy = Greedy{}
-)
-
-// orderShadowed is the shared shadow test for order-walk policies: a new
-// class-c job joins the tail of its class queue, so the walk reaches it
-// after every job the previous walk served at positions < exhaustedAt and
-// after class c's existing jobs at position orderPos. If the budget died at
-// or before c's walk position, the walk dies at the same job it died at
-// before (nothing earlier changed), and the arrival provably receives
-// nothing. Classes absent from a non-nil order are never served, so
-// arrivals to them are always shadowed.
-func orderShadowed(exhaustedAt int, c sim.Class, order []int) bool {
-	if order == nil {
-		return exhaustedAt <= int(c)
-	}
-	for i, o := range order {
-		if o == int(c) {
-			return exhaustedAt <= i
-		}
-	}
-	return true
-}
 
 // priorityAllocate walks classes in the given order (nil means ascending
 // class index), giving each job in FCFS order up to its class's saturation
@@ -127,7 +91,6 @@ func priorityAllocate(st *sim.State, ws *sim.ShareSet, order []int) {
 		capC := st.Classes[c].Cap()
 		for _, j := range st.Queues[c] {
 			if remaining <= 0 {
-				ws.MarkExhausted(i)
 				return
 			}
 			// min(capC, remaining) via a branch: math.Min is not inlined
@@ -164,11 +127,6 @@ func (p ClassPriority) Allocate(st *sim.State, ws *sim.ShareSet) {
 	priorityAllocate(st, ws, p.Order)
 }
 
-// ArrivalShadowed implements sim.ArrivalShadowPolicy.
-func (p ClassPriority) ArrivalShadowed(_ *sim.State, exhaustedAt int, c sim.Class) bool {
-	return orderShadowed(exhaustedAt, c, p.Order)
-}
-
 // InelasticFirst is the IF policy: strict class priority by ascending class
 // index. On the two-class preset, in state (i, j) with i < k each inelastic
 // job receives one server and the earliest-arriving elastic job receives the
@@ -181,11 +139,6 @@ func (InelasticFirst) Name() string { return "IF" }
 // Allocate implements sim.Policy.
 func (InelasticFirst) Allocate(st *sim.State, ws *sim.ShareSet) {
 	priorityAllocate(st, ws, nil)
-}
-
-// ArrivalShadowed implements sim.ArrivalShadowPolicy.
-func (InelasticFirst) ArrivalShadowed(_ *sim.State, exhaustedAt int, c sim.Class) bool {
-	return orderShadowed(exhaustedAt, c, nil)
 }
 
 // ElasticFirst is the EF policy: strict class priority by descending class
@@ -204,8 +157,6 @@ func (ElasticFirst) Allocate(st *sim.State, ws *sim.ShareSet) {
 		capC := st.Classes[c].Cap()
 		for _, j := range st.Queues[c] {
 			if remaining <= 0 {
-				// Walk position: classes in descending index order.
-				ws.MarkExhausted(len(st.Queues) - 1 - c)
 				return
 			}
 			a := capC
@@ -216,12 +167,6 @@ func (ElasticFirst) Allocate(st *sim.State, ws *sim.ShareSet) {
 			remaining -= a
 		}
 	}
-}
-
-// ArrivalShadowed implements sim.ArrivalShadowPolicy: EF's walk position of
-// class c is its rank in descending index order.
-func (ElasticFirst) ArrivalShadowed(st *sim.State, exhaustedAt int, c sim.Class) bool {
-	return exhaustedAt <= len(st.Queues)-1-int(c)
 }
 
 // classOrder caches a derived class ordering so that it is computed once per
@@ -273,12 +218,6 @@ func (p *LeastFlexibleFirst) Allocate(st *sim.State, ws *sim.ShareSet) {
 	priorityAllocate(st, ws, order)
 }
 
-// ArrivalShadowed implements sim.ArrivalShadowPolicy.
-func (p *LeastFlexibleFirst) ArrivalShadowed(st *sim.State, exhaustedAt int, c sim.Class) bool {
-	order := p.co.get(st.Classes, func(a, b sim.ClassSpec) bool { return a.Cap() < b.Cap() })
-	return orderShadowed(exhaustedAt, c, order)
-}
-
 // SmallestMeanFirst prioritizes classes by ascending mean job size — the
 // natural generalization of "give priority to the smaller class" suggested
 // by Theorems 1 and 5. Classes should carry a Size distribution (the sweep
@@ -303,12 +242,6 @@ func meanSize(c sim.ClassSpec) float64 {
 func (p *SmallestMeanFirst) Allocate(st *sim.State, ws *sim.ShareSet) {
 	order := p.co.get(st.Classes, func(a, b sim.ClassSpec) bool { return meanSize(a) < meanSize(b) })
 	priorityAllocate(st, ws, order)
-}
-
-// ArrivalShadowed implements sim.ArrivalShadowPolicy.
-func (p *SmallestMeanFirst) ArrivalShadowed(st *sim.State, exhaustedAt int, c sim.Class) bool {
-	order := p.co.get(st.Classes, func(a, b sim.ClassSpec) bool { return meanSize(a) < meanSize(b) })
-	return orderShadowed(exhaustedAt, c, order)
 }
 
 // FCFS serves jobs of every class in one global first-come-first-serve
@@ -496,14 +429,6 @@ func (g Greedy) Allocate(st *sim.State, ws *sim.ShareSet) {
 	// muE > muI: all servers to the elastic head job maximizes rate;
 	// leftovers go to inelastic jobs.
 	ElasticFirst{}.Allocate(st, ws)
-}
-
-// ArrivalShadowed implements sim.ArrivalShadowPolicy.
-func (g Greedy) ArrivalShadowed(st *sim.State, exhaustedAt int, c sim.Class) bool {
-	if g.MuI >= g.MuE {
-		return InelasticFirst{}.ArrivalShadowed(st, exhaustedAt, c)
-	}
-	return ElasticFirst{}.ArrivalShadowed(st, exhaustedAt, c)
 }
 
 // Threshold interpolates between EF and IF on the two-class preset: when

@@ -23,10 +23,14 @@ import (
 	"repro/internal/exp"
 )
 
-// Defaults for the backend-down backoff window.
 const (
-	defaultBackendRetryBase = 1 * time.Second
-	defaultBackendRetryMax  = 60 * time.Second
+	// backendRetryBase and backendRetryMax shape the backend-down backoff
+	// window: after a flight fails with exp.ErrBackendUnavailable, new
+	// computations are refused (503 + Retry-After) for backendRetryBase,
+	// doubling per consecutive failure up to backendRetryMax; cache hits
+	// keep serving throughout.
+	backendRetryBase = 1 * time.Second
+	backendRetryMax  = 60 * time.Second
 	// retryAfterCap bounds any Retry-After hint we hand out; beyond this a
 	// client should be polling anyway.
 	retryAfterCap = 300
@@ -59,26 +63,12 @@ func (s *Server) noteFlightOutcome(err error, took time.Duration) {
 	}
 	s.backendUnavail.Add(1)
 	s.backendFailures++
-	window := s.backendRetryBase() << (s.backendFailures - 1)
-	if max := s.backendRetryMax(); window > max || window <= 0 {
-		window = max
+	window := s.retryBase << (s.backendFailures - 1)
+	if window > backendRetryMax || window <= 0 {
+		window = backendRetryMax
 	}
 	s.backendDownUntil = time.Now().Add(window)
 	s.opts.Logf("serve: backend unavailable (failure %d): refusing new computations for %v; cache hits keep serving", s.backendFailures, window)
-}
-
-func (s *Server) backendRetryBase() time.Duration {
-	if s.opts.BackendRetryBase > 0 {
-		return s.opts.BackendRetryBase
-	}
-	return defaultBackendRetryBase
-}
-
-func (s *Server) backendRetryMax() time.Duration {
-	if s.opts.BackendRetryMax > 0 {
-		return s.opts.BackendRetryMax
-	}
-	return defaultBackendRetryMax
 }
 
 // backendDown reports whether the down window is currently open, and if so

@@ -65,8 +65,8 @@ func TestBackendDownDegradation(t *testing.T) {
 			ReconnectBackoff: 10 * time.Millisecond,
 			RedialBudget:     300 * time.Millisecond,
 		}},
-		BackendRetryBase: 2 * time.Second,
 	})
+	s.retryBase = 2 * time.Second
 	defer s.Close()
 
 	swA := testSweep(31, 1)
@@ -143,8 +143,8 @@ func TestBackendRecoveryProbe(t *testing.T) {
 			ReconnectBackoff: 10 * time.Millisecond,
 			RedialBudget:     200 * time.Millisecond,
 		}},
-		BackendRetryBase: 300 * time.Millisecond,
 	})
+	s.retryBase = 300 * time.Millisecond
 	defer s.Close()
 
 	sw := testSweep(33, 1)

@@ -99,13 +99,6 @@ type Options struct {
 	// onto the backend. Coalesced joins of an existing flight are always
 	// admitted — they cost no backend work.
 	MaxInflight int
-	// BackendRetryBase and BackendRetryMax shape the backend-down backoff
-	// window: after a flight fails with exp.ErrBackendUnavailable, new
-	// computations are refused (503 + Retry-After) for BackendRetryBase,
-	// doubling per consecutive failure up to BackendRetryMax; cache hits
-	// keep serving throughout. <= 0 means 1s and 60s.
-	BackendRetryBase time.Duration
-	BackendRetryMax  time.Duration
 	// Logf receives operational events; nil discards them.
 	Logf func(format string, args ...any)
 }
@@ -137,8 +130,10 @@ type Server struct {
 	flightEWMA       float64
 
 	bufPool sync.Pool
-	// bodyTimeout is bodyReadTimeout; tests shorten it.
+	// bodyTimeout is bodyReadTimeout and retryBase is backendRetryBase;
+	// tests shorten them.
 	bodyTimeout time.Duration
+	retryBase   time.Duration
 
 	requests       atomic.Int64
 	hits           atomic.Int64
@@ -178,6 +173,7 @@ func New(opts Options) *Server {
 		flights: map[string]*flight{},
 
 		bodyTimeout: bodyReadTimeout,
+		retryBase:   backendRetryBase,
 	}
 	s.bufPool.New = func() any { b := make([]byte, 4096); return &b }
 	return s

@@ -11,18 +11,16 @@ package sim
 // Policy API boundary (State.Queues) is exactly as valid as it was when
 // jobs were individually heap-allocated.
 //
-// Handles are what the hot structures store: the future-event lists carry
-// pointer-free handle entries (no write barrier on heap swaps) and the EQUI
-// path's per-class vtarget heaps carry inline {vtarget, id, handle} keys,
-// so the event hot path walks cache-line-sequential memory instead of
-// chasing pointers across the GC heap.
+// Handles are what the hot structures store: the future-event list and the
+// EQUI path's per-class vtarget queues carry pointer-free handle entries
+// (no write barrier on heap swaps).
 //
 // Aliasing safety: a recycled slot can never inherit an event from its
-// previous life. The engine's indexed future-event list
-// (eventq.IndexedQueue) holds at most one entry per handle and the engine
-// pops or removes a job's entry before releasing its slot. So by the time a
-// handle re-enters circulation, no queue anywhere references it.
-// TestArenaRecycleNoAlias pins this.
+// previous life. Every indexed queue the engine keeps (eventq.IndexedQueue)
+// holds at most one entry per handle, and the engine pops or removes a
+// job's entry before releasing its slot. So by the time a handle re-enters
+// circulation, no queue anywhere references it. TestArenaRecycleNoAlias
+// pins this.
 
 // jobHandle is a dense index into a jobArena: chunk in the high bits, slot
 // within the chunk in the low bits.

@@ -82,7 +82,6 @@ func (arenaIFPolicy) Allocate(st *State, ws *ShareSet) {
 		capC := st.Classes[c].Cap()
 		for _, j := range st.Queues[c] {
 			if remaining <= 0 {
-				ws.MarkExhausted(c)
 				return
 			}
 			a := capC
@@ -96,8 +95,8 @@ func (arenaIFPolicy) Allocate(st *State, ws *ShareSet) {
 }
 
 // arenaEquiPolicy is a minimal class-share policy — every resident job gets
-// min(cap, k/N) — driving the EQUI-style vtarget-heap path, whose per-class
-// heaps also store arena handles.
+// min(cap, k/N) — driving the EQUI-style class-share path, whose per-class
+// vtarget queues also store arena handles.
 type arenaEquiPolicy struct{}
 
 func (arenaEquiPolicy) Name() string { return "ARENA-EQ" }
@@ -134,7 +133,7 @@ func (p arenaEquiPolicy) ClassShares(st *State, shares []float64) {
 
 // checkNoAlias asserts that no handle on the arena free list is referenced
 // by any hot structure: the indexed future-event list, the active set, or a
-// class-share vtarget heap. Combined with the engines popping/removing a
+// class-share vtarget queue. Combined with the engines popping/removing a
 // job's entry before release, this is exactly the no-alias guarantee the
 // arena documents (a recycled slot can never inherit an event).
 func checkNoAlias(t *testing.T, sys *System) {
@@ -164,12 +163,10 @@ func checkNoAlias(t *testing.T, sys *System) {
 		}
 	}
 	if cs := sys.cs; cs != nil {
-		for c := range cs.vq {
-			for _, b := range cs.vq[c].bucket {
-				for i := range b {
-					if free[b[i].h] {
-						t.Fatalf("free handle %d is still in class %d's vtarget heap", b[i].h, c)
-					}
+		for h := range free {
+			for c := range cs.vq {
+				if cs.vq[c].Contains(h) {
+					t.Fatalf("free handle %d is still in class %d's vtarget queue", h, c)
 				}
 			}
 		}

@@ -27,11 +27,10 @@ package sim
 //     head event per class, O(#classes) per event. SRPT-style policies
 //     (RemainingOrderedPolicy) run on an engine-native indexed heap over
 //     remaining sizes (srpt_inc.go), O(k log n) per event. Under
-//     Options.ForceDense or SIM_FORCE_DENSE every policy runs on the
-//     settle-all path instead: settle every job, run the same Allocate and
-//     diff every resident job, with no active set, memo or arrival shadow.
-//     That is O(n) per event; it is the oracle the differential test
-//     harness diffs all fast paths against.
+//     Options.ForceDense every policy runs on the settle-all path instead:
+//     settle every job, run the same Allocate and diff every resident job,
+//     with no active set. That is O(n) per event; it is the oracle the
+//     differential test harness diffs all fast paths against.
 //
 // Per-class aggregates (incRate, incWork, incTotal) replace the metrics
 // integrator's per-job scans; they are renormalized to exact zero whenever
@@ -67,12 +66,6 @@ type ShareSet struct {
 	writes []ShareWrite
 	served []uint64
 	epoch  uint64
-	// exhaustedAt is the policy-reported walk position at which the server
-	// budget ran out this event (MarkExhausted), or -1 when the walk ended
-	// with budget to spare. It is the policy's own decision — not a float
-	// recomputation — which is what lets the shadowed-arrival fast path
-	// (ArrivalShadowPolicy) stay bit-exact.
-	exhaustedAt int
 }
 
 // Add records that j should receive share servers. A job must be added at
@@ -88,13 +81,6 @@ func (ws *ShareSet) Served(c int) bool { return ws.served[c] == ws.epoch }
 // MarkServed flags class c as already walked this event.
 func (ws *ShareSet) MarkServed(c int) { ws.served[c] = ws.epoch }
 
-// MarkExhausted records that the policy's walk ran out of server budget at
-// walk position pos (policy-defined; for the class-priority family it is
-// the index into the class walk order). Every job the walk would have
-// visited at or after this position received nothing. Policies implementing
-// ArrivalShadowPolicy must call it exactly when their early-out triggers.
-func (ws *ShareSet) MarkExhausted(pos int) { ws.exhaustedAt = pos }
-
 // Writes returns the writes since the last Reset, in Add order. The slice
 // is owned by the set and reused by the next event.
 func (ws *ShareSet) Writes() []ShareWrite { return ws.writes }
@@ -104,33 +90,11 @@ func (ws *ShareSet) Writes() []ShareWrite { return ws.writes }
 // zero, epochs at one, so a brand-new slice is never spuriously served).
 func (ws *ShareSet) Reset(numClasses int) {
 	ws.writes = ws.writes[:0]
-	ws.exhaustedAt = -1
 	ws.epoch++
 	if cap(ws.served) < numClasses {
 		ws.served = make([]uint64, numClasses)
 	}
 	ws.served = ws.served[:numClasses]
-}
-
-// ArrivalShadowPolicy is an optional Policy extension for policies
-// that can prove an arrival leaves their decision untouched. A new arrival
-// always joins the tail of its class's FCFS queue; if the policy's last
-// walk ran out of budget at or before the point where that tail would be
-// visited, the new job is shadowed — it receives nothing and no other
-// job's share moves, so the engine skips the policy rerun entirely.
-//
-// ArrivalShadowed is consulted with exhaustedAt = the position the last
-// Allocate reported via ShareSet.MarkExhausted (never -1), and must
-// answer from that mark alone: "is the tail of class c's queue at or after
-// walk position exhaustedAt?" The engine only asks while the last applied
-// write-set is still in force (no completion intervened), so the mark
-// still describes the live allocation. Profiling note: on the N=10k
-// occupancy benchmark this removes the full policy walk + write-set
-// compare that every arrival-refresh otherwise pays just to discover
-// nothing changed.
-type ArrivalShadowPolicy interface {
-	Policy
-	ArrivalShadowed(st *State, exhaustedAt int, c Class) bool
 }
 
 // settleJob brings j.Remaining up to the current clock under its rate.
@@ -224,31 +188,11 @@ func (s *System) refreshAllocation() {
 }
 
 // applySparse diffs the policy's write-set against the previous active set.
-// When the raw write-set is byte-identical to the one it applied last time
-// and no completion has intervened, the decision is proven unchanged and
-// the whole diff (round stamps, bounds checks, active-set rebuild) is
-// skipped — the shape of every refresh that follows an arrival into a deep
-// backlog.
 func (s *System) applySparse() {
 	const eps = 1e-9
 	w := s.incWrites.writes
-	if s.incPrevValid && len(w) == len(s.incPrev) {
-		same := true
-		for i := range w {
-			if w[i] != s.incPrev[i] {
-				same = false
-				break
-			}
-		}
-		if same {
-			return
-		}
-	}
 	s.incRound++
 	next := s.incActiveBuf[:0]
-	for c := range s.incServed {
-		s.incServed[c] = 0
-	}
 	for i := range w {
 		j := w[i].Job
 		if j.round == s.incRound {
@@ -269,7 +213,6 @@ func (s *System) applySparse() {
 		}
 		if j.servers > 0 {
 			next = append(next, j)
-			s.incServed[j.Class]++
 		}
 	}
 	// Jobs that held servers last event but were not written this event
@@ -280,16 +223,12 @@ func (s *System) applySparse() {
 		}
 	}
 	s.incActive, s.incActiveBuf = next, s.incActive[:0]
-	// Swap the write-set backing into the memo (and hand the memo's old
-	// backing to the next Allocate) instead of copying it.
-	s.incPrev, s.incWrites.writes = w, s.incPrev[:0]
-	s.incPrevValid = true
 }
 
 // applyDense is the ForceDense diff: every resident job, class by class in
 // FCFS order, takes the share the policy wrote for it or drops to 0 —
-// O(n), with no active set and no memo, so it checks every shortcut
-// applySparse takes.
+// O(n), with no active set, so it checks every shortcut applySparse
+// takes.
 func (s *System) applyDense() {
 	const eps = 1e-9
 	s.incRound++
@@ -395,21 +334,6 @@ func (s *System) arriveInc(j *Job) {
 // recycle. The caller has already popped (or never armed) the job's event
 // entry, so its handle leaves the engine with no event referencing it.
 func (s *System) complete(j *Job) {
-	if s.sparse {
-		// Warm the about-to-be-promoted jobs: the refresh that follows this
-		// completion walks the first unserved job of some class (profiling
-		// shows its cold Job struct dominating the sparse event cost at deep
-		// backlogs). Starting the loads here overlaps their memory latency
-		// with the completion bookkeeping and the policy walk. Heuristic
-		// reads only — no simulation state depends on them.
-		sink := s.prefetchSink
-		for c, q := range s.queues {
-			if n := int(s.incServed[c]); n < len(q) {
-				sink += q[n].round
-			}
-		}
-		s.prefetchSink = sink
-	}
 	if s.cs != nil {
 		// Class-share jobs carry no per-job rate; their residual is derived
 		// from the class coordinate and the class aggregates shrink by one
@@ -434,8 +358,6 @@ func (s *System) complete(j *Job) {
 	s.incRate[j.Class] -= j.rate
 	s.metrics.busyRate = min(max(s.incTotal, 0), float64(s.k))
 	j.servers, j.rate = 0, 0
-	// Shares changed outside applySparse, so its last-writes memo is stale.
-	s.incPrevValid = false
 	q := s.queues[j.Class]
 	switch {
 	case s.orderBlind:

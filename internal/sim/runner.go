@@ -12,8 +12,7 @@ type ArrivalSource interface {
 	Next() (a Arrival, ok bool)
 }
 
-// SliceSource replays a fixed arrival slice. Arrivals must be time-ordered
-// (use SortArrivals).
+// SliceSource replays a fixed arrival slice. Arrivals must be time-ordered.
 type SliceSource struct {
 	Arrivals []Arrival
 	pos      int

@@ -20,19 +20,23 @@
 // an arena, the write-set handed to the policy is reused across events, and
 // departures are selected through an indexed future-event list.
 //
-// The stepping engine (incremental.go) keeps completion events across steps,
-// settles per-job remaining work lazily, and re-touches only jobs whose
-// allocation actually changed — O(changed · log n) per event for the
-// strict-priority policy family, which is what makes near-saturation
-// (rho → 1) sweeps with thousands of resident jobs tractable. Its settle-all
-// path (Options.ForceDense) runs the same Allocate with every shortcut off
-// and is kept as the differential oracle of the fast paths.
+// A Policy is two methods, Name and Allocate. The stepping engine
+// (incremental.go) keeps completion events across steps, settles per-job
+// remaining work lazily, and re-touches only jobs whose allocation actually
+// changed — O(changed · log n) per event for the strict-priority policy
+// family, which is what makes near-saturation (rho → 1) sweeps with
+// thousands of resident jobs tractable. Two optional facets give the
+// policies an honest write-set cannot cover a structural fast path at any
+// occupancy: ClassSharePolicy (EQUI, O(#classes) per event, classshare.go)
+// and RemainingOrderedPolicy (SRPT-k, O(k log n), srpt_inc.go). The
+// settle-all path (Options.ForceDense) runs the same Allocate with every
+// shortcut off and is kept as the differential oracle of the fast paths.
 package sim
 
 import (
 	"fmt"
 	"os"
-	"sort"
+	"testing"
 
 	"repro/internal/dist"
 	"repro/internal/eventq"
@@ -118,21 +122,17 @@ type Job struct {
 	// hpos is the job's position in the sparse SRPT path's indexed heap
 	// (srpt_inc.go), -1 when absent; qpos is the job's index in its class
 	// queue, maintained only by the queue-order-blind engine modes so
-	// departures swap-remove in O(1); vtarget is the job's completion
-	// coordinate on its class's virtual-time axis under the sparse EQUI
-	// path (classshare.go).
-	hpos    int32
-	qpos    int32
-	vtarget float64
+	// departures swap-remove in O(1).
+	hpos int32
+	qpos int32
 
 	ID      int
 	Arrival float64
 	Size    float64
 
 	// handle is the job's slot in the engine's arena (arena.go) — the
-	// pointer-free address the future-event list and the EQUI vtarget heaps
-	// store. Fixed when the slot is first carved out of a chunk; survives
-	// recycling.
+	// pointer-free address the engine's indexed queues store. Fixed when
+	// the slot is first carved out of a chunk; survives recycling.
 	handle jobHandle
 }
 
@@ -160,26 +160,11 @@ type Policy interface {
 	Allocate(st *State, ws *ShareSet)
 }
 
-// Completion records one finished job. Job carries the identity fields
-// (ID, Class, Arrival, Size; Remaining is zero on a finished job) —
-// materialized from the engine's compact per-completion record at the
-// AdvanceTo/Drain boundary, so engine-internal scheduling state never
-// rides along on the hot path.
+// Completion records one finished job: a copy of the job as it left
+// (Remaining is zero) and its finish time.
 type Completion struct {
 	Job      Job
 	Finished float64
-}
-
-// completionRecord is the engine-internal shape of one completion: ~40
-// bytes against Completion's ~112, appended by appendCompletion and
-// expanded into full Completions only when AdvanceTo/Drain return to the
-// caller (the RunObserved/recorder boundary).
-type completionRecord struct {
-	finished float64
-	arrival  float64
-	size     float64
-	id       int
-	class    Class
 }
 
 // Response returns the job's response time.
@@ -188,14 +173,14 @@ func (c Completion) Response() float64 { return c.Finished - c.Job.Arrival }
 // Options configure a System beyond the model parameters.
 type Options struct {
 	// ForceDense turns off every engine shortcut: the class-share path, the
-	// remaining-size heap, the active set, the write-set memo and the
-	// shadowed-arrival skip. Each refresh settles every job, runs the same
-	// Allocate and diffs every resident job (an unwritten job drops to 0).
-	// That settle-all path is the oracle the differential test harness diffs
-	// the fast paths against; this switch keeps it reachable forever. The
-	// SIM_FORCE_DENSE environment variable (any nonempty value) has the same
-	// effect, so the oracle can also be forced through CLIs and CI without a
-	// code change.
+	// remaining-size heap and the active set. Each refresh settles every
+	// job, runs the same Allocate and diffs every resident job (an unwritten
+	// job drops to 0). That settle-all path is the oracle the differential
+	// test harness diffs the fast paths against; this switch keeps it
+	// reachable forever. In a test binary only, the SIM_FORCE_DENSE
+	// environment variable (any nonempty value) has the same effect, so a
+	// test can force the oracle under a whole sweep; production binaries
+	// ignore it and always answer with the fast paths' bytes.
 	ForceDense bool
 }
 
@@ -237,14 +222,12 @@ type System struct {
 
 	metrics Metrics
 
-	// records collects the compact per-completion records of the current
-	// AdvanceTo/Drain; completionsBuf is the materialized Completion slice
-	// handed back to the caller, reused across calls. jobs is the arena
-	// that owns and recycles every Job struct.
-	records        []completionRecord
-	completionsBuf []Completion
-	jobs           jobArena
-	numJobs        int
+	// completions collects the current AdvanceTo/Drain's completions; the
+	// slice is handed back to the caller and reused across calls. jobs is
+	// the arena that owns and recycles every Job struct.
+	completions []Completion
+	jobs        jobArena
+	numJobs     int
 
 	allocDirty bool
 
@@ -258,7 +241,6 @@ type System struct {
 	// marks the modes whose policies never read FCFS queue positions,
 	// letting departures swap-remove from the queue slices in O(1).
 	sparse       bool
-	arrShadow    ArrivalShadowPolicy // the policy's shadowed-arrival facet on the sparse path, when offered
 	cs           *classShareState
 	srpt         *srptState
 	orderBlind   bool
@@ -269,21 +251,6 @@ type System struct {
 	incActiveBuf []*Job
 	incWrites    ShareSet
 	incRound     uint64
-
-	// incServed[c] counts class c's jobs in incActive as of the last sparse
-	// apply; prefetchSink forces the service-boundary warmup loads in
-	// complete to stay in the compiled code. Both are heuristic-only
-	// state: no simulation quantity ever reads them.
-	incServed    []int32
-	prefetchSink uint64
-
-	// incPrev is the raw write-set the last applySparse applied. While no
-	// completion has intervened (incPrevValid), a refresh producing the
-	// exact same writes is a proven no-op and skips the whole diff — the
-	// common shape of the refresh that follows an arrival into a deep
-	// backlog, where the served prefix is unchanged.
-	incPrev      []ShareWrite
-	incPrevValid bool
 
 	// denseShare holds, by arena handle, the share the last Allocate wrote
 	// for each job; only the ForceDense diff reads it.
@@ -328,8 +295,7 @@ func NewClassSystemOpts(k int, classes []ClassSpec, policy Policy, opts Options)
 	s.metrics.Reset(0)
 	s.incRate = make([]float64, len(classes))
 	s.incWork = make([]float64, len(classes))
-	s.incServed = make([]int32, len(classes))
-	if !opts.ForceDense && os.Getenv("SIM_FORCE_DENSE") == "" {
+	if !opts.ForceDense && !(testing.Testing() && os.Getenv("SIM_FORCE_DENSE") != "") {
 		switch p := policy.(type) {
 		case ClassSharePolicy:
 			s.cs = newClassShareState(p, s)
@@ -339,7 +305,6 @@ func NewClassSystemOpts(k int, classes []ClassSpec, policy Policy, opts Options)
 			s.orderBlind = true
 		default:
 			s.sparse = true
-			s.arrShadow, _ = policy.(ArrivalShadowPolicy)
 		}
 	}
 	return s
@@ -416,7 +381,6 @@ func (s *System) Arrive(a Arrival) *Job {
 	j.servers = 0
 	j.updated = s.clock
 	j.round = 0
-	j.vtarget = 0
 	j.hpos = -1
 	j.qpos = int32(len(s.queues[a.Class]))
 	j.ID = s.nextID
@@ -429,15 +393,6 @@ func (s *System) Arrive(a Arrival) *Job {
 	s.metrics.arrivals[a.Class]++
 	s.incWork[a.Class] += a.Size
 	s.arriveInc(j)
-	// Shadowed-arrival fast path: if the policy's last walk provably stops
-	// before it would reach this job (ArrivalShadowPolicy), the allocation is
-	// unchanged and the refresh is skipped outright. Only valid while the
-	// last applied write-set is still in force — completions clear
-	// incPrevValid.
-	if s.arrShadow != nil && s.incPrevValid && s.incWrites.exhaustedAt >= 0 &&
-		s.arrShadow.ArrivalShadowed(&s.st, s.incWrites.exhaustedAt, a.Class) {
-		return j
-	}
 	s.allocDirty = true
 	return j
 }
@@ -449,7 +404,7 @@ func (s *System) AdvanceTo(t float64) []Completion {
 	if t < s.clock-1e-12 {
 		panic(fmt.Sprintf("sim: AdvanceTo(%v) before clock %v", t, s.clock))
 	}
-	s.records = s.records[:0]
+	s.completions = s.completions[:0]
 	for {
 		s.refreshAllocation()
 		j, tc := s.peekLive()
@@ -490,48 +445,24 @@ func (s *System) AdvanceTo(t float64) []Completion {
 	}
 	// Clamp accumulated floating error so coupled runs stay aligned.
 	s.clock = t
-	return s.materializeCompletions()
+	return s.completions
 }
 
-// appendCompletion is the one completion append site: compact record,
+// appendCompletion is the one completion append site: completion record,
 // response statistics, slot recycling. Callers must have settled Remaining
 // and removed the job from its queue.
 func (s *System) appendCompletion(j *Job) {
-	s.records = append(s.records, completionRecord{
-		finished: s.clock, arrival: j.Arrival, size: j.Size, id: j.ID, class: j.Class,
-	})
+	s.completions = append(s.completions, Completion{Job: *j, Finished: s.clock})
 	s.metrics.recordCompletion(j, s.clock)
 	s.jobs.release(j)
 	s.numJobs--
 	s.allocDirty = true
 }
 
-// materializeCompletions expands the compact records of the finished
-// AdvanceTo into caller-visible Completions through one grown buffer —
-// same-timestamp batches flush together, and the scheduling-internal Job
-// fields the records dropped stay zero.
-func (s *System) materializeCompletions() []Completion {
-	if cap(s.completionsBuf) < len(s.records) {
-		s.completionsBuf = make([]Completion, 0, max(len(s.records), 16))
-	}
-	out := s.completionsBuf[:len(s.records)]
-	for i := range s.records {
-		r := &s.records[i]
-		o := &out[i]
-		*o = Completion{Finished: r.finished}
-		o.Job.ID = r.id
-		o.Job.Class = r.class
-		o.Job.Arrival = r.arrival
-		o.Job.Size = r.size
-	}
-	s.completionsBuf = out
-	return out
-}
-
 // Drain runs the system until it empties or the clock passes horizon,
 // returning all completions.
 func (s *System) Drain(horizon float64) []Completion {
-	s.records = s.records[:0]
+	s.completions = s.completions[:0]
 	for s.NumJobs() > 0 && s.clock < horizon {
 		s.refreshAllocation()
 		j, tc := s.peekLive()
@@ -546,7 +477,7 @@ func (s *System) Drain(horizon float64) []Completion {
 	}
 	// Drain's result must survive subsequent stepping, so it gets its own
 	// slice rather than the reused AdvanceTo buffer.
-	return append([]Completion(nil), s.materializeCompletions()...)
+	return append([]Completion(nil), s.completions...)
 }
 
 // pushQueue appends j to its class queue. While the window has tail
@@ -609,10 +540,4 @@ func clamp(v, lo, hi float64) float64 {
 		return hi
 	}
 	return v
-}
-
-// SortArrivals orders arrivals by time (stable), as required by Replay and
-// the coupled-run drivers.
-func SortArrivals(arrivals []Arrival) {
-	sort.SliceStable(arrivals, func(i, j int) bool { return arrivals[i].Time < arrivals[j].Time })
 }

@@ -293,14 +293,6 @@ func TestDrainHorizon(t *testing.T) {
 	}
 }
 
-func TestSortArrivals(t *testing.T) {
-	arr := []Arrival{{Time: 3}, {Time: 1}, {Time: 2}}
-	SortArrivals(arr)
-	if arr[0].Time != 1 || arr[1].Time != 2 || arr[2].Time != 3 {
-		t.Fatalf("sorted %v", arr)
-	}
-}
-
 func TestClassString(t *testing.T) {
 	if Inelastic.String() != "inelastic" || Elastic.String() != "elastic" {
 		t.Fatal("class strings wrong")

@@ -2,9 +2,9 @@
 # Engine benchmark harness: runs the hot-path benchmarks (two-class and
 # multi-class stepping, the occupancy scaling under IF, EQUI and SRPT at
 # n in {10, 100, 1k, 10k}, the end-to-end simulator throughput, the
-# Figure 4c heat map with its allocations, the QBD R solve alone on three
-# figure chains, and the internal/serve loopback serving path — cache-hit
-# and coalesced req/sec) and
+# Figure 4c heat map with its allocations, the QBD solve on one held
+# workspace on three figure chains, and the internal/serve loopback serving
+# path — cache-hit and coalesced req/sec) and
 # APPENDS one dated entry to BENCH_engine.json via cmd/benchlog, so the
 # perf trajectory across PRs is preserved (a legacy single-snapshot file is
 # migrated into the history's first entry automatically).
@@ -17,9 +17,10 @@
 # Usage: scripts/bench.sh [benchtime]            (default 1s)
 #        scripts/bench.sh profile [benchtime]    (profile mode)
 #
-# Profile mode appends nothing: it reruns the occupancy-scaling hot path
-# (BenchmarkEngineEventN10k, the constant being attacked) under the CPU,
-# allocation and mutex profilers and drops flamegraph-ready BENCH_cpu.prof /
+# Profile mode appends nothing: it reruns the occupancy-scaling hot path at
+# n = 100 (BenchmarkEngineEventN100, near the 10-120 resident jobs of the
+# benchmark sweep's rho 0.98 cells) under the CPU, allocation and mutex
+# profilers and drops flamegraph-ready BENCH_cpu.prof /
 # BENCH_mem.prof / BENCH_mutex.prof (plus the test binary BENCH_bench.test
 # for symbolizing) next to BENCH_engine.json. Inspect with e.g.
 #   go tool pprof -http=: BENCH_bench.test BENCH_cpu.prof
@@ -31,8 +32,8 @@ OUT="BENCH_engine.json"
 
 if [ "${1:-}" = "profile" ]; then
   BENCHTIME="${2:-1s}"
-  echo "==> profiling BenchmarkEngineEventN10k (-benchtime $BENCHTIME)"
-  go test ./internal/sim -run '^$' -bench 'BenchmarkEngineEventN10k' \
+  echo "==> profiling BenchmarkEngineEventN100 (-benchtime $BENCHTIME)"
+  go test ./internal/sim -run '^$' -bench '^BenchmarkEngineEventN100$' \
     -benchtime "$BENCHTIME" -o BENCH_bench.test \
     -cpuprofile BENCH_cpu.prof -memprofile BENCH_mem.prof -mutexprofile BENCH_mutex.prof
   # Smoke: the profiles must load and be non-trivial, or the wiring rotted.
@@ -58,10 +59,11 @@ go test ./internal/sim -run '^$' -bench 'BenchmarkEngineEvent' -timeout 0 \
 go test . -run '^$' -bench 'BenchmarkSimulatorThroughput|BenchmarkFigure4cHighLoad' -timeout 0 \
   -benchmem -benchtime "$BENCHTIME" -count "$BENCH_COUNT" | tee -a "$RAW"
 
-echo "==> go test -bench BenchmarkSolveRFigureChains (-benchtime $BENCHTIME, best of $BENCH_COUNT)"
-# The R solve (logarithmic reduction) that ends every Figure 4-6 point: IF
-# and EF at k 4, IF at k 16, rho 0.9.
-go test ./internal/mrt -run '^$' -bench 'BenchmarkSolveRFigureChains' -timeout 0 \
+echo "==> go test -bench BenchmarkSolveFigureChains (-benchtime $BENCHTIME, best of $BENCH_COUNT)"
+# The QBD solve that ends every Figure 4-6 point, on one held workspace as
+# the figures run it (0 allocs/op once warm): IF and EF at k 4, IF at k 16,
+# rho 0.9.
+go test ./internal/mrt -run '^$' -bench 'BenchmarkSolveFigureChains' -timeout 0 \
   -benchmem -benchtime "$BENCHTIME" -count "$BENCH_COUNT" | tee -a "$RAW"
 
 echo "==> go test -bench BenchmarkServe (-benchtime $BENCHTIME, best of $BENCH_COUNT)"

@@ -86,6 +86,16 @@ sweep_flags="-k 2 -rho 0.5,0.7 -muI 1,2 -muE 1 -policy IF,EF -reps 2 -warmup 200
 "$tmp/simulate" $sweep_flags -json "$tmp/pool.json" >/dev/null
 echo "    pool reference ResultSet recorded ($(wc -c < "$tmp/pool.json") bytes)"
 
+echo "==> production-oracle gate (SIM_FORCE_DENSE reaches test binaries only: simulate answers with the same bytes with or without it)"
+dense_flags="-k 4,16 -rho 0.9 -muI 2,0.5 -muE 1 -policy IF,EF,EQUI,SRPT,LFF -reps 1 -jobs 20000"
+"$tmp/simulate" $dense_flags -json "$tmp/fast.json" >/dev/null
+SIM_FORCE_DENSE=1 "$tmp/simulate" $dense_flags -json "$tmp/dense_env.json" >/dev/null
+if ! cmp "$tmp/fast.json" "$tmp/dense_env.json"; then
+  echo "FAIL: simulate under SIM_FORCE_DENSE=1 answered with other bytes; the oracle switch must not reach a production binary" >&2
+  exit 1
+fi
+echo "    simulate ignored SIM_FORCE_DENSE ($(wc -c < "$tmp/fast.json") bytes, identical)"
+
 echo "==> printed-figures gate (figures -fig 4, 5, 6 and ablation print exactly the bytes in cmd/figures/testdata, which the functional-iteration solver wrote)"
 go build -o "$tmp/figures" ./cmd/figures
 for fig in 4 5 6 ablation; do
