@@ -10,9 +10,6 @@
 //
 //	[{"date": "...", "note": "...", "benchmarks": [{"benchmark": ..., "ns_per_op": ...}, ...]}, ...]
 //
-// A pre-existing file in the legacy format (a bare array of benchmark
-// objects, the single-snapshot layout written before this tool) is
-// migrated in place: the old snapshot becomes the history's first entry.
 // scripts/bench.sh is the intended caller.
 //
 // The BenchmarkEngineEventN* occupancy-scaling family additionally records
@@ -24,12 +21,10 @@
 // With -check, nothing is appended: the run on stdin is compared against
 // the newest entry already in the history, and the command fails when any
 // benchmark present in both slowed down by more than -threshold (default
-// 10%) in ns/op — or, for the BenchmarkEngineEventN* family, in
-// events_per_sec, or, for BenchmarkServe*, in requests_per_sec. Failure
-// lines include the observed spread across the
-// best-of-N samples on stdin. Benchmarks new in this run pass trivially;
-// benchmarks that disappeared are ignored. scripts/ci.sh runs this as the
-// BENCH_GATE.
+// 10%) in ns/op, with one line per such benchmark that includes the
+// observed spread across the best-of-N samples on stdin. Benchmarks new in
+// this run pass trivially; benchmarks that disappeared are ignored.
+// scripts/ci.sh runs this as the BENCH_GATE.
 package main
 
 import (
@@ -67,7 +62,7 @@ type Benchmark struct {
 }
 
 // engineEventFamily marks the occupancy-scaling benchmarks that get the
-// derived events_per_sec column and its -check gate.
+// derived events_per_sec column.
 func engineEventFamily(name string) bool {
 	return strings.HasPrefix(name, "BenchmarkEngineEventN")
 }
@@ -165,50 +160,36 @@ func spread(samples []float64) string {
 	return fmt.Sprintf(" [observed %.1f..%.1f ns/op across %d samples]", lo, hi, len(samples))
 }
 
-// load reads the existing history, migrating the legacy single-snapshot
-// layout (a bare array of benchmark objects) into the first history entry.
+// load reads the existing history. A file that is not a list of runs (an
+// unknown field anywhere) is an error, not an empty baseline.
 func load(path string) ([]Run, error) {
-	data, err := os.ReadFile(path)
+	f, err := os.Open(path)
 	if errors.Is(err, os.ErrNotExist) {
 		return nil, nil
 	}
 	if err != nil {
 		return nil, err
 	}
+	defer f.Close()
+	dec := json.NewDecoder(f)
+	dec.DisallowUnknownFields()
 	var runs []Run
-	if err := json.Unmarshal(data, &runs); err == nil && validRuns(runs) {
-		return runs, nil
+	if err := dec.Decode(&runs); err != nil {
+		return nil, fmt.Errorf("%s: %w", path, err)
 	}
-	var legacy []Benchmark
-	if err := json.Unmarshal(data, &legacy); err == nil && len(legacy) > 0 && legacy[0].Name != "" {
-		return []Run{{Date: "pre-history", Note: "legacy single snapshot (migrated)", Benchmarks: legacy}}, nil
-	}
-	return nil, fmt.Errorf("%s: unrecognized layout (neither run history nor legacy snapshot)", path)
-}
-
-// validRuns guards the happy-path unmarshal: json.Unmarshal accepts the
-// legacy layout into []Run with everything zero, which must fall through
-// to the migration branch instead.
-func validRuns(runs []Run) bool {
-	for _, r := range runs {
-		if r.Date == "" {
-			return false
-		}
-	}
-	return true
+	return runs, nil
 }
 
 // check compares the current run against the newest recorded entry and
-// returns one line per regression beyond threshold (e.g. 0.10 for 10%).
-// ns/op is gated everywhere; events_per_sec is additionally gated for the
-// BenchmarkEngineEventN* family so the N-scaling benchmarks participate in
-// the regression gate in the unit the ROADMAP goal is stated in, and
-// requests_per_sec is gated for the BenchmarkServe* serving family for the
-// same reason (the ISSUE's serving target is stated in req/sec). B/op and
-// allocs/op are pinned exactly by the test suite, and completions/sec is
-// derived from ns/op. Benchmarks missing from either side are skipped —
-// renames and additions must not brick CI. Failure lines carry the observed
-// best-of-N spread so a noisy-box trip is diagnosable from the log.
+// returns one line per benchmark whose ns/op slowed down beyond threshold
+// (e.g. 0.10 for 10%). ns/op is the one gated column: events_per_sec is
+// 1e9/ns_per_op, and the serve benchmarks report requests_per_sec as
+// requests (times fanout) over the elapsed time, so either one's ratio
+// restates ns/op's, up to ns/op's integer rounding; completions_per_sec is
+// derived from ns/op too. B/op and allocs/op are pinned exactly by the test
+// suite. Benchmarks missing from either side are skipped — renames and
+// additions must not brick CI. Failure lines carry the observed best-of-N
+// spread so a noisy-box trip is diagnosable from the log.
 func check(last Run, cur []Benchmark, threshold float64) []string {
 	prev := make(map[string]Benchmark, len(last.Benchmarks))
 	for _, b := range last.Benchmarks {
@@ -224,18 +205,6 @@ func check(last Run, cur []Benchmark, threshold float64) []string {
 			if ratio := *b.NsPerOp / *base.NsPerOp; ratio > 1+threshold {
 				bad = append(bad, fmt.Sprintf("%s: %.1f ns/op vs %.1f recorded on %s (%+.1f%%, threshold %+.0f%%)%s",
 					b.Name, *b.NsPerOp, *base.NsPerOp, last.Date, (ratio-1)*100, threshold*100, spread(b.samples)))
-			}
-		}
-		if b.EventsPerSec != nil && base.EventsPerSec != nil && *b.EventsPerSec > 0 {
-			if ratio := *base.EventsPerSec / *b.EventsPerSec; ratio > 1+threshold {
-				bad = append(bad, fmt.Sprintf("%s: %.0f events/sec vs %.0f recorded on %s (-%.1f%%, threshold %.0f%%)%s",
-					b.Name, *b.EventsPerSec, *base.EventsPerSec, last.Date, (1-1/ratio)*100, threshold*100, spread(b.samples)))
-			}
-		}
-		if b.ReqPerSec != nil && base.ReqPerSec != nil && *b.ReqPerSec > 0 {
-			if ratio := *base.ReqPerSec / *b.ReqPerSec; ratio > 1+threshold {
-				bad = append(bad, fmt.Sprintf("%s: %.0f requests/sec vs %.0f recorded on %s (-%.1f%%, threshold %.0f%%)%s",
-					b.Name, *b.ReqPerSec, *base.ReqPerSec, last.Date, (1-1/ratio)*100, threshold*100, spread(b.samples)))
 			}
 		}
 	}

@@ -7,6 +7,16 @@ import (
 
 func f(v float64) *float64 { return &v }
 
+// parsed returns parseBench's result for go test output text.
+func parsed(t *testing.T, text string) []Benchmark {
+	t.Helper()
+	benches, err := parseBench(strings.NewReader(text))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return benches
+}
+
 func TestCheck(t *testing.T) {
 	last := Run{Date: "2026-08-01", Benchmarks: []Benchmark{
 		{Name: "BenchmarkA", NsPerOp: f(100)},
@@ -77,18 +87,19 @@ BenchmarkEngineEvent-8   1000000   400.0 ns/op
 	}
 }
 
+// TestCheckGatesEventsPerSec: events/sec is 1e9/ns_per_op, so a 20% drop
+// in it is the 25% rise in ns/op, and -check reports it once.
 func TestCheckGatesEventsPerSec(t *testing.T) {
-	last := Run{Date: "d", Benchmarks: []Benchmark{
-		{Name: "BenchmarkEngineEventN10k/incremental", EventsPerSec: f(2.5e6)},
-	}}
-	cur := []Benchmark{
-		{Name: "BenchmarkEngineEventN10k/incremental", EventsPerSec: f(2.0e6)}, // -20%
+	last := Run{Date: "d", Benchmarks: parsed(t, "BenchmarkEngineEventN10k/incremental-8   1000000   400.0 ns/op\n")}
+	cur := parsed(t, "BenchmarkEngineEventN10k/incremental-8   1000000   500.0 ns/op\n")
+	if *last.Benchmarks[0].EventsPerSec != 2.5e6 || *cur[0].EventsPerSec != 2e6 {
+		t.Fatalf("events/sec %v, then %v; want 2.5e6, then 2e6", *last.Benchmarks[0].EventsPerSec, *cur[0].EventsPerSec)
 	}
 	bad := check(last, cur, 0.10)
-	if len(bad) != 1 || !strings.Contains(bad[0], "events/sec") {
-		t.Fatalf("want one events/sec regression, got %v", bad)
+	if len(bad) != 1 || !strings.Contains(bad[0], "ns/op") {
+		t.Fatalf("want one ns/op regression line, got %v", bad)
 	}
-	cur[0].EventsPerSec = f(2.4e6) // -4%: inside threshold
+	cur = parsed(t, "BenchmarkEngineEventN10k/incremental-8   1000000   416.0 ns/op\n") // events/sec -3.8%: inside threshold
 	if bad := check(last, cur, 0.10); len(bad) != 0 {
 		t.Fatalf("want no regressions, got %v", bad)
 	}
@@ -109,18 +120,17 @@ func TestParseBenchReadsRequestsPerSec(t *testing.T) {
 	}
 }
 
+// TestCheckGatesRequestsPerSec: a serve benchmark's requests/sec is
+// requests over elapsed time, so a 20% drop in it comes with a 25% rise in
+// ns/op, and -check reports it once.
 func TestCheckGatesRequestsPerSec(t *testing.T) {
-	last := Run{Date: "d", Benchmarks: []Benchmark{
-		{Name: "BenchmarkServeCacheHit", ReqPerSec: f(100000)},
-	}}
-	cur := []Benchmark{
-		{Name: "BenchmarkServeCacheHit", ReqPerSec: f(80000)}, // -20%
-	}
+	last := Run{Date: "d", Benchmarks: parsed(t, "BenchmarkServeCacheHit-1   500000   10000 ns/op   100000 requests/sec\n")}
+	cur := parsed(t, "BenchmarkServeCacheHit-1   400000   12500 ns/op   80000 requests/sec\n")
 	bad := check(last, cur, 0.10)
-	if len(bad) != 1 || !strings.Contains(bad[0], "requests/sec") {
-		t.Fatalf("want one requests/sec regression, got %v", bad)
+	if len(bad) != 1 || !strings.Contains(bad[0], "ns/op") {
+		t.Fatalf("want one ns/op regression line, got %v", bad)
 	}
-	cur[0].ReqPerSec = f(95000) // -5%: inside threshold
+	cur = parsed(t, "BenchmarkServeCacheHit-1   475000   10526 ns/op   95000 requests/sec\n") // -5%: inside threshold
 	if bad := check(last, cur, 0.10); len(bad) != 0 {
 		t.Fatalf("want no regressions, got %v", bad)
 	}

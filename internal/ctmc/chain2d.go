@@ -12,16 +12,6 @@ import (
 // simulator policy into one; mdp.OptimalPolicy.Alloc is another.
 type Alloc func(k, i, j int) (ai, ae float64)
 
-// PolicyChain builds the truncated 2D chain of Figure 1 for the given
-// allocation rule. States (i, j) with i <= capI, j <= capE are numbered with
-// the shorter axis innermost (see lattice); arrivals that would cross the
-// truncation boundary are dropped (their rate is simply absent), so the
-// result is exact for the truncated chain and approximates the infinite
-// chain from below in load.
-func PolicyChain(m queueing.Model, alloc Alloc, capI, capE int) *Chain {
-	return newLattice(capI, capE).chain(m, alloc)
-}
-
 // lattice numbers the states (i, j), i <= capI, j <= capE, of a truncated
 // policy chain. Every transition moves one step along one axis, so a chain
 // numbered with axis a innermost has band (cap_a + 1); newLattice puts the
@@ -50,6 +40,10 @@ func (g lattice) bandBytes() int {
 	return g.states() * (2*b + 1) * 8
 }
 
+// chain builds the truncated 2D chain of Figure 1 on g for the given
+// allocation rule. Arrivals that would cross the truncation boundary are
+// dropped (their rate is simply absent), so the result is exact for the
+// truncated chain and approximates the infinite chain from below in load.
 func (g lattice) chain(m queueing.Model, alloc Alloc) *Chain {
 	c := New(g.states())
 	for i := 0; i <= g.capI; i++ {

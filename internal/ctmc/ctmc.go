@@ -6,7 +6,7 @@
 // In this repository the engine plays three roles. It is the "ground truth"
 // numeric baseline that the paper attributes to [7]: the 2D chain of
 // Figure 1 for a queueing.Model, truncated far from the origin, solved
-// exactly (see PolicyChain in chain2d.go). It computes the Theorem 6
+// exactly (see SolvePolicy in chain2d.go). It computes the Theorem 6
 // counterexample values 35/12 and 33/12 by first-step analysis. And it
 // cross-validates the matrix-analytic pipeline of internal/qbd. The paper's
 // policies reach the chain through policy.CountRule, so it solves the code
@@ -201,8 +201,8 @@ func (c *Chain) AbsorptionReward(reward func(s int) float64) ([]float64, error) 
 		}
 		b[row] = reward(s)
 	}
-	x, err := linalg.Solve(a, b)
-	if err != nil {
+	x := make([]float64, m)
+	if err := linalg.SolveInto(x, a, b, new(linalg.LU)); err != nil {
 		return nil, err
 	}
 	out := make([]float64, n)

@@ -131,7 +131,7 @@ func TestStationaryMatchesDenseGTH(t *testing.T) {
 	m := queueing.Model{K: 4, LambdaI: 1.2, LambdaE: 1.2, MuI: 1, MuE: 1}
 	for _, caps := range [][2]int{{14, 6}, {10, 10}, {6, 14}} {
 		for _, name := range testPolicies {
-			add(fmt.Sprintf("%s/%dx%d", name, caps[0], caps[1]), PolicyChain(m, rule(t, name, m), caps[0], caps[1]))
+			add(fmt.Sprintf("%s/%dx%d", name, caps[0], caps[1]), newLattice(caps[0], caps[1]).chain(m, rule(t, name, m)))
 		}
 	}
 	r := xrand.New(18)
@@ -166,7 +166,7 @@ func TestPolicyChainNumbering(t *testing.T) {
 	for _, caps := range [][2]int{{5, 3}, {4, 4}, {3, 9}, {1, 30}, {30, 1}} {
 		capI, capE := caps[0], caps[1]
 		g := newLattice(capI, capE)
-		if band := PolicyChain(m, rule(t, "IF", m), capI, capE).band(); band != min(capI, capE)+1 {
+		if band := g.chain(m, rule(t, "IF", m)).band(); band != min(capI, capE)+1 {
 			t.Fatalf("caps %dx%d: band %d, want %d", capI, capE, band, min(capI, capE)+1)
 		}
 		seen := make([]bool, g.states())
@@ -186,7 +186,7 @@ func TestPolicyChainNumbering(t *testing.T) {
 }
 
 // TestPolicyChainNumberingOnlyRelabels solves chains with capE > capI, which
-// PolicyChain numbers with i innermost, and compares every Perf field with
+// newLattice numbers with i innermost, and compares every Perf field with
 // the dense reference on the same chain numbered row-major.
 func TestPolicyChainNumberingOnlyRelabels(t *testing.T) {
 	const relTol = 1e-12

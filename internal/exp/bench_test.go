@@ -47,6 +47,20 @@ func BenchmarkFigureSweepWorkers2(b *testing.B) { benchSweep(b, 2) }
 func BenchmarkFigureSweepWorkers4(b *testing.B) { benchSweep(b, 4) }
 func BenchmarkFigureSweepWorkers8(b *testing.B) { benchSweep(b, 8) }
 
+// BenchmarkFigure4cHighLoad computes the 196 analysis points of Figure 4c
+// (k 4, rho 0.9, the paper's muI x muE grid) on the default pool.
+// scripts/bench.sh records it; its allocs/op tracks the analysis path's
+// buffer reuse. TestFigure4Theorem5Region and the printed-figures gate
+// check the values.
+func BenchmarkFigure4cHighLoad(b *testing.B) {
+	grid := DefaultMuGrid()
+	for i := 0; i < b.N; i++ {
+		if _, err := Figure4(context.Background(), 4, 0.9, grid, Options{}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // TestParallelSpeedup measures the dispatcher's speedup directly. It needs
 // real cores to mean anything, so it skips on small machines and in -short
 // runs; the benchmarks above are the durable artifact.

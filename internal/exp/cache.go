@@ -47,12 +47,12 @@ type MemCache struct {
 
 // NewMemCache returns an in-memory cache with the default caps.
 func NewMemCache() *MemCache {
-	return NewMemCacheSized(defaultMemCacheEntries, defaultMemCacheBytes)
+	return newMemCacheSized(defaultMemCacheEntries, defaultMemCacheBytes)
 }
 
-// NewMemCacheSized returns an in-memory cache capped at maxEntries entries
+// newMemCacheSized returns an in-memory cache capped at maxEntries entries
 // and maxBytes accounted bytes; a cap <= 0 leaves that axis unbounded.
-func NewMemCacheSized(maxEntries int, maxBytes int64) *MemCache {
+func newMemCacheSized(maxEntries int, maxBytes int64) *MemCache {
 	return &MemCache{c: lru.New[CellResult](maxEntries, maxBytes)}
 }
 

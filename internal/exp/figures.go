@@ -348,9 +348,11 @@ type DominanceConfig struct {
 	Arrivals int
 	// Seeds is the number of independent traces (seeds 1..Seeds).
 	Seeds int
-	// Tol absorbs floating-point noise in the work comparison (default 1e-7).
-	Tol float64
 }
+
+// dominanceTol absorbs floating-point noise in the work comparison. Every
+// DominanceTrace carries it, so it is part of the trace's task key.
+const dominanceTol = 1e-7
 
 // DominanceRun is the outcome of one coupled trace.
 type DominanceRun struct {
@@ -389,16 +391,12 @@ func Dominance(ctx context.Context, cfg DominanceConfig, o Options) ([]Dominance
 			return nil, fmt.Errorf("exp: dominance: %w", err)
 		}
 	}
-	tol := cfg.Tol
-	if tol == 0 {
-		tol = 1e-7
-	}
 	tasks := make([]Task, cfg.Seeds)
 	for i := range tasks {
 		tasks[i] = Task{Dominance: &DominanceTrace{
 			K: cfg.K, Rho: cfg.Rho, MuI: cfg.MuI, MuE: cfg.MuE,
 			PolicyA: cfg.PolicyA, PolicyB: cfg.PolicyB,
-			Arrivals: cfg.Arrivals, Tol: tol, Seed: uint64(i + 1),
+			Arrivals: cfg.Arrivals, Tol: dominanceTol, Seed: uint64(i + 1),
 		}}
 	}
 	outs, err := submitAll(ctx, o, Env{}, tasks)

@@ -262,7 +262,7 @@ func TestFileCacheMixedRecords(t *testing.T) {
 }
 
 func TestMemCacheBounded(t *testing.T) {
-	c := NewMemCacheSized(4, 0)
+	c := newMemCacheSized(4, 0)
 	cr := CellResult{ET: 1}
 	for i := 0; i < 10; i++ {
 		if err := c.Put(string(rune('a'+i)), cr); err != nil {

@@ -6,23 +6,24 @@
 // the Elastic-First chain), so clarity and numerical robustness win almost
 // everywhere: LU with partial pivoting and explicit error reporting for
 // singular systems. The exception is the one multiplication kernel,
-// MulInto (Mul allocates the result and calls it). Package qbd's
-// logarithmic reduction runs it eight times per doubling, for some 9,600
-// doublings per set of the paper's figures, and there it is the largest
-// single cost. So it is register-blocked: it keeps the sums of two rows by
-// up to four columns in local variables while it runs over the inner
-// index. Blocking changes which sums are in flight, never an entry's
-// arithmetic. Each entry is accumulated from +0 over the inner index in
-// ascending order, skipping a's zero entries, with one rounding per
-// multiply and per add, and every multiply-add keeps the acc += x*y form.
-// So every caller gets the textbook triple loop's bits, and a compiler that
-// fuses x*y+z fuses the same operations. The *Into functions write into the
-// caller's buffers, each with the bits of the function it mirrors
-// (InverseInto and SolveInto factor into a caller's LU, whose storage only
-// grows), so package qbd's solves allocate nothing once their buffers have
-// held the largest chain. The LU kernels take each row as a slice once per
-// loop and keep the textbook's expressions and order (TestLUMatchesTextbook
-// pins them against At and Set loops).
+// MulInto. Package qbd's logarithmic reduction runs it eight times per
+// doubling, for some 9,600 doublings per set of the paper's figures, and
+// there it is the largest single cost. So it is register-blocked: it keeps
+// the sums of two rows by up to four columns in local variables while it
+// runs over the inner index. Blocking changes which sums are in flight,
+// never an entry's arithmetic. Each entry is accumulated from +0 over the
+// inner index in ascending order, skipping a's zero entries, with one
+// rounding per multiply and per add, and every multiply-add keeps the
+// acc += x*y form. So every caller gets the textbook triple loop's bits,
+// and a compiler that fuses x*y+z fuses the same operations.
+//
+// Each operation has one form, which writes into the caller's buffers;
+// InverseInto and SolveInto factor into a caller's LU, whose storage only
+// grows, so package qbd's solves allocate nothing once their buffers have
+// held the largest chain. The allocating SolveMatrix and Inverse are kept
+// only as the tests' reference for InverseInto. The LU kernels take each
+// row as a slice once per loop and keep the textbook's expressions and
+// order (TestLUMatchesTextbook pins them against At and Set loops).
 package linalg
 
 import (
@@ -52,16 +53,8 @@ func NewMatrix(rows, cols int) *Matrix {
 	return &Matrix{Rows: rows, Cols: cols, Data: make([]float64, rows*cols)}
 }
 
-// Identity returns the n x n identity matrix.
-func Identity(n int) *Matrix {
-	m := NewMatrix(n, n)
-	for i := 0; i < n; i++ {
-		m.Set(i, i, 1)
-	}
-	return m
-}
-
 // FromRows builds a matrix from row slices, which must all share a length.
+// No production code calls it: it writes the tests' fixtures.
 func FromRows(rows [][]float64) *Matrix {
 	if len(rows) == 0 || len(rows[0]) == 0 {
 		panic("linalg: empty row set")
@@ -85,13 +78,6 @@ func (m *Matrix) Set(i, j int, v float64) { m.Data[i*m.Cols+j] = v }
 // Add increments element (i, j) by v.
 func (m *Matrix) Add(i, j int, v float64) { m.Data[i*m.Cols+j] += v }
 
-// Clone returns a deep copy of m.
-func (m *Matrix) Clone() *Matrix {
-	c := NewMatrix(m.Rows, m.Cols)
-	copy(c.Data, m.Data)
-	return c
-}
-
 // String renders the matrix for debugging.
 func (m *Matrix) String() string {
 	var b strings.Builder
@@ -108,18 +94,10 @@ func (m *Matrix) String() string {
 	return b.String()
 }
 
-// Mul returns a*b. It panics on shape mismatch (a programming error, not a
-// data error, in every call site of this repository).
-func Mul(a, b *Matrix) *Matrix {
-	if a.Cols != b.Rows {
-		panic(ErrShape)
-	}
-	return MulInto(NewMatrix(a.Rows, b.Cols), a, b)
-}
-
 // MulInto stores a*b in dst and returns dst, so an iteration can reuse one
 // buffer. dst must be a.Rows x b.Cols and share no storage with a or b. It
-// panics on shape mismatch, like Mul.
+// panics on shape mismatch (a programming error, not a data error, in every
+// call site of this repository).
 //
 // Each entry is sum_kk a[i][kk]*b[kk][j], accumulated from +0 in ascending
 // kk with a's zero entries skipped, one rounding per multiply and per add:
@@ -226,12 +204,6 @@ func dot2x1(a0, a1, b []float64, p int) (s00, s10 float64) {
 	return
 }
 
-// AddM returns a+b elementwise.
-func AddM(a, b *Matrix) *Matrix { return AddInto(NewMatrix(a.Rows, a.Cols), a, b) }
-
-// SubM returns a-b elementwise.
-func SubM(a, b *Matrix) *Matrix { return SubInto(NewMatrix(a.Rows, a.Cols), a, b) }
-
 // AddInto stores a+b in dst and returns dst. dst may be a or b; all three
 // must share one shape.
 func AddInto(dst, a, b *Matrix) *Matrix {
@@ -258,9 +230,6 @@ func sameShape(a, b, c *Matrix) {
 	}
 }
 
-// Scale returns s*a.
-func Scale(s float64, a *Matrix) *Matrix { return ScaleInto(NewMatrix(a.Rows, a.Cols), s, a) }
-
 // ScaleInto stores s*a in dst and returns dst. dst may be a; both must
 // share one shape.
 func ScaleInto(dst *Matrix, s float64, a *Matrix) *Matrix {
@@ -272,9 +241,6 @@ func ScaleInto(dst *Matrix, s float64, a *Matrix) *Matrix {
 	}
 	return dst
 }
-
-// MulVec returns a*x for a column vector x.
-func MulVec(a *Matrix, x []float64) []float64 { return MulVecInto(make([]float64, a.Rows), a, x) }
 
 // MulVecInto stores a*x in dst and returns dst. dst must have a.Rows
 // entries and share no storage with x.
@@ -308,7 +274,8 @@ func MaxAbsDiff(a, b *Matrix) float64 {
 	return max
 }
 
-// InfNorm returns the maximum absolute row sum.
+// InfNorm returns the maximum absolute row sum. No production code calls
+// it: the tests take the residual of an R equation with it.
 func (m *Matrix) InfNorm() float64 {
 	max := 0.0
 	for i := 0; i < m.Rows; i++ {
@@ -348,22 +315,10 @@ func (f *LU) size(n int) {
 	f.piv, f.col, f.x = f.piv[:n], f.buf[n*n:n*n+n], f.buf[n*n+n:n*n+2*n]
 }
 
-// Factor computes the LU factorization of a. It returns ErrSingular when a
-// pivot underflows working precision.
-func Factor(a *Matrix) (*LU, error) {
-	if a.Rows != a.Cols {
-		return nil, fmt.Errorf("%w: LU of %dx%d", ErrShape, a.Rows, a.Cols)
-	}
-	f := new(LU)
-	if err := f.factor(a); err != nil {
-		return nil, err
-	}
-	return f, nil
-}
-
 // factor overwrites f with the factorization of a, which must be square.
-// Row r is updated as rr[j] += -f * v over the pivot row's entries v right
-// of the diagonal, skipping a zero multiplier f.
+// It returns ErrSingular when a pivot underflows working precision. Row r
+// is updated as rr[j] += -f * v over the pivot row's entries v right of the
+// diagonal, skipping a zero multiplier f.
 func (f *LU) factor(a *Matrix) error {
 	n := a.Rows
 	f.size(n)
@@ -412,16 +367,6 @@ func (f *LU) factor(a *Matrix) error {
 	return nil
 }
 
-// Solve returns x with a*x = b for the factored matrix.
-func (f *LU) Solve(b []float64) []float64 {
-	if len(b) != f.lu.Rows {
-		panic(ErrShape)
-	}
-	x := make([]float64, len(b))
-	f.solveInto(x, b)
-	return x
-}
-
 // solveInto stores the x with a*x = b in x, which must have b's length and
 // share no storage with it. Each row of the triangles is one slice, summed
 // as s -= v * x[j] in ascending j.
@@ -452,19 +397,11 @@ func (f *LU) solveInto(x, b []float64) {
 	}
 }
 
-// Solve returns x with a*x = b.
-func Solve(a *Matrix, b []float64) ([]float64, error) {
-	f, err := Factor(a)
-	if err != nil {
-		return nil, err
-	}
-	return f.Solve(b), nil
-}
-
 // SolveInto stores the x with a*x = b in x, factoring a into f, so a loop
 // that solves a system at every step allocates nothing. a must be square,
 // x and b must have its size, and x share no storage with b; it panics on a
-// shape mismatch. The bits are Solve's.
+// shape mismatch. It returns ErrSingular when a pivot underflows working
+// precision.
 func SolveInto(x []float64, a *Matrix, b []float64, f *LU) error {
 	if n := a.Rows; a.Cols != n || len(b) != n || len(x) != n {
 		panic(ErrShape)
@@ -480,11 +417,11 @@ func SolveInto(x []float64, a *Matrix, b []float64, f *LU) error {
 // production code calls it: it and Inverse are the tests' reference for
 // InverseInto and for package mrt's textbook logarithmic reduction.
 func SolveMatrix(a, b *Matrix) (*Matrix, error) {
-	if a.Rows != b.Rows {
-		return nil, ErrShape
+	if a.Rows != a.Cols || a.Rows != b.Rows {
+		return nil, fmt.Errorf("%w: solve %dx%d against %dx%d", ErrShape, a.Rows, a.Cols, b.Rows, b.Cols)
 	}
-	f, err := Factor(a)
-	if err != nil {
+	f := new(LU)
+	if err := f.factor(a); err != nil {
 		return nil, err
 	}
 	out := NewMatrix(a.Rows, b.Cols)
@@ -508,7 +445,11 @@ func (f *LU) solveColumn(dst *Matrix, j int) {
 // Inverse returns a^{-1}. Like SolveMatrix, it is kept as the tests'
 // reference; production code inverts with InverseInto.
 func Inverse(a *Matrix) (*Matrix, error) {
-	return SolveMatrix(a, Identity(a.Rows))
+	eye := NewMatrix(a.Rows, a.Rows)
+	for i := 0; i < a.Rows; i++ {
+		eye.Set(i, i, 1)
+	}
+	return SolveMatrix(a, eye)
 }
 
 // InverseInto stores a^{-1} in dst, factoring a into f, so a loop that

@@ -22,6 +22,26 @@ func sameBits(x, y []float64) bool {
 	return true
 }
 
+// mul, identity and solve are the allocating forms the tests write their
+// checks in, each over the package's one form of the operation.
+func mul(a, b *Matrix) *Matrix { return MulInto(NewMatrix(a.Rows, b.Cols), a, b) }
+
+func identity(n int) *Matrix {
+	m := NewMatrix(n, n)
+	for i := 0; i < n; i++ {
+		m.Set(i, i, 1)
+	}
+	return m
+}
+
+func solve(a *Matrix, b []float64) ([]float64, error) {
+	x := make([]float64, len(b))
+	if err := SolveInto(x, a, b, new(LU)); err != nil {
+		return nil, err
+	}
+	return x, nil
+}
+
 func randomMatrix(r *xrand.Rand, n int) *Matrix {
 	m := NewMatrix(n, n)
 	for i := range m.Data {
@@ -37,8 +57,8 @@ func randomMatrix(r *xrand.Rand, n int) *Matrix {
 func TestIdentityMul(t *testing.T) {
 	r := xrand.New(1)
 	a := randomMatrix(r, 5)
-	left := Mul(Identity(5), a)
-	right := Mul(a, Identity(5))
+	left := mul(identity(5), a)
+	right := mul(a, identity(5))
 	if MaxAbsDiff(left, a) > 1e-14 || MaxAbsDiff(right, a) > 1e-14 {
 		t.Fatal("identity multiplication is not a no-op")
 	}
@@ -48,15 +68,15 @@ func TestMulKnown(t *testing.T) {
 	a := FromRows([][]float64{{1, 2}, {3, 4}})
 	b := FromRows([][]float64{{5, 6}, {7, 8}})
 	want := FromRows([][]float64{{19, 22}, {43, 50}})
-	if MaxAbsDiff(Mul(a, b), want) > 1e-14 {
-		t.Fatalf("Mul result:\n%v", Mul(a, b))
+	if got := mul(a, b); MaxAbsDiff(got, want) > 1e-14 {
+		t.Fatalf("MulInto result:\n%v", got)
 	}
 }
 
 func TestMulShapePanics(t *testing.T) {
 	for name, mul := range map[string]func(){
-		"Mul":         func() { Mul(NewMatrix(2, 3), NewMatrix(2, 3)) },
-		"MulInto dst": func() { MulInto(NewMatrix(3, 3), NewMatrix(2, 2), NewMatrix(2, 2)) },
+		"MulInto inner": func() { MulInto(NewMatrix(2, 3), NewMatrix(2, 3), NewMatrix(2, 3)) },
+		"MulInto dst":   func() { MulInto(NewMatrix(3, 3), NewMatrix(2, 2), NewMatrix(2, 2)) },
 	} {
 		func() {
 			defer func() {
@@ -75,8 +95,8 @@ func TestMulIntoOverwritesDst(t *testing.T) {
 	r := xrand.New(3)
 	a, b := randomMatrix(r, 4), randomMatrix(r, 4)
 	dst := randomMatrix(r, 4)
-	if got := MulInto(dst, a, b); got != dst || MaxAbsDiff(dst, Mul(a, b)) != 0 {
-		t.Fatalf("MulInto into a dirty buffer:\n%v\nwant\n%v", dst, Mul(a, b))
+	if got := MulInto(dst, a, b); got != dst || MaxAbsDiff(dst, mul(a, b)) != 0 {
+		t.Fatalf("MulInto into a dirty buffer:\n%v\nwant\n%v", dst, mul(a, b))
 	}
 }
 
@@ -136,20 +156,20 @@ func TestMulIntoMatchesDotProducts(t *testing.T) {
 func TestAddSubScale(t *testing.T) {
 	a := FromRows([][]float64{{1, 2}, {3, 4}})
 	b := FromRows([][]float64{{4, 3}, {2, 1}})
-	if MaxAbsDiff(AddM(a, b), FromRows([][]float64{{5, 5}, {5, 5}})) > 0 {
-		t.Fatal("AddM wrong")
+	if MaxAbsDiff(AddInto(NewMatrix(2, 2), a, b), FromRows([][]float64{{5, 5}, {5, 5}})) > 0 {
+		t.Fatal("AddInto wrong")
 	}
-	if MaxAbsDiff(SubM(a, b), FromRows([][]float64{{-3, -1}, {1, 3}})) > 0 {
-		t.Fatal("SubM wrong")
+	if MaxAbsDiff(SubInto(NewMatrix(2, 2), a, b), FromRows([][]float64{{-3, -1}, {1, 3}})) > 0 {
+		t.Fatal("SubInto wrong")
 	}
-	if MaxAbsDiff(Scale(2, a), FromRows([][]float64{{2, 4}, {6, 8}})) > 0 {
-		t.Fatal("Scale wrong")
+	if MaxAbsDiff(ScaleInto(NewMatrix(2, 2), 2, a), FromRows([][]float64{{2, 4}, {6, 8}})) > 0 {
+		t.Fatal("ScaleInto wrong")
 	}
 }
 
 func TestSolveKnown(t *testing.T) {
 	a := FromRows([][]float64{{2, 1}, {1, 3}})
-	x, err := Solve(a, []float64{5, 10})
+	x, err := solve(a, []float64{5, 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,11 +188,11 @@ func TestSolveResidualProperty(t *testing.T) {
 		for i := range b {
 			b[i] = 2*r.Float64() - 1
 		}
-		x, err := Solve(a, b)
+		x, err := solve(a, b)
 		if err != nil {
 			return false
 		}
-		res := MulVec(a, x)
+		res := MulVecInto(make([]float64, n), a, x)
 		for i := range res {
 			if !almostEq(res[i], b[i], 1e-9) {
 				return false
@@ -194,10 +214,10 @@ func TestInverseProperty(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if MaxAbsDiff(Mul(a, inv), Identity(n)) > 1e-9 {
+		if MaxAbsDiff(mul(a, inv), identity(n)) > 1e-9 {
 			t.Fatalf("a*a^-1 != I for n=%d", n)
 		}
-		if MaxAbsDiff(Mul(inv, a), Identity(n)) > 1e-9 {
+		if MaxAbsDiff(mul(inv, a), identity(n)) > 1e-9 {
 			t.Fatalf("a^-1*a != I for n=%d", n)
 		}
 	}
@@ -239,7 +259,8 @@ func TestInverseIntoMatchesInverse(t *testing.T) {
 // f is zero. It also returns how many multipliers were zero.
 func textbookLU(a *Matrix) (lu *Matrix, piv []int, zeros int, err error) {
 	n := a.Rows
-	lu, piv = a.Clone(), make([]int, n)
+	lu, piv = NewMatrix(n, n), make([]int, n)
+	copy(lu.Data, a.Data)
 	for i := range piv {
 		piv[i] = i
 	}
@@ -330,10 +351,11 @@ func luMatrix(r *xrand.Rand, n int) *Matrix {
 	return a
 }
 
-// TestLUMatchesTextbook pins the LU kernels on their own: Solve, SolveInto
-// and InverseInto give textbookLU's and textbookSolve's bits for n 1 to 60,
+// TestLUMatchesTextbook pins the LU kernels on their own: SolveInto and
+// InverseInto give textbookLU's and textbookSolve's bits for n 1 to 60,
 // with one LU and one dirty inverse buffer reused across all sizes in
-// shuffled order, and each reports ErrSingular on a singular matrix.
+// shuffled order, and they and Inverse report ErrSingular on a singular
+// matrix.
 func TestLUMatchesTextbook(t *testing.T) {
 	r := xrand.New(27)
 	sizes := make([]int, 60)
@@ -350,8 +372,8 @@ func TestLUMatchesTextbook(t *testing.T) {
 	singular := func(name string, a *Matrix) {
 		t.Helper()
 		n := a.Rows
-		if _, err := Solve(a, make([]float64, n)); !errors.Is(err, ErrSingular) {
-			t.Errorf("%s: Solve: got %v, want ErrSingular", name, err)
+		if _, err := Inverse(a); !errors.Is(err, ErrSingular) {
+			t.Errorf("%s: Inverse: got %v, want ErrSingular", name, err)
 		}
 		if err := SolveInto(make([]float64, n), a, make([]float64, n), &f); !errors.Is(err, ErrSingular) {
 			t.Errorf("%s: SolveInto: got %v, want ErrSingular", name, err)
@@ -382,11 +404,7 @@ func TestLUMatchesTextbook(t *testing.T) {
 				}
 			}
 			want := textbookSolve(lu, piv, b)
-			got, err := Solve(a, b)
-			if err != nil || !sameBits(got, want) {
-				t.Fatalf("n %d, trial %d: Solve %v (%v), textbook %v", n, trial, got, err, want)
-			}
-			got = oddMatrix(r, 1, n, false).Data
+			got := oddMatrix(r, 1, n, false).Data
 			if err := SolveInto(got, a, b, &f); err != nil || !sameBits(got, want) {
 				t.Fatalf("n %d, trial %d: SolveInto %v (%v), textbook %v", n, trial, got, err, want)
 			}
@@ -425,16 +443,16 @@ func TestLUMatchesTextbook(t *testing.T) {
 
 func TestSingularDetected(t *testing.T) {
 	a := FromRows([][]float64{{1, 2}, {2, 4}})
-	if _, err := Solve(a, []float64{1, 2}); !errors.Is(err, ErrSingular) {
+	if _, err := solve(a, []float64{1, 2}); !errors.Is(err, ErrSingular) {
 		t.Fatalf("expected ErrSingular, got %v", err)
 	}
 }
 
 func TestMulVec(t *testing.T) {
 	a := FromRows([][]float64{{1, 2, 3}, {4, 5, 6}})
-	got := MulVec(a, []float64{1, 1, 1})
+	got := MulVecInto(make([]float64, 2), a, []float64{1, 1, 1})
 	if !almostEq(got[0], 6, 0) || !almostEq(got[1], 15, 0) {
-		t.Fatalf("MulVec %v", got)
+		t.Fatalf("MulVecInto %v", got)
 	}
 }
 
@@ -452,7 +470,7 @@ func TestSolveMatrixColumns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if MaxAbsDiff(Mul(a, x), b) > 1e-12 {
+	if MaxAbsDiff(mul(a, x), b) > 1e-12 {
 		t.Fatal("SolveMatrix residual too large")
 	}
 }
@@ -466,38 +484,29 @@ func TestFromRowsPanics(t *testing.T) {
 	FromRows([][]float64{{1, 2}, {3}})
 }
 
-func TestCloneIndependence(t *testing.T) {
-	a := FromRows([][]float64{{1, 2}, {3, 4}})
-	c := a.Clone()
-	c.Set(0, 0, 99)
-	if a.At(0, 0) != 1 {
-		t.Fatal("Clone shares storage with original")
-	}
-}
-
 func BenchmarkMul16(b *testing.B) {
 	r := xrand.New(1)
 	a := randomMatrix(r, 16)
 	c := randomMatrix(r, 16)
+	dst := NewMatrix(16, 16)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Mul(a, c)
+		MulInto(dst, a, c)
 	}
 }
 
 func BenchmarkFactorSolve16(b *testing.B) {
 	r := xrand.New(1)
 	a := randomMatrix(r, 16)
-	rhs := make([]float64, 16)
+	rhs, x := make([]float64, 16), make([]float64, 16)
 	for i := range rhs {
 		rhs[i] = r.Float64()
 	}
+	var f LU
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		f, err := Factor(a)
-		if err != nil {
+		if err := SolveInto(x, a, rhs, &f); err != nil {
 			b.Fatal(err)
 		}
-		f.Solve(rhs)
 	}
 }

@@ -36,14 +36,16 @@ var ErrNotConverged = errors.New("mdp: relative value iteration did not converge
 type Config struct {
 	Model queueing.Model
 	// CapI, CapE truncate the state space; arrivals at the boundary are
-	// dropped, matching ctmc.PolicyChain.
+	// dropped, matching ctmc's truncated policy chain (ctmc.SolvePolicy).
 	CapI, CapE int
 	// Tol is the span-seminorm convergence threshold on the relative
 	// value function (default 1e-10).
 	Tol float64
-	// MaxIter caps the iterations (default 1_000_000).
-	MaxIter int
 }
+
+// maxIter caps the value iterations; a solve that reaches it returns
+// ErrNotConverged.
+const maxIter = 1_000_000
 
 // OptimalPolicy is the result of a solve.
 type OptimalPolicy struct {
@@ -113,10 +115,6 @@ func Solve(cfg Config) (*OptimalPolicy, error) {
 	tol := cfg.Tol
 	if tol == 0 {
 		tol = 1e-10
-	}
-	maxIter := cfg.MaxIter
-	if maxIter == 0 {
-		maxIter = 1_000_000
 	}
 
 	nI, nJ := cfg.CapI+1, cfg.CapE+1

@@ -10,12 +10,46 @@ import (
 	"fmt"
 	"maps"
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/linalg"
 	"repro/internal/qbd"
 	"repro/internal/queueing"
 )
+
+// mul, add, sub, scale, clone and identity allocate their result, so that
+// the textbook references below read as the textbook writes them; each is
+// linalg's one form of the operation, into a fresh matrix.
+func mul(a, b *linalg.Matrix) *linalg.Matrix {
+	return linalg.MulInto(linalg.NewMatrix(a.Rows, b.Cols), a, b)
+}
+
+func add(a, b *linalg.Matrix) *linalg.Matrix {
+	return linalg.AddInto(linalg.NewMatrix(a.Rows, a.Cols), a, b)
+}
+
+func sub(a, b *linalg.Matrix) *linalg.Matrix {
+	return linalg.SubInto(linalg.NewMatrix(a.Rows, a.Cols), a, b)
+}
+
+func scale(s float64, a *linalg.Matrix) *linalg.Matrix {
+	return linalg.ScaleInto(linalg.NewMatrix(a.Rows, a.Cols), s, a)
+}
+
+func clone(a *linalg.Matrix) *linalg.Matrix {
+	c := linalg.NewMatrix(a.Rows, a.Cols)
+	copy(c.Data, a.Data)
+	return c
+}
+
+func identity(n int) *linalg.Matrix {
+	m := linalg.NewMatrix(n, n)
+	for i := 0; i < n; i++ {
+		m.Set(i, i, 1)
+	}
+	return m
+}
 
 // spectralRadiusFull estimates sp(a) by running all iters power
 // iterations, allocating a fresh vector each: the reference that the
@@ -28,7 +62,7 @@ func spectralRadiusFull(a *linalg.Matrix, iters int) float64 {
 	}
 	radius := 0.0
 	for it := 0; it < iters; it++ {
-		y := linalg.MulVec(a, x)
+		y := linalg.MulVecInto(make([]float64, n), a, x)
 		norm := 0.0
 		for _, v := range y {
 			norm += v * v
@@ -148,29 +182,29 @@ func TestAnalysisAllocs(t *testing.T) {
 // It returns R and the doubling count; qbd.SolveR must return this R bit
 // for bit.
 func textbookR(c *qbd.Chain, tol float64) (*linalg.Matrix, int, error) {
-	negA1Inv, err := linalg.Inverse(linalg.Scale(-1, c.A1))
+	negA1Inv, err := linalg.Inverse(scale(-1, c.A1))
 	if err != nil {
 		return nil, 0, err
 	}
-	h := linalg.Mul(negA1Inv, c.A0)
-	l := linalg.Mul(negA1Inv, c.A2)
-	g, t := l.Clone(), h.Clone()
+	h := mul(negA1Inv, c.A0)
+	l := mul(negA1Inv, c.A2)
+	g, t := clone(l), clone(h)
 	for iter := 1; iter <= 64; iter++ {
-		u := linalg.AddM(linalg.Mul(h, l), linalg.Mul(l, h))
-		iu, err := linalg.Inverse(linalg.SubM(linalg.Identity(c.Phases), u))
+		u := add(mul(h, l), mul(l, h))
+		iu, err := linalg.Inverse(sub(identity(c.Phases), u))
 		if err != nil {
 			return nil, 0, err
 		}
-		h = linalg.Mul(iu, linalg.Mul(h, h))
-		l = linalg.Mul(iu, linalg.Mul(l, l))
-		gNext := linalg.AddM(g, linalg.Mul(t, l))
-		t = linalg.Mul(t, h)
+		h = mul(iu, mul(h, h))
+		l = mul(iu, mul(l, l))
+		gNext := add(g, mul(t, l))
+		t = mul(t, h)
 		if linalg.MaxAbsDiff(gNext, g) < tol {
-			denom, err := linalg.Inverse(linalg.Scale(-1, linalg.AddM(c.A1, linalg.Mul(c.A0, gNext))))
+			denom, err := linalg.Inverse(scale(-1, add(c.A1, mul(c.A0, gNext))))
 			if err != nil {
 				return nil, 0, err
 			}
-			return linalg.Mul(c.A0, denom), iter, nil
+			return mul(c.A0, denom), iter, nil
 		}
 		g = gNext
 	}
@@ -181,13 +215,13 @@ func textbookR(c *qbd.Chain, tol float64) (*linalg.Matrix, int, error) {
 // iteration R <- (A0 + R^2 A2)(-A1)^{-1} from R = 0, linearly convergent,
 // until two iterates differ by less than tol.
 func functionalR(c *qbd.Chain, tol float64) (*linalg.Matrix, error) {
-	negA1Inv, err := linalg.Inverse(linalg.Scale(-1, c.A1))
+	negA1Inv, err := linalg.Inverse(scale(-1, c.A1))
 	if err != nil {
 		return nil, err
 	}
 	r := linalg.NewMatrix(c.Phases, c.Phases)
 	for iter := 1; iter <= 10_000_000; iter++ {
-		next := linalg.Mul(linalg.AddM(c.A0, linalg.Mul(linalg.Mul(r, r), c.A2)), negA1Inv)
+		next := mul(add(c.A0, mul(mul(r, r), c.A2)), negA1Inv)
 		if linalg.MaxAbsDiff(next, r) < tol {
 			return next, nil
 		}
@@ -198,7 +232,7 @@ func functionalR(c *qbd.Chain, tol float64) (*linalg.Matrix, error) {
 
 // residual returns ||A0 + R A1 + R^2 A2||_inf.
 func residual(c *qbd.Chain, r *linalg.Matrix) float64 {
-	return linalg.AddM(c.A0, linalg.AddM(linalg.Mul(r, c.A1), linalg.Mul(linalg.Mul(r, r), c.A2))).InfNorm()
+	return add(c.A0, add(mul(r, c.A1), mul(mul(r, r), c.A2))).InfNorm()
 }
 
 // figureChains adds to goldenChains the IF and EF chains of the full k-4
@@ -323,7 +357,7 @@ func oneMomentChains(t *testing.T) map[string]*qbd.Chain {
 // scaleArrivals returns c with its repeating levels' up block A0 scaled by
 // s and A1's diagonal rebalanced, so that the rows still sum to zero.
 func scaleArrivals(c *qbd.Chain, s float64) *qbd.Chain {
-	a0, a1 := linalg.Scale(s, c.A0), c.A1.Clone()
+	a0, a1 := scale(s, c.A0), clone(c.A1)
 	for i := 0; i < c.Phases; i++ {
 		for j := 0; j < c.Phases; j++ {
 			a1.Add(i, i, c.A0.At(i, j)-a0.At(i, j))
@@ -383,6 +417,35 @@ func TestDriftAgreesWithSpectralRadius(t *testing.T) {
 		}
 	}
 	t.Logf("%d scaled golden chains: %d refused, %d of them without a converged R", scaled, refused, diverged)
+}
+
+// TestNearCriticalRefusedAgainstClosedForm: on one server IF is
+// preemptive priority for the inelastic class, so the elastic class's E[T]
+// has a closed form (queueing.PreemptiveMM1). At muI = muE = 1 the chain's
+// relative drift margin is 2(1 - rho). At rho = 1 - 1e-7 the solve would be
+// about 0.5% off, so Solve must refuse it, and not as unstable; at margin
+// 1.1e-4, just above the bound, the analysis is within 1e-6 of the closed
+// form.
+func TestNearCriticalRefusedAgainstClosedForm(t *testing.T) {
+	closedForm := func(p queueing.Model) float64 {
+		return queueing.NewPreemptiveMM1(p.LambdaI, p.MuI, p.LambdaE, p.MuE).MeanResponseLow()
+	}
+	p := queueing.ForLoad(1, 1-1e-7, 1, 1)
+	res, err := IF(p, Coxian3Moment)
+	if err == nil {
+		t.Fatalf("rho 1-1e-7: E[T_E] %v, closed form %v, and no error", res.TE, closedForm(p))
+	}
+	if errors.Is(err, ErrUnstable) || errors.Is(err, qbd.ErrUnstable) || !strings.Contains(err.Error(), "margin") {
+		t.Fatalf("rho 1-1e-7: got %v, want the near-critical refusal naming the margin", err)
+	}
+	p = queueing.ForLoad(1, 1-5.5e-5, 1, 1)
+	res, err = IF(p, Coxian3Moment)
+	if err != nil {
+		t.Fatalf("rho 1-5.5e-5: %v", err)
+	}
+	if want := closedForm(p); math.Abs(res.TE-want) > 1e-6*want {
+		t.Fatalf("rho 1-5.5e-5: E[T_E] %v, closed form %v", res.TE, want)
+	}
 }
 
 // BenchmarkSolveFigureChains times the solve the figures run, w.Solve on

@@ -26,7 +26,7 @@ func randomQBD(r *xrand.Rand) (*Chain, float64, [2]float64, [2][2]float64) {
 		{sw[1][0], -(lambda + mu[1] + sw[1][0])},
 	})
 	b := BoundaryLevel{
-		U: a0.Clone(),
+		U: linalg.FromRows([][]float64{{lambda, 0}, {0, lambda}}),
 		Local: linalg.FromRows([][]float64{
 			{-(lambda + sw[0][1]), sw[0][1]},
 			{sw[1][0], -(lambda + sw[1][0])},

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/linalg"
@@ -180,7 +181,12 @@ func TestRSatisfiesQuadratic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := linalg.AddM(c.A0, linalg.AddM(linalg.Mul(r, c.A1), linalg.Mul(linalg.Mul(r, r), c.A2)))
+	mul := func(a, b *linalg.Matrix) *linalg.Matrix {
+		return linalg.MulInto(linalg.NewMatrix(a.Rows, b.Cols), a, b)
+	}
+	res := mul(r, c.A1)
+	linalg.AddInto(res, res, mul(mul(r, r), c.A2))
+	linalg.AddInto(res, c.A0, res)
 	if res.InfNorm() > 1e-10 {
 		t.Fatalf("residual of R equation %v", res.InfNorm())
 	}
@@ -200,7 +206,9 @@ func TestUnstableDetected(t *testing.T) {
 // TestNearCriticalUnstableRefused: chains just past, or at, critical load
 // are refused with ErrUnstable. Near sp(R) = 1 logarithmic reduction finds
 // R only to about 1e-9, so a check of sp(R) accepted some of these and
-// returned mean levels near 1e9; a chain just below critical still solves.
+// returned mean levels near 1e9. A chain just below critical load is
+// refused too, but not as unstable: its relative drift margin is below
+// minDriftMargin. Just above that margin M/M/1 solves.
 func TestNearCriticalUnstableRefused(t *testing.T) {
 	for name, c := range map[string]*Chain{
 		"M/M/1, rho 1+1e-6":  mm1Chain(1+1e-6, 1),
@@ -216,8 +224,21 @@ func TestNearCriticalUnstableRefused(t *testing.T) {
 			t.Errorf("%s: got %v, want ErrUnstable", name, err)
 		}
 	}
-	if _, err := mm1Chain(1-1e-7, 1).Solve(); err != nil {
-		t.Errorf("M/M/1, rho 1-1e-7: %v", err)
+	for _, rho := range []float64{1 - 1e-7, 1 - 0.99*minDriftMargin} {
+		sol, err := mm1Chain(rho, 1).Solve()
+		if sol != nil {
+			t.Errorf("M/M/1, rho 1-%.3g: solved, mean level %g", 1-rho, sol.MeanLevel())
+		} else if !errors.Is(err, errNearCritical) || errors.Is(err, ErrUnstable) || !strings.Contains(err.Error(), "margin") {
+			t.Errorf("M/M/1, rho 1-%.3g: got %v, want the near-critical refusal naming the margin", 1-rho, err)
+		}
+	}
+	rho := 1 - 1.1*minDriftMargin
+	sol, err := mm1Chain(rho, 1).Solve()
+	if err != nil {
+		t.Fatalf("M/M/1, rho 1-%.3g: %v", 1-rho, err)
+	}
+	if want := queueing.NewMM1(rho, 1).MeanJobs(); math.Abs(sol.MeanLevel()-want) > 1e-6*want {
+		t.Errorf("M/M/1, rho 1-%.3g: mean level %v, want %v", 1-rho, sol.MeanLevel(), want)
 	}
 }
 

@@ -175,12 +175,6 @@ func factorialF(n int) float64 {
 	return f
 }
 
-// LittleN returns E[N] = lambda * E[T].
-func LittleN(lambda, meanResponse float64) float64 { return lambda * meanResponse }
-
-// LittleT returns E[T] = E[N] / lambda.
-func LittleT(lambda, meanJobs float64) float64 { return meanJobs / lambda }
-
 // Model is the paper's model (Section 2): k servers; inelastic jobs arrive
 // as a Poisson process at rate LambdaI with Exp(MuI) sizes, elastic jobs at
 // rate LambdaE with Exp(MuE) sizes. The no-arrival batches of Theorem 6

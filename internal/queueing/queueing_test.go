@@ -200,9 +200,3 @@ func TestModelValidate(t *testing.T) {
 		}
 	}
 }
-
-func TestLittleHelpers(t *testing.T) {
-	if LittleN(2, 3) != 6 || LittleT(2, 6) != 3 {
-		t.Fatal("Little's law helpers wrong")
-	}
-}

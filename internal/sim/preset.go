@@ -5,7 +5,7 @@ import "strconv"
 // This file holds the paper's two-class model as a preset over the N-class
 // engine: class 0 is the inelastic class (speedup min(a, 1)) and class 1 is
 // the elastic class (linear speedup). Every historical two-class entry point
-// (NewSystem, WorkInelastic, ...) delegates to the generalized engine, which
+// (NewSystem, TwoClassSpecs, ...) delegates to the generalized engine, which
 // reproduces the pre-unification two-class simulator's frozen traces
 // (identical completion sequences, times and statistics to 1e-9) — pinned
 // by the golden tests in golden_test.go.
@@ -45,7 +45,3 @@ func TwoClassSpecs() []ClassSpec {
 func NewSystem(k int, policy Policy) *System {
 	return NewClassSystem(k, TwoClassSpecs(), policy)
 }
-
-// WorkInelastic returns the remaining inelastic work W_I(t) of a two-class
-// system.
-func (s *System) WorkInelastic() float64 { return s.WorkClass(Inelastic) }

@@ -133,7 +133,7 @@ func TestWorkAccounting(t *testing.T) {
 	if got := sys.Work(); math.Abs(got-4) > 1e-9 {
 		t.Fatalf("work after 1s %v", got)
 	}
-	if got := sys.WorkInelastic(); math.Abs(got-2) > 1e-9 {
+	if got := sys.WorkClass(Inelastic); math.Abs(got-2) > 1e-9 {
 		t.Fatalf("inelastic work %v", got)
 	}
 }

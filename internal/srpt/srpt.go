@@ -38,16 +38,6 @@ func SRPTK(jobs []workload.BatchJob, k int) Schedule {
 	return listSchedule(jobs, order, k)
 }
 
-// ListSchedule runs the same greedy processor assignment with an arbitrary
-// priority order (a permutation of job indices). Exposed so that the
-// brute-force baseline and the benchmarks can explore the policy family.
-func ListSchedule(jobs []workload.BatchJob, order []int, k int) Schedule {
-	if len(order) != len(jobs) {
-		panic("srpt: order must be a permutation of the job indices")
-	}
-	return listSchedule(jobs, order, k)
-}
-
 func prioritize(jobs []workload.BatchJob) []int {
 	order := make([]int, len(jobs))
 	for i := range order {

@@ -130,15 +130,6 @@ func TestSRPTCloseToBestPermutation(t *testing.T) {
 	}
 }
 
-func TestListSchedulePermutationValidation(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("bad permutation accepted")
-		}
-	}()
-	ListSchedule(jobs([2]float64{1, 1}), []int{0, 1}, 2)
-}
-
 func TestInvalidJobPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {

@@ -2,8 +2,8 @@
 // generator suite used throughout the repository.
 //
 // Reproducibility is a hard requirement for the experiments in this
-// repository: every figure regenerated by the benchmark harness must be
-// bit-for-bit stable across runs and across machines. The package therefore
+// repository: every figure the drivers regenerate must be bit-for-bit
+// stable across runs and across machines. The package therefore
 // implements its own PCG-64 (XSL-RR) generator rather than relying on the
 // seeding behavior of math/rand, and exposes explicit stream derivation so
 // that independent stochastic processes (e.g. the elastic and inelastic
